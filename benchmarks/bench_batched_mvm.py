@@ -6,10 +6,15 @@ overhead across a whole batch — the crossbar's inherent parallelism.
 This benchmark guards three properties at once:
 
 * **speed** — a batch-64 ``forward_batch`` must beat streaming the same
-  64 samples through ``forward_one`` by at least 5x;
+  64 samples through ``forward_one`` by at least 8x.  The looped side
+  runs the same read model at B=1 (each ``matvec`` is a one-column
+  block read), so the ratio measures per-call overhead against one
+  wide GEMM per layer: it measures 15.7-17x on a 2-vCPU host, and the
+  floor keeps about half of that as margin for shared CI runners;
 * **equivalence** — with deterministic reads the batched path must
-  reproduce the looped path to well under the 5% divergence gate (it is
-  bitwise-equal by construction; any >5% drift fails the build);
+  reproduce the looped path to well under the 5% divergence gate (both
+  run the same block read, so they agree to rounding; any >5% drift
+  fails the build);
 * **fidelity under noise** — with the default noisy PCM device, batched
   and looped results are two read-noise realizations of the same
   computation, so each must sit equally close to the exact digital
@@ -27,7 +32,7 @@ from repro.devices import PcmDevice
 from repro.ml.nn import CimNetwork, Sequential
 
 BATCH = 64
-MIN_SPEEDUP = 5.0
+MIN_SPEEDUP = 8.0
 MAX_DIVERGENCE = 0.05
 
 
@@ -96,7 +101,8 @@ def test_batched_vs_looped_smoke(write_result):
             "batched_error": batched_error,
         },
         gates={
-            "speedup": ("higher", 0.8),
+            # the band reaches down to about MIN_SPEEDUP
+            "speedup": ("higher", 0.5),
             "exact_divergence": ("lower", 1.0),
         },
     )

@@ -8,9 +8,12 @@ end-to-end and emits ``benchmarks/results/BENCH_sharded_fleet.json``
 for CI archival:
 
 * **speed** — the sharded fleet dispatch must beat serving the same
-  four windows the pre-batched way (each window streamed column-by-
-  column through one array's per-vector path) by at least 3x
-  wall-clock;
+  four windows column by column through one operator's ``matvec`` by
+  at least 3x wall-clock.  The looped side runs the same read model at
+  B=1 (each ``matvec`` is a one-column block read), so the ratio
+  measures per-call overhead against whole-window GEMMs: it measures
+  4.8-6.3x on a 2-vCPU host with one BLAS thread, and the floor keeps
+  about half of that as margin for shared CI runners;
 * **exactness** — on the float-exact dense backend the sharded result
   must match the unsharded single-operator ``matmat`` to <= 1e-10
   relative error per column, and on the quantized ideal-device crossbar
@@ -148,7 +151,8 @@ def test_sharded_fleet_speed_and_invariants(write_result):
             "shards": SHARDS,
         },
         gates={
-            "speedup": ("higher", 0.9),
+            # the band reaches down to MIN_SPEEDUP
+            "speedup": ("higher", 0.45),
             "ideal_crossbar_bitwise_equal": ("equal", 0.5),
             "merged_counters_equal": ("equal", 0.5),
         },

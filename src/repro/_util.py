@@ -14,6 +14,7 @@ import numpy as np
 __all__ = [
     "as_rng",
     "check_elapsed",
+    "check_finite",
     "check_positive",
     "check_fraction",
     "check_in",
@@ -55,6 +56,19 @@ def check_elapsed(name: str, value: float) -> float:
             f"got {value!r}"
         )
     return value
+
+
+def check_finite(name: str, array: np.ndarray) -> np.ndarray:
+    """Raise ``ValueError`` unless every entry of ``array`` is finite.
+
+    Analog reads peak-normalize their inputs, so one NaN or inf turns a
+    whole output column into NaN that is still billed as a live read.
+    Every read entry point (operator, fleet, server) validates through
+    this helper before any counter, load or queue moves.
+    """
+    if not np.isfinite(array).all():
+        raise ValueError(f"{name} must be finite, got NaN or inf entries")
+    return array
 
 
 def check_positive(name: str, value: float) -> float:

@@ -13,9 +13,9 @@ Public API
   differential device pairs with DAC/ADC interfaces and optional tiling;
   exposes ``matvec`` (rows driven, columns read) and ``rmatvec``
   (columns driven, rows read), exactly as the AMP mapping requires,
-  plus their batched forms ``matmat``/``rmatmat`` that drive 2-D
-  voltage blocks (one input vector per column) with loop-equivalent
-  conversion accounting.
+  as the one-column case of the batched forms ``matmat``/``rmatmat``
+  that drive 2-D voltage blocks (one input vector per column) with
+  loop-equivalent conversion accounting.
 * :class:`ShardedOperator` — window-schedules batches larger than one
   array's readout window across operator replicas (round-robin,
   greedy-by-active-columns, drift-aware or placement-optimized) with

@@ -10,6 +10,8 @@ obtain ``A x_t`` and ``A* z_t``.
 Device non-idealities (programming error, read noise, drift) come from
 the :class:`~repro.devices.PcmDevice` model; array-level effects (IR
 drop, stuck devices) live in :mod:`repro.crossbar.nonidealities`.
+Every read, of one vector or of a block, goes through one
+output-referred read model (see :meth:`CrossbarArray._batched_currents`).
 """
 
 from __future__ import annotations
@@ -39,13 +41,6 @@ class CrossbarArray:
     wire_resistance:
         Per-segment interconnect resistance in ohms for the first-order
         IR-drop model (0 disables IR drop).
-    noise_chunk:
-        Column-chunked noise mode for batched reads: when set, read
-        noise for a ``(lines, B)`` voltage block is drawn ``noise_chunk``
-        batch columns at a time, so very large tiles batch without
-        materializing full ``(lines, B)`` noise-power and normal-draw
-        blocks alongside the output.  ``None`` (default) keeps the
-        single full-block draw (and its RNG draw shape).
     seed:
         RNG seed or generator for all stochastic behaviour of this array.
     """
@@ -56,7 +51,6 @@ class CrossbarArray:
         device: PcmDevice | None = None,
         programming_iterations: int = 5,
         wire_resistance: float = 0.0,
-        noise_chunk: int | None = None,
         seed: int | np.random.Generator | None = None,
     ) -> None:
         target_conductance = np.asarray(target_conductance, dtype=float)
@@ -66,12 +60,9 @@ class CrossbarArray:
             raise ValueError("conductances must be non-negative")
         if wire_resistance < 0:
             raise ValueError("wire_resistance must be non-negative")
-        if noise_chunk is not None and noise_chunk < 1:
-            raise ValueError("noise_chunk must be >= 1 or None")
         self.device = device if device is not None else PcmDevice()
         self._rng = as_rng(seed)
         self.wire_resistance = wire_resistance
-        self.noise_chunk = noise_chunk
         self._g_target = target_conductance
         self._programming_iterations = programming_iterations
         self.programming_report: ProgrammingReport = program_and_verify(
@@ -89,11 +80,11 @@ class CrossbarArray:
         self._stuck_mask = np.zeros(self._g_programmed.shape, dtype=bool)
         self._stuck_values = np.zeros(self._g_programmed.shape)
         self.age_seconds = 0.0
-        # Batched reads recompute nothing per call: the drifted (and
-        # IR-scaled) conductance and its elementwise square are cached
-        # until the device state changes (see _invalidate_read_cache).
-        # The cached matrices are deterministic functions of the state,
-        # so cached and uncached reads are bitwise identical.
+        # Reads recompute nothing per call: the drifted (and IR-scaled)
+        # conductance and its elementwise square are cached until the
+        # device state changes (see _invalidate_read_cache).  The cached
+        # matrices are deterministic functions of the state, so cached
+        # and uncached reads are bitwise identical.
         self._read_cache: dict[int, list[np.ndarray | None]] = {}
         self.n_row_reads = 0
         self.n_col_reads = 0
@@ -236,23 +227,25 @@ class CrossbarArray:
         self._invalidate_read_cache()
         return mask
 
-    def _instantaneous_conductance(self) -> np.ndarray:
-        return self.device.read(self.conductance, seed=self._rng)
-
     def _read_entry(self, axis: int) -> list:
-        """Cached ``[g_now, g_now**2]`` for batched reads along ``axis``.
+        """Cached ``[g_now, g_now**2]`` for reads along ``axis``.
 
         ``g_now`` is the drifted conductance with IR-drop factors
         applied (the mean matrix of the output-referred noise model);
-        the square is filled in lazily by the first noisy read.  Without
-        IR drop the matrix is axis-independent, so both directions share
-        one entry.  Entries live until :meth:`_invalidate_read_cache`
-        (drift, reprogramming, fault injection).
+        the square is filled in lazily by the first noisy read.  Before
+        any drift the programmed matrix itself is cached, not a copy
+        (nothing writes into cache entries).  Without IR drop the matrix
+        is axis-independent, so both directions share one entry.
+        Entries live until :meth:`_invalidate_read_cache` (drift,
+        reprogramming, fault injection).
         """
         key = axis if self.wire_resistance > 0.0 else -1
         entry = self._read_cache.get(key)
         if entry is None:
-            g_now = self.device.drifted(self._g_programmed, self.age_seconds)
+            if self.age_seconds == 0.0 or self.device.drift_nu == 0.0:
+                g_now = self._g_programmed
+            else:
+                g_now = self.device.drifted(self._g_programmed, self.age_seconds)
             if self.wire_resistance > 0.0:
                 g_now = g_now * ir_drop_factors(g_now, self.wire_resistance, axis=axis)
             entry = [g_now, None]
@@ -262,20 +255,20 @@ class CrossbarArray:
     def _batched_currents(self, voltages: np.ndarray, axis: int) -> np.ndarray:
         """Currents for a 2-D voltage block (one read event per column).
 
-        Each block column is a separate temporal read, so each sees its
-        own i.i.d. device fluctuations.  Instead of drawing a fresh
-        conductance matrix per column, the noise is applied
-        output-referred: for Gaussian relative read noise the current
-        ``I = sum_k V_k G_k (1 + eps_k)`` is exactly
-        ``N(sum_k V_k G_k, sigma^2 * sum_k (V_k G_k)^2)``, so sampling
-        the sum directly is distribution-equivalent while drawing one
-        normal per output line instead of one per device.  Two
-        first-order approximations against the per-vector path: the
-        clip of negative conductances is ignored (~1/sigma standard
-        deviations away — negligible at realistic noise levels), and
-        with ``wire_resistance > 0`` the IR-drop factors are computed
-        on the mean (noise-free) conductance rather than each read's
-        noisy realization, so noise does not perturb the drop factors.
+        Each block column is a separate temporal read, and each device
+        sees its own i.i.d. relative fluctuation ``eps_k ~ N(0, sigma^2)``
+        on every read (:meth:`PcmDevice.read`).  A line current
+        ``I = sum_k V_k G_k (1 + eps_k)`` is then exactly
+        ``N(sum_k V_k G_k, sigma^2 * sum_k (V_k G_k)^2)``, so the model
+        samples that sum directly: one mean GEMM, one noise-power GEMM
+        and one normal per output line and column, instead of one draw
+        per device.  A 1-D read is the one-column case.  Two
+        approximations against the device physics: the clip of negative
+        instantaneous conductances is ignored (it sits ~1/sigma standard
+        deviations away, negligible at realistic noise levels), and with
+        ``wire_resistance > 0`` the IR-drop factors are computed on the
+        mean (noise-free) conductance rather than on each read's noisy
+        realization.
         """
         entry = self._read_entry(axis)
         g_now = entry[0]
@@ -290,26 +283,28 @@ class CrossbarArray:
         if g_sq is None:
             g_sq = g_now**2
             entry[1] = g_sq
-        chunk = self.noise_chunk
-        if chunk is None or voltages.shape[1] <= chunk:
-            if axis == 0:
-                power = g_sq.T @ voltages**2
-            else:
-                power = g_sq @ voltages**2
-            return mean + sigma * np.sqrt(power) * self._rng.standard_normal(
-                mean.shape
+        if axis == 0:
+            power = g_sq.T @ voltages**2
+        else:
+            power = g_sq @ voltages**2
+        return mean + sigma * np.sqrt(power) * self._rng.standard_normal(mean.shape)
+
+    def _read(self, voltages: np.ndarray, axis: int) -> np.ndarray:
+        """Validate a voltage vector or ``(lines, B)`` block and read it."""
+        voltages = np.asarray(voltages, dtype=float)
+        lines = self.shape[axis]
+        if voltages.ndim not in (1, 2) or voltages.shape[0] != lines:
+            raise ValueError(
+                f"voltages must have shape ({lines},) or ({lines}, B), "
+                f"got {voltages.shape}"
             )
-        # Column-chunked mode: identical distribution (each column's
-        # noise power and draw are unchanged), but the (lines, B)
-        # noise-power and normal blocks never exist all at once — only
-        # a (lines, chunk) slice is live besides the output itself.
-        for start in range(0, voltages.shape[1], chunk):
-            v_sq = voltages[:, start : start + chunk] ** 2
-            power = g_sq.T @ v_sq if axis == 0 else g_sq @ v_sq
-            mean[:, start : start + chunk] += (
-                sigma * np.sqrt(power) * self._rng.standard_normal(power.shape)
-            )
-        return mean
+        block = voltages if voltages.ndim == 2 else voltages[:, None]
+        if axis == 0:
+            self.n_col_reads += block.shape[1]
+        else:
+            self.n_row_reads += block.shape[1]
+        currents = self._batched_currents(block, axis)
+        return currents if voltages.ndim == 2 else currents[:, 0]
 
     def mvm(self, row_voltages: np.ndarray) -> np.ndarray:
         """Drive rows with ``row_voltages``; return column currents.
@@ -320,24 +315,7 @@ class CrossbarArray:
         the crossbar's inherent parallelism — in which case the result
         has shape ``(cols, B)`` and ``B`` read events are counted.
         """
-        row_voltages = np.asarray(row_voltages, dtype=float)
-        if row_voltages.ndim == 2:
-            if row_voltages.shape[0] != self.rows:
-                raise ValueError(
-                    f"voltage block must have {self.rows} rows, "
-                    f"got {row_voltages.shape}"
-                )
-            self.n_col_reads += row_voltages.shape[1]
-            return self._batched_currents(row_voltages, axis=0)
-        if row_voltages.shape != (self.rows,):
-            raise ValueError(
-                f"row_voltages must have shape ({self.rows},), got {row_voltages.shape}"
-            )
-        g_now = self._instantaneous_conductance()
-        if self.wire_resistance > 0.0:
-            g_now = g_now * ir_drop_factors(g_now, self.wire_resistance, axis=0)
-        self.n_col_reads += 1
-        return row_voltages @ g_now
+        return self._read(row_voltages, axis=0)
 
     def mvm_t(self, col_voltages: np.ndarray) -> np.ndarray:
         """Drive columns with ``col_voltages``; return row currents.
@@ -346,24 +324,7 @@ class CrossbarArray:
         AMP for ``A* z_t`` (Fig. 6).  A 2-D block of shape ``(cols, B)``
         batches ``B`` transpose reads and returns ``(rows, B)``.
         """
-        col_voltages = np.asarray(col_voltages, dtype=float)
-        if col_voltages.ndim == 2:
-            if col_voltages.shape[0] != self.cols:
-                raise ValueError(
-                    f"voltage block must have {self.cols} rows, "
-                    f"got {col_voltages.shape}"
-                )
-            self.n_row_reads += col_voltages.shape[1]
-            return self._batched_currents(col_voltages, axis=1)
-        if col_voltages.shape != (self.cols,):
-            raise ValueError(
-                f"col_voltages must have shape ({self.cols},), got {col_voltages.shape}"
-            )
-        g_now = self._instantaneous_conductance()
-        if self.wire_resistance > 0.0:
-            g_now = g_now * ir_drop_factors(g_now, self.wire_resistance, axis=1)
-        self.n_row_reads += 1
-        return g_now @ col_voltages
+        return self._read(col_voltages, axis=1)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"CrossbarArray(shape={self.shape}, age={self.age_seconds:g}s)"

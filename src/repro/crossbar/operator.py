@@ -9,10 +9,12 @@ paper's AMP mapping needs (Fig. 6):
 * ``matmat(X)``  -> ``A @ X``   (batched: one input vector per column)
 * ``rmatmat(Z)`` -> ``A.T @ Z`` (batched transpose reads)
 
-The batched products drive the arrays with 2-D voltage blocks, which
-amortizes the Python/periphery overhead of the per-vector path while
-keeping conversion counters loop-equivalent (one DAC/ADC conversion per
-element per vector), so the energy models see identical totals.
+Every product is one block read: ``matvec``/``rmatvec`` are the
+one-column case of ``matmat``/``rmatmat``.  The arrays are driven with
+2-D voltage blocks, one read event per column, and the conversion
+counters tally one DAC/ADC conversion per element per live vector, so
+the energy models price a block exactly like the same vectors one by
+one.
 
 Physically the array stores ``A.T`` — the signal dimension ``n`` runs
 along the rows and the measurement dimension ``m`` along the columns, so
@@ -27,7 +29,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro._util import as_rng, check_elapsed
+from repro._util import as_rng, check_elapsed, check_finite
 from repro.crossbar.array import CrossbarArray
 from repro.crossbar.coding import DifferentialCoding
 from repro.crossbar.converters import Adc, Dac
@@ -104,7 +106,6 @@ class _TilePair:
         device: PcmDevice,
         programming_iterations: int,
         wire_resistance: float,
-        noise_chunk: int | None,
         rng: np.random.Generator,
     ) -> None:
         self.positive = CrossbarArray(
@@ -112,7 +113,6 @@ class _TilePair:
             device=device,
             programming_iterations=programming_iterations,
             wire_resistance=wire_resistance,
-            noise_chunk=noise_chunk,
             seed=rng,
         )
         self.negative = CrossbarArray(
@@ -120,7 +120,6 @@ class _TilePair:
             device=device,
             programming_iterations=programming_iterations,
             wire_resistance=wire_resistance,
-            noise_chunk=noise_chunk,
             seed=rng,
         )
 
@@ -146,6 +145,17 @@ class _TilePair:
 class CrossbarOperator:
     """A signed matrix stored in PCM crossbars with converter interfaces.
 
+    Each coefficient is a differential device pair ``(G+, G-)``.  A read
+    peak-normalizes every input column, converts it to read voltages
+    (DAC), drives every tile pair with the whole block, digitizes each
+    tile's difference current (ADC) and accumulates the tile partial
+    sums digitally.  The analog step is the device read model of
+    :meth:`CrossbarArray._batched_currents`: every column is its own
+    read event with fresh Gaussian device fluctuations, sampled at the
+    output line.  All-zero columns never touch the hardware, so they
+    bill no conversion.  Non-finite inputs are rejected before any
+    counter moves.
+
     Parameters
     ----------
     matrix:
@@ -164,11 +174,6 @@ class CrossbarOperator:
         Program-and-verify rounds for writing the conductances.
     wire_resistance:
         Per-segment wire resistance for the IR-drop model (0 = off).
-    noise_chunk:
-        Optional column-chunked noise mode for batched reads (see
-        :class:`~repro.crossbar.array.CrossbarArray`): bounds the
-        transient noise blocks of a ``matmat`` to ``noise_chunk`` batch
-        columns per tile, for very large tiles at large B.
     utilization:
         Fraction of the conductance window given to the largest
         coefficient (headroom for drift).
@@ -195,7 +200,6 @@ class CrossbarOperator:
         tile_shape: tuple[int, int] = (1024, 1024),
         programming_iterations: int = 5,
         wire_resistance: float = 0.0,
-        noise_chunk: int | None = None,
         utilization: float = 1.0,
         full_scale_mode: str = "statistical",
         full_scale_sigmas: float = 4.0,
@@ -230,7 +234,6 @@ class CrossbarOperator:
                     device=self.device,
                     programming_iterations=programming_iterations,
                     wire_resistance=wire_resistance,
-                    noise_chunk=noise_chunk,
                     rng=rng,
                 )
 
@@ -591,12 +594,6 @@ class CrossbarOperator:
         )
         return ranked if budget is None else ranked[: int(budget)]
 
-    def _normalize(self, vector: np.ndarray) -> tuple[np.ndarray, float]:
-        peak = float(np.max(np.abs(vector))) if vector.size else 0.0
-        if peak == 0.0:
-            return np.zeros_like(vector), 0.0
-        return vector / peak, peak
-
     def _normalize_block(self, block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Per-column peak normalization; zero columns normalize to zero."""
         peaks = (
@@ -605,63 +602,44 @@ class CrossbarOperator:
         safe = np.where(peaks == 0.0, 1.0, peaks)
         return block / safe, peaks
 
+    def _input_block(self, block: np.ndarray, lines: int, name: str) -> np.ndarray:
+        """Validate a ``(lines, B)`` input block: shape, then finiteness."""
+        block = np.asarray(block, dtype=float)
+        if block.ndim != 2 or block.shape[0] != lines:
+            raise ValueError(f"{name} must have shape ({lines}, B), got {block.shape}")
+        return check_finite(name, block)
+
     def matvec(self, x: np.ndarray) -> np.ndarray:
-        """Analog evaluation of ``A @ x`` (use :meth:`matmat` for batches)."""
+        """Analog evaluation of ``A @ x``: a one-column :meth:`matmat`."""
         x = np.asarray(x, dtype=float)
         m, n = self.shape
         if x.shape != (n,):
             raise ValueError(f"x must have shape ({n},), got {x.shape}")
-        self.n_matvec += 1
-        self._count_span_reads(x[:, None], self._row_spans, self._row_span_reads)
-        normalized, peak = self._normalize(x)
-        if peak == 0.0:
-            return np.zeros(m)
-        self.n_live_matvec += 1
-        voltages = self.dac.to_voltages(normalized)
-        result = np.zeros(m)
-        for ri, (r0, r1) in enumerate(self._row_spans):
-            v_block = voltages[r0:r1]
-            for ci, (c0, c1) in enumerate(self._col_spans):
-                currents = self._tiles[(ri, ci)].column_currents(v_block)
-                result[c0:c1] += self.adc_columns.quantize(currents)
-        return result * self._gain * peak / (self._scale * self.v_read)
+        return self.matmat(x[:, None])[:, 0]
 
     def rmatvec(self, z: np.ndarray) -> np.ndarray:
-        """Analog evaluation of ``A.T @ z`` (transpose read)."""
+        """Analog evaluation of ``A.T @ z``: a one-column :meth:`rmatmat`."""
         z = np.asarray(z, dtype=float)
         m, n = self.shape
         if z.shape != (m,):
             raise ValueError(f"z must have shape ({m},), got {z.shape}")
-        self.n_rmatvec += 1
-        self._count_span_reads(z[:, None], self._col_spans, self._col_span_reads)
-        normalized, peak = self._normalize(z)
-        if peak == 0.0:
-            return np.zeros(n)
-        self.n_live_rmatvec += 1
-        voltages = self.dac.to_voltages(normalized)
-        result = np.zeros(n)
-        for ri, (r0, r1) in enumerate(self._row_spans):
-            for ci, (c0, c1) in enumerate(self._col_spans):
-                currents = self._tiles[(ri, ci)].row_currents(voltages[c0:c1])
-                result[r0:r1] += self.adc_rows.quantize(currents)
-        return result * self._gain * peak / (self._scale * self.v_read)
+        return self.rmatmat(z[:, None])[:, 0]
 
     def matmat(self, x_block: np.ndarray) -> np.ndarray:
         """Analog evaluation of ``A @ X`` for a block of input vectors.
 
         ``x_block`` has shape ``(n, B)`` — one input vector per column,
         matching the crossbar's natural parallelism.  Each column is
-        peak-normalized independently (identical to what ``matvec``
-        would do), all-zero columns never touch the hardware (so DAC/ADC
-        conversion counters equal ``B`` looped ``matvec`` calls), and
-        tile partial sums accumulate digitally after the ADC exactly as
-        in the per-vector path.  An empty batch (``B = 0``) returns an
-        empty block, never touches the hardware, and bills nothing.
+        peak-normalized independently and is its own read event;
+        all-zero columns never touch the hardware (so DAC/ADC
+        conversion counters count live columns only), and tile partial
+        sums accumulate digitally after the ADC.  An empty batch
+        (``B = 0``) returns an empty block, never touches the hardware,
+        and bills nothing.  A block holding NaN or inf raises
+        ``ValueError`` before any counter moves.
         """
-        x_block = np.asarray(x_block, dtype=float)
         m, n = self.shape
-        if x_block.ndim != 2 or x_block.shape[0] != n:
-            raise ValueError(f"X must have shape ({n}, B), got {x_block.shape}")
+        x_block = self._input_block(x_block, n, "X")
         self.n_matvec += x_block.shape[1]
         self._count_span_reads(x_block, self._row_spans, self._row_span_reads)
 
@@ -681,10 +659,8 @@ class CrossbarOperator:
         ``z_block`` has shape ``(m, B)``; the result has shape
         ``(n, B)``.  Semantics and accounting mirror :meth:`matmat`.
         """
-        z_block = np.asarray(z_block, dtype=float)
         m, n = self.shape
-        if z_block.ndim != 2 or z_block.shape[0] != m:
-            raise ValueError(f"Z must have shape ({m}, B), got {z_block.shape}")
+        z_block = self._input_block(z_block, m, "Z")
         self.n_rmatvec += z_block.shape[1]
         self._count_span_reads(z_block, self._col_spans, self._col_span_reads)
 
@@ -700,16 +676,16 @@ class CrossbarOperator:
         return result
 
     def _batched_product(self, block, out_dim, adc, tile_currents):
-        """Shared batched read: normalize columns, convert, accumulate.
+        """Shared block read: normalize columns, convert, accumulate.
 
         ``tile_currents(voltages)`` yields ``((o0, o1), currents)``
         pairs — the output span and the analog currents of one tile
-        read — in the same tile order the per-vector path uses, so the
-        RNG consumption and conversion counts stay loop-equivalent.
-        All-zero input columns never reach the converters.  Returns
-        ``(product, live_count)`` — the single definition of which
-        columns touched the hardware, so the live-read counters the
-        energy models bill from cannot drift from the skip logic.
+        read — in a fixed tile order, so the RNG consumption is
+        reproducible.  All-zero input columns never reach the
+        converters.  Returns ``(product, live_count)`` — the single
+        definition of which columns touched the hardware, so the
+        live-read counters the energy models bill from cannot drift
+        from the skip logic.
         """
         normalized, peaks = self._normalize_block(block)
         batch = block.shape[1]

@@ -104,7 +104,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from repro._util import as_rng, check_elapsed, check_in
+from repro._util import as_rng, check_elapsed, check_finite, check_in
 from repro.crossbar.operator import CrossbarOperator, DenseOperator
 from repro.crossbar.placement import PlacementOptimizer, ShardState
 from repro.crossbar.tile import split_ranges
@@ -701,6 +701,7 @@ class ShardedOperator:
         block = np.asarray(block, dtype=float)
         if block.ndim != 2 or block.shape[0] != in_dim:
             raise ValueError(f"{name} must have shape ({in_dim}, B), got {block.shape}")
+        check_finite(name, block)
         if block.shape[1] == 0:
             return np.zeros((out_dim, 0))
         self._run_maintenance()
@@ -773,6 +774,7 @@ class ShardedOperator:
         m, n = self.shape
         if z_block.ndim != 2 or z_block.shape[0] != m:
             raise ValueError(f"Z must have shape ({m}, B), got {z_block.shape}")
+        check_finite("Z", z_block)
         batch = z_block.shape[1]
         x_out = np.empty((n, batch))
         q_out = np.empty((m, batch))
@@ -873,6 +875,7 @@ class ShardedOperator:
         m, n = self.shape
         if x.shape != (n,):
             raise ValueError(f"x must have shape ({n},), got {x.shape}")
+        check_finite("x", x)
         self._run_maintenance()
         with self._scheduler_lock:
             index = self._pick_single(int(np.any(x != 0.0)))
@@ -885,6 +888,7 @@ class ShardedOperator:
         m, n = self.shape
         if z.shape != (m,):
             raise ValueError(f"z must have shape ({m},), got {z.shape}")
+        check_finite("z", z)
         self._run_maintenance()
         with self._scheduler_lock:
             index = self._pick_single(int(np.any(z != 0.0)))

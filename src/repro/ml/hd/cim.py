@@ -132,17 +132,12 @@ class CimAssociativeMemory:
         self.n_queries = 0
 
     def match_currents(self, query: np.ndarray) -> np.ndarray:
-        """Per-class summed currents (monotone in match count)."""
+        """Per-class summed currents (monotone in match count): a
+        one-row :meth:`match_currents_batch`."""
         query = np.asarray(query, dtype=np.uint8)
         if query.shape != (self.d,):
             raise ValueError(f"query must have shape ({self.d},)")
-        voltages = query.astype(float) * self.v_read
-        complement = (1 - query).astype(float) * self.v_read
-        currents = self.array_direct.mvm(voltages) + self.array_complement.mvm(
-            complement
-        )
-        self.n_queries += 1
-        return self.adc.quantize(currents)
+        return self.match_currents_batch(query[None, :])[0]
 
     def match_currents_batch(self, queries: np.ndarray) -> np.ndarray:
         """Per-class currents for a batch of queries, shape ``(B, classes)``.

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro._util import check_elapsed, check_in
+from repro._util import check_elapsed, check_finite, check_in
 from repro.serving.clock import VirtualClock
 from repro.serving.queue import (
     REQUEST_KINDS,
@@ -207,7 +207,10 @@ class FleetServer:
         control rejected it (the rejection is counted per tenant).  A
         ``"shed_oldest"`` controller instead evicts the most stale
         queued request — its :class:`RequestResult` (status
-        ``"shed"``, no value) completes immediately.
+        ``"shed"``, no value) completes immediately.  A vector of the
+        wrong shape or holding NaN or inf raises ``ValueError`` before
+        anything is counted or queued, so one bad request can never
+        fail a coalesced block.
         """
         check_in("kind", kind, REQUEST_KINDS)
         vector = np.asarray(vector, dtype=float)
@@ -218,6 +221,7 @@ class FleetServer:
                 f"{kind} request must have shape ({expected},), "
                 f"got {vector.shape}"
             )
+        check_finite(f"{kind} request", vector)
         now = self.clock.now()
         entry = self._tenant_entry(tenant)
         entry["submitted"] += 1

@@ -1,12 +1,13 @@
 """Equivalence suite for the batched MVM pipeline (``matmat``/``rmatmat``).
 
-The batched path must be *semantically* the per-vector path: every
-column of ``matmat(X)`` is one peak-normalized analog read, zero
+A block read must mean the same as its columns read one at a time:
+every column of ``matmat(X)`` is one peak-normalized analog read, zero
 columns never touch the hardware, tile partial sums accumulate
 digitally after the ADC, and conversion counters equal ``B`` looped
-calls.  With deterministic reads (``read_noise_sigma=0``) the two paths
-must agree bitwise on freshly programmed twins; with read noise they
-must agree statistically.
+calls.  With deterministic reads (``read_noise_sigma=0``) block and
+looped reads agree to rounding on freshly programmed twins.  With read
+noise, the output-referred read model must reproduce the mean and
+variance of a per-device Monte Carlo built on ``PcmDevice.read``.
 """
 
 import numpy as np
@@ -134,7 +135,8 @@ class TestExactEquivalence:
 
 
 class TestNoisyStatisticalEquivalence:
-    """With read noise the batched path is distribution-equivalent."""
+    """With read noise every column is its own noisy read event, and a
+    one-column read follows the law of the per-device physics."""
 
     def test_matmat_error_within_pcm_regime(self, rng):
         matrix = rng.standard_normal((64, 96))
@@ -143,19 +145,7 @@ class TestNoisyStatisticalEquivalence:
         exact = matrix @ x_block
         result = operator.matmat(x_block)
         errors = np.linalg.norm(result - exact, axis=0) / np.linalg.norm(exact, axis=0)
-        assert errors.max() < 0.15  # same regime as the per-vector path
-
-    def test_matmat_close_to_looped_under_noise(self, rng):
-        matrix = rng.standard_normal((64, 96))
-        batched, looped = make_twins(matrix, seed=1)
-        x_block = rng.standard_normal((96, 8))
-        reference = looped_matvec(looped, x_block)
-        result = batched.matmat(x_block)
-        diff = np.linalg.norm(result - reference, axis=0) / np.linalg.norm(
-            reference, axis=0
-        )
-        # two independent read-noise realizations of the same computation
-        assert diff.max() < 0.1
+        assert errors.max() < 0.15
 
     def test_noise_varies_across_batch_columns(self, rng):
         """Each column is a separate read event with fresh fluctuations."""
@@ -166,6 +156,68 @@ class TestNoisyStatisticalEquivalence:
         x = rng.standard_normal(32)
         result = operator.matmat(np.stack([x, x], axis=1))
         assert not np.array_equal(result[:, 0], result[:, 1])
+
+    # One-column reads against a per-device Monte Carlo.  The
+    # output-referred model samples each line current from its exact
+    # Gaussian law instead of drawing every device's fluctuation.  The
+    # reference draws every device through ``PcmDevice.read`` (the
+    # physical per-device model, clip included) and sums the currents,
+    # so the two sample means and variances must agree within sampling
+    # error, in both read directions, fresh and drifted.
+
+    READS = 4000
+    SIGMA = 0.05
+
+    def make_array(self, age_seconds):
+        g = np.random.default_rng(0).uniform(1e-6, 25e-6, (12, 9))
+        device = PcmDevice(prog_noise_sigma=0.0, read_noise_sigma=self.SIGMA)
+        array = CrossbarArray(g, device=device, seed=3)
+        array.advance_time(age_seconds)
+        return array
+
+    @pytest.mark.parametrize("age_seconds", [0.0, 1e6])
+    @pytest.mark.parametrize("transpose", [False, True])
+    def test_mean_and_variance_match_per_device_monte_carlo(self, age_seconds, transpose):
+        array = self.make_array(age_seconds)
+        lines = array.cols if transpose else array.rows
+        voltages = np.random.default_rng(1).uniform(-0.2, 0.2, lines)
+        read = array.mvm_t if transpose else array.mvm
+        model = np.stack([read(voltages) for _ in range(self.READS)])
+
+        g_now = array.g_effective
+        mc_rng = np.random.default_rng(2)
+        reference = []
+        for _ in range(self.READS):
+            g_read = array.device.read(g_now, seed=mc_rng)
+            reference.append(g_read @ voltages if transpose else voltages @ g_read)
+        reference = np.stack(reference)
+
+        mean_se = np.sqrt((model.var(axis=0) + reference.var(axis=0)) / self.READS)
+        assert np.all(np.abs(model.mean(axis=0) - reference.mean(axis=0)) < 5 * mean_se)
+        # the ratio of two sample variances over N Gaussian reads has a
+        # relative standard error of about sqrt(4 / N) ~ 3 %: allow five
+        ratio = model.var(axis=0) / reference.var(axis=0)
+        assert np.all(np.abs(ratio - 1.0) < 5 * np.sqrt(4.0 / self.READS))
+        # and the model sits on the analytic law of the line current
+        weighted = g_now * (voltages[None, :] if transpose else voltages[:, None])
+        axis = 1 if transpose else 0
+        expected_var = self.SIGMA**2 * (weighted**2).sum(axis=axis)
+        np.testing.assert_allclose(
+            model.mean(axis=0),
+            weighted.sum(axis=axis),
+            atol=5 * float(np.sqrt(expected_var.max() / self.READS)),
+        )
+        np.testing.assert_allclose(model.var(axis=0), expected_var, rtol=0.15)
+
+    def test_one_column_read_draws_one_normal_per_line(self):
+        """A 1-D read consumes the stream exactly like a one-column block."""
+        vector_read, block_read = self.make_array(0.0), self.make_array(0.0)
+        voltages = np.random.default_rng(4).uniform(0.0, 0.2, vector_read.rows)
+        for _ in range(3):
+            np.testing.assert_array_equal(
+                vector_read.mvm(voltages), block_read.mvm(voltages[:, None])[:, 0]
+            )
+        assert vector_read.n_col_reads == block_read.n_col_reads == 3
 
 
 class TestCounterEquivalence:
@@ -201,73 +253,6 @@ class TestCounterEquivalence:
         looped_rmatvec(looped, z_block)
         for key in self.COUNTER_KEYS:
             assert batched.stats[key] == looped.stats[key], key
-
-
-class TestChunkedNoise:
-    """Column-chunked noise mode: same distribution, bounded blocks."""
-
-    def make_array(self, noise_chunk=None, **device_kwargs):
-        g = np.random.default_rng(0).uniform(1e-6, 1e-4, (24, 16))
-        device = PcmDevice(prog_noise_sigma=0.0, **device_kwargs)
-        return CrossbarArray(g, device=device, noise_chunk=noise_chunk, seed=5)
-
-    def test_deterministic_reads_unaffected_by_chunking(self):
-        """With zero read noise the chunked path never engages; the
-        chunked and unchunked arrays agree bitwise."""
-        chunked = self.make_array(noise_chunk=3, read_noise_sigma=0.0)
-        plain = self.make_array(noise_chunk=None, read_noise_sigma=0.0)
-        block = np.random.default_rng(1).uniform(0.0, 0.2, (24, 10))
-        np.testing.assert_array_equal(chunked.mvm(block), plain.mvm(block))
-        block_t = np.random.default_rng(2).uniform(0.0, 0.2, (16, 10))
-        np.testing.assert_array_equal(chunked.mvm_t(block_t), plain.mvm_t(block_t))
-
-    def test_chunk_covering_batch_is_bitwise_the_full_draw(self):
-        """A chunk at least as large as B takes the single-block branch,
-        so the RNG draw shape — and the output — is unchanged."""
-        chunked = self.make_array(noise_chunk=64)
-        plain = self.make_array(noise_chunk=None)
-        block = np.random.default_rng(3).uniform(0.0, 0.2, (24, 10))
-        np.testing.assert_array_equal(chunked.mvm(block), plain.mvm(block))
-
-    def test_chunked_noise_stays_in_regime(self):
-        """Chunked draws are a different RNG realization of the same
-        distribution: per-column error vs the noise-free read stays in
-        the read-noise regime."""
-        chunked = self.make_array(noise_chunk=3)
-        quiet = self.make_array(read_noise_sigma=0.0)
-        block = np.random.default_rng(4).uniform(0.01, 0.2, (24, 32))
-        noisy = chunked.mvm(block)
-        clean = quiet.mvm(block)
-        errors = np.linalg.norm(noisy - clean, axis=0) / np.linalg.norm(
-            clean, axis=0
-        )
-        assert errors.max() < 0.05
-        # every chunk got its own draw: columns in different chunks differ
-        assert not np.array_equal(noisy[:, 0], noisy[:, 5])
-
-    def test_chunked_counters_match_unchunked(self):
-        chunked = self.make_array(noise_chunk=2)
-        plain = self.make_array()
-        block = np.random.default_rng(5).uniform(0.0, 0.2, (24, 7))
-        chunked.mvm(block)
-        plain.mvm(block)
-        assert chunked.n_col_reads == plain.n_col_reads == 7
-
-    def test_operator_threads_noise_chunk(self, rng):
-        matrix = rng.standard_normal((12, 20))
-        operator = CrossbarOperator(matrix, noise_chunk=2, seed=0)
-        x_block = rng.standard_normal((20, 9))
-        result = operator.matmat(x_block)
-        exact = matrix @ x_block
-        errors = np.linalg.norm(result - exact, axis=0) / np.linalg.norm(
-            exact, axis=0
-        )
-        assert errors.max() < 0.15
-        assert operator.stats["dac_conversions"] == 9 * 20
-
-    def test_rejects_bad_chunk(self):
-        with pytest.raises(ValueError):
-            self.make_array(noise_chunk=0)
 
 
 class TestValidation:
