@@ -11,7 +11,7 @@ and emits ``benchmarks/results/BENCH_batch_amp.json`` for CI archival:
   least 3x wall-clock.  The looped side runs the same read model at
   B=1 (each ``matvec``/``rmatvec`` is a one-column block read), so the
   ratio measures per-call overhead against one wide GEMM: it measures
-  5.0-5.8x on a 2-vCPU host with one BLAS thread, and the floor keeps
+  5.8-8.2x on a 2-vCPU host with one BLAS thread, and the floor keeps
   about half of that as margin for shared CI runners;
 * **equivalence** — on the exact backend the batched estimates must
   match the looped solver column-for-column to <= 1e-10 relative error
@@ -20,7 +20,10 @@ and emits ``benchmarks/results/BENCH_batch_amp.json`` for CI archival:
   the looped run's DAC/ADC conversion and live-read counters, so the
   counter-driven energy accounting cannot tell the two apart.
 
-Run:  PYTHONPATH=src python -m pytest -q benchmarks/bench_batch_amp.py
+Run (one BLAS thread, as CI does: on a shared 2-vCPU host a threaded
+BLAS sometimes stalls every small GEMM by several milliseconds)::
+
+    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python -m pytest -q benchmarks/bench_batch_amp.py
 """
 
 import time
@@ -142,8 +145,8 @@ def test_batch_amp_speed_and_equivalence(write_result):
         "batch_amp",
         "\n".join(lines),
         config={"n": N, "m": M, "k": K, "batch": BATCH, "iterations": ITERATIONS},
-        # the speedup gate's band reaches down to MIN_SPEEDUP
-        gates={"speedup": ("higher", 0.45), "crossbar_nmse_max": ("lower", 1.0)},
+        # the speedup gate's band reaches down to about MIN_SPEEDUP
+        gates={"speedup": ("higher", 0.6), "crossbar_nmse_max": ("lower", 1.0)},
         gate_json=payload,
     )
 

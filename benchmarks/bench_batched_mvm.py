@@ -9,8 +9,9 @@ This benchmark guards three properties at once:
   64 samples through ``forward_one`` by at least 8x.  The looped side
   runs the same read model at B=1 (each ``matvec`` is a one-column
   block read), so the ratio measures per-call overhead against one
-  wide GEMM per layer: it measures 15.7-17x on a 2-vCPU host, and the
-  floor keeps about half of that as margin for shared CI runners;
+  wide GEMM per layer: it measures 17-20x on a 2-vCPU host with one
+  BLAS thread, and the floor keeps about half of that as margin for
+  shared CI runners;
 * **equivalence** — with deterministic reads the batched path must
   reproduce the looped path to well under the 5% divergence gate (both
   run the same block read, so they agree to rounding; any >5% drift
@@ -20,7 +21,10 @@ This benchmark guards three properties at once:
   computation, so each must sit equally close to the exact digital
   reference: batching may not add systematic error.
 
-Run:  PYTHONPATH=src python -m pytest -q benchmarks/bench_batched_mvm.py
+Run (one BLAS thread, as CI does: on a shared 2-vCPU host a threaded
+BLAS sometimes stalls every small GEMM by several milliseconds)::
+
+    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python -m pytest -q benchmarks/bench_batched_mvm.py
 """
 
 import time
@@ -102,7 +106,7 @@ def test_batched_vs_looped_smoke(write_result):
         },
         gates={
             # the band reaches down to about MIN_SPEEDUP
-            "speedup": ("higher", 0.5),
+            "speedup": ("higher", 0.6),
             "exact_divergence": ("lower", 1.0),
         },
     )

@@ -9,11 +9,11 @@ for CI archival:
 
 * **speed** — the sharded fleet dispatch must beat serving the same
   four windows column by column through one operator's ``matvec`` by
-  at least 3x wall-clock.  The looped side runs the same read model at
-  B=1 (each ``matvec`` is a one-column block read), so the ratio
+  at least 2.5x wall-clock.  The looped side runs the same read model
+  at B=1 (each ``matvec`` is a one-column block read), so the ratio
   measures per-call overhead against whole-window GEMMs: it measures
-  4.8-6.3x on a 2-vCPU host with one BLAS thread, and the floor keeps
-  about half of that as margin for shared CI runners;
+  3.7-7.6x on a 2-vCPU host with one BLAS thread, and the floor keeps
+  margin for shared CI runners;
 * **exactness** — on the float-exact dense backend the sharded result
   must match the unsharded single-operator ``matmat`` to <= 1e-10
   relative error per column, and on the quantized ideal-device crossbar
@@ -22,7 +22,10 @@ for CI archival:
   single-array counters exactly, so the counter-driven energy
   accounting prices a sharded run identically.
 
-Run:  PYTHONPATH=src python -m pytest -q benchmarks/bench_sharded_fleet.py
+Run (one BLAS thread, as CI does: on a shared 2-vCPU host a threaded
+BLAS sometimes stalls every small GEMM by several milliseconds)::
+
+    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python -m pytest -q benchmarks/bench_sharded_fleet.py
 """
 
 import time
@@ -37,7 +40,7 @@ BATCH = 256
 N, M = 256, 192
 WINDOW = 64
 SHARDS = 4
-MIN_SPEEDUP = 3.0
+MIN_SPEEDUP = 2.5
 MAX_COLUMN_REL_ERROR = 1e-10
 COUNTER_KEYS = (
     "n_matvec",
@@ -151,8 +154,8 @@ def test_sharded_fleet_speed_and_invariants(write_result):
             "shards": SHARDS,
         },
         gates={
-            # the band reaches down to MIN_SPEEDUP
-            "speedup": ("higher", 0.45),
+            # the band reaches down to about MIN_SPEEDUP
+            "speedup": ("higher", 0.6),
             "ideal_crossbar_bitwise_equal": ("equal", 0.5),
             "merged_counters_equal": ("equal", 0.5),
         },
