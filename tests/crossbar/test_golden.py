@@ -7,9 +7,7 @@ per output line, as a one-column block read).  Refactors are required
 to leave this stream untouched: if an implementation change reorders or
 re-shapes any draw, every downstream figure in the paper reproduction
 silently shifts.  These goldens (default PCM device, 8/8-bit
-converters) catch that.  The per-vector goldens were re-pinned when
-``matvec``/``rmatvec`` became one-column block reads, which replaced
-the per-device noise matrix drawn on every 1-D read.
+converters) catch that.
 
 Tolerance note: values are compared loosely enough (``rtol=1e-7``) to
 survive BLAS summation-order differences across platforms, but far
