@@ -39,6 +39,22 @@ from repro.devices import PcmDevice
 __all__ = ["CrossbarOperator", "DenseOperator"]
 
 
+def _input_vector(x: np.ndarray, lines: int, name: str) -> np.ndarray:
+    """Validate a ``(lines,)`` input vector: shape, then finiteness."""
+    x = np.asarray(x, dtype=float)
+    if x.shape != (lines,):
+        raise ValueError(f"{name} must have shape ({lines},), got {x.shape}")
+    return check_finite(name, x)
+
+
+def _input_block(block: np.ndarray, lines: int, name: str) -> np.ndarray:
+    """Validate a ``(lines, B)`` input block: shape, then finiteness."""
+    block = np.asarray(block, dtype=float)
+    if block.ndim != 2 or block.shape[0] != lines:
+        raise ValueError(f"{name} must have shape ({lines}, B), got {block.shape}")
+    return check_finite(name, block)
+
+
 class DenseOperator:
     """Exact numpy implementation of the operator interface.
 
@@ -46,7 +62,10 @@ class DenseOperator:
     and their batched ``matmat``/``rmatmat`` forms) with counters that
     tally one logical read per input vector, so the ideal-software
     baseline is a drop-in for :class:`CrossbarOperator` in the batched
-    solvers and their counter-equivalence tests alike.
+    solvers and their counter-equivalence tests alike.  Inputs pass the
+    same boundary checks: ``matvec``/``rmatvec`` take one 1-D vector,
+    ``matmat``/``rmatmat`` one ``(lines, B)`` block, and a wrong shape
+    or a NaN/inf entry raises ``ValueError`` before any counter moves.
     """
 
     def __init__(self, matrix: np.ndarray) -> None:
@@ -61,18 +80,16 @@ class DenseOperator:
         return self.matrix.shape
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
+        """Exact ``A @ x`` for one ``(n,)`` input vector."""
+        x = _input_vector(x, self.matrix.shape[1], "x")
         self.n_matvec += 1
-        return self.matrix @ np.asarray(x, dtype=float)
+        return self.matrix @ x
 
     def rmatvec(self, z: np.ndarray) -> np.ndarray:
+        """Exact ``A.T @ z`` for one ``(m,)`` input vector."""
+        z = _input_vector(z, self.matrix.shape[0], "z")
         self.n_rmatvec += 1
-        return self.matrix.T @ np.asarray(z, dtype=float)
-
-    def _check_block(self, block: np.ndarray, rows: int, name: str) -> np.ndarray:
-        block = np.asarray(block, dtype=float)
-        if block.ndim != 2 or block.shape[0] != rows:
-            raise ValueError(f"{name} must have shape ({rows}, B), got {block.shape}")
-        return block
+        return self.matrix.T @ z
 
     def matmat(self, x_block: np.ndarray) -> np.ndarray:
         """Exact ``A @ X`` for a block of input vectors (one per column).
@@ -80,13 +97,13 @@ class DenseOperator:
         An empty batch (``B = 0``) returns an empty block and counts
         no reads, matching the crossbar operator's accounting.
         """
-        x_block = self._check_block(x_block, self.matrix.shape[1], "X")
+        x_block = _input_block(x_block, self.matrix.shape[1], "X")
         self.n_matvec += x_block.shape[1]
         return self.matrix @ x_block
 
     def rmatmat(self, z_block: np.ndarray) -> np.ndarray:
         """Exact ``A.T @ Z`` for a block of input vectors."""
-        z_block = self._check_block(z_block, self.matrix.shape[0], "Z")
+        z_block = _input_block(z_block, self.matrix.shape[0], "Z")
         self.n_rmatvec += z_block.shape[1]
         return self.matrix.T @ z_block
 
@@ -602,27 +619,14 @@ class CrossbarOperator:
         safe = np.where(peaks == 0.0, 1.0, peaks)
         return block / safe, peaks
 
-    def _input_block(self, block: np.ndarray, lines: int, name: str) -> np.ndarray:
-        """Validate a ``(lines, B)`` input block: shape, then finiteness."""
-        block = np.asarray(block, dtype=float)
-        if block.ndim != 2 or block.shape[0] != lines:
-            raise ValueError(f"{name} must have shape ({lines}, B), got {block.shape}")
-        return check_finite(name, block)
-
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """Analog evaluation of ``A @ x``: a one-column :meth:`matmat`."""
-        x = np.asarray(x, dtype=float)
-        m, n = self.shape
-        if x.shape != (n,):
-            raise ValueError(f"x must have shape ({n},), got {x.shape}")
+        x = _input_vector(x, self.shape[1], "x")
         return self.matmat(x[:, None])[:, 0]
 
     def rmatvec(self, z: np.ndarray) -> np.ndarray:
         """Analog evaluation of ``A.T @ z``: a one-column :meth:`rmatmat`."""
-        z = np.asarray(z, dtype=float)
-        m, n = self.shape
-        if z.shape != (m,):
-            raise ValueError(f"z must have shape ({m},), got {z.shape}")
+        z = _input_vector(z, self.shape[0], "z")
         return self.rmatmat(z[:, None])[:, 0]
 
     def matmat(self, x_block: np.ndarray) -> np.ndarray:
@@ -639,7 +643,7 @@ class CrossbarOperator:
         ``ValueError`` before any counter moves.
         """
         m, n = self.shape
-        x_block = self._input_block(x_block, n, "X")
+        x_block = _input_block(x_block, n, "X")
         self.n_matvec += x_block.shape[1]
         self._count_span_reads(x_block, self._row_spans, self._row_span_reads)
 
@@ -660,7 +664,7 @@ class CrossbarOperator:
         ``(n, B)``.  Semantics and accounting mirror :meth:`matmat`.
         """
         m, n = self.shape
-        z_block = self._input_block(z_block, m, "Z")
+        z_block = _input_block(z_block, m, "Z")
         self.n_rmatvec += z_block.shape[1]
         self._count_span_reads(z_block, self._col_spans, self._col_span_reads)
 

@@ -44,6 +44,21 @@ class TestDenseOperator:
         with pytest.raises(ValueError):
             op.rmatmat(np.zeros((n, 2)))
 
+    def test_vector_products_reject_blocks_before_counting(self):
+        """``matvec``/``rmatvec`` take one vector, as on the crossbar: a
+        block used to come back as an ``(m, B)`` product counted as one
+        read."""
+        op = DenseOperator(np.arange(12.0).reshape(3, 4))
+        for read, bad in (
+            (op.matvec, np.ones((4, 2))),
+            (op.matvec, np.ones(3)),
+            (op.rmatvec, np.ones((3, 2))),
+            (op.rmatvec, np.ones(4)),
+        ):
+            with pytest.raises(ValueError, match="shape"):
+                read(bad)
+        assert op.stats == {"n_matvec": 0, "n_rmatvec": 0}
+
     def test_empty_batch_returns_empty_and_counts_nothing(self, small_matrix):
         """B = 0 is a legal degenerate fleet: empty result, zero reads."""
         op = DenseOperator(small_matrix)

@@ -2,10 +2,11 @@
 
 Analog reads peak-normalize each input column, so a single NaN or inf
 would turn a whole output column into NaN while the converters still
-bill it as a live read.  ``CrossbarOperator`` (all four products),
-``ShardedOperator`` (every dispatch entry point) and
-``FleetServer.submit`` must instead raise ``ValueError`` before any
-counter, load, cursor or queue moves, wherever the bad entry sits.
+bill it as a live read.  ``CrossbarOperator`` and its exact drop-in
+``DenseOperator`` (all four products), ``ShardedOperator`` (every
+dispatch entry point) and ``FleetServer.submit`` must instead raise
+``ValueError`` before any counter, load, cursor or queue moves,
+wherever the bad entry sits.
 """
 
 import numpy as np
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.crossbar import CrossbarOperator, ShardedOperator
+from repro.crossbar import CrossbarOperator, DenseOperator, ShardedOperator
 from repro.serving import FleetServer, VirtualClock
 
 M, N = 6, 10
@@ -33,6 +34,16 @@ def fleet_state(fleet):
     return fleet.stats, fleet.loads, fleet._cursor
 
 
+def make_operator(exact):
+    if exact:
+        return DenseOperator(MATRIX)
+    return CrossbarOperator(MATRIX, tile_shape=(4, 4), seed=0)
+
+
+def operator_state(operator):
+    return operator.stats, getattr(operator, "tile_read_counts", None)
+
+
 @PROPERTY
 @given(
     batch=st.integers(1, 5),
@@ -40,26 +51,31 @@ def fleet_state(fleet):
     column=st.integers(0, 100),
     bad=BAD_VALUES,
     transpose=st.booleans(),
+    exact=st.booleans(),
 )
-def test_operator_blocks_reject_non_finite_before_counting(batch, row, column, bad, transpose):
-    operator = CrossbarOperator(MATRIX, tile_shape=(4, 4), seed=0)
+def test_operator_blocks_reject_non_finite_before_counting(
+    batch, row, column, bad, transpose, exact
+):
+    operator = make_operator(exact)
     lines = M if transpose else N
     block = poisoned_block(lines, batch, row, column, bad)
-    before = operator.stats, operator.tile_read_counts
+    before = operator_state(operator)
     with pytest.raises(ValueError, match="finite"):
         (operator.rmatmat if transpose else operator.matmat)(block)
-    assert (operator.stats, operator.tile_read_counts) == before
+    assert operator_state(operator) == before
 
 
 @PROPERTY
-@given(row=st.integers(0, 100), bad=BAD_VALUES, transpose=st.booleans())
-def test_operator_vectors_reject_non_finite_before_counting(row, bad, transpose):
-    operator = CrossbarOperator(MATRIX, seed=0)
+@given(
+    row=st.integers(0, 100), bad=BAD_VALUES, transpose=st.booleans(), exact=st.booleans()
+)
+def test_operator_vectors_reject_non_finite_before_counting(row, bad, transpose, exact):
+    operator = make_operator(exact)
     vector = poisoned_block(M if transpose else N, 1, row, 0, bad)[:, 0]
-    before = operator.stats
+    before = operator_state(operator)
     with pytest.raises(ValueError, match="finite"):
         (operator.rmatvec if transpose else operator.matvec)(vector)
-    assert operator.stats == before
+    assert operator_state(operator) == before
 
 
 @PROPERTY
