@@ -11,7 +11,8 @@ Device non-idealities (programming error, read noise, drift) come from
 the :class:`~repro.devices.PcmDevice` model; array-level effects (IR
 drop, stuck devices) live in :mod:`repro.crossbar.nonidealities`.
 Every read, of one vector or of a block, goes through one
-output-referred read model (see :meth:`CrossbarArray._batched_currents`).
+output-referred read model, :func:`line_currents`, which a differential
+tile pair (:class:`~repro.crossbar.operator.CrossbarOperator`) shares.
 """
 
 from __future__ import annotations
@@ -24,6 +25,40 @@ from repro.devices import PcmDevice
 from repro.crossbar.programming import ProgrammingReport, program_and_verify
 
 __all__ = ["CrossbarArray"]
+
+
+def line_currents(
+    mean: np.ndarray,
+    power: np.ndarray | None,
+    voltages: np.ndarray,
+    axis: int,
+    sigma: float,
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """Sample the line currents of one read of a ``(lines, B)`` block.
+
+    The single read-noise law of the simulator.  Each block column is a
+    separate temporal read, and each device sees its own i.i.d.
+    relative fluctuation ``eps_k ~ N(0, sigma^2)`` on every read
+    (:meth:`PcmDevice.read`).  A line current
+    ``I = sum_k V_k G_k (1 + eps_k)`` is then exactly
+    ``N(sum_k V_k G_k, sigma^2 * sum_k V_k^2 G_k^2)``, so it is sampled
+    directly: one GEMM on the ``mean`` matrix (``G``), one GEMM on the
+    noise ``power`` matrix (``G**2``, ``None`` when ``sigma == 0``) and
+    one standard normal per output line and column, instead of one draw
+    per device.  ``axis=0`` drives the rows and senses the columns
+    (``G^T v``); ``axis=1`` drives the columns and senses the rows
+    (``G v``).  The law is closed under differences of independent
+    reads, so a differential pair passes ``G+ - G-`` and
+    ``G+**2 + G-**2`` and gets the law of its difference current.
+    """
+    currents = (mean.T if axis == 0 else mean) @ voltages
+    if sigma == 0.0:
+        return currents
+    noise_power = (power.T if axis == 0 else power) @ voltages**2
+    return currents + sigma * np.sqrt(noise_power) * rng.standard_normal(
+        currents.shape
+    )
 
 
 class CrossbarArray:
@@ -84,8 +119,12 @@ class CrossbarArray:
         # conductance and its elementwise square are cached until the
         # device state changes (see _invalidate_read_cache).  The cached
         # matrices are deterministic functions of the state, so cached
-        # and uncached reads are bitwise identical.
-        self._read_cache: dict[int, list[np.ndarray | None]] = {}
+        # and uncached reads are bitwise identical.  ``_read_epoch``
+        # counts those state changes, so a cache built on top of this
+        # array's state (a differential tile pair's) can tell that it
+        # went stale.
+        self._read_cache: dict[int, tuple[np.ndarray, np.ndarray | None]] = {}
+        self._read_epoch = 0
         self.n_row_reads = 0
         self.n_col_reads = 0
         # Maintenance counters: reprogramming sessions after deployment.
@@ -122,6 +161,7 @@ class CrossbarArray:
     def _invalidate_read_cache(self) -> None:
         """Drop cached read matrices after any device-state change."""
         self._read_cache.clear()
+        self._read_epoch += 1
 
     @property
     def g_target(self) -> np.ndarray:
@@ -227,67 +267,64 @@ class CrossbarArray:
         self._invalidate_read_cache()
         return mask
 
-    def _read_entry(self, axis: int) -> list:
-        """Cached ``[g_now, g_now**2]`` for reads along ``axis``.
+    def _mean_conductance(self, axis: int) -> np.ndarray:
+        """Conductances a read along ``axis`` sees: drifted, IR-scaled.
 
-        ``g_now`` is the drifted conductance with IR-drop factors
-        applied (the mean matrix of the output-referred noise model);
-        the square is filled in lazily by the first noisy read.  Before
-        any drift the programmed matrix itself is cached, not a copy
-        (nothing writes into cache entries).  Without IR drop the matrix
-        is axis-independent, so both directions share one entry.
-        Entries live until :meth:`_invalidate_read_cache` (drift,
-        reprogramming, fault injection).
+        The mean matrix of the output-referred read model.  Before any
+        drift and without IR drop this is the programmed matrix itself,
+        not a copy (no reader writes into it).  With ``wire_resistance
+        > 0`` the IR-drop factors depend on the read direction.
         """
-        key = axis if self.wire_resistance > 0.0 else -1
+        if self.age_seconds == 0.0 or self.device.drift_nu == 0.0:
+            g_now = self._g_programmed
+        else:
+            g_now = self.device.drifted(self._g_programmed, self.age_seconds)
+        if self.wire_resistance > 0.0:
+            g_now = g_now * ir_drop_factors(g_now, self.wire_resistance, axis=axis)
+        return g_now
+
+    def _read_key(self, axis: int) -> int:
+        """Read-cache key: without IR drop both directions share one."""
+        return axis if self.wire_resistance > 0.0 else -1
+
+    def _read_entry(self, axis: int) -> tuple[np.ndarray, np.ndarray | None]:
+        """Cached ``(g_now, g_now**2)`` for reads along ``axis``.
+
+        The square is only built for a noisy device.  Entries live
+        until :meth:`_invalidate_read_cache` (drift, reprogramming,
+        fault injection).
+        """
+        key = self._read_key(axis)
         entry = self._read_cache.get(key)
         if entry is None:
-            if self.age_seconds == 0.0 or self.device.drift_nu == 0.0:
-                g_now = self._g_programmed
-            else:
-                g_now = self.device.drifted(self._g_programmed, self.age_seconds)
-            if self.wire_resistance > 0.0:
-                g_now = g_now * ir_drop_factors(g_now, self.wire_resistance, axis=axis)
-            entry = [g_now, None]
+            g_now = self._mean_conductance(axis)
+            power = g_now**2 if self.device.read_noise_sigma != 0.0 else None
+            entry = (g_now, power)
             self._read_cache[key] = entry
         return entry
+
+    def _count_reads(self, columns: int, axis: int) -> None:
+        """Tally ``columns`` read events along ``axis``."""
+        if axis == 0:
+            self.n_col_reads += columns
+        else:
+            self.n_row_reads += columns
 
     def _batched_currents(self, voltages: np.ndarray, axis: int) -> np.ndarray:
         """Currents for a 2-D voltage block (one read event per column).
 
-        Each block column is a separate temporal read, and each device
-        sees its own i.i.d. relative fluctuation ``eps_k ~ N(0, sigma^2)``
-        on every read (:meth:`PcmDevice.read`).  A line current
-        ``I = sum_k V_k G_k (1 + eps_k)`` is then exactly
-        ``N(sum_k V_k G_k, sigma^2 * sum_k (V_k G_k)^2)``, so the model
-        samples that sum directly: one mean GEMM, one noise-power GEMM
-        and one normal per output line and column, instead of one draw
-        per device.  A 1-D read is the one-column case.  Two
-        approximations against the device physics: the clip of negative
-        instantaneous conductances is ignored (it sits ~1/sigma standard
-        deviations away, negligible at realistic noise levels), and with
-        ``wire_resistance > 0`` the IR-drop factors are computed on the
-        mean (noise-free) conductance rather than on each read's noisy
-        realization.
+        One :func:`line_currents` read of the cached ``(g_now,
+        g_now**2)``.  Two approximations against the device physics:
+        the clip of negative instantaneous conductances is ignored (it
+        sits ~1/sigma standard deviations away, negligible at realistic
+        noise levels), and with ``wire_resistance > 0`` the IR-drop
+        factors are computed on the mean (noise-free) conductance
+        rather than on each read's noisy realization.
         """
-        entry = self._read_entry(axis)
-        g_now = entry[0]
-        sigma = self.device.read_noise_sigma
-        if axis == 0:
-            mean = g_now.T @ voltages
-        else:
-            mean = g_now @ voltages
-        if sigma == 0.0:
-            return mean
-        g_sq = entry[1]
-        if g_sq is None:
-            g_sq = g_now**2
-            entry[1] = g_sq
-        if axis == 0:
-            power = g_sq.T @ voltages**2
-        else:
-            power = g_sq @ voltages**2
-        return mean + sigma * np.sqrt(power) * self._rng.standard_normal(mean.shape)
+        mean, power = self._read_entry(axis)
+        return line_currents(
+            mean, power, voltages, axis, self.device.read_noise_sigma, self._rng
+        )
 
     def _read(self, voltages: np.ndarray, axis: int) -> np.ndarray:
         """Validate a voltage vector or ``(lines, B)`` block and read it."""
@@ -299,10 +336,7 @@ class CrossbarArray:
                 f"got {voltages.shape}"
             )
         block = voltages if voltages.ndim == 2 else voltages[:, None]
-        if axis == 0:
-            self.n_col_reads += block.shape[1]
-        else:
-            self.n_row_reads += block.shape[1]
+        self._count_reads(block.shape[1], axis)
         currents = self._batched_currents(block, axis)
         return currents if voltages.ndim == 2 else currents[:, 0]
 

@@ -109,7 +109,7 @@ class Adc:
 
     @property
     def lsb(self) -> float:
-        """Current step of one least-significant bit (inf when ideal)."""
+        """Current step of one least-significant bit (0.0 when ideal)."""
         if self.bits is None:
             return 0.0
         if self.bits == 1:

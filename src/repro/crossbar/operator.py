@@ -30,7 +30,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro._util import as_rng, check_elapsed, check_finite
-from repro.crossbar.array import CrossbarArray
+from repro.crossbar.array import CrossbarArray, line_currents
 from repro.crossbar.coding import DifferentialCoding
 from repro.crossbar.converters import Adc, Dac
 from repro.crossbar.tile import split_ranges
@@ -114,7 +114,18 @@ class DenseOperator:
 
 
 class _TilePair:
-    """Differential (G+, G-) crossbar pair holding one tile of A.T."""
+    """Differential (G+, G-) crossbar pair holding one tile of A.T.
+
+    A tile read senses the difference of the two members' line
+    currents.  Each member's current is an independent Gaussian
+    (:func:`~repro.crossbar.array.line_currents`), so the difference is
+    one Gaussian, ``N((G+ - G-)^T v, sigma^2 (G+**2 + G-**2)^T v**2)``,
+    exactly.  The pair therefore reads it as one :func:`line_currents`
+    read of the cached ``G+ - G-`` and ``G+**2 + G-**2``: one mean
+    GEMM, one noise-power GEMM and one normal per output line and
+    column, where reading both members and subtracting takes twice
+    each.  Both members still count every read event.
+    """
 
     def __init__(
         self,
@@ -139,12 +150,54 @@ class _TilePair:
             wire_resistance=wire_resistance,
             seed=rng,
         )
+        self._rng = rng
+        # (G+ - G-, G+**2 + G-**2) per read key, valid for the members'
+        # read epochs in ``_cache_epoch``.  A member state change (drift,
+        # reprogramming, stuck faults, through the pair or on a member
+        # directly) moves its epoch, and the next read drops every
+        # entry before building a new one.  The members' own caches stay
+        # empty unless a member is read directly.
+        self._read_cache: dict[int, tuple[np.ndarray, np.ndarray | None]] = {}
+        self._cache_epoch = (0, 0)
+
+    def _read_entry(self, axis: int) -> tuple[np.ndarray, np.ndarray | None]:
+        epoch = (self.positive._read_epoch, self.negative._read_epoch)
+        if epoch != self._cache_epoch:
+            self._read_cache.clear()
+            self._cache_epoch = epoch
+        key = self.positive._read_key(axis)
+        entry = self._read_cache.get(key)
+        if entry is None:
+            g_pos = self.positive._mean_conductance(axis)
+            g_neg = self.negative._mean_conductance(axis)
+            power = None
+            if self.positive.device.read_noise_sigma != 0.0:
+                power = g_pos**2
+                power += g_neg**2
+            entry = (g_pos - g_neg, power)
+            self._read_cache[key] = entry
+        return entry
+
+    def _read(self, voltages: np.ndarray, axis: int) -> np.ndarray:
+        self.positive._count_reads(voltages.shape[1], axis)
+        self.negative._count_reads(voltages.shape[1], axis)
+        mean, power = self._read_entry(axis)
+        return line_currents(
+            mean,
+            power,
+            voltages,
+            axis,
+            self.positive.device.read_noise_sigma,
+            self._rng,
+        )
 
     def column_currents(self, row_voltages: np.ndarray) -> np.ndarray:
-        return self.positive.mvm(row_voltages) - self.negative.mvm(row_voltages)
+        """Forward read of a ``(rows, B)`` block: ``(cols, B)`` currents."""
+        return self._read(row_voltages, axis=0)
 
     def row_currents(self, col_voltages: np.ndarray) -> np.ndarray:
-        return self.positive.mvm_t(col_voltages) - self.negative.mvm_t(col_voltages)
+        """Transpose read of a ``(cols, B)`` block: ``(rows, B)`` currents."""
+        return self._read(col_voltages, axis=1)
 
     def advance_time(self, seconds: float) -> None:
         self.positive.advance_time(seconds)
@@ -166,12 +219,14 @@ class CrossbarOperator:
     peak-normalizes every input column, converts it to read voltages
     (DAC), drives every tile pair with the whole block, digitizes each
     tile's difference current (ADC) and accumulates the tile partial
-    sums digitally.  The analog step is the device read model of
-    :meth:`CrossbarArray._batched_currents`: every column is its own
-    read event with fresh Gaussian device fluctuations, sampled at the
-    output line.  All-zero columns never touch the hardware, so they
-    bill no conversion.  Non-finite inputs are rejected before any
-    counter moves.
+    sums digitally.  The analog step reads each tile pair's difference
+    current directly: one Gaussian per output line and column with mean
+    ``(G+ - G-)^T v`` and variance ``sigma^2 (G+**2 + G-**2)^T v**2``,
+    the exact law of reading both arrays and subtracting (see
+    :func:`~repro.crossbar.array.line_currents`).  Every column is its
+    own read event with fresh device fluctuations.  All-zero columns
+    never touch the hardware, so they bill no conversion.  Non-finite
+    inputs are rejected before any counter moves.
 
     Parameters
     ----------

@@ -7,14 +7,16 @@ digitally after the ADC, and conversion counters equal ``B`` looped
 calls.  With deterministic reads (``read_noise_sigma=0``) block and
 looped reads agree to rounding on freshly programmed twins.  With read
 noise, the output-referred read model must reproduce the mean and
-variance of a per-device Monte Carlo built on ``PcmDevice.read``.
+variance of a per-device Monte Carlo built on ``PcmDevice.read``, for
+one array and for a differential tile pair read as one Gaussian.
 """
 
 import numpy as np
 import pytest
 
 from repro.core import CimAccelerator
-from repro.crossbar import CrossbarArray, CrossbarOperator
+from repro.crossbar import CrossbarArray, CrossbarOperator, ir_drop_factors
+from repro.crossbar.operator import _TilePair
 from repro.devices import PcmDevice
 
 
@@ -163,17 +165,59 @@ class TestNoisyStatisticalEquivalence:
     # reference draws every device through ``PcmDevice.read`` (the
     # physical per-device model, clip included) and sums the currents,
     # so the two sample means and variances must agree within sampling
-    # error, in both read directions, fresh and drifted.
+    # error, in both read directions, fresh and drifted.  A tile pair
+    # reads its difference current as one Gaussian; its reference reads
+    # both members device by device and subtracts.
 
     READS = 4000
     SIGMA = 0.05
 
+    def device(self):
+        return PcmDevice(prog_noise_sigma=0.0, read_noise_sigma=self.SIGMA)
+
+    def conductances(self, seed):
+        return np.random.default_rng(seed).uniform(1e-6, 25e-6, (12, 9))
+
     def make_array(self, age_seconds):
-        g = np.random.default_rng(0).uniform(1e-6, 25e-6, (12, 9))
-        device = PcmDevice(prog_noise_sigma=0.0, read_noise_sigma=self.SIGMA)
-        array = CrossbarArray(g, device=device, seed=3)
+        array = CrossbarArray(self.conductances(0), device=self.device(), seed=3)
         array.advance_time(age_seconds)
         return array
+
+    def make_pair(self, age_seconds):
+        pair = _TilePair(
+            self.conductances(0),
+            self.conductances(5),
+            device=self.device(),
+            programming_iterations=5,
+            wire_resistance=0.0,
+            rng=np.random.default_rng(3),
+        )
+        pair.advance_time(age_seconds)
+        return pair
+
+    def monte_carlo(self, g_now, voltages, transpose, mc_rng):
+        """One per-device read of ``g_now``: every device drawn."""
+        g_read = self.device().read(g_now, seed=mc_rng)
+        return g_read @ voltages if transpose else voltages @ g_read
+
+    def assert_same_law(self, model, reference, g_mean, g_power, voltages, transpose):
+        """Model reads match the Monte Carlo and the analytic line law
+        ``N(sum V G_mean, sigma^2 sum V^2 G_power)``."""
+        mean_se = np.sqrt((model.var(axis=0) + reference.var(axis=0)) / self.READS)
+        assert np.all(np.abs(model.mean(axis=0) - reference.mean(axis=0)) < 5 * mean_se)
+        # the ratio of two sample variances over N Gaussian reads has a
+        # relative standard error of about sqrt(4 / N) ~ 3 %: allow five
+        ratio = model.var(axis=0) / reference.var(axis=0)
+        assert np.all(np.abs(ratio - 1.0) < 5 * np.sqrt(4.0 / self.READS))
+        drive = voltages[None, :] if transpose else voltages[:, None]
+        axis = 1 if transpose else 0
+        expected_var = self.SIGMA**2 * (g_power * drive**2).sum(axis=axis)
+        np.testing.assert_allclose(
+            model.mean(axis=0),
+            (g_mean * drive).sum(axis=axis),
+            atol=5 * float(np.sqrt(expected_var.max() / self.READS)),
+        )
+        np.testing.assert_allclose(model.var(axis=0), expected_var, rtol=0.15)
 
     @pytest.mark.parametrize("age_seconds", [0.0, 1e6])
     @pytest.mark.parametrize("transpose", [False, True])
@@ -186,28 +230,38 @@ class TestNoisyStatisticalEquivalence:
 
         g_now = array.g_effective
         mc_rng = np.random.default_rng(2)
-        reference = []
-        for _ in range(self.READS):
-            g_read = array.device.read(g_now, seed=mc_rng)
-            reference.append(g_read @ voltages if transpose else voltages @ g_read)
-        reference = np.stack(reference)
-
-        mean_se = np.sqrt((model.var(axis=0) + reference.var(axis=0)) / self.READS)
-        assert np.all(np.abs(model.mean(axis=0) - reference.mean(axis=0)) < 5 * mean_se)
-        # the ratio of two sample variances over N Gaussian reads has a
-        # relative standard error of about sqrt(4 / N) ~ 3 %: allow five
-        ratio = model.var(axis=0) / reference.var(axis=0)
-        assert np.all(np.abs(ratio - 1.0) < 5 * np.sqrt(4.0 / self.READS))
-        # and the model sits on the analytic law of the line current
-        weighted = g_now * (voltages[None, :] if transpose else voltages[:, None])
-        axis = 1 if transpose else 0
-        expected_var = self.SIGMA**2 * (weighted**2).sum(axis=axis)
-        np.testing.assert_allclose(
-            model.mean(axis=0),
-            weighted.sum(axis=axis),
-            atol=5 * float(np.sqrt(expected_var.max() / self.READS)),
+        reference = np.stack(
+            [
+                self.monte_carlo(g_now, voltages, transpose, mc_rng)
+                for _ in range(self.READS)
+            ]
         )
-        np.testing.assert_allclose(model.var(axis=0), expected_var, rtol=0.15)
+        self.assert_same_law(model, reference, g_now, g_now**2, voltages, transpose)
+
+    @pytest.mark.parametrize("age_seconds", [0.0, 1e6])
+    @pytest.mark.parametrize("transpose", [False, True])
+    def test_pair_read_matches_difference_of_member_monte_carlos(
+        self, age_seconds, transpose
+    ):
+        pair = self.make_pair(age_seconds)
+        lines = pair.positive.cols if transpose else pair.positive.rows
+        voltages = np.random.default_rng(1).uniform(-0.2, 0.2, lines)
+        read = pair.row_currents if transpose else pair.column_currents
+        model = np.stack([read(voltages[:, None])[:, 0] for _ in range(self.READS)])
+
+        g_pos = pair.positive.g_effective
+        g_neg = pair.negative.g_effective
+        mc_rng = np.random.default_rng(2)
+        reference = np.stack(
+            [
+                self.monte_carlo(g_pos, voltages, transpose, mc_rng)
+                - self.monte_carlo(g_neg, voltages, transpose, mc_rng)
+                for _ in range(self.READS)
+            ]
+        )
+        self.assert_same_law(
+            model, reference, g_pos - g_neg, g_pos**2 + g_neg**2, voltages, transpose
+        )
 
     def test_one_column_read_draws_one_normal_per_line(self):
         """A 1-D read consumes the stream exactly like a one-column block."""
@@ -218,6 +272,99 @@ class TestNoisyStatisticalEquivalence:
                 vector_read.mvm(voltages), block_read.mvm(voltages[:, None])[:, 0]
             )
         assert vector_read.n_col_reads == block_read.n_col_reads == 3
+
+    def test_one_column_pair_read_draws_one_normal_per_line(self):
+        """A pair read draws one normal per output line and column, for
+        the difference current, and none per member."""
+        pair = self.make_pair(1e6)
+        twin = np.random.default_rng()
+        twin.bit_generator.state = pair._rng.bit_generator.state
+        voltages = np.random.default_rng(4).uniform(-0.2, 0.2, pair.positive.rows)
+        g_pos = pair.positive.g_effective
+        g_neg = pair.negative.g_effective
+        for _ in range(3):
+            expected = (g_pos - g_neg).T @ voltages + self.SIGMA * np.sqrt(
+                (g_pos**2 + g_neg**2).T @ voltages**2
+            ) * twin.standard_normal(pair.positive.cols)
+            np.testing.assert_allclose(
+                pair.column_currents(voltages[:, None])[:, 0], expected, rtol=1e-12
+            )
+        assert pair._rng.standard_normal() == twin.standard_normal()
+
+
+class TestTilePairReads:
+    """The pair's cached ``G+ - G-`` and ``G+**2 + G-**2`` track every
+    state change of either member, and both members count every read."""
+
+    def make_operator(self, wire_resistance=0.0):
+        matrix = np.random.default_rng(6).standard_normal((6, 10))
+        # programming noise keeps reprogramming visible; reads are exact
+        return CrossbarOperator(
+            matrix,
+            device=PcmDevice(read_noise_sigma=0.0),
+            dac_bits=None,
+            adc_bits=None,
+            wire_resistance=wire_resistance,
+            seed=8,
+        )
+
+    @staticmethod
+    def expected_product(operator, block, axis):
+        """``gain * (G+ - G-)`` applied to ``block``, from both members'
+        ``g_effective`` (IR drop applied per read direction)."""
+        pair = operator._tiles[(0, 0)]
+
+        def g_read(array):
+            g = array.g_effective
+            if array.wire_resistance > 0.0:
+                g = g * ir_drop_factors(g, array.wire_resistance, axis=axis)
+            return g
+
+        diff = g_read(pair.positive) - g_read(pair.negative)
+        product = diff.T @ block if axis == 0 else diff @ block
+        return operator.gain * product / operator._scale
+
+    MUTATIONS = {
+        "advance_time": lambda op: op.advance_time(1e5),
+        "reprogram": lambda op: op.reprogram(),
+        "reprogram_tiles": lambda op: op.reprogram_tiles([(0, 0)]),
+        "operator_stuck_faults": lambda op: op.inject_stuck_faults(0.3, seed=1),
+        "member_stuck_faults": lambda op: op._tiles[(0, 0)].positive.inject_stuck_faults(
+            0.3, seed=1
+        ),
+    }
+
+    @pytest.mark.parametrize(
+        "mutation, wire_resistance",
+        [(name, 0.0) for name in MUTATIONS] + [("advance_time", 2.0)],
+    )
+    def test_read_after_state_change_uses_fresh_conductances(
+        self, mutation, wire_resistance
+    ):
+        operator = self.make_operator(wire_resistance)
+        rng = np.random.default_rng(9)
+        x_block = rng.standard_normal((10, 3))
+        z_block = rng.standard_normal((6, 3))
+        operator.advance_time(1e3)
+        before = operator.matmat(x_block), operator.rmatmat(z_block)  # fill caches
+        self.MUTATIONS[mutation](operator)
+        after = operator.matmat(x_block), operator.rmatmat(z_block)
+        assert not np.allclose(after[0], before[0], rtol=1e-6)
+        np.testing.assert_allclose(
+            after[0], self.expected_product(operator, x_block, 0), rtol=1e-10
+        )
+        np.testing.assert_allclose(
+            after[1], self.expected_product(operator, z_block, 1), rtol=1e-10
+        )
+
+    def test_both_members_count_every_read_column(self, rng):
+        pair = self.make_operator()._tiles[(0, 0)]
+        pair.column_currents(rng.uniform(-0.2, 0.2, (10, 4)))
+        pair.row_currents(rng.uniform(-0.2, 0.2, (6, 2)))
+        pair.row_currents(rng.uniform(-0.2, 0.2, (6, 1)))
+        for member in (pair.positive, pair.negative):
+            assert member.n_col_reads == 4
+            assert member.n_row_reads == 3
 
 
 class TestCounterEquivalence:

@@ -2,8 +2,8 @@
 
 ``matvec``/``rmatvec`` consume the operator's RNG stream in a pinned
 order: programming draws at construction, then, per call, one
-output-referred read-noise draw per array of each tile pair (one normal
-per output line, as a one-column block read).  Refactors are required
+output-referred read-noise draw per tile pair (one normal per output
+line of the pair's difference current, as a one-column block read).  Refactors are required
 to leave this stream untouched: if an implementation change reorders or
 re-shapes any draw, every downstream figure in the paper reproduction
 silently shifts.  These goldens (default PCM device, 8/8-bit
@@ -32,10 +32,11 @@ GOLDEN_MATVEC_FIRST = np.array(
 )
 
 # Second call on the same operator: the read-noise stream has advanced,
-# so this pins the *order* of per-call draws, not just the first one.
+# so this pins the *order* of per-call draws, not just the first one
+# (one output differs from the first call by one ADC step).
 GOLDEN_MATVEC_SECOND = np.array(
     [
-        -0.6144223436640204,
+        -0.8192297915520271,
         4.300956405648142,
         2.2528819267680746,
         3.0721117183201017,
@@ -51,12 +52,12 @@ GOLDEN_RMATVEC_THIRD = np.array(
         -0.6271995285688061,
         0.7167994612214927,
         0.5375995959161196,
-        -2.6879979795805977,
+        -2.5983980469279113,
         0.0,
-        -1.7023987204010456,
+        -1.791998653053732,
         0.0,
         0.6271995285688061,
-        -1.3439989897902989,
+        -1.4335989224429855,
         0.08959993265268659,
     ]
 )
@@ -65,15 +66,15 @@ GOLDEN_RMATVEC_THIRD = np.array(
 # draw per output element per probe); these pin the fitted gain and the
 # first post-calibrate matvec, so the calibrate-then-read stream is
 # guarded against further reorderings.
-GOLDEN_CALIBRATED_GAIN = 1.1425908034731658
+GOLDEN_CALIBRATED_GAIN = 1.1569645207486825
 GOLDEN_MATVEC_CALIBRATED = np.array(
     [
-        -0.9360444257585848,
-        4.212199915913631,
-        2.1060999579568156,
-        3.0421443837154007,
-        4.680222128792924,
-        -0.4680222128792924,
+        -0.9478198031660342,
+        4.265189114247153,
+        2.1325945571235767,
+        3.0804143602896112,
+        4.739099015830171,
+        -0.4739099015830171,
     ]
 )
 
@@ -82,7 +83,7 @@ GOLDEN_MATVEC_CALIBRATED = np.array(
 # stored transposed with 4x4 tiles).
 GOLDEN_MATVEC_TILED = np.array(
     [
-        -0.6144223436640204,
+        -0.8192297915520274,
         4.0961489577601355,
         2.252881926768075,
         3.276919166208108,

@@ -259,16 +259,16 @@ GOLDEN_EXACT_COL0_VALUES = np.array(
 GOLDEN_ANALOG_COL1_STRIDED = np.array(
     [
         -0.0,
-        -0.01948095505487461,
-        0.0,
-        -0.08347909288012807,
         -0.0,
+        0.0,
+        -0.04926236668183587,
+        0.0,
     ]
 )
 GOLDEN_ANALOG_TAU_COL2 = [
     0.6444458578745368,
-    0.5371246658888822,
-    0.3467288029580153,
+    0.5337485650287689,
+    0.32964931939998343,
 ]
 
 
