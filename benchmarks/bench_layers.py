@@ -81,17 +81,10 @@ def time_tile_read(m, n, batch):
     return interleaved_medians(pair_read, member_reads, REPEATS)
 
 
-def available_cores():
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # pragma: no cover - non-Linux fallback
-        return os.cpu_count() or 1
-
-
 def test_tile_read_layer(write_result):
     blas_env = {key: os.environ.get(key) for key in BLAS_ENV}
     pinned = all(value == "1" for value in blas_env.values())
-    nproc = available_cores()
+    nproc = len(os.sched_getaffinity(0))
 
     metrics = {}
     lines = [
