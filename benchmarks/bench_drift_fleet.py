@@ -13,9 +13,9 @@ CI archival:
 * **overhead** — the maintenance share of the maintained fleet's bill
   (calibration-probe overhead + probe conversions, priced from the
   policy's counter deltas) must stay below 25 % and is reported;
-* **exactness** — on the ideal-device backend a drift-aware fleet with
-  an attached (never-triggered) maintenance policy must stay *bitwise*
-  identical to the plain PR-4 greedy fleet, merged counters included —
+* **exactness** — on the ideal-device backend an aged fleet with an
+  attached (never-triggered) maintenance policy must stay *bitwise*
+  identical to a fresh plain greedy fleet, merged counters included —
   the lifecycle layer is free until it actually acts.
 
 Run:  PYTHONPATH=src python -m pytest -q benchmarks/bench_drift_fleet.py
@@ -67,12 +67,12 @@ def test_drift_fleet_lifecycle(write_result):
     model = CrossbarCostModel(rows=N, cols=M, devices_per_cell=2)
 
     # -- noisy backend: stale vs maintained twins ----------------------
-    stale = build_fleet(problem, schedule="drift_aware", seed=1)
+    stale = build_fleet(problem, schedule="greedy", seed=1)
     stale.advance_time(AGE_S)
     stale_result = amp_recover_batch(
         problem.measurements, stale, N, **recover
     )
-    maintained = build_fleet(problem, schedule="drift_aware", seed=1)
+    maintained = build_fleet(problem, schedule="greedy", seed=1)
     maintained.advance_time(AGE_S)
     policy = FleetMaintenance(
         maintained, recalibrate_after_s=1e3, n_probes=16, seed=2
@@ -107,12 +107,12 @@ def test_drift_fleet_lifecycle(write_result):
         problem.matrix,
         n_shards=SHARDS,
         batch_window=WINDOW,
-        schedule="drift_aware",
+        schedule="greedy",
         device=PcmDevice.ideal(),
         seed=3,
     )
     FleetMaintenance(lifecycle, recalibrate_after_s=1e12, seed=4)
-    lifecycle.advance_time(AGE_S)  # equal ages: penalty cancels out
+    lifecycle.advance_time(AGE_S)  # ideal devices do not drift
     bitwise_equal = bool(
         np.array_equal(lifecycle.matmat(x_block), plain.matmat(x_block))
     )

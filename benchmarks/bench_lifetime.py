@@ -55,7 +55,7 @@ def build_fleet():
         matrix,
         n_shards=SHARDS,
         batch_window=WINDOW,
-        schedule="drift_aware",
+        schedule="greedy",
         stream="per_shard",
         seed=3,
     )

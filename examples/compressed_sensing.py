@@ -185,11 +185,11 @@ print(
 # the policy captures the counter deltas of every action.
 stale = ShardedOperator.from_matrix(
     big_fleet.matrix, n_shards=3, batch_window=16,
-    schedule="drift_aware", dac_bits=8, adc_bits=8, seed=12,
+    schedule="greedy", dac_bits=8, adc_bits=8, seed=12,
 )
 maintained = ShardedOperator.from_matrix(
     big_fleet.matrix, n_shards=3, batch_window=16,
-    schedule="drift_aware", dac_bits=8, adc_bits=8, seed=12,
+    schedule="greedy", dac_bits=8, adc_bits=8, seed=12,
 )
 policy = FleetMaintenance(maintained, recalibrate_after_s=1e4, n_probes=16,
                           seed=13)
@@ -234,7 +234,7 @@ from repro.crossbar import DriftPredictor, FaultInjector, LifetimeSimulator
 
 aging = ShardedOperator.from_matrix(
     big_fleet.matrix, n_shards=3, batch_window=16,
-    schedule="drift_aware", dac_bits=8, adc_bits=8,
+    schedule="greedy", dac_bits=8, adc_bits=8,
     stream="per_shard", seed=14,
 )
 lifecycle = FleetMaintenance(

@@ -18,16 +18,15 @@ Public API
   loop-equivalent conversion accounting.
 * :class:`ShardedOperator` — window-schedules batches larger than one
   array's readout window across operator replicas (round-robin,
-  greedy-by-active-columns, drift-aware or placement-optimized) with
+  greedy-by-active-columns or placement-optimized) with
   exactly merged conversion counters and per-shard drift clocks;
   per-shard reads run serially or on a thread pool
   (``parallelism="threads"``) with identical scheduling, results and
   counters.
 * :class:`PlacementOptimizer` — cost-model-driven co-optimization of
-  window→shard dispatch, tile→array placement and the ``banks=k``
-  readout configuration under area/peak-power budgets, with an exact
-  branch-and-bound oracle and fast labeling + local-search heuristics
-  behind one API (``schedule="optimized"`` consumes it).
+  window→shard dispatch and the ``banks=k`` readout configuration, with
+  an exact branch-and-bound oracle and fast labeling + local-search
+  heuristics behind one API (``schedule="optimized"`` consumes it).
 * :class:`FleetMaintenance` — scheduled recalibration/reprogramming of
   drifting shards between dispatch windows, with separable counters,
   predictive (drift-model-driven) triggers and calibrate → reprogram →

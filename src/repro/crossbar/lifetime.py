@@ -36,7 +36,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro._util import as_rng, check_elapsed, check_positive
+from repro._util import as_rng, check_elapsed, check_in, check_positive
+from repro.crossbar.nonidealities import STUCK_MODES
 from repro.devices import PcmDevice
 
 __all__ = [
@@ -258,10 +259,13 @@ class FaultInjector:
         mode: str = "both",
         seed: int | np.random.Generator | None = None,
     ) -> None:
-        if rate_per_s < 0:
-            raise ValueError("rate_per_s must be non-negative")
+        if not (math.isfinite(rate_per_s) and rate_per_s >= 0):
+            raise ValueError(
+                f"rate_per_s must be finite and non-negative, got {rate_per_s!r}"
+            )
         if not 0.0 < fraction_per_event <= 1.0:
             raise ValueError("fraction_per_event must be in (0, 1]")
+        check_in("mode", mode, STUCK_MODES)
         self.fleet = fleet
         self.rate_per_s = float(rate_per_s)
         self.fraction_per_event = float(fraction_per_event)
@@ -275,12 +279,15 @@ class FaultInjector:
 
         Returns the new events (also appended to :attr:`events`).
         Call alongside ``fleet.advance_time`` so the fault clock and
-        the drift clocks stay in step.
+        the drift clocks stay in step.  The clock moves only once the
+        interval's arrivals are drawn, so a failed draw leaves it where
+        it was.
         """
         seconds = check_elapsed("seconds", seconds)
-        self.time_s += seconds
+        end_s = self.time_s + seconds
         expected = self.rate_per_s * seconds
         if expected == 0.0:
+            self.time_s = end_s
             return []
         new: list[FaultEvent] = []
         retired = getattr(self.fleet, "retired_shards", None)
@@ -295,12 +302,13 @@ class FaultInjector:
                 )
                 new.append(
                     FaultEvent(
-                        time_s=self.time_s,
+                        time_s=end_s,
                         shard=index,
                         n_faults=int(count),
                         stuck_fraction=float(shard.stuck_fraction),
                     )
                 )
+        self.time_s = end_s
         self.events.extend(new)
         return new
 

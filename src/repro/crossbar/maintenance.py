@@ -58,6 +58,7 @@ unchanged.
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass
 
@@ -87,10 +88,9 @@ class MaintenanceAction:
     shard:
         Index of the serviced replica in the fleet.
     action:
-        ``"calibrate"``, ``"reprogram"``, ``"reprogram_tiles"`` or
-        ``"retire"`` (escalated calibrations report as the action they
-        escalated to; the probe cost of every rung climbed is
-        included).
+        ``"calibrate"``, ``"reprogram"`` or ``"retire"`` (escalated
+        calibrations report as the action they escalated to; the probe
+        cost of every rung climbed is included).
     staleness_s:
         The staleness that triggered the action, in seconds.
     gain:
@@ -130,14 +130,10 @@ class FleetMaintenance:
     gain_error_budget:
         Predictive trigger: the shard is recalibrated as soon as the
         drift model forecasts its uncompensated gain error at or above
-        this budget.  At least one of the three triggers is required.
-    predictor:
-        Drift forecaster for the predictive trigger: ``"auto"``
-        (default) builds one
+        this budget (one
         :class:`~repro.crossbar.lifetime.DriftPredictor` per physical
-        shard from its own device model and target conductances; an
-        explicit :class:`DriftPredictor` instance is shared by every
-        shard.  Ignored unless ``gain_error_budget`` is set.
+        shard, see :meth:`predictor_for`).  At least one of the three
+        triggers is required.
     gain_error_threshold:
         If the fitted calibration gain lands further than this from
         unity, the calibration escalates to a reprogram.
@@ -155,15 +151,6 @@ class FleetMaintenance:
         disables verify and retirement.
     n_probes:
         Probe vectors per calibration (as in ``calibrate``).
-    tile_budget:
-        Tiles rewritten per reprogram-due shard, hottest-and-stalest
-        first (:meth:`CrossbarOperator.stale_hot_tiles`), followed by a
-        recalibration to refresh the now-mixed gain — the tile-scoped
-        alternative to a whole-operator rewrite for huge tiled shards.
-        Applies only when the shard supports tile maintenance and no
-        ``verify_error_budget`` is set (the verify-and-retire ladder
-        measures whole-shard health, so it keeps whole-shard rewrites);
-        ``None`` (default) always rewrites whole shards.
     programming_iterations:
         Verify rounds per reprogram (``None`` keeps each shard's
         construction-time setting).
@@ -181,13 +168,11 @@ class FleetMaintenance:
         recalibrate_after_s: float | None = None,
         reprogram_after_s: float | None = None,
         gain_error_budget: float | None = None,
-        predictor: object = "auto",
         gain_error_threshold: float | None = None,
         calibration_error_threshold: float | None = None,
         verify_probes: int | None = None,
         verify_error_budget: float | None = None,
         n_probes: int = 8,
-        tile_budget: int | None = None,
         programming_iterations: int | None = None,
         seed: int | np.random.Generator | None = None,
         attach: bool = True,
@@ -209,23 +194,20 @@ class FleetMaintenance:
             ("calibration_error_threshold", calibration_error_threshold),
             ("verify_error_budget", verify_error_budget),
         ):
-            if value is not None and value <= 0:
-                raise ValueError(f"{name} must be positive or None")
-        if n_probes < 1:
-            raise ValueError("n_probes must be >= 1")
-        if verify_probes is not None and verify_probes < 1:
-            raise ValueError("verify_probes must be >= 1 or None")
-        if tile_budget is not None and (
-            tile_budget != int(tile_budget) or tile_budget < 1
+            if value is not None and not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive or None")
+        if n_probes != int(n_probes) or n_probes < 1:
+            raise ValueError("n_probes must be an integer >= 1")
+        if verify_probes is not None and (
+            verify_probes != int(verify_probes) or verify_probes < 1
         ):
-            raise ValueError("tile_budget must be an integer >= 1 or None")
+            raise ValueError("verify_probes must be an integer >= 1 or None")
         if programming_iterations is not None and programming_iterations < 1:
             raise ValueError("programming_iterations must be >= 1 or None")
         self.fleet = fleet
         self.recalibrate_after_s = recalibrate_after_s
         self.reprogram_after_s = reprogram_after_s
         self.gain_error_budget = gain_error_budget
-        self.predictor = predictor
         self.gain_error_threshold = gain_error_threshold
         self.calibration_error_threshold = calibration_error_threshold
         self.verify_error_budget = verify_error_budget
@@ -233,7 +215,6 @@ class FleetMaintenance:
             int(verify_probes) if verify_probes is not None else int(n_probes)
         )
         self.n_probes = int(n_probes)
-        self.tile_budget = int(tile_budget) if tile_budget is not None else None
         self.programming_iterations = programming_iterations
         self._rng = as_rng(seed)
         self._sweep_lock = threading.Lock()
@@ -244,10 +225,14 @@ class FleetMaintenance:
             fleet.maintenance = self
 
     # -- policy ----------------------------------------------------------------
-    def _predictor_for(self, shard):
-        """The drift forecaster serving one shard (``None`` if n/a)."""
-        if self.predictor != "auto":
-            return self.predictor
+    def predictor_for(self, shard):
+        """The drift forecaster serving one shard (``None`` if n/a).
+
+        Built once per shard by
+        :meth:`~repro.crossbar.lifetime.DriftPredictor.from_operator`
+        from the shard's own device model and target conductances;
+        exact replicas have none.
+        """
         key = id(shard)
         if key not in self._shard_predictors:
             from repro.crossbar.lifetime import DriftPredictor
@@ -270,7 +255,7 @@ class FleetMaintenance:
             return None
         if not hasattr(shard, "age_seconds"):
             return None
-        predictor = self._predictor_for(shard)
+        predictor = self.predictor_for(shard)
         if predictor is None:
             return None
         age = float(shard.age_seconds)
@@ -365,27 +350,12 @@ class FleetMaintenance:
 
         Returns ``(action, verify_error)`` — ``"reprogram"`` when the
         rewrite verified inside the budget (or no budget is set),
-        ``"reprogram_tiles"`` when a :attr:`tile_budget` scoped the
-        rewrite to the shard's hottest stale tiles (followed by a
-        recalibration, since a partial rewrite leaves the single
-        digital gain mixing fresh and drifted tiles), ``"retire"`` when
-        the verify budget could not be met: stuck devices survive
-        rewrites, so a shard whose verify error stays above budget can
-        never be healed by reprogramming and is taken out of rotation.
-        The verify-and-retire ladder always rewrites whole shards —
-        its verify measurement is whole-shard health, which a partial
-        rewrite would conflate with the still-drifted remainder.
+        ``"retire"`` when the verify budget could not be met: stuck
+        devices survive rewrites, so a shard whose verify error stays
+        above budget can never be healed by reprogramming and is taken
+        out of rotation.
         """
         if self.verify_error_budget is None:
-            if self.tile_budget is not None:
-                rank = getattr(shard, "stale_hot_tiles", None)
-                rewrite = getattr(shard, "reprogram_tiles", None)
-                if rank is not None and rewrite is not None:
-                    targets = rank(budget=self.tile_budget)
-                    if targets:
-                        rewrite(targets, self.programming_iterations)
-                        shard.calibrate(n_probes=self.n_probes, seed=self._rng)
-                        return "reprogram_tiles", None
             shard.reprogram(self.programming_iterations)
             return "reprogram", None
         shard.reprogram(
@@ -423,18 +393,10 @@ class FleetMaintenance:
                     action, verify_error = self._reprogram_and_verify(
                         index, shard
                     )
-                    gain = (
-                        float(getattr(shard, "gain", 1.0))
-                        if action == "reprogram_tiles"
-                        else 1.0
-                    )
+                    gain = 1.0
             else:
                 action, verify_error = self._reprogram_and_verify(index, shard)
-                gain = (
-                    float(getattr(shard, "gain", 1.0))
-                    if action == "reprogram_tiles"
-                    else 1.0
-                )
+                gain = 1.0
             after = dict(shard.stats)
             for key in after.keys() | before.keys():
                 delta = after.get(key, 0) - before.get(key, 0)
@@ -476,13 +438,6 @@ class FleetMaintenance:
     @property
     def n_reprograms(self) -> int:
         return sum(1 for action in self.actions if action.action == "reprogram")
-
-    @property
-    def n_tile_sweeps(self) -> int:
-        """Tile-scoped rewrite actions (``tile_budget`` sweeps)."""
-        return sum(
-            1 for action in self.actions if action.action == "reprogram_tiles"
-        )
 
     @property
     def n_retirements(self) -> int:

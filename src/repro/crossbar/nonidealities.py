@@ -13,6 +13,8 @@ from repro._util import as_rng, check_fraction, check_in
 
 __all__ = ["ir_drop_factors", "apply_stuck_faults"]
 
+STUCK_MODES = ("low", "high", "both")
+
 
 def ir_drop_factors(
     conductance: np.ndarray, wire_resistance: float, axis: int
@@ -86,7 +88,7 @@ def apply_stuck_faults(
         The perturbed matrix and a boolean mask of fault locations.
     """
     check_fraction("fraction", fraction)
-    check_in("mode", mode, ("low", "high", "both"))
+    check_in("mode", mode, STUCK_MODES)
     rng = as_rng(seed)
     conductance = np.asarray(conductance, dtype=float).copy()
     mask = rng.random(conductance.shape) < fraction

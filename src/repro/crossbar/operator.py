@@ -341,17 +341,6 @@ class CrossbarOperator:
         self.n_calibrations = 0
         self.n_calibration_probes = 0
         self.n_reprograms = 0
-        self.n_tile_reprograms = 0
-        # Per-tile maintenance clocks and read-activity tallies: each
-        # tile records the operator age at its last maintenance event
-        # (so :attr:`tile_staleness` is per-tile), and each row/column
-        # span counts the live reads that engaged its tiles — together
-        # they let :meth:`stale_hot_tiles` order tile-scoped rewrites
-        # hottest-and-stalest first instead of rewriting the whole
-        # operator.
-        self._tile_maintained_at = {key: 0.0 for key in self._tiles}
-        self._row_span_reads = [0] * len(self._row_spans)
-        self._col_span_reads = [0] * len(self._col_spans)
         # Health measurements from the last maintenance events: the
         # residual relative error after the last gain fit, and the
         # verify error of the last reprogram-and-verify session
@@ -391,48 +380,6 @@ class CrossbarOperator:
         keep drifting — only the digital compensation is fresh).
         """
         return self.age_seconds - self._maintained_at_age
-
-    @property
-    def tile_staleness(self) -> dict[tuple[int, int], float]:
-        """Seconds since each tile's last maintenance event.
-
-        Whole-operator maintenance (:meth:`calibrate`,
-        :meth:`reprogram`) resets every tile's clock;
-        :meth:`reprogram_tiles` resets only the tiles it rewrote, so a
-        partially maintained operator carries heterogeneous tile
-        staleness even though :attr:`staleness_seconds` (the worst
-        case drives fleet scheduling) reflects the latest event.
-        """
-        return {
-            key: self.age_seconds - maintained
-            for key, maintained in self._tile_maintained_at.items()
-        }
-
-    @property
-    def tile_read_counts(self) -> dict[tuple[int, int], int]:
-        """Live reads that engaged each tile, per tile key.
-
-        Forward reads engage a tile through its row span (the input
-        side of ``matvec``/``matmat``), transpose reads through its
-        column span; the per-tile count is the sum of both — the
-        traffic-weighted "heat" :meth:`stale_hot_tiles` ranks by.
-        """
-        return {
-            (ri, ci): self._row_span_reads[ri] + self._col_span_reads[ci]
-            for ri, ci in self._tiles
-        }
-
-    def _count_span_reads(self, block: np.ndarray, spans, counts) -> None:
-        """Tally, per span, the input columns live within that span.
-
-        All-zero columns contribute nothing anywhere (they never touch
-        the hardware), and a column that is zero across one span's rows
-        does not heat that span's tiles.
-        """
-        for si, (s0, s1) in enumerate(spans):
-            counts[si] += int(
-                np.count_nonzero(np.any(block[s0:s1] != 0.0, axis=0))
-            )
 
     def advance_time(self, seconds: float) -> None:
         """Let every tile drift for ``seconds`` (Sec. III, PCM drift).
@@ -478,7 +425,6 @@ class CrossbarOperator:
         self._gain = 1.0
         self.age_seconds = 0.0
         self._maintained_at_age = 0.0
-        self._tile_maintained_at = {key: 0.0 for key in self._tiles}
         self.n_reprograms += 1
         if verify_probes is not None:
             self.last_reprogram_error = self.read_error(
@@ -599,72 +545,7 @@ class CrossbarOperator:
         self.n_calibrations += 1
         self.n_calibration_probes += n_probes
         self._maintained_at_age = self.age_seconds
-        # The fitted gain compensates every tile at once, so the whole
-        # tile clock set refreshes with the operator clock.
-        self._tile_maintained_at = {
-            key: self.age_seconds for key in self._tiles
-        }
         return self._gain
-
-    def reprogram_tiles(
-        self,
-        keys,
-        programming_iterations: int | None = None,
-    ) -> int:
-        """Rewrite only the named tiles; returns this session's pulses.
-
-        The tile-scoped maintenance action behind hot-tile-first
-        recalibration: each named ``(row_index, col_index)`` tile pair
-        gets a full program-and-verify session (its devices restart
-        drift-fresh), its clock in :attr:`tile_staleness` resets, and
-        the operator's :attr:`staleness_seconds` records the event —
-        but :attr:`age_seconds`, the untouched tiles' clocks and the
-        digital gain are left alone.  The gain therefore mixes fresh
-        and drifted tiles until the next :meth:`calibrate`; policies
-        should calibrate after a tile sweep (``FleetMaintenance`` with
-        ``tile_budget`` does).  Duplicate keys rewrite once; an empty
-        key list is a no-op costing nothing.
-        """
-        unique = list(dict.fromkeys(tuple(key) for key in keys))
-        for key in unique:
-            if key not in self._tiles:
-                raise ValueError(
-                    f"unknown tile {key!r}; valid keys are "
-                    f"(row_index, col_index) with row_index < "
-                    f"{len(self._row_spans)} and col_index < "
-                    f"{len(self._col_spans)}"
-                )
-        if not unique:
-            return 0
-        before = self.n_program_pulses
-        for key in unique:
-            self._tiles[key].reprogram(programming_iterations)
-            self._tile_maintained_at[key] = self.age_seconds
-            self.n_tile_reprograms += 1
-        self._maintained_at_age = self.age_seconds
-        return self.n_program_pulses - before
-
-    def stale_hot_tiles(self, budget: int | None = None) -> list[tuple[int, int]]:
-        """Tiles worth rewriting first: stale, ordered by heat x staleness.
-
-        Ranks every tile with non-zero :attr:`tile_staleness` by
-        ``staleness * (1 + reads)`` descending (reads from
-        :attr:`tile_read_counts`), tile key breaking ties — so among
-        equally stale tiles the ones serving the most live traffic come
-        first, and an idle-but-ancient tile still outranks a fresh hot
-        one eventually.  ``budget`` caps the list (the per-sweep rewrite
-        budget of a tile-scoped maintenance policy); ``None`` returns
-        every stale tile.
-        """
-        if budget is not None and (budget != int(budget) or budget < 1):
-            raise ValueError("budget must be an integer >= 1 or None")
-        staleness = self.tile_staleness
-        reads = self.tile_read_counts
-        ranked = sorted(
-            (key for key in self._tiles if staleness[key] > 0.0),
-            key=lambda key: (-(staleness[key] * (1.0 + reads[key])), key),
-        )
-        return ranked if budget is None else ranked[: int(budget)]
 
     def _normalize_block(self, block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Per-column peak normalization; zero columns normalize to zero."""
@@ -700,7 +581,6 @@ class CrossbarOperator:
         m, n = self.shape
         x_block = _input_block(x_block, n, "X")
         self.n_matvec += x_block.shape[1]
-        self._count_span_reads(x_block, self._row_spans, self._row_span_reads)
 
         def tile_currents(voltages):
             for ri, (r0, r1) in enumerate(self._row_spans):
@@ -721,7 +601,6 @@ class CrossbarOperator:
         m, n = self.shape
         z_block = _input_block(z_block, m, "Z")
         self.n_rmatvec += z_block.shape[1]
-        self._count_span_reads(z_block, self._col_spans, self._col_span_reads)
 
         def tile_currents(voltages):
             for ri, (r0, r1) in enumerate(self._row_spans):
@@ -786,7 +665,6 @@ class CrossbarOperator:
             "n_calibrations": self.n_calibrations,
             "n_calibration_probes": self.n_calibration_probes,
             "n_reprograms": self.n_reprograms,
-            "n_tile_reprograms": self.n_tile_reprograms,
             "n_program_pulses": self.n_program_pulses,
             "n_devices": self.n_devices,
             "n_tiles": self.n_tiles,

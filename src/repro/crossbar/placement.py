@@ -1,19 +1,16 @@
-"""Cost-model-driven shard & tile placement optimization.
+"""Cost-model-driven shard placement optimization.
 
 Round-robin and greedy-by-active-columns schedule each window in
-isolation; the fixed tile→array mapping and the ``banks=k`` readout
-configuration are chosen by hand.  This module treats all three as one
-explicit cost-minimization problem — the same exact-formulation-plus-
-fast-heuristics structure the districting literature uses for cut-cost
-minimization — over a :class:`~repro.energy.CrossbarCostModel`-derived
-latency/energy objective under area and peak-power budgets:
+isolation, and the ``banks=k`` readout configuration is chosen by hand.
+This module treats both as one explicit cost-minimization problem — the
+same exact-formulation-plus-fast-heuristics structure the districting
+literature uses for cut-cost minimization — over a
+:class:`~repro.energy.CrossbarCostModel`-derived latency/energy
+objective:
 
 * **window → shard** — how the ``batch_window``-column windows of a
   block map onto heterogeneous replicas (different loads, calibration
   gains and staleness);
-* **tile → array** — which tiles of a huge operator live on which
-  physical array, weighted by per-tile read activity (hot tiles), with
-  an optional per-array capacity;
 * **banks = k** — the readout parallelism each shard deploys, trading
   converter area and peak power against latency.
 
@@ -35,10 +32,10 @@ holding backlog ``load_i``, with ``k`` readout banks::
 (the two terms are normalized to cycles and MVM quanta, so the default
 weights compare like with like).  Banks scale latency but not energy —
 the Walden figure of merit makes conversion energy bank-count
-invariant — so ``k`` is bought purely with silicon: the feasibility of
-each candidate is checked against the area and peak-power budgets via
+invariant — so ``k`` is bought purely with silicon, which every plan
+reports (area and peak power via
 :meth:`~repro.energy.CrossbarCostModel.batch_readout` on the shares the
-assignment actually produced.
+assignment actually produced).
 
 Two solvers, one API
 --------------------
@@ -59,10 +56,10 @@ Two solvers, one API
   heuristic otherwise (the graceful fleet-scale degradation).
 
 :class:`~repro.crossbar.sharding.ShardedOperator` consumes
-:meth:`PlacementOptimizer.assign_windows` as its fourth schedule
-(``schedule="optimized"``); :meth:`PlacementOptimizer.optimize` is the
-offline co-optimization entry point returning a full
-:class:`PlacementPlan` (windows, tiles and banks together).
+:meth:`PlacementOptimizer.assign_windows` as its ``schedule="optimized"``;
+:meth:`PlacementOptimizer.optimize` is the offline co-optimization entry
+point returning a full :class:`PlacementPlan` (windows and banks
+together).
 """
 
 from __future__ import annotations
@@ -117,16 +114,15 @@ class ShardState:
 
 @dataclass(frozen=True)
 class PlacementPlan:
-    """One co-optimized placement: windows, tiles and readout banks.
+    """One co-optimized placement: windows and readout banks.
 
-    ``window_to_shard`` / ``tile_to_shard`` map each item to a *shard
-    index* (``ShardState.index``); the report fields price the window
-    assignment under the chosen bank count, via the same objective both
-    solvers minimized.
+    ``window_to_shard`` maps each window to a *shard index*
+    (``ShardState.index``); the report fields price that assignment
+    under the chosen bank count, via the same objective both solvers
+    minimized.
     """
 
     window_to_shard: tuple[int, ...]
-    tile_to_shard: tuple[int, ...]
     banks: int
     cost: float
     latency_s: float
@@ -137,13 +133,13 @@ class PlacementPlan:
 
 
 class PlacementOptimizer:
-    """Minimize modeled latency/energy of window, tile and bank placement.
+    """Minimize modeled latency/energy of window and bank placement.
 
     Parameters
     ----------
     model:
         The :class:`~repro.energy.CrossbarCostModel` the objective and
-        the silicon (area/peak-power) feasibility checks derive from.
+        the silicon (area/peak-power) report derive from.
     latency_weight / energy_weight:
         Objective weights on the cycle-normalized makespan and the
         MVM-normalized energy terms.
@@ -154,8 +150,8 @@ class PlacementOptimizer:
         Staleness at which the drift term of the modeled error reaches
         one half of its (unit) ceiling.
     solver:
-        Default solver for :meth:`optimize`/:meth:`plan_tiles`:
-        ``"auto"``, ``"exact"`` or ``"heuristic"``.
+        Default solver for :meth:`optimize`: ``"auto"``, ``"exact"`` or
+        ``"heuristic"``.
     exact_items / exact_shards:
         Instance-size ceiling of the exact solver (weighted items x
         candidate shards); beyond it ``"exact"`` raises and ``"auto"``
@@ -164,9 +160,6 @@ class PlacementOptimizer:
         Maximum move/swap improvement rounds of the heuristic.
     banks_candidates:
         Bank counts :meth:`optimize` may deploy.
-    area_budget_m2 / peak_power_budget_w:
-        Fleet-level silicon budgets a candidate deployment must fit
-        (``None`` = unconstrained).
     """
 
     def __init__(
@@ -182,8 +175,6 @@ class PlacementOptimizer:
         exact_shards: int = 8,
         local_search_rounds: int = 8,
         banks_candidates: tuple[int, ...] = (1, 2, 4, 8),
-        area_budget_m2: float | None = None,
-        peak_power_budget_w: float | None = None,
     ) -> None:
         self.model = model if model is not None else CrossbarCostModel()
         for name, value in (
@@ -205,10 +196,6 @@ class PlacementOptimizer:
         banks_candidates = tuple(int(k) for k in banks_candidates)
         if not banks_candidates or any(k < 1 for k in banks_candidates):
             raise ValueError("banks_candidates must be integers >= 1")
-        if area_budget_m2 is not None:
-            check_positive("area_budget_m2", area_budget_m2)
-        if peak_power_budget_w is not None:
-            check_positive("peak_power_budget_w", peak_power_budget_w)
         self.latency_weight = float(latency_weight)
         self.energy_weight = float(energy_weight)
         self.error_weight = float(error_weight)
@@ -218,8 +205,6 @@ class PlacementOptimizer:
         self.exact_shards = int(exact_shards)
         self.local_search_rounds = int(local_search_rounds)
         self.banks_candidates = tuple(sorted(set(banks_candidates)))
-        self.area_budget_m2 = area_budget_m2
-        self.peak_power_budget_w = peak_power_budget_w
 
     # -- the modeled objective -------------------------------------------------
     def service_factor(self, shard: ShardState) -> float:
@@ -276,14 +261,6 @@ class PlacementOptimizer:
             sum(report.peak_power_w for report in reports),
         )
 
-    def _fits_budgets(self, area_m2: float, peak_power_w: float) -> bool:
-        if self.area_budget_m2 is not None and area_m2 > self.area_budget_m2:
-            return False
-        return not (
-            self.peak_power_budget_w is not None
-            and peak_power_w > self.peak_power_budget_w
-        )
-
     def evaluate(
         self,
         assignment,
@@ -322,7 +299,7 @@ class PlacementOptimizer:
         }
 
     # -- heuristic solver ------------------------------------------------------
-    def _label(self, weights, loads, factors, capacities=None) -> list[int]:
+    def _label(self, weights, loads, factors) -> list[int]:
         """Cost-greedy labeling, in item order.
 
         Each item goes to the shard minimizing its f-weighted completion
@@ -334,29 +311,17 @@ class PlacementOptimizer:
         homogeneous fleets.
         """
         pending = [float(load) for load in loads]
-        counts = [0] * len(loads)
         assignment = []
         for weight in weights:
-            best = None
-            choice = None
-            for p in range(len(loads)):
-                if capacities is not None and counts[p] >= capacities[p]:
-                    continue
-                key = ((pending[p] + weight) * factors[p], p)
-                if best is None or key < best:
-                    best, choice = key, p
-            if choice is None:
-                raise ValueError(
-                    "capacities leave no shard able to take an item"
-                )
+            choice = min(
+                range(len(loads)),
+                key=lambda p: ((pending[p] + weight) * factors[p], p),
+            )
             assignment.append(choice)
             pending[choice] += weight
-            counts[choice] += 1
         return assignment
 
-    def _improve(
-        self, assignment, weights, loads, factors, banks, capacities=None
-    ) -> list[int]:
+    def _improve(self, assignment, weights, loads, factors, banks) -> list[int]:
         """First-improvement move/swap local search on the true objective.
 
         Deterministic scan order, strict improvement only — the result
@@ -366,10 +331,8 @@ class PlacementOptimizer:
         assignment = list(assignment)
         n = len(loads)
         served = [0.0] * n
-        counts = [0] * n
         for item, weight in zip(assignment, weights):
             served[item] += weight
-            counts[item] += 1
         cost = self._cost(served, loads, factors, banks)
         for _ in range(self.local_search_rounds):
             improved = False
@@ -380,15 +343,11 @@ class PlacementOptimizer:
                 for p in range(n):
                     if p == current:
                         continue
-                    if capacities is not None and counts[p] >= capacities[p]:
-                        continue
                     served[current] -= weight
                     served[p] += weight
                     candidate = self._cost(served, loads, factors, banks)
                     if candidate < cost - _EPS:
                         cost = candidate
-                        counts[current] -= 1
-                        counts[p] += 1
                         assignment[j] = p
                         current = p
                         improved = True
@@ -415,28 +374,26 @@ class PlacementOptimizer:
                 break
         return assignment
 
-    def _heuristic(self, weights, loads, factors, banks, capacities=None):
-        assignment = self._label(weights, loads, factors, capacities)
+    def _heuristic(self, weights, loads, factors, banks):
+        assignment = self._label(weights, loads, factors)
         if max(factors) > min(factors):
             # Homogeneous instances skip the local search by
             # construction: it could only re-shuffle equal-cost ties,
             # and the labeling *is* greedy dispatch there (the bitwise
             # contract of schedule="optimized").
-            assignment = self._improve(
-                assignment, weights, loads, factors, banks, capacities
-            )
+            assignment = self._improve(assignment, weights, loads, factors, banks)
         return assignment
 
     # -- exact solver ----------------------------------------------------------
-    def _exact(self, weights, loads, factors, banks, capacities=None):
+    def _exact(self, weights, loads, factors, banks):
         """Branch-and-bound over item→shard labelings (the test oracle).
 
         Items are branched largest-first; a partial labeling is pruned
         when its lower bound (its makespan so far — which only grows —
         plus the remaining energy at the best factor) cannot beat the
-        incumbent.  Shards with identical (load, factor, capacity) that
-        have received nothing yet are interchangeable, so only the
-        first of each such group is branched into.
+        incumbent.  Shards with identical (load, factor) that have
+        received nothing yet are interchangeable, so only the first of
+        each such group is branched into.
         """
         n = len(loads)
         items = sorted(
@@ -478,14 +435,8 @@ class PlacementOptimizer:
             weight = weights[j]
             seen_fresh = set()
             for p in range(n):
-                if capacities is not None and counts[p] >= capacities[p]:
-                    continue
                 if counts[p] == 0:
-                    signature = (
-                        loads[p],
-                        factors[p],
-                        None if capacities is None else capacities[p],
-                    )
+                    signature = (loads[p], factors[p])
                     if signature in seen_fresh:
                         continue
                     seen_fresh.add(signature)
@@ -504,36 +455,19 @@ class PlacementOptimizer:
                 del labels[j]
 
         dfs(0, initial_busy, 0.0)
-        if len(items) and not best_labels and not math.isfinite(best_cost):
-            raise ValueError("capacities leave no feasible labeling")
-        # Replay the optimal labeling to rebuild served/counts, then
-        # place the cost-free zero-weight items where the final state's
-        # f-weighted completion is smallest (deterministic, capacity-
-        # respecting).
+        # Replay the optimal labeling to rebuild served, then place the
+        # cost-free zero-weight items where the final state's f-weighted
+        # completion is smallest (deterministic).
         for j, p in best_labels.items():
             served[p] += weights[j]
-            counts[p] += 1
-        assignment = []
-        for j in range(len(weights)):
-            if weights[j] > 0:
-                assignment.append(best_labels[j])
-                continue
-            open_shards = [
-                p
-                for p in range(n)
-                if capacities is None or counts[p] < capacities[p]
-            ]
-            if not open_shards:
-                raise ValueError("capacities leave no feasible labeling")
-            choice = min(
-                open_shards,
-                key=lambda p: ((loads[p] + served[p]) * factors[p], p),
-            )
-            counts[choice] += 1
-            assignment.append(choice)
-        return assignment
+        return [
+            best_labels[j]
+            if weights[j] > 0
+            else min(range(n), key=lambda p: ((loads[p] + served[p]) * factors[p], p))
+            for j in range(len(weights))
+        ]
 
-    def _solve(self, weights, loads, factors, banks, solver, capacities=None):
+    def _solve(self, weights, loads, factors, banks, solver):
         check_in("solver", solver, PLACEMENT_SOLVERS)
         if solver == "auto":
             weighted = sum(1 for weight in weights if weight > 0)
@@ -543,8 +477,8 @@ class PlacementOptimizer:
                 else "heuristic"
             )
         if solver == "exact":
-            return self._exact(weights, loads, factors, banks, capacities)
-        return self._heuristic(weights, loads, factors, banks, capacities)
+            return self._exact(weights, loads, factors, banks)
+        return self._heuristic(weights, loads, factors, banks)
 
     # -- entry points ----------------------------------------------------------
     def assign_windows(self, actives, shards: list[ShardState]) -> list[int]:
@@ -565,57 +499,19 @@ class PlacementOptimizer:
         assignment = self._heuristic(weights, loads, factors, banks=1)
         return [shards[p].index for p in assignment]
 
-    def plan_tiles(
-        self,
-        tile_weights,
-        shards: list[ShardState],
-        capacity: int | None = None,
-        solver: str | None = None,
-    ) -> list[int]:
-        """Place tiles (weighted by read activity) onto arrays.
-
-        ``capacity`` bounds tiles per array (area budget in tile
-        units); tiles carry no backlog, so only the service factors
-        differentiate the arrays.  Returns one shard index per tile.
-        """
-        weights = self._weights(tile_weights, "tile_weights")
-        factors = self._factors(shards)
-        if capacity is not None:
-            if capacity != int(capacity) or capacity < 1:
-                raise ValueError("capacity must be an integer >= 1 or None")
-            if int(capacity) * len(shards) < len(weights):
-                raise ValueError(
-                    f"{len(weights)} tiles cannot fit {len(shards)} arrays "
-                    f"of capacity {int(capacity)}"
-                )
-        capacities = None if capacity is None else [int(capacity)] * len(shards)
-        assignment = self._solve(
-            weights,
-            [0] * len(shards),
-            factors,
-            banks=1,
-            solver=self.solver if solver is None else solver,
-            capacities=capacities,
-        )
-        return [shards[p].index for p in assignment]
-
     def optimize(
         self,
         window_actives,
         shards: list[ShardState],
         *,
-        tile_weights=None,
-        tile_capacity: int | None = None,
         solver: str | None = None,
     ) -> PlacementPlan:
-        """Co-optimize windows, tiles and the ``banks=k`` configuration.
+        """Co-optimize the window assignment and the ``banks=k`` configuration.
 
         For every bank count in :attr:`banks_candidates` the window
         assignment is re-solved (the latency/energy trade-off shifts
-        with ``k``), priced, and checked against the area and
-        peak-power budgets; the cheapest feasible deployment wins
-        (fewest banks breaking cost ties — silicon is not free).
-        Raises ``ValueError`` when no candidate fits the budgets.
+        with ``k``) and priced; the cheapest deployment wins (fewest
+        banks breaking cost ties — silicon is not free).
         """
         solver = self.solver if solver is None else solver
         check_in("solver", solver, PLACEMENT_SOLVERS)
@@ -628,45 +524,20 @@ class PlacementOptimizer:
             served = [0] * len(shards)
             for item, weight in zip(assignment, weights):
                 served[item] += weight
-            area_m2, peak_power_w = self._silicon(served, banks)
-            if not self._fits_budgets(area_m2, peak_power_w):
-                continue
             cost = self._cost(served, loads, factors, banks)
-            key = (cost, banks)
-            if best is None or key < best[0]:
-                cycles, quanta = self._cost_terms(served, loads, factors, banks)
-                best = (
-                    key,
-                    assignment,
-                    banks,
-                    cost,
-                    cycles * self.model.cycle_time_s,
-                    quanta * self.model.mvm_energy_j,
-                    area_m2,
-                    peak_power_w,
-                )
-        if best is None:
-            raise ValueError(
-                "no banks candidate fits the area/peak-power budgets"
-            )
-        _, assignment, banks, cost, latency_s, energy_j, area_m2, peak = best
-        if tile_weights is None:
-            tile_plan: tuple[int, ...] = ()
-        else:
-            tile_plan = tuple(
-                self.plan_tiles(
-                    tile_weights, shards, capacity=tile_capacity, solver=solver
-                )
-            )
+            if best is None or (cost, banks) < (best[0], best[1]):
+                best = (cost, banks, assignment, served)
+        cost, banks, assignment, served = best
+        cycles, quanta = self._cost_terms(served, loads, factors, banks)
+        area_m2, peak_power_w = self._silicon(served, banks)
         return PlacementPlan(
             window_to_shard=tuple(shards[p].index for p in assignment),
-            tile_to_shard=tile_plan,
             banks=banks,
             cost=cost,
-            latency_s=latency_s,
-            energy_j=energy_j,
+            latency_s=cycles * self.model.cycle_time_s,
+            energy_j=quanta * self.model.mvm_energy_j,
             area_m2=area_m2,
-            peak_power_w=peak,
+            peak_power_w=peak_power_w,
             solver=solver,
         )
 

@@ -8,7 +8,7 @@ dispatches the windows across one or more operator replicas that share
 the same programmed matrix but keep independent device noise and
 conversion counters (the ISAAC-style multi-tile serving scenario).
 
-Four scheduling policies are provided:
+Three scheduling policies are provided:
 
 * ``"round_robin"`` — windows rotate across the shards in arrival
   order (the cursor persists across calls, so successive requests keep
@@ -16,16 +16,6 @@ Four scheduling policies are provided:
 * ``"greedy"`` — each window goes to the shard with the least
   *active* (non-zero) columns dispatched so far, which balances real
   device work under skewed traffic where many columns are zero;
-* ``"drift_aware"`` — greedy, plus a staleness penalty: shards that
-  have gone longest without maintenance (calibration or reprogramming)
-  are charged up to ``staleness_weight`` extra windows' worth of load,
-  steering live traffic toward fresh replicas while stale ones await
-  the :class:`~repro.crossbar.maintenance.FleetMaintenance` sweep.
-  The penalty normalizer is frozen once per dispatched block — every
-  window of one block is judged against the same staleness snapshot —
-  so uniform staleness (in particular the all-fresh fleet) yields a
-  uniform penalty and the schedule is bitwise identical to
-  ``"greedy"``;
 * ``"optimized"`` — each block's window→shard assignment is planned by
   a :class:`~repro.crossbar.placement.PlacementOptimizer` minimizing
   modeled latency/energy from the fleet's loads, gains and staleness
@@ -111,7 +101,7 @@ from repro.crossbar.tile import split_ranges
 
 __all__ = ["PARALLELISM_MODES", "SHARD_SCHEDULES", "ShardedOperator"]
 
-SHARD_SCHEDULES = ("round_robin", "greedy", "drift_aware", "optimized")
+SHARD_SCHEDULES = ("round_robin", "greedy", "optimized")
 PARALLELISM_MODES = ("serial", "threads")
 
 
@@ -130,12 +120,8 @@ class ShardedOperator:
         Maximum batch columns one shard digitizes per dispatch — the
         physical readout window of one array.
     schedule:
-        ``"round_robin"``, ``"greedy"``, ``"drift_aware"`` or
-        ``"optimized"`` (see module docstring).
-    staleness_weight:
-        Extra load (in units of full windows) a maximally stale shard
-        is charged under the ``"drift_aware"`` schedule; 0 disables the
-        penalty.  Ignored by the other schedules.
+        ``"round_robin"``, ``"greedy"`` or ``"optimized"`` (see module
+        docstring).
     optimizer:
         The :class:`~repro.crossbar.placement.PlacementOptimizer`
         behind ``schedule="optimized"`` (``None`` builds one with
@@ -155,7 +141,6 @@ class ShardedOperator:
         shards,
         batch_window: int,
         schedule: str = "round_robin",
-        staleness_weight: float = 1.0,
         parallelism: str = "serial",
         n_workers: int | None = None,
         optimizer: PlacementOptimizer | None = None,
@@ -184,8 +169,6 @@ class ShardedOperator:
         if batch_window != int(batch_window) or batch_window < 1:
             raise ValueError("batch_window must be an integer >= 1")
         check_in("schedule", schedule, SHARD_SCHEDULES)
-        if staleness_weight < 0:
-            raise ValueError("staleness_weight must be non-negative")
         check_in("parallelism", parallelism, PARALLELISM_MODES)
         if n_workers is not None and (n_workers != int(n_workers) or n_workers < 1):
             raise ValueError("n_workers must be an integer >= 1 or None")
@@ -197,7 +180,6 @@ class ShardedOperator:
         self.shards = shards
         self.batch_window = int(batch_window)
         self.schedule = schedule
-        self.staleness_weight = float(staleness_weight)
         self.parallelism = parallelism
         self.n_workers = int(n_workers) if n_workers is not None else len(shards)
         self.optimizer = (
@@ -208,9 +190,6 @@ class ShardedOperator:
         self.maintenance = None
         self._loads = [0] * len(shards)
         self._cursor = 0
-        # One-shot precomputed window→shard plan (install_plan); the
-        # next dispatched block consumes it instead of re-planning.
-        self._pinned_plan: list[tuple[int, int, int]] | None = None
         # Retirement: a shard whose reprogram cannot hit the verify
         # target is taken out of rotation.  Retired shards keep their
         # historical counters (merged stats stay the key-wise sums) but
@@ -234,7 +213,6 @@ class ShardedOperator:
         n_shards: int,
         batch_window: int,
         schedule: str = "round_robin",
-        staleness_weight: float = 1.0,
         parallelism: str = "serial",
         n_workers: int | None = None,
         optimizer: PlacementOptimizer | None = None,
@@ -281,7 +259,6 @@ class ShardedOperator:
             shards,
             batch_window,
             schedule=schedule,
-            staleness_weight=staleness_weight,
             parallelism=parallelism,
             n_workers=n_workers,
             optimizer=optimizer,
@@ -413,34 +390,6 @@ class ShardedOperator:
         return split_ranges(batch, self.batch_window)
 
     # -- scheduling ------------------------------------------------------------
-    def _staleness_penalties(self) -> list[float]:
-        """Per-shard drift-aware load penalties, in column units.
-
-        The staleness of each shard (seconds since maintenance) is
-        normalized by the fleet's worst, so a maximally stale shard is
-        charged ``staleness_weight`` extra windows of phantom load and
-        fresher shards proportionally less.  Uniform staleness —
-        including the all-zero fresh fleet — yields a uniform penalty,
-        which leaves the greedy argmin (and therefore the dispatch)
-        unchanged.
-
-        Computed **once per dispatched block** and reused for every
-        window in it.  Recomputing per window would let staleness
-        advancing mid-block re-normalize the penalties between two
-        windows of one assignment — drifting the argmin within a block
-        and silently flattening a uniformly-stale fleet's differential
-        penalty to zero at every single call.
-        """
-        count = len(self.shards)
-        if self.schedule != "drift_aware" or self.staleness_weight == 0.0:
-            return [0.0] * count
-        stale = list(self.shard_staleness)
-        top = max(stale)
-        if top <= 0.0:
-            return [0.0] * count
-        scale = self.staleness_weight * self.batch_window / top
-        return [scale * value for value in stale]
-
     def _shard_states(self) -> list[ShardState]:
         """The live shards as the placement optimizer sees them."""
         if not self._active_indices():
@@ -459,20 +408,12 @@ class ShardedOperator:
             for i in self._active_indices()
         ]
 
-    def _pick_shard(
-        self,
-        active_columns: int,
-        penalties: list[float] | None = None,
-        forced: int | None = None,
-    ) -> int:
+    def _pick_shard(self, active_columns: int, forced: int | None = None) -> int:
         """Choose the shard for one window and record its load.
 
-        ``penalties`` is the block's frozen drift-aware penalty vector
-        (computed when ``None`` — the single-window paths, where one
-        window *is* the block).  ``forced`` commits a precomputed
-        choice (an installed or optimized plan) while still accruing
-        the window's real load, keeping :attr:`loads` truthful for
-        whatever schedule runs next.
+        ``forced`` commits the placement optimizer's choice while still
+        accruing the window's real load, keeping :attr:`loads` truthful
+        for whatever schedule runs next.
 
         Degenerate windows (``active_columns == 0``) carry no device
         work: they are served by whichever shard the schedule currently
@@ -491,22 +432,13 @@ class ShardedOperator:
                 "all shards are retired; the fleet has no serving capacity"
             )
         if forced is not None:
-            if forced not in candidates:
-                raise ValueError(
-                    f"planned shard {forced} is retired or out of range"
-                )
             index = forced
         elif self.schedule == "round_robin":
             index = candidates[self._cursor % len(candidates)]
             if active_columns:
                 self._cursor += 1
         else:  # greedy-by-active-columns, lowest index breaks ties
-            if penalties is None:
-                penalties = self._staleness_penalties()
-            index = min(
-                candidates,
-                key=lambda i: (self._loads[i] + penalties[i], i),
-            )
+            index = min(candidates, key=lambda i: (self._loads[i], i))
         self._loads[index] += active_columns
         return index
 
@@ -526,27 +458,12 @@ class ShardedOperator:
 
         The assignment sequence is a pure function of the block's
         per-window active-column counts and the scheduler state
-        (``loads``, cursor, and the staleness/gain snapshot taken at
-        block entry) at call time — no clock, RNG or execution-timing
-        input — which is what makes serial and threaded dispatch
-        schedule identically.  An installed plan (:meth:`install_plan`)
-        is consumed here, windows verified against the block's spans.
+        (``loads``, cursor, and the staleness/gain snapshot the
+        optimized schedule takes at block entry) at call time — no
+        clock, RNG or execution-timing input — which is what makes
+        serial and threaded dispatch schedule identically.
         """
         windows = self._window_actives(block)
-        pinned, self._pinned_plan = self._pinned_plan, None
-        if pinned is not None:
-            if [(start, stop) for start, stop, _ in pinned] != [
-                (start, stop) for start, stop, _ in windows
-            ]:
-                raise ValueError(
-                    "installed plan does not match the dispatched block: "
-                    f"planned windows {[(a, b) for a, b, _ in pinned]}, "
-                    f"block windows {[(a, b) for a, b, _ in windows]}"
-                )
-            return [
-                (start, stop, self._pick_shard(active, forced=shard))
-                for (start, stop, active), (_, _, shard) in zip(windows, pinned)
-            ]
         if self.schedule == "optimized":
             choices = self.optimizer.assign_windows(
                 [active for _, _, active in windows], self._shard_states()
@@ -555,9 +472,8 @@ class ShardedOperator:
                 (start, stop, self._pick_shard(active, forced=choice))
                 for (start, stop, active), choice in zip(windows, choices)
             ]
-        penalties = self._staleness_penalties()
         return [
-            (start, stop, self._pick_shard(active, penalties=penalties))
+            (start, stop, self._pick_shard(active))
             for start, stop, active in windows
         ]
 
@@ -582,70 +498,30 @@ class ShardedOperator:
         """Dry-run the scheduler: the ``(start, stop, shard)`` plan for
         ``block`` without dispatching it or mutating scheduler state.
 
+        ``block`` is a ``matmat`` or ``rmatmat`` input: its row count
+        must be one of the fleet's two dimensions and every entry must
+        be finite, so a block that dispatch would reject gets no plan.
         The plan is a pure function of the block and the *current*
-        scheduler state — loads, cursor, retirement flags, **and** the
-        per-shard staleness/gain snapshot the drift-aware and optimized
-        schedules read.  That is the exact guarantee: planning then
-        dispatching yields the identical assignment *provided no
-        scheduler input changed in between*.  Time advancing between
-        plan and dispatch changes staleness, which under
-        ``schedule="drift_aware"`` (or ``"optimized"``) is a scheduler
-        input, and the dispatch may legitimately differ.  To carry a
-        plan across such a gap, pin it with :meth:`install_plan` — the
-        next dispatched block then consumes the planned choices
-        verbatim, whatever the staleness does in between.
+        scheduler state — loads, cursor, retirement flags and, under
+        ``schedule="optimized"``, the per-shard staleness/gain
+        snapshot.  Planning then dispatching therefore yields the
+        identical assignment provided no scheduler input changed in
+        between.
         """
         block = np.asarray(block, dtype=float)
-        if block.ndim != 2:
-            raise ValueError(f"block must be 2-D (lines, B), got shape {block.shape}")
+        m, n = self.shape
+        if block.ndim != 2 or block.shape[0] not in (n, m):
+            raise ValueError(
+                f"block must be 2-D with {n} (matmat) or {m} (rmatmat) rows, "
+                f"got shape {block.shape}"
+            )
+        check_finite("block", block)
         with self._scheduler_lock:
-            loads, cursor, pinned = list(self._loads), self._cursor, self._pinned_plan
+            loads, cursor = list(self._loads), self._cursor
             try:
                 return self._assign_windows(block)
             finally:
                 self._loads, self._cursor = loads, cursor
-                self._pinned_plan = pinned
-
-    def install_plan(self, plan) -> None:
-        """Pin a precomputed ``(start, stop, shard)`` plan for the next block.
-
-        Bridges the plan→dispatch gap of :meth:`plan_assignments`: the
-        next dispatched block consumes the pinned choices verbatim —
-        bitwise the planned assignment even if staleness, gains or
-        loads moved in between — while still accruing the block's real
-        active-column loads.  One-shot: the pin is cleared when a block
-        consumes it (single-vector ``matvec``/``rmatvec`` traffic never
-        touches it).  The dispatched block's window spans must match
-        the plan's exactly; a mismatched block raises ``ValueError``
-        (with the pin already cleared, so one stray block cannot poison
-        the next).
-        """
-        validated: list[tuple[int, int, int]] = []
-        for entry in plan:
-            start, stop, shard = entry
-            if (
-                start != int(start)
-                or stop != int(stop)
-                or shard != int(shard)
-                or not 0 <= start < stop
-            ):
-                raise ValueError(
-                    f"plan entries must be (start, stop, shard) with "
-                    f"0 <= start < stop, got {entry!r}"
-                )
-            if not 0 <= shard < len(self.shards):
-                raise ValueError(
-                    f"plan names shard {shard!r}, outside "
-                    f"[0, {len(self.shards)})"
-                )
-            validated.append((int(start), int(stop), int(shard)))
-        if not validated:
-            raise ValueError("plan must contain at least one window")
-        with self._scheduler_lock:
-            for _, _, shard in validated:
-                if self._retired[shard]:
-                    raise ValueError(f"plan names retired shard {shard}")
-            self._pinned_plan = validated
 
     # -- worker management -----------------------------------------------------
     def _pool(self) -> ThreadPoolExecutor:
@@ -846,18 +722,14 @@ class ShardedOperator:
             # Commit forward windows strictly in window order, each as
             # soon as its owner's transpose read (hence its x_out
             # columns) is ready; _pick_shard therefore sees the same
-            # state sequence the unfused matmat(X) dispatch would —
-            # including one frozen penalty snapshot for the whole
-            # forward block, matching what that dispatch would freeze
-            # at its own entry.
-            forward_penalties = self._staleness_penalties()
+            # state sequence the unfused matmat(X) dispatch would.
             for start, stop, owner in reverse_plan:
                 if reverse_done[owner] is not None:
                     reverse_done[owner].result()
                 window = x_out[:, start:stop]
                 active = int(np.count_nonzero(np.any(window != 0.0, axis=0)))
                 with self._scheduler_lock:
-                    index = self._pick_shard(active, penalties=forward_penalties)
+                    index = self._pick_shard(active)
                 if serial:
                     q_out[:, start:stop] = self._shard_call(index, "matmat", window)
                 else:

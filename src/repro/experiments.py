@@ -680,7 +680,7 @@ def fig6_report(
         problem.matrix,
         n_shards=n_shards,
         batch_window=batch_window,
-        schedule="drift_aware",
+        schedule="greedy",
         dac_bits=8,
         adc_bits=8,
         seed=seed + 5,

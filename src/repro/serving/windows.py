@@ -108,9 +108,10 @@ class MaintenanceWindow:
         Service-line seconds one program pulse costs (default 0:
         programming overlaps with reads on hardware with independent
         write paths; set it when it does not).
-    max_devices:
-        Per-shard device subsample for the forecasters (as in
-        :meth:`DriftPredictor.from_operator`).
+
+    The forecasters come from the policy
+    (:meth:`~repro.crossbar.FleetMaintenance.predictor_for`), so the
+    window and the policy judge each shard with the same drift model.
     """
 
     def __init__(
@@ -123,7 +124,6 @@ class MaintenanceWindow:
         max_defer_s: float = math.inf,
         probe_service_s: float | None = None,
         pulse_service_s: float = 0.0,
-        max_devices: int | None = 4096,
     ) -> None:
         if getattr(fleet, "maintenance", None) is policy:
             raise ValueError(
@@ -148,27 +148,12 @@ class MaintenanceWindow:
         self.max_defer_s = float(max_defer_s)
         self.probe_service_s = probe_service_s
         self.pulse_service_s = float(pulse_service_s)
-        self.max_devices = max_devices
         self.slots: list[MaintenanceSlot] = []
-        self._predictors: dict[int, object] = {}
         self._due_since_s: float | None = None
         self._deferrals = 0
         self._forecast_cache: tuple[tuple, float] | None = None
 
     # -- forecasting -----------------------------------------------------------
-    def _predictor_for(self, index: int, shard):
-        if index not in self._predictors:
-            from repro.crossbar.lifetime import DriftPredictor
-
-            try:
-                built = DriftPredictor.from_operator(
-                    shard, max_devices=self.max_devices
-                )
-            except (AttributeError, ValueError):
-                built = None  # exact replica: never drifts
-            self._predictors[index] = built
-        return self._predictors[index]
-
     def _fleet_state_key(self) -> tuple:
         retired = getattr(self.fleet, "retired_shards", None)
         key = []
@@ -210,7 +195,7 @@ class MaintenanceWindow:
                 continue
             if not hasattr(shard, "age_seconds"):
                 continue
-            predictor = self._predictor_for(index, shard)
+            predictor = self.policy.predictor_for(shard)
             if predictor is None:
                 continue
             age = float(shard.age_seconds)

@@ -327,7 +327,6 @@ class TestTilePairReads:
     MUTATIONS = {
         "advance_time": lambda op: op.advance_time(1e5),
         "reprogram": lambda op: op.reprogram(),
-        "reprogram_tiles": lambda op: op.reprogram_tiles([(0, 0)]),
         "operator_stuck_faults": lambda op: op.inject_stuck_faults(0.3, seed=1),
         "member_stuck_faults": lambda op: op._tiles[(0, 0)].positive.inject_stuck_faults(
             0.3, seed=1

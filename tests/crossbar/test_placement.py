@@ -1,6 +1,6 @@
 """Unit tests for the cost-model-driven placement optimizer.
 
-Pins the objective (service factors, cost terms, silicon feasibility),
+Pins the objective (service factors, cost terms, silicon report),
 the two solvers behind the one API — the exact branch-and-bound against
 brute-force enumeration, the heuristic against the exact oracle within
 a bounded optimality gap — and the homogeneous-fleet reduction that
@@ -69,8 +69,6 @@ class TestConstruction:
             PlacementOptimizer(banks_candidates=())
         with pytest.raises(ValueError, match="banks_candidates"):
             PlacementOptimizer(banks_candidates=(0, 2))
-        with pytest.raises(ValueError, match="area_budget_m2"):
-            PlacementOptimizer(area_budget_m2=0.0)
 
     def test_exposes_solver_names(self):
         assert PLACEMENT_SOLVERS == ("auto", "exact", "heuristic")
@@ -244,29 +242,6 @@ class TestBanksAndBudgets:
         plan = optimizer.optimize([8, 8], homogeneous(2))
         assert plan.banks == 2
 
-    def test_area_budget_excludes_wide_deployments(self):
-        model = self.model()
-        wide = PlacementOptimizer(
-            model, latency_weight=10.0, energy_weight=0.1, banks_candidates=(1, 8)
-        ).optimize([8, 8], homogeneous(2))
-        assert wide.banks == 8
-        constrained = PlacementOptimizer(
-            model,
-            latency_weight=10.0,
-            energy_weight=0.1,
-            banks_candidates=(1, 8),
-            area_budget_m2=wide.area_m2 * 0.5,
-        ).optimize([8, 8], homogeneous(2))
-        assert constrained.banks == 1
-        assert constrained.area_m2 <= wide.area_m2 * 0.5
-
-    def test_infeasible_budgets_raise(self):
-        optimizer = PlacementOptimizer(
-            self.model(), peak_power_budget_w=1e-30
-        )
-        with pytest.raises(ValueError, match="budgets"):
-            optimizer.optimize([4, 4], homogeneous(2))
-
     def test_report_fields_match_evaluate(self):
         optimizer = PlacementOptimizer(self.model())
         shards = [ShardState(0, staleness_s=3e5), ShardState(1)]
@@ -279,42 +254,6 @@ class TestBanksAndBudgets:
         assert plan.energy_j == pytest.approx(report["energy_j"])
         assert plan.area_m2 == pytest.approx(report["area_m2"])
         assert plan.peak_power_w == pytest.approx(report["peak_power_w"])
-
-
-class TestTilePlacement:
-    def test_tiles_balance_by_read_weight(self):
-        optimizer = PlacementOptimizer()
-        assignment = optimizer.plan_tiles([10, 10, 1, 1], homogeneous(2))
-        # the two hot tiles split, the cold ones backfill
-        assert assignment[0] != assignment[1]
-
-    def test_capacity_is_enforced(self):
-        optimizer = PlacementOptimizer()
-        assignment = optimizer.plan_tiles(
-            [10, 9, 8, 7], homogeneous(2), capacity=2
-        )
-        assert sorted(assignment.count(p) for p in (0, 1)) == [2, 2]
-        with pytest.raises(ValueError, match="cannot fit"):
-            optimizer.plan_tiles([1] * 5, homogeneous(2), capacity=2)
-        with pytest.raises(ValueError, match="capacity"):
-            optimizer.plan_tiles([1], homogeneous(2), capacity=0)
-
-    def test_hot_tiles_avoid_slow_arrays(self):
-        optimizer = PlacementOptimizer()
-        shards = [ShardState(0, staleness_s=1e9), ShardState(1)]
-        assignment = optimizer.plan_tiles([10, 10, 1, 1], shards, capacity=2)
-        hot_homes = {assignment[0], assignment[1]}
-        assert 1 in hot_homes  # at least one hot tile on the fresh array
-
-    def test_optimize_carries_the_tile_plan(self):
-        optimizer = PlacementOptimizer()
-        plan = optimizer.optimize(
-            [4, 4], homogeneous(2), tile_weights=[3, 2, 1], tile_capacity=2
-        )
-        assert len(plan.tile_to_shard) == 3
-        assert plan.tile_to_shard[0] in (0, 1)
-        bare = optimizer.optimize([4, 4], homogeneous(2))
-        assert bare.tile_to_shard == ()
 
 
 class TestEvaluate:

@@ -176,6 +176,16 @@ class TestAccounting:
         )
         dense.advance_time(1e5)
 
+    def test_exact_fleet_reports_neutral_lifecycle_state(self, small_matrix):
+        fleet = ShardedOperator.from_matrix(
+            small_matrix, n_shards=2, batch_window=2, backend="exact"
+        )
+        assert fleet.shard_ages == (0.0, 0.0)
+        assert fleet.shard_gains == (1.0, 1.0)
+        dispersion = fleet.gain_dispersion()
+        assert dispersion["gain_spread"] == 0.0
+        assert dispersion["staleness_max_s"] == 0.0
+
     def test_mixed_shard_kinds_are_allowed(self, rng):
         """The protocol is duck-typed: a dense baseline can ride along
         a crossbar replica for A/B comparison."""
@@ -267,64 +277,6 @@ class TestDegenerateWindows:
         assert fleet.loads == (2, 0, 0)
         fleet.matmat(np.ones((n, 2)))  # 1 and 2 tied -> shard 1
         assert fleet.loads == (2, 2, 0)
-
-
-class TestDriftAwareScheduling:
-    def test_steers_live_traffic_away_from_the_stale_shard(self, small_matrix):
-        fleet = ShardedOperator.from_matrix(
-            small_matrix,
-            n_shards=2,
-            batch_window=2,
-            schedule="drift_aware",
-            device=PcmDevice.ideal(),
-            seed=0,
-        )
-        fleet.advance_time(1e6, shard=1)  # shard 1 alone goes stale
-        n = small_matrix.shape[1]
-        fleet.matmat(np.ones((n, 8)))
-        # the stale shard is handicapped by one full window of phantom
-        # load, so the fresh shard serves more of the batch
-        assert fleet.loads[0] > fleet.loads[1]
-        assert fleet.loads[0] + fleet.loads[1] == 8
-
-    def test_weight_scales_the_handicap(self, small_matrix):
-        def loads_with(weight):
-            fleet = ShardedOperator.from_matrix(
-                small_matrix,
-                n_shards=2,
-                batch_window=2,
-                schedule="drift_aware",
-                staleness_weight=weight,
-                device=PcmDevice.ideal(),
-                seed=0,
-            )
-            fleet.advance_time(1e6, shard=1)
-            fleet.matmat(np.ones((small_matrix.shape[1], 12)))
-            return fleet.loads
-
-        mild, strong = loads_with(1.0), loads_with(4.0)
-        assert strong[1] < mild[1]  # a heavier weight starves it harder
-
-    def test_staleness_weight_validation(self, small_matrix):
-        with pytest.raises(ValueError, match="staleness_weight"):
-            ShardedOperator.from_matrix(
-                small_matrix,
-                n_shards=2,
-                batch_window=2,
-                schedule="drift_aware",
-                staleness_weight=-0.5,
-                backend="exact",
-            )
-
-    def test_exact_fleet_reports_neutral_lifecycle_state(self, small_matrix):
-        fleet = ShardedOperator.from_matrix(
-            small_matrix, n_shards=2, batch_window=2, backend="exact"
-        )
-        assert fleet.shard_ages == (0.0, 0.0)
-        assert fleet.shard_gains == (1.0, 1.0)
-        dispersion = fleet.gain_dispersion()
-        assert dispersion["gain_spread"] == 0.0
-        assert dispersion["staleness_max_s"] == 0.0
 
 
 class TestRetirement:
@@ -444,203 +396,6 @@ class TestRetirement:
             fleet.advance_time(bad)
         # validation happened before the loop: no shard aged at all
         assert fleet.shard_ages == (0.0, 0.0)
-
-
-class TickingShard(DenseOperator):
-    """Exact shard whose staleness clock follows a scripted sequence.
-
-    Each read of :attr:`staleness_seconds` consumes the next scripted
-    value (the final value then sticks), so a test can make staleness
-    advance *between* two reads and observe exactly how many times the
-    scheduler sampled the clock.
-    """
-
-    def __init__(self, matrix, readings):
-        super().__init__(matrix)
-        self._readings = list(readings)
-
-    @property
-    def staleness_seconds(self):
-        if len(self._readings) > 1:
-            return self._readings.pop(0)
-        return self._readings[0]
-
-
-class TestFrozenPenalties:
-    """Satellite 1: drift-aware penalties are normalized once per
-    dispatched block, not once per window."""
-
-    def test_penalties_frozen_across_the_windows_of_one_block(self, rng):
-        # Scripted clocks: at block entry shard 0 reads fresh (0 s) and
-        # shard 1 reads 10 s stale; by the second window shard 0 would
-        # read 30 s.  With the penalty vector frozen at block entry,
-        # shard 0 is charged zero phantom load for the whole block and
-        # serves both windows (second window ties 1+0 vs 0+1, lowest
-        # index wins).  The old per-window recompute re-normalized
-        # against max(30, 10) mid-block and flipped the second window
-        # to shard 1 — loads (1, 1) instead of (2, 0).
-        matrix = rng.standard_normal((4, 6))
-        fleet = ShardedOperator(
-            [
-                TickingShard(matrix, [0.0, 30.0]),
-                TickingShard(matrix, [10.0, 10.0]),
-            ],
-            batch_window=1,
-            schedule="drift_aware",
-            staleness_weight=1.0,
-        )
-        fleet.matmat(rng.standard_normal((6, 2)))
-        assert fleet.loads == (2, 0)
-
-    def test_clock_sampled_once_per_block(self, rng):
-        matrix = rng.standard_normal((4, 6))
-        shard = TickingShard(matrix, [0.0, 1.0, 2.0, 3.0, 4.0])
-        fleet = ShardedOperator(
-            [shard, TickingShard(matrix, [5.0])],
-            batch_window=1,
-            schedule="drift_aware",
-        )
-        fleet.matmat(rng.standard_normal((6, 3)))
-        # three windows, one block: exactly one staleness read consumed
-        assert shard._readings == [1.0, 2.0, 3.0, 4.0]
-
-    @pytest.mark.parametrize("staleness", [0.0, 1e3, 5e6])
-    def test_uniform_staleness_dispatches_exactly_like_greedy(
-        self, small_matrix, staleness
-    ):
-        """Property: a uniformly stale fleet must produce the identical
-        plan (and loads) as schedule="greedy" — the normalized penalty
-        vector is uniform, which cannot move the argmin."""
-        fleets = {}
-        for schedule in ("greedy", "drift_aware"):
-            fleet = ShardedOperator.from_matrix(
-                small_matrix,
-                n_shards=3,
-                batch_window=2,
-                schedule=schedule,
-                device=PcmDevice.ideal(),
-                seed=11,
-            )
-            fleet.advance_time(staleness)
-            fleets[schedule] = fleet
-        stream_rng = np.random.default_rng(3)
-        for width in (5, 3, 8, 1):
-            block = stream_rng.standard_normal((small_matrix.shape[1], width))
-            plans = {
-                name: fleet.plan_assignments(block)
-                for name, fleet in fleets.items()
-            }
-            assert plans["drift_aware"] == plans["greedy"]
-            results = {
-                name: fleet.matmat(block) for name, fleet in fleets.items()
-            }
-            np.testing.assert_array_equal(
-                results["drift_aware"], results["greedy"]
-            )
-        assert fleets["drift_aware"].loads == fleets["greedy"].loads
-
-
-class TestInstallPlan:
-    """Satellite 2: plan_assignments + install_plan bridge the
-    plan→dispatch gap under drift-aware scheduling."""
-
-    def drift_fleet(self, small_matrix):
-        fleet = ShardedOperator.from_matrix(
-            small_matrix,
-            n_shards=2,
-            batch_window=2,
-            schedule="drift_aware",
-            device=PcmDevice.ideal(),
-            seed=11,
-        )
-        fleet.advance_time(1e6, shard=1)  # shard 1 stale, shard 0 favoured
-        return fleet
-
-    def test_staleness_moving_between_plan_and_dispatch_breaks_replay(
-        self, small_matrix, rng
-    ):
-        """Failing-before shape of the bug: the planned assignment is a
-        pure function of scheduler state *including staleness*, so time
-        advancing in the gap legitimately re-plans differently."""
-        fleet = self.drift_fleet(small_matrix)
-        block = rng.standard_normal((small_matrix.shape[1], 6))
-        plan = fleet.plan_assignments(block)
-        fleet.advance_time(5e6, shard=0)  # now shard 0 is the stale one
-        assert fleet.plan_assignments(block) != plan
-
-    def test_install_plan_pins_the_planned_assignment(self, small_matrix, rng):
-        fleet = self.drift_fleet(small_matrix)
-        block = rng.standard_normal((small_matrix.shape[1], 6))
-        plan = fleet.plan_assignments(block)
-        fleet.advance_time(5e6, shard=0)
-        fleet.install_plan(plan)
-        fleet.matmat(block)
-        served = [0, 0]
-        for start, stop, shard in plan:
-            served[shard] += stop - start
-        assert [s.n_matvec for s in fleet.shards] == served
-        assert fleet.loads == tuple(served)  # real loads accrued
-
-    def test_plan_assignments_does_not_consume_the_pin(
-        self, small_matrix, rng
-    ):
-        fleet = self.drift_fleet(small_matrix)
-        block = rng.standard_normal((small_matrix.shape[1], 6))
-        plan = fleet.plan_assignments(block)
-        fleet.install_plan(plan)
-        assert fleet.plan_assignments(block) == plan  # dry-run replays it
-        fleet.advance_time(5e6, shard=0)
-        fleet.matmat(block)  # the pin survived the dry run
-        served = [0, 0]
-        for start, stop, shard in plan:
-            served[shard] += stop - start
-        assert fleet.loads == tuple(served)
-
-    def test_pin_is_one_shot(self, small_matrix, rng):
-        fleet = self.drift_fleet(small_matrix)
-        block = rng.standard_normal((small_matrix.shape[1], 6))
-        fleet.install_plan(fleet.plan_assignments(block))
-        fleet.matmat(block)
-        # the next block re-plans from live state, it does not replay
-        assert fleet._pinned_plan is None
-        fleet.matmat(block)
-
-    def test_mismatched_block_raises_and_clears_the_pin(
-        self, small_matrix, rng
-    ):
-        fleet = self.drift_fleet(small_matrix)
-        block = rng.standard_normal((small_matrix.shape[1], 6))
-        fleet.install_plan(fleet.plan_assignments(block))
-        with pytest.raises(ValueError, match="does not match"):
-            fleet.matmat(rng.standard_normal((small_matrix.shape[1], 4)))
-        assert fleet._pinned_plan is None
-        fleet.matmat(block)  # a stray block cannot poison the next one
-
-    def test_plan_validation(self, small_matrix):
-        fleet = self.drift_fleet(small_matrix)
-        with pytest.raises(ValueError, match="at least one window"):
-            fleet.install_plan([])
-        with pytest.raises(ValueError, match="start < stop"):
-            fleet.install_plan([(2, 2, 0)])
-        with pytest.raises(ValueError, match="start < stop"):
-            fleet.install_plan([(0.5, 2, 0)])
-        with pytest.raises(ValueError, match="outside"):
-            fleet.install_plan([(0, 2, 9)])
-        fleet.retire_shard(1)
-        with pytest.raises(ValueError, match="retired shard 1"):
-            fleet.install_plan([(0, 2, 1)])
-
-    def test_plan_naming_a_shard_retired_after_install_raises(
-        self, small_matrix, rng
-    ):
-        fleet = self.drift_fleet(small_matrix)
-        block = rng.standard_normal((small_matrix.shape[1], 6))
-        plan = fleet.plan_assignments(block)
-        assert any(shard == 0 for _, _, shard in plan)
-        fleet.install_plan(plan)
-        fleet.retire_shard(0)
-        with pytest.raises(ValueError, match="retired or out of range"):
-            fleet.matmat(block)
 
 
 class TestOptimizedSchedule:

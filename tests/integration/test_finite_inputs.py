@@ -40,10 +40,6 @@ def make_operator(exact):
     return CrossbarOperator(MATRIX, tile_shape=(4, 4), seed=0)
 
 
-def operator_state(operator):
-    return operator.stats, getattr(operator, "tile_read_counts", None)
-
-
 @PROPERTY
 @given(
     batch=st.integers(1, 5),
@@ -59,10 +55,10 @@ def test_operator_blocks_reject_non_finite_before_counting(
     operator = make_operator(exact)
     lines = M if transpose else N
     block = poisoned_block(lines, batch, row, column, bad)
-    before = operator_state(operator)
+    before = operator.stats
     with pytest.raises(ValueError, match="finite"):
         (operator.rmatmat if transpose else operator.matmat)(block)
-    assert operator_state(operator) == before
+    assert operator.stats == before
 
 
 @PROPERTY
@@ -72,10 +68,10 @@ def test_operator_blocks_reject_non_finite_before_counting(
 def test_operator_vectors_reject_non_finite_before_counting(row, bad, transpose, exact):
     operator = make_operator(exact)
     vector = poisoned_block(M if transpose else N, 1, row, 0, bad)[:, 0]
-    before = operator_state(operator)
+    before = operator.stats
     with pytest.raises(ValueError, match="finite"):
         (operator.rmatvec if transpose else operator.matvec)(vector)
-    assert operator_state(operator) == before
+    assert operator.stats == before
 
 
 @PROPERTY

@@ -1,19 +1,19 @@
-"""Lifecycle invariants of the drift-aware sharded fleet.
+"""Lifecycle invariants of the ageing sharded fleet.
 
 Three contracts make the fleet lifecycle layer safe to deploy on top of
-the PR-4 scheduler:
+the window scheduler:
 
-* **equal-age equivalence** — a fleet whose shards are all equally
-  stale (in particular a fresh fleet), with maintenance disabled or
-  idle, is *bitwise* identical to the plain greedy scheduler: the
-  drift-aware staleness penalty is uniform and cancels out of the
-  argmin, and an idle policy consumes no RNG;
+* **neutral ageing** — ageing a fleet of drift-free devices, or
+  attaching a maintenance policy that never acts, is *bitwise*
+  invisible: same results, loads and counters as the fresh plain
+  fleet, because ideal devices do not drift and an idle policy
+  consumes no RNG;
 * **restoration** — recalibrating a drifted fleet brings the AMP-fleet
   NMSE back inside the fresh-fleet envelope, while the stale twin stays
   far outside it;
 * **counter fidelity** — merged fleet ``stats`` equal the key-wise sum
   of ``shard_stats`` *including* the new calibration/programming
-  counters, under every schedule, and the maintenance policy's counter
+  counters, under each schedule, and the maintenance policy's counter
   deltas split the fleet bill exactly into serving plus maintenance.
 """
 
@@ -59,37 +59,33 @@ def counters(operator):
 
 
 class TestEqualAgeEquivalence:
-    """Invariant (a): equal ages + idle/absent maintenance == today."""
+    """Invariant (a): ageing an ideal fleet or idling a policy changes
+    no result, load or counter."""
 
     @pytest.mark.parametrize("shards,window,batch", GRID)
-    def test_drift_aware_equal_ages_matches_greedy_bitwise(
+    def test_aged_ideal_fleet_matches_fresh_greedy_bitwise(
         self, shards, window, batch, rng
     ):
         matrix = rng.standard_normal((18, 30))
         x_block = rng.standard_normal((30, batch))
         z_block = rng.standard_normal((18, batch))
-        greedy = ShardedOperator.from_matrix(
-            matrix,
-            n_shards=shards,
-            batch_window=window,
-            schedule="greedy",
-            device=PcmDevice.ideal(),
-            seed=0,
+        fresh, aged = (
+            ShardedOperator.from_matrix(
+                matrix,
+                n_shards=shards,
+                batch_window=window,
+                schedule="greedy",
+                device=PcmDevice.ideal(),
+                seed=0,
+            )
+            for _ in range(2)
         )
-        aware = ShardedOperator.from_matrix(
-            matrix,
-            n_shards=shards,
-            batch_window=window,
-            schedule="drift_aware",
-            device=PcmDevice.ideal(),
-            seed=0,
-        )
-        aware.advance_time(1e6)  # every shard equally stale
-        assert aware.shard_ages == tuple([1e6] * shards)
-        assert np.array_equal(aware.matmat(x_block), greedy.matmat(x_block))
-        assert np.array_equal(aware.rmatmat(z_block), greedy.rmatmat(z_block))
-        assert aware.loads == greedy.loads
-        assert counters(aware) == counters(greedy)
+        aged.advance_time(1e6)  # every shard equally stale
+        assert aged.shard_ages == tuple([1e6] * shards)
+        assert np.array_equal(aged.matmat(x_block), fresh.matmat(x_block))
+        assert np.array_equal(aged.rmatmat(z_block), fresh.rmatmat(z_block))
+        assert aged.loads == fresh.loads
+        assert counters(aged) == counters(fresh)
 
     def test_attached_idle_maintenance_is_bitwise_invisible(self, rng):
         """A policy whose thresholds are never crossed performs no work
@@ -111,32 +107,6 @@ class TestEqualAgeEquivalence:
         assert counters(watched) == counters(plain)
         merged = watched.stats
         assert all(merged[key] == 0 for key in LIFECYCLE_KEYS)
-
-    def test_zero_staleness_weight_ignores_heterogeneous_ages(self, rng):
-        """``staleness_weight=0`` must reduce drift_aware to greedy even
-        when the fleet ages are wildly heterogeneous."""
-        matrix = rng.standard_normal((12, 20))
-        x_block = rng.standard_normal((20, 8))
-        greedy = ShardedOperator.from_matrix(
-            matrix,
-            n_shards=2,
-            batch_window=2,
-            schedule="greedy",
-            device=PcmDevice.ideal(),
-            seed=0,
-        )
-        aware = ShardedOperator.from_matrix(
-            matrix,
-            n_shards=2,
-            batch_window=2,
-            schedule="drift_aware",
-            staleness_weight=0.0,
-            device=PcmDevice.ideal(),
-            seed=0,
-        )
-        aware.advance_time(1e8, shard=1)
-        assert np.array_equal(aware.matmat(x_block), greedy.matmat(x_block))
-        assert aware.loads == greedy.loads
 
 
 class TestRestoration:
@@ -204,9 +174,9 @@ class TestRestoration:
 
 class TestCounterFidelity:
     """Invariant (c): merged stats == sum of shard stats, lifecycle
-    counters included, under both old and new schedules."""
+    counters included, under both dispatch schedules."""
 
-    @pytest.mark.parametrize("schedule", ["round_robin", "drift_aware"])
+    @pytest.mark.parametrize("schedule", ["round_robin", "greedy"])
     def test_merged_stats_sum_shard_stats_with_lifecycle(self, schedule, rng):
         matrix = rng.standard_normal((12, 20))
         fleet = ShardedOperator.from_matrix(
@@ -280,6 +250,24 @@ class TestMaintenancePolicy:
             FleetMaintenance(
                 fleet, recalibrate_after_s=1.0, programming_iterations=0
             )
+        # NaN compares false against every staleness, so a NaN threshold
+        # would construct a policy that silently never maintains
+        for name in (
+            "recalibrate_after_s",
+            "reprogram_after_s",
+            "gain_error_budget",
+            "gain_error_threshold",
+            "calibration_error_threshold",
+            "verify_error_budget",
+        ):
+            for bad in (float("nan"), float("inf")):
+                with pytest.raises(ValueError, match=name):
+                    FleetMaintenance(
+                        fleet, **{"recalibrate_after_s": 1.0, name: bad}
+                    )
+        for name in ("n_probes", "verify_probes"):
+            with pytest.raises(ValueError, match=name):
+                FleetMaintenance(fleet, recalibrate_after_s=1.0, **{name: 2.5})
 
     def test_exact_shards_never_serviced(self, rng):
         matrix = rng.standard_normal((8, 10))
@@ -381,102 +369,3 @@ class TestHeterogeneousAges:
         # servicing the straggler closes the dispersion
         fleet.shards[1].calibrate(seed=3)
         assert fleet.gain_dispersion()["staleness_max_s"] == 0.0
-
-
-class TestTileBudgetPolicy:
-    """Tile-scoped maintenance: hot-tile-first rewrites under a budget."""
-
-    def drifted_policy(self, rng, tile_budget=1, **kwargs):
-        matrix = rng.standard_normal((8, 10))
-        fleet = ShardedOperator.from_matrix(
-            matrix,
-            n_shards=1,
-            batch_window=2,
-            seed=2,
-            tile_shape=(5, 4),  # 2 x 2 = 4 tiles per shard
-        )
-        policy = FleetMaintenance(
-            fleet,
-            reprogram_after_s=1e3,
-            tile_budget=tile_budget,
-            seed=3,
-            **kwargs,
-        )
-        return fleet, policy
-
-    def test_validation(self, rng):
-        fleet = ShardedOperator.from_matrix(
-            rng.standard_normal((4, 6)), n_shards=1, batch_window=2,
-            backend="exact",
-        )
-        with pytest.raises(ValueError, match="tile_budget"):
-            FleetMaintenance(fleet, recalibrate_after_s=1.0, tile_budget=0)
-        with pytest.raises(ValueError, match="tile_budget"):
-            FleetMaintenance(fleet, recalibrate_after_s=1.0, tile_budget=1.5)
-
-    def test_budgeted_sweep_rewrites_tiles_not_the_shard(self, rng):
-        fleet, policy = self.drifted_policy(rng, tile_budget=1)
-        shard = fleet.shards[0]
-        fleet.advance_time(1e6)
-        (action,) = policy.sweep()
-        assert action.action == "reprogram_tiles"
-        assert policy.n_tile_sweeps == 1
-        assert action.pulses > 0
-        # exactly one tile was rewritten; the shard was not
-        assert shard.n_tile_reprograms == 1
-        assert shard.stats["n_reprograms"] == 0
-        # a partial rewrite leaves device drift in place (age is not
-        # reset the way a whole-shard reprogram would) but records the
-        # maintenance event on the serving-staleness clock
-        assert shard.age_seconds == 1e6
-        assert shard.staleness_seconds == 0.0
-        # the trailing recalibration refit the digital gain over the
-        # mixed fresh/drifted tile set, and the action logs that gain
-        assert action.gain == pytest.approx(shard.gain)
-        assert shard.gain != 1.0
-        assert action.probes == policy.n_probes
-
-    def test_tile_sweep_restores_serving_accuracy(self, rng):
-        fleet, policy = self.drifted_policy(rng, tile_budget=4)
-        matrix = fleet.matrix
-        fleet.advance_time(1e7)
-        x = rng.standard_normal(10)
-        reference = matrix @ x
-        drifted = np.linalg.norm(fleet.shards[0].matvec(x) - reference)
-        (action,) = policy.sweep()
-        assert action.action == "reprogram_tiles"
-        assert fleet.shards[0].n_tile_reprograms == 4  # every tile hit
-        healed = np.linalg.norm(fleet.shards[0].matvec(x) - reference)
-        assert healed < drifted
-        assert healed / np.linalg.norm(reference) < 0.1
-
-    def test_verify_ladder_keeps_whole_shard_rewrites(self, rng):
-        """The verify-and-retire ladder measures whole-shard health, so
-        a verify budget forces whole-shard reprogramming even when a
-        tile budget is configured."""
-        fleet, policy = self.drifted_policy(
-            rng, tile_budget=1, verify_error_budget=10.0
-        )
-        fleet.advance_time(1e6)
-        (action,) = policy.sweep()
-        assert action.action == "reprogram"
-        assert action.verify_error is not None
-        assert policy.n_tile_sweeps == 0
-        assert fleet.shards[0].n_tile_reprograms == 0
-
-    def test_maintenance_counters_stay_separable(self, rng):
-        """The policy's counter deltas still split serving from
-        maintenance exactly when the rewrite is tile-scoped."""
-        fleet, policy = self.drifted_policy(rng, tile_budget=2)
-        stream = np.random.default_rng(5)
-        fleet.matmat(stream.standard_normal((10, 6)))
-        fleet.advance_time(1e6)
-        policy.sweep()
-        fleet.matmat(stream.standard_normal((10, 4)))
-        total = fleet.stats
-        maintenance = policy.stats
-        assert maintenance["n_tile_reprograms"] == 2
-        assert total["n_tile_reprograms"] == 2
-        # every maintenance-attributed counter is within the fleet total
-        for key, value in maintenance.items():
-            assert total.get(key, 0) >= value

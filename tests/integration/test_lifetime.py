@@ -29,6 +29,7 @@ import pytest
 
 from repro.crossbar import (
     CrossbarOperator,
+    DenseOperator,
     DriftPredictor,
     FaultInjector,
     FleetMaintenance,
@@ -343,7 +344,34 @@ class TestLifetimeSimulator:
             LifetimeSimulator(fleet, batch=0)
         with pytest.raises(ValueError, match="n_steps"):
             LifetimeSimulator(fleet).run(0)
-        with pytest.raises(ValueError, match="rate_per_s"):
-            FaultInjector(fleet, rate_per_s=-1.0)
+        for bad in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="rate_per_s"):
+                FaultInjector(fleet, rate_per_s=bad)
         with pytest.raises(ValueError, match="fraction_per_event"):
             FaultInjector(fleet, rate_per_s=0.0, fraction_per_event=0.0)
+        with pytest.raises(ValueError, match="mode"):
+            FaultInjector(fleet, rate_per_s=0.0, mode="bogus")
+
+    def test_fault_clock_moves_only_after_the_arrivals_are_drawn(self, rng):
+        class BrokenShard(DenseOperator):
+            def inject_stuck_faults(self, fraction, mode, seed):
+                raise RuntimeError("fault draw failed")
+
+        fleet = ShardedOperator(
+            [BrokenShard(rng.standard_normal((4, 6)))], batch_window=4
+        )
+        injector = FaultInjector(fleet, rate_per_s=1.0, seed=0)
+        with pytest.raises(RuntimeError, match="fault draw failed"):
+            injector.advance(100.0)
+        assert injector.time_s == 0.0
+        assert injector.events == []
+
+    def test_fault_events_carry_the_interval_end_time(self, rng):
+        fleet = ShardedOperator.from_matrix(
+            rng.standard_normal((4, 6)), n_shards=2, batch_window=4, seed=1
+        )
+        injector = FaultInjector(fleet, rate_per_s=0.05, seed=2)
+        injector.advance(30.0)
+        new = injector.advance(70.0)
+        assert injector.time_s == 100.0
+        assert new and all(event.time_s == 100.0 for event in new)

@@ -584,6 +584,18 @@ class TestSchedulePurity:
         )
         with pytest.raises(ValueError, match="2-D"):
             fleet.plan_assignments(np.zeros(8))
+        # a block dispatch would reject gets no plan: wrong row count
+        # (neither matmat's 8 nor rmatmat's 6) or a non-finite entry
+        with pytest.raises(ValueError, match="rows"):
+            fleet.plan_assignments(np.ones((3, 5)))
+        with pytest.raises(ValueError, match="finite"):
+            fleet.plan_assignments(np.full((8, 5), np.nan))
+        # rmatmat-shaped blocks plan like matmat-shaped ones
+        assert fleet.plan_assignments(np.ones((6, 5))) == [
+            (0, 2, 0),
+            (2, 4, 1),
+            (4, 5, 0),
+        ]
 
 
 class TestValidationAndDegenerates:

@@ -1,15 +1,12 @@
 """Cross-layer invariants of the placement-optimized schedule.
 
-The CI invariant suite for ``schedule="optimized"``: the three
+The CI invariant suite for ``schedule="optimized"``: the two
 contracts that make the optimizer safe to deploy on a serving fleet.
 
 * **homogeneous reduction** — on a fleet with uniform gains and
   staleness the optimizer's labeling is the greedy argmin exactly
   (tie-sets included), so the optimized schedule is bitwise greedy in
   results, loads and merged counters, serial and threaded alike;
-* **plan/install replay** — a plan captured by ``plan_assignments``
-  and pinned with ``install_plan`` dispatches verbatim even when the
-  fleet drifts between plan and dispatch;
 * **bounded suboptimality** — on real drifted-fleet states the
   heuristic solver stays within a tested optimality gap of the exact
   branch-and-bound, and the optimized schedule never prices worse than
@@ -76,24 +73,6 @@ class TestHomogeneousReduction:
                 optimized.matmat(block), greedy.matmat(block)
             )
         assert optimized.loads == greedy.loads
-
-
-class TestPlanInstallReplay:
-    @pytest.mark.parametrize("schedule", ["drift_aware", "optimized"])
-    def test_pinned_plan_survives_drift(self, rng, schedule):
-        matrix = rng.standard_normal((12, 20))
-        fleet = make_fleet(matrix, schedule)
-        fleet.advance_time(2e6, shard=2)
-        block = rng.standard_normal((20, 9))
-        plan = fleet.plan_assignments(block)
-        fleet.advance_time(9e6, shard=0)  # scheduler inputs move
-        fleet.install_plan(plan)
-        fleet.matmat(block)
-        served = [0, 0, 0]
-        for start, stop, shard in plan:
-            served[shard] += stop - start
-        assert [s.n_matvec for s in fleet.shards] == served
-        assert fleet.loads == tuple(served)
 
 
 class TestBoundedSuboptimality:
