@@ -167,3 +167,56 @@ class TestRealisticCrossbar:
     def test_rejects_bad_full_scale_mode(self, small_matrix):
         with pytest.raises(ValueError):
             CrossbarOperator(small_matrix, full_scale_mode="bogus")
+
+    def test_rejects_non_2d_matrix_and_bad_headroom(self, small_matrix):
+        with pytest.raises(ValueError, match="2-D"):
+            CrossbarOperator(np.ones(4))
+        with pytest.raises(ValueError, match="full_scale_sigmas"):
+            CrossbarOperator(small_matrix, full_scale_sigmas=0.0)
+
+    def test_worst_case_full_scale_never_clips(self, rng):
+        # On long lines the worst-case current (the L1 norm) is ~sqrt(400)
+        # times the L2 norm, far past the statistical 4-sigma range.
+        matrix = rng.standard_normal((4, 400))
+        line = int(np.argmax(np.abs(matrix).sum(axis=1)))
+        x = np.sign(matrix[line])  # drives that line to its largest current
+        exact = (matrix @ x)[line]
+        readings = {
+            mode: CrossbarOperator(
+                matrix,
+                device=PcmDevice.ideal(),
+                adc_bits=12,
+                full_scale_mode=mode,
+                seed=0,
+            ).matvec(x)[line]
+            for mode in ("statistical", "worst")
+        }
+        assert readings["worst"] == pytest.approx(exact, rel=1e-2)
+        assert readings["statistical"] < 0.5 * exact  # clipped
+
+
+class TestVerifyReads:
+    def test_reprogram_verify_measures_the_rewrite(self, small_matrix):
+        op = CrossbarOperator(small_matrix, device=PcmDevice.ideal(), seed=0)
+        op.advance_time(1e5)
+        op.reprogram(verify_probes=4, verify_seed=1)
+        assert 0.0 <= op.last_reprogram_error < 0.05
+        # the verify read bills like calibration probes
+        assert op.n_calibration_probes == 4
+        assert op.n_matvec == 4
+        assert op.n_calibrations == 0
+        op.reprogram()
+        assert op.last_reprogram_error is None
+
+    def test_probes_need_a_signal(self, small_matrix):
+        op = CrossbarOperator(small_matrix, seed=0)
+        with pytest.raises(ValueError, match="n_probes"):
+            op.read_error(n_probes=0)
+        zero = CrossbarOperator(np.zeros((4, 6)), device=PcmDevice.ideal(), seed=0)
+        with pytest.raises(RuntimeError, match="no reference signal"):
+            zero.read_error(n_probes=2, seed=1)
+        with pytest.raises(RuntimeError, match="no signal"):
+            zero.calibrate(n_probes=2, seed=1)
+        # a failed fit keeps the old gain and counts no probes
+        assert zero.gain == 1.0
+        assert (zero.n_calibrations, zero.n_calibration_probes) == (0, 0)

@@ -70,6 +70,17 @@ class TestConstruction:
         with pytest.raises(ValueError, match="banks_candidates"):
             PlacementOptimizer(banks_candidates=(0, 2))
 
+    def test_rejects_bad_solver_limits(self):
+        for kwargs in ({"exact_items": 0}, {"exact_shards": 0}):
+            with pytest.raises(ValueError, match="exact_items and exact_shards"):
+                PlacementOptimizer(**kwargs)
+        with pytest.raises(ValueError, match="local_search_rounds"):
+            PlacementOptimizer(local_search_rounds=-1)
+
+    def test_banks_candidates_are_sorted_and_deduplicated(self):
+        optimizer = PlacementOptimizer(banks_candidates=(4, 1, 4, 2))
+        assert optimizer.banks_candidates == (1, 2, 4)
+
     def test_exposes_solver_names(self):
         assert PLACEMENT_SOLVERS == ("auto", "exact", "heuristic")
 
@@ -113,6 +124,14 @@ class TestHeuristicLabeling:
         assignment = optimizer.assign_windows([4, 4, 4, 4], shards)
         assert 0 not in assignment
         assert sorted(set(assignment)) == [1, 2]
+
+    def test_zero_error_weight_sees_every_fleet_as_homogeneous(self):
+        blind = PlacementOptimizer(error_weight=0.0)
+        stale = [ShardState(0, gain=0.8, staleness_s=1e9), ShardState(1)]
+        actives = [4, 4, 2, 3]
+        plan = blind.assign_windows(actives, stale)
+        assert plan == blind.assign_windows(actives, homogeneous(2))
+        assert plan != PlacementOptimizer().assign_windows(actives, stale)
 
     def test_assign_windows_returns_shard_indices_not_positions(self):
         optimizer = PlacementOptimizer()
@@ -174,6 +193,14 @@ class TestExactSolver:
             optimizer.optimize([1, 1, 1, 1], homogeneous(2), solver="exact")
         with pytest.raises(ValueError, match="exceeds the exact-solver limits"):
             optimizer.optimize([1], homogeneous(3), solver="exact")
+
+    @pytest.mark.parametrize("solver", ["exact", "heuristic"])
+    def test_zero_weight_windows_go_to_the_least_loaded_shard(self, solver):
+        # the live window avoids the backlog; the dead one is free and
+        # lands on the smallest completion, shard 1 (2 < 3)
+        shards = [ShardState(0, load=3), ShardState(1)]
+        plan = PlacementOptimizer().optimize([2, 0], shards, solver=solver)
+        assert plan.window_to_shard == (1, 1)
 
     def test_auto_degrades_to_the_heuristic_beyond_the_ceiling(self):
         optimizer = PlacementOptimizer(exact_items=3, exact_shards=8)
@@ -242,6 +269,19 @@ class TestBanksAndBudgets:
         plan = optimizer.optimize([8, 8], homogeneous(2))
         assert plan.banks == 2
 
+    @pytest.mark.parametrize("banks", [2, 4, 8])
+    def test_banks_divide_latency_not_energy(self, banks):
+        """Walden conversion energy is bank-count invariant, so banks
+        buy latency with silicon only."""
+        optimizer = PlacementOptimizer(self.model())
+        shards = [ShardState(0, staleness_s=3e5), ShardState(1)]
+        serial = optimizer.evaluate([0, 1, 1], [8, 8, 8], shards, banks=1)
+        banked = optimizer.evaluate([0, 1, 1], [8, 8, 8], shards, banks=banks)
+        assert banked["latency_s"] == pytest.approx(serial["latency_s"] / banks)
+        assert banked["energy_j"] == serial["energy_j"]
+        assert banked["area_m2"] > serial["area_m2"]
+        assert banked["peak_power_w"] > serial["peak_power_w"]
+
     def test_report_fields_match_evaluate(self):
         optimizer = PlacementOptimizer(self.model())
         shards = [ShardState(0, staleness_s=3e5), ShardState(1)]
@@ -263,6 +303,18 @@ class TestEvaluate:
         stale_heavy = optimizer.evaluate([0, 0], [4, 4], shards)
         fresh_heavy = optimizer.evaluate([1, 1], [4, 4], shards)
         assert stale_heavy["cost"] > fresh_heavy["cost"]
+
+    def test_idle_shards_cost_no_silicon(self):
+        model = CrossbarCostModel(rows=64, cols=64)
+        optimizer = PlacementOptimizer(model)
+        packed = optimizer.evaluate([0, 0], [4, 4], homogeneous(2))
+        spread = optimizer.evaluate([0, 1], [4, 4], homogeneous(2))
+        assert packed["area_m2"] == pytest.approx(
+            model.batch_readout(8, banks=1).total_area_m2
+        )
+        assert spread["area_m2"] == pytest.approx(
+            2 * model.batch_readout(4, banks=1).total_area_m2
+        )
 
     def test_validates_inputs(self):
         optimizer = PlacementOptimizer()

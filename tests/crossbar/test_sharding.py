@@ -102,6 +102,37 @@ class TestScheduling:
         assert fleet.loads == (2, 2)
         assert [s.n_matvec for s in fleet.shards] == [4, 2]
 
+    @pytest.mark.parametrize("schedule", ["round_robin", "greedy"])
+    def test_load_schedules_ignore_shard_clocks(self, small_matrix, schedule):
+        """Round-robin and greedy route by cursor and live-column load
+        alone: a stale shard moves no window (only ``"optimized"``
+        reads the clocks, see :class:`TestOptimizedSchedule`)."""
+        fresh, aged = (
+            ShardedOperator.from_matrix(
+                small_matrix,
+                n_shards=3,
+                batch_window=2,
+                schedule=schedule,
+                device=PcmDevice.ideal(),
+                seed=0,
+            )
+            for _ in range(2)
+        )
+        aged.advance_time(1e6, shard=0)
+        aged.advance_time(3e3, shard=2)
+        stream = np.random.default_rng(4)
+        n = small_matrix.shape[1]
+        for width in (5, 3, 8):
+            block = stream.standard_normal((n, width))
+            block[:, 1] = 0.0  # dead columns in the mix
+            assert aged.plan_assignments(block) == fresh.plan_assignments(block)
+            aged.matmat(block)
+            fresh.matmat(block)
+        assert aged.loads == fresh.loads
+        assert [s.n_matvec for s in aged.shards] == [
+            s.n_matvec for s in fresh.shards
+        ]
+
     def test_matvec_routes_like_a_width_one_window(self, small_matrix, rng):
         fleet = ShardedOperator.from_matrix(
             small_matrix, n_shards=2, batch_window=4, backend="exact"

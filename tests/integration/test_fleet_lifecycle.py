@@ -23,6 +23,7 @@ import pytest
 from repro.crossbar import (
     CrossbarOperator,
     DenseOperator,
+    DriftPredictor,
     FleetMaintenance,
     ShardedOperator,
 )
@@ -268,6 +269,184 @@ class TestMaintenancePolicy:
         for name in ("n_probes", "verify_probes"):
             with pytest.raises(ValueError, match=name):
                 FleetMaintenance(fleet, recalibrate_after_s=1.0, **{name: 2.5})
+
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "recalibrate_after_s",
+            "reprogram_after_s",
+            "gain_error_budget",
+            "gain_error_threshold",
+            "calibration_error_threshold",
+            "verify_error_budget",
+        ],
+    )
+    def test_every_threshold_must_be_positive(self, name, rng):
+        fleet = ShardedOperator.from_matrix(
+            rng.standard_normal((4, 6)), n_shards=1, batch_window=2,
+            backend="exact",
+        )
+        for bad in (0.0, -1.0):
+            with pytest.raises(ValueError, match=name):
+                FleetMaintenance(
+                    fleet, attach=False, **{"recalibrate_after_s": 1.0, name: bad}
+                )
+        policy = FleetMaintenance(
+            fleet, attach=False, **{"recalibrate_after_s": 1.0, name: 2.0}
+        )
+        assert getattr(policy, name) == 2.0
+
+    def test_fresh_ledger_prices_to_zero(self, rng):
+        fleet = ShardedOperator.from_matrix(
+            rng.standard_normal((8, 10)), n_shards=2, batch_window=2, seed=1
+        )
+        policy = FleetMaintenance(fleet, recalibrate_after_s=1e3, seed=2)
+        # the keys energy_from_stats requires exist before any action
+        assert policy.stats == {
+            "n_matvec": 0,
+            "n_rmatvec": 0,
+            "dac_conversions": 0,
+            "adc_conversions": 0,
+        }
+        model = CrossbarCostModel(rows=8, cols=10, devices_per_cell=2)
+        assert model.energy_from_stats(policy.stats)["total_energy_j"] == 0.0
+
+    def test_reprogram_threshold_outranks_calibration(self, rng):
+        matrix = rng.standard_normal((8, 10))
+        fleet = ShardedOperator.from_matrix(
+            matrix, n_shards=2, batch_window=2, seed=13
+        )
+        policy = FleetMaintenance(
+            fleet, recalibrate_after_s=1e2, reprogram_after_s=1e4, seed=14
+        )
+        fleet.advance_time(1e3)  # past the calibration threshold only
+        assert [policy.due(shard) for shard in fleet.shards] == ["calibrate"] * 2
+        fleet.advance_time(1e4, shard=1)  # shard 1 past both thresholds
+        assert [policy.due(shard) for shard in fleet.shards] == [
+            "calibrate",
+            "reprogram",
+        ]
+        actions = policy.sweep()
+        assert [(a.shard, a.action) for a in actions] == [
+            (0, "calibrate"),
+            (1, "reprogram"),
+        ]
+        assert actions[0].pulses == 0 and actions[1].probes == 0
+        assert (policy.n_calibrations, policy.n_reprograms) == (1, 1)
+
+    def test_programming_iterations_override_the_shard_setting(self, rng):
+        matrix = rng.standard_normal((8, 10))
+        fleet = ShardedOperator.from_matrix(
+            matrix, n_shards=1, batch_window=2, seed=23
+        )
+        policy = FleetMaintenance(
+            fleet, reprogram_after_s=1e3, programming_iterations=2, seed=24
+        )
+        fleet.advance_time(1e4)
+        (action,) = policy.sweep()
+        # one pulse per device per verify round (built with 5 rounds)
+        assert action.pulses == 2 * fleet.shards[0].n_devices
+
+    def test_verified_rewrite_stays_in_rotation(self, rng):
+        matrix = rng.standard_normal((8, 10))
+        fleet = ShardedOperator.from_matrix(
+            matrix, n_shards=2, batch_window=2, seed=15
+        )
+        policy = FleetMaintenance(
+            fleet,
+            reprogram_after_s=1e3,
+            verify_error_budget=0.5,
+            n_probes=3,
+            seed=16,
+        )
+        assert policy.verify_probes == 3  # defaults to n_probes
+        fleet.advance_time(1e4)
+        actions = policy.sweep()
+        assert [action.action for action in actions] == ["reprogram"] * 2
+        for action, shard in zip(actions, fleet.shards):
+            assert action.probes == 3  # the verify read
+            assert action.verify_error == shard.last_reprogram_error
+            assert 0.0 <= action.verify_error < 0.5
+        assert fleet.retired_shards == (False, False)
+        assert policy.n_retirements == 0
+
+    def test_failed_verify_retires_the_shard(self, rng):
+        matrix = rng.standard_normal((8, 10))
+        fleet = ShardedOperator.from_matrix(
+            matrix, n_shards=2, batch_window=2, seed=17
+        )
+        policy = FleetMaintenance(
+            fleet,
+            reprogram_after_s=1e3,
+            verify_error_budget=0.2,
+            verify_probes=4,
+            seed=18,
+        )
+        fleet.shards[0].inject_stuck_faults(0.3, seed=19)  # survives rewrites
+        fleet.advance_time(1e4)
+        actions = policy.sweep()
+        assert [(a.shard, a.action) for a in actions] == [
+            (0, "retire"),
+            (1, "reprogram"),
+        ]
+        assert actions[0].verify_error > 0.2
+        assert actions[0].probes == 4
+        assert fleet.retired_shards == (True, False)
+        assert (policy.n_retirements, policy.n_reprograms) == (1, 1)
+        # a retired shard is out of the maintenance rotation for good
+        fleet.advance_time(1e4)
+        assert [action.shard for action in policy.sweep()] == [1]
+
+    def test_calibration_residual_escalates_to_reprogram(self, rng):
+        """A stuck-fault shard still fits a gain but keeps a large
+        residual; ``calibration_error_threshold`` orders its rewrite
+        while the healthy twin only recalibrates."""
+        matrix = rng.standard_normal((8, 10))
+        fleet = ShardedOperator.from_matrix(
+            matrix, n_shards=2, batch_window=2, seed=20
+        )
+        policy = FleetMaintenance(
+            fleet,
+            recalibrate_after_s=1e3,
+            calibration_error_threshold=0.2,
+            n_probes=6,
+            seed=21,
+        )
+        faulty, healthy = fleet.shards
+        faulty.inject_stuck_faults(0.3, seed=22)
+        fleet.advance_time(1e4)
+        escalated, calibrated = policy.sweep()
+        assert faulty.last_calibration_error > 0.2
+        assert healthy.last_calibration_error <= 0.2
+        assert (escalated.action, calibrated.action) == ("reprogram", "calibrate")
+        assert escalated.probes == 6 and escalated.pulses > 0
+        assert (faulty.gain, faulty.age_seconds) == (1.0, 0.0)
+        assert healthy.age_seconds == 1e4  # calibration does not rewrite
+
+    def test_predictor_for_builds_once_and_skips_exact_replicas(self, rng):
+        matrix = rng.standard_normal((8, 10))
+        fleet = ShardedOperator(
+            [DenseOperator(matrix), CrossbarOperator(matrix, seed=0)],
+            batch_window=2,
+        )
+        policy = FleetMaintenance(fleet, gain_error_budget=0.02, attach=False)
+        dense, crossbar = fleet.shards
+        assert policy.predictor_for(dense) is None
+        predictor = policy.predictor_for(crossbar)
+        assert isinstance(predictor, DriftPredictor)
+        assert policy.predictor_for(crossbar) is predictor  # cached
+        fleet.advance_time(1e5)
+        assert policy.predicted_gain_error(dense) is None
+        assert policy.predicted_gain_error(crossbar) == predictor.gain_error(1e5)
+
+    def test_forecast_needs_a_budget(self, rng):
+        fleet = ShardedOperator.from_matrix(
+            rng.standard_normal((8, 10)), n_shards=1, batch_window=2, seed=1
+        )
+        policy = FleetMaintenance(fleet, recalibrate_after_s=1e9, attach=False)
+        fleet.advance_time(1e7)
+        assert policy.predicted_gain_error(fleet.shards[0]) is None
+        assert policy.due(fleet.shards[0]) is None  # no wall clock crossed
 
     def test_exact_shards_never_serviced(self, rng):
         matrix = rng.standard_normal((8, 10))

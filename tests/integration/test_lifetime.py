@@ -33,6 +33,7 @@ from repro.crossbar import (
     DriftPredictor,
     FaultInjector,
     FleetMaintenance,
+    LifetimeResult,
     LifetimeSimulator,
     ShardedOperator,
 )
@@ -127,6 +128,46 @@ class TestDriftPredictor:
             assert small.drift_scale(age) == pytest.approx(
                 full.drift_scale(age), rel=0.02
             )
+
+    def test_rejects_empty_targets_and_a_bad_subsample(self):
+        with pytest.raises(ValueError, match="at least one device pair"):
+            DriftPredictor(QUIET, np.ones(0), np.ones(0))
+        for bad in (0, -3):
+            with pytest.raises(ValueError, match="max_devices"):
+                DriftPredictor(
+                    QUIET, np.full(4, 5e-6), np.full(4, 1e-6), max_devices=bad
+                )
+
+    def test_from_operator_rejects_exact_replicas(self, rng):
+        with pytest.raises(AttributeError):
+            DriftPredictor.from_operator(DenseOperator(rng.standard_normal((4, 4))))
+
+    def test_subsample_is_deterministic_and_spares_small_arrays(self, rng):
+        op = quiet_operator(rng.standard_normal((32, 48)))
+        first = DriftPredictor.from_operator(op, max_devices=100)
+        second = DriftPredictor.from_operator(op, max_devices=100)
+        whole = DriftPredictor.from_operator(op, max_devices=None)
+        assert first._diff.size <= 100 < whole._diff.size
+        assert first.drift_scale(1e5) == second.drift_scale(1e5)
+        # a ceiling above the pair count keeps every pair
+        roomy = DriftPredictor.from_operator(op, max_devices=10**6)
+        assert roomy._diff.size == whole._diff.size
+        assert roomy.drift_scale(1e5) == whole.drift_scale(1e5)
+
+    def test_a_fit_leaves_no_error_at_its_own_age(self, rng):
+        predictor = DriftPredictor.from_operator(
+            quiet_operator(rng.standard_normal((8, 8)))
+        )
+        for age in (0.0, 1e3, 1e7):
+            assert predictor.gain_error(age, calibrated_at_s=age) == 0.0
+
+    def test_seconds_until_gives_up_past_the_horizon(self, rng):
+        predictor = DriftPredictor.from_operator(
+            quiet_operator(rng.standard_normal((8, 8)))
+        )
+        wait = predictor.seconds_until(0.05)
+        assert math.isfinite(wait)
+        assert predictor.seconds_until(0.05, horizon_s=wait / 4) == math.inf
 
     def test_construction_touches_no_counters_or_rng(self, rng):
         matrix = rng.standard_normal((8, 12))
@@ -268,6 +309,100 @@ class TestEscalationBilling:
             )
 
 
+class TestFaultInjector:
+    def test_exact_replicas_receive_no_faults(self, rng):
+        matrix = rng.standard_normal((8, 12))
+        fleet = ShardedOperator(
+            [DenseOperator(matrix), CrossbarOperator(matrix, seed=0)],
+            batch_window=4,
+        )
+        events = FaultInjector(fleet, rate_per_s=0.05, seed=1).advance(100.0)
+        assert events and {event.shard for event in events} == {1}
+
+    def test_retired_shards_receive_no_faults(self, rng):
+        fleet = ShardedOperator.from_matrix(
+            rng.standard_normal((8, 12)), n_shards=2, batch_window=4, seed=1
+        )
+        fleet.retire_shard(0)
+        events = FaultInjector(fleet, rate_per_s=0.05, seed=2).advance(100.0)
+        assert events and {event.shard for event in events} == {1}
+        assert fleet.shards[0].stuck_fraction == 0.0
+
+    def test_fault_load_accumulates_across_events(self, rng):
+        fleet = ShardedOperator.from_matrix(
+            rng.standard_normal((8, 12)), n_shards=1, batch_window=4, seed=3
+        )
+        shard = fleet.shards[0]
+        injector = FaultInjector(
+            fleet, rate_per_s=0.05, fraction_per_event=0.05, seed=4
+        )
+        for _ in range(3):
+            injector.advance(50.0)
+        fractions = [event.stuck_fraction for event in injector.events]
+        assert len(fractions) >= 2
+        assert all(a <= b for a, b in zip(fractions, fractions[1:]))
+        assert fractions[-1] == shard.stuck_fraction > 0.0
+        # repeat draws may land on stuck devices: the union is no larger
+        drawn = sum(event.n_faults for event in injector.events)
+        assert drawn >= round(shard.stuck_fraction * shard.n_devices)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0])
+    def test_advance_validates_before_the_clock_moves(self, bad, rng):
+        fleet = ShardedOperator.from_matrix(
+            rng.standard_normal((4, 6)), n_shards=1, batch_window=4, seed=5
+        )
+        injector = FaultInjector(fleet, rate_per_s=0.05, seed=6)
+        injector.advance(10.0)
+        with pytest.raises(ValueError, match="seconds"):
+            injector.advance(bad)
+        assert injector.time_s == 10.0
+
+    def test_zero_length_interval_draws_nothing(self, rng):
+        """``advance(0)`` has no arrivals and consumes no RNG: the fault
+        history matches a twin that never made the call."""
+        matrix = rng.standard_normal((8, 12))
+
+        def history(with_pause):
+            fleet = ShardedOperator.from_matrix(
+                matrix, n_shards=2, batch_window=4, seed=7
+            )
+            injector = FaultInjector(fleet, rate_per_s=0.05, seed=8)
+            if with_pause:
+                assert injector.advance(0.0) == []
+            injector.advance(100.0)
+            return injector.events
+
+        paused = history(True)
+        assert paused and paused == history(False)
+
+
+class TestLifetimeResult:
+    def test_empty_result_is_available_with_no_envelope(self):
+        result = LifetimeResult(step_seconds=60.0)
+        assert result.availability == 1.0
+        assert math.isnan(result.nmse_envelope)
+        summary = result.summary()
+        assert summary["steps"] == 0.0
+        assert math.isnan(summary["nmse_mean"])
+        assert "n_calibrations" not in summary
+
+    def test_summary_prices_the_maintenance_share(self, rng):
+        fleet = ShardedOperator.from_matrix(
+            rng.standard_normal((8, 12)), n_shards=2, batch_window=4, seed=1
+        )
+        policy = FleetMaintenance(fleet, recalibrate_after_s=1e4, n_probes=4, seed=2)
+        result = LifetimeSimulator(fleet, step_seconds=2e4, batch=8, seed=3).run(4)
+        model = CrossbarCostModel(rows=12, cols=8, devices_per_cell=2)
+        assert "maintenance_energy_j" not in result.summary(policy)
+        priced = result.summary(policy, model)
+        assert priced["maintenance_energy_j"] == (
+            model.energy_from_stats(policy.stats)["total_energy_j"]
+        )
+        assert priced["maintenance_energy_j"] > 0.0
+        assert priced["n_calibrations"] == policy.n_calibrations == 8
+        assert priced["n_calibration_probes"] == policy.n_calibration_probes
+
+
 class TestLifetimeSimulator:
     def test_fault_free_life_is_fully_available(self, rng):
         matrix = rng.standard_normal((8, 12))
@@ -351,6 +486,31 @@ class TestLifetimeSimulator:
             FaultInjector(fleet, rate_per_s=0.0, fraction_per_event=0.0)
         with pytest.raises(ValueError, match="mode"):
             FaultInjector(fleet, rate_per_s=0.0, mode="bogus")
+
+    def test_default_batch_is_one_window_per_shard(self, rng):
+        fleet = ShardedOperator.from_matrix(
+            rng.standard_normal((4, 6)), n_shards=3, batch_window=5,
+            backend="exact",
+        )
+        assert LifetimeSimulator(fleet).batch == 15
+
+    def test_time_axis_counts_whole_steps(self, rng):
+        fleet = ShardedOperator.from_matrix(
+            rng.standard_normal((4, 6)), n_shards=2, batch_window=2,
+            backend="exact",
+        )
+        result = LifetimeSimulator(fleet, step_seconds=30.0, seed=1).run(3)
+        assert result.time_s == [30.0, 60.0, 90.0]
+        assert result.served == [True] * 3
+        assert result.active_shards == [2] * 3
+        assert result.summary()["sim_seconds"] == 90.0
+
+    def test_zero_matrix_scores_zero_error(self):
+        fleet = ShardedOperator.from_matrix(
+            np.zeros((4, 6)), n_shards=1, batch_window=2, backend="exact"
+        )
+        result = LifetimeSimulator(fleet, step_seconds=1.0, seed=2).run(2)
+        assert result.nmse == [0.0, 0.0]  # no signal power, no division
 
     def test_fault_clock_moves_only_after_the_arrivals_are_drawn(self, rng):
         class BrokenShard(DenseOperator):

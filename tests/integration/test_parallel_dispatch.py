@@ -535,6 +535,18 @@ class TestFusedSweepTransformValidation:
         assert np.array_equal(x_out, matrix.T @ z_block)
         assert np.allclose(q_out, matrix @ x_out)
 
+    def test_misshapen_z_block_is_rejected_before_dispatch(self, rng):
+        matrix = rng.standard_normal((18, 30))
+        fleet = ShardedOperator.from_matrix(
+            matrix, n_shards=2, batch_window=4, backend="exact"
+        )
+        # a matmat-shaped block, and a bare vector, are not Z blocks
+        for bad in (np.zeros((30, 4)), np.zeros(18)):
+            with pytest.raises(ValueError, match="Z must have shape"):
+                fleet.fused_sweep(bad, lambda u, cols: u)
+        assert fleet.stats["n_rmatvec"] == fleet.stats["n_matvec"] == 0
+        assert fleet.loads == (0, 0)
+
 
 class TestSchedulePurity:
     @pytest.mark.parametrize("schedule", SHARD_SCHEDULES)

@@ -59,6 +59,19 @@ class TestConstruction:
         with pytest.raises(ValueError, match="max_defer_s"):
             MaintenanceWindow(pcm_fleet, policy, max_defer_s=-1.0)
 
+    def test_rejects_bad_budget_and_service_costs(self, pcm_fleet):
+        policy = FleetMaintenance(
+            pcm_fleet, gain_error_budget=0.01, attach=False
+        )
+        with pytest.raises(ValueError, match="gain_error_budget"):
+            MaintenanceWindow(pcm_fleet, policy, gain_error_budget=0.0)
+        with pytest.raises(ValueError, match="max_defer_s"):
+            MaintenanceWindow(pcm_fleet, policy, max_defer_s=float("nan"))
+        with pytest.raises(ValueError, match="probe_service_s"):
+            MaintenanceWindow(pcm_fleet, policy, probe_service_s=-1.0)
+        with pytest.raises(ValueError, match="pulse_service_s"):
+            MaintenanceWindow(pcm_fleet, policy, pulse_service_s=float("nan"))
+
     def test_bind_derives_probe_cost_from_window_service(self, pcm_fleet):
         window = make_window(pcm_fleet)
         make_server(pcm_fleet, window, window_service_s=0.3)
@@ -110,6 +123,45 @@ class TestForecast:
         assert len(built) == pcm_fleet.n_shards
         for shard, predictor in zip(pcm_fleet.shards, built):
             assert window.policy.predictor_for(shard) is predictor
+
+    def test_forecast_is_cached_until_the_fleet_state_moves(
+        self, pcm_fleet, monkeypatch
+    ):
+        calls = []
+        original = DriftPredictor.seconds_until
+
+        def counting(predictor, *args, **kwargs):
+            calls.append(args)
+            return original(predictor, *args, **kwargs)
+
+        monkeypatch.setattr(DriftPredictor, "seconds_until", counting)
+        window = make_window(pcm_fleet)
+        first = window.seconds_until_due()
+        assert len(calls) == pcm_fleet.n_shards  # one forecast per shard
+        assert window.seconds_until_due() == first
+        assert len(calls) == pcm_fleet.n_shards  # served from the cache
+        pcm_fleet.advance_time(first / 2)
+        assert window.seconds_until_due() == pytest.approx(first / 2, rel=1e-6)
+        assert len(calls) == 2 * pcm_fleet.n_shards
+
+    def test_retired_shards_drop_out_of_the_forecast(self, pcm_fleet):
+        window = make_window(pcm_fleet)
+        fresh = window.seconds_until_due()
+        pcm_fleet.advance_time(fresh + 1.0, shard=0)  # shard 0 alone owes work
+        assert window.seconds_until_due() == 0.0
+        pcm_fleet.retire_shard(0)
+        # the fresh survivor shares the target, so it forecasts the same
+        assert window.seconds_until_due() == fresh
+
+    def test_wall_clock_policy_without_budget(self, pcm_fleet):
+        policy = FleetMaintenance(
+            pcm_fleet, recalibrate_after_s=100.0, attach=False
+        )
+        window = MaintenanceWindow(pcm_fleet, policy)
+        assert window.gain_error_budget is None
+        assert window.seconds_until_due() == math.inf  # nothing to forecast
+        pcm_fleet.advance_time(100.0)
+        assert window.seconds_until_due() == 0.0
 
     def test_forecast_spends_no_probes(self, pcm_fleet):
         window = make_window(pcm_fleet)
@@ -171,6 +223,32 @@ class TestScheduling:
         assert served[0].dispatched_at_s == pytest.approx(
             t_due + slot.service_s
         )
+
+    def test_shallow_queue_counts_as_a_lull(self, pcm_fleet, rng):
+        window = make_window(pcm_fleet, low_traffic_depth=1)
+        server = make_server(pcm_fleet, window, coalesce_budget_s=100.0)
+        server.advance(window.seconds_until_due() + 1.0)
+        server.submit(rng.standard_normal(6))
+        server.step()  # one queued request <= low_traffic_depth: run now
+        (slot,) = window.slots
+        assert slot.deferrals == 0
+        assert not slot.forced
+        assert slot.due_since_s == slot.opened_at_s
+
+    def test_pulse_service_charges_rewrites(self, pcm_fleet):
+        policy = FleetMaintenance(
+            pcm_fleet, reprogram_after_s=100.0, attach=False, seed=7
+        )
+        window = MaintenanceWindow(
+            pcm_fleet, policy, probe_service_s=0.5, pulse_service_s=1e-3
+        )
+        server = make_server(pcm_fleet, window, coalesce_budget_s=0.0)
+        server.advance(101.0)
+        server.step()
+        (slot,) = window.slots
+        assert {action.action for action in slot.actions} == {"reprogram"}
+        assert slot.probes == 0 and slot.pulses > 0
+        assert slot.service_s == pytest.approx(slot.pulses * 1e-3)
 
     def test_sweep_resets_due_state(self, pcm_fleet):
         window = make_window(pcm_fleet)
