@@ -21,12 +21,17 @@ The results directory resolves through
 :func:`repro.results.store.results_dir` — ``REPRO_RESULTS_DIR`` or the
 pytest ``--results-dir`` flag redirect everything (text, JSON and DB)
 in one move.
+
+The wall-clock benches share two timing helpers: :func:`available_cores`
+(the CPUs this process may run on, which picks each bench's speedup
+gate) and :func:`best_of` (the fastest of ``repeats`` calls).
 """
 
 from __future__ import annotations
 
 import json
 import os
+import time
 from pathlib import Path
 
 from repro.core.report import ReportDocument, ReportText
@@ -40,7 +45,25 @@ from repro.results.store import (
     set_active_store,
 )
 
-__all__ = ["BenchRecorder"]
+__all__ = ["BenchRecorder", "available_cores", "best_of"]
+
+
+def available_cores() -> int:
+    """CPUs this process may run on: its affinity mask where the OS has one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # pragma: no cover - non-Linux fallback
+        return os.cpu_count() or 1
+
+
+def best_of(repeats, fn):
+    """Fastest wall-clock seconds over ``repeats`` calls of ``fn``."""
+    best = float("inf")
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        fn()
+        best = min(best, time.perf_counter() - t0)
+    return best
 
 
 def _as_document(payload: object) -> tuple[str, ReportDocument]:

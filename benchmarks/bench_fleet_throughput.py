@@ -38,9 +38,10 @@ Run:  PYTHONPATH=src python -m pytest -q benchmarks/bench_fleet_throughput.py
 """
 
 import os
-import time
 
 import numpy as np
+
+from _harness import available_cores, best_of
 
 from repro.crossbar import ShardedOperator
 from repro.devices import PcmDevice
@@ -73,13 +74,6 @@ COUNTER_KEYS = (
 )
 
 
-def available_cores() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # pragma: no cover - non-Linux fallback
-        return os.cpu_count() or 1
-
-
 def required_gate(cores: int) -> tuple[str, float]:
     if cores >= 4:
         return "speedup", MIN_SPEEDUP_MULTICORE
@@ -96,15 +90,6 @@ def dense_fleet(matrix, shards, parallelism):
         parallelism=parallelism,
         backend="exact",
     )
-
-
-def best_of(repeats, fn):
-    best = float("inf")
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - t0)
-    return best
 
 
 def test_fleet_throughput_trend_and_equivalence(write_result):

@@ -37,6 +37,8 @@ import time
 import numpy as np
 import pytest
 
+from _harness import available_cores
+
 from repro.crossbar import CrossbarOperator
 
 SHAPES = ((256, 512, 64), (1024, 1024, 256), (2048, 2048, 512))
@@ -84,7 +86,7 @@ def time_tile_read(m, n, batch):
 def test_tile_read_layer(write_result):
     blas_env = {key: os.environ.get(key) for key in BLAS_ENV}
     pinned = all(value == "1" for value in blas_env.values())
-    nproc = len(os.sched_getaffinity(0))
+    nproc = available_cores()
 
     metrics = {}
     lines = [

@@ -34,10 +34,9 @@ ways and emits ``benchmarks/results/BENCH_serving.json`` plus a
 Run:  PYTHONPATH=src python -m pytest -q benchmarks/bench_serving.py
 """
 
-import os
-import time
-
 import numpy as np
+
+from _harness import available_cores, best_of
 
 from repro.crossbar import ShardedOperator
 from repro.serving import FleetServer, VirtualClock
@@ -67,28 +66,12 @@ MIN_SATURATED_FRACTION = 0.9
 TENANTS = ("alice", "bob", "carol")
 
 
-def available_cores() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # pragma: no cover - non-Linux fallback
-        return os.cpu_count() or 1
-
-
 def required_speedup(cores: int) -> float:
     if cores >= 4:
         return MIN_SPEEDUP_MULTICORE
     if cores >= 2:
         return MIN_SPEEDUP_FEWCORE
     return MIN_SPEEDUP_SINGLE_CORE
-
-
-def best_of(repeats, fn):
-    best = float("inf")
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - t0)
-    return best
 
 
 def make_fleet(matrix, batch_window):

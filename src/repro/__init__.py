@@ -21,7 +21,7 @@ Subpackages
 ``repro.crossbar``   analog MVM crossbar simulator
 ``repro.logic``      Scouting Logic bitwise fabric
 ``repro.arch``       Figs. 3-4 architecture analytical models
-``repro.analytics``  bitmap database + XOR encryption kernels
+``repro.analytics``  bitmap database + temporal correlation kernels
 ``repro.signal``     compressed sensing with AMP recovery
 ``repro.imaging``    guided/bilateral filtering + access model
 ``repro.ml``         quantized NN inference and HD computing

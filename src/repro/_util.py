@@ -23,8 +23,6 @@ __all__ = [
     "nmse_db",
     "hamming_distance",
     "normalized_hamming",
-    "bits_to_bytes",
-    "bytes_to_bits",
 ]
 
 
@@ -133,21 +131,3 @@ def normalized_hamming(a: np.ndarray, b: np.ndarray) -> float:
     if a.size == 0:
         raise ValueError("empty vectors have no normalized Hamming distance")
     return hamming_distance(a, b) / a.size
-
-
-def bytes_to_bits(data: bytes) -> np.ndarray:
-    """Expand ``bytes`` into a ``uint8`` bit vector (MSB first)."""
-    raw = np.frombuffer(data, dtype=np.uint8)
-    return np.unpackbits(raw)
-
-
-def bits_to_bytes(bits: np.ndarray) -> bytes:
-    """Pack a bit vector (MSB first) back into ``bytes``.
-
-    The length of ``bits`` must be a multiple of 8 so the round trip
-    with :func:`bytes_to_bits` is exact.
-    """
-    bits = np.asarray(bits, dtype=np.uint8)
-    if bits.ndim != 1 or bits.size % 8 != 0:
-        raise ValueError("bits must be a 1-D vector with length divisible by 8")
-    return np.packbits(bits).tobytes()

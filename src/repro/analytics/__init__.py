@@ -5,8 +5,6 @@
 * :class:`QuerySelect` — conjunctive bitmap queries (TPC-H query-06)
   executed either on the CPU or inside a
   :class:`~repro.logic.BitwiseEngine` via Scouting Logic.
-* :mod:`repro.analytics.xor_cipher` — one-time-pad XOR encryption on
-  both backends.
 """
 
 from repro.analytics.bitmap import BitmapIndex
@@ -15,17 +13,11 @@ from repro.analytics.correlation import (
     TemporalCorrelationDetector,
 )
 from repro.analytics.query import QuerySelect, tpch_query6
-from repro.analytics.xor_cipher import (
-    XorCipherCim,
-    xor_cipher_reference,
-)
 
 __all__ = [
     "BitmapIndex",
     "CorrelatedProcesses",
     "QuerySelect",
     "TemporalCorrelationDetector",
-    "XorCipherCim",
     "tpch_query6",
-    "xor_cipher_reference",
 ]

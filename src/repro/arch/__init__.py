@@ -19,7 +19,6 @@ from repro.arch.params import (
 from repro.arch.sweep import (
     MissRateSweep,
     banked_offload_rows,
-    batch_offload_rows,
     miss_rate_sweep,
     offload_sweep,
 )
@@ -33,7 +32,6 @@ __all__ = [
     "CoreParams",
     "MissRateSweep",
     "banked_offload_rows",
-    "batch_offload_rows",
     "miss_rate_sweep",
     "offload_sweep",
 ]

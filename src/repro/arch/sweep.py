@@ -20,7 +20,6 @@ from repro.arch.params import CimArchParams
 __all__ = [
     "MissRateSweep",
     "banked_offload_rows",
-    "batch_offload_rows",
     "miss_rate_sweep",
     "offload_sweep",
 ]
@@ -184,55 +183,6 @@ def offload_sweep(
     return rows
 
 
-def batch_offload_rows(
-    batches: tuple[int, ...] = (1, 8, 64),
-    x_fraction: float = 0.6,
-    m1: float = 0.8,
-    m2: float = 0.8,
-    conventional: ConventionalArchitectureModel | None = None,
-    cim_params: CimArchParams | None = None,
-) -> list[dict[str, float]]:
-    """System speedup/energy-gain when CIM reads retire in batches of B.
-
-    Under serial peripheral reuse the CIM core's per-instruction time is
-    batch-invariant (the same converter bank digitizes every vector), so
-    the serial columns repeat the B = 1 figures.  Parallel converters
-    multiply the effective issue width by B, which shortens the
-    accelerated part of the delay *and* the static-leakage energy
-    charged over it — the architectural reason replicated converter
-    banks pay off on miss-dominated workloads.
-    """
-    base = cim_params if cim_params is not None else CimArchParams()
-    conventional = conventional or ConventionalArchitectureModel()
-    serial_model = CimArchitectureModel(base)
-    conv_d = float(conventional.delay_per_instruction_ns(x_fraction, m1, m2))
-    conv_e = float(conventional.energy_per_instruction_pj(x_fraction, m1, m2))
-    serial_d = float(serial_model.delay_per_instruction_ns(x_fraction, m1, m2))
-    serial_e = float(serial_model.energy_per_instruction_pj(x_fraction, m1, m2))
-    rows = []
-    for batch in batches:
-        if batch < 1:
-            raise ValueError("batch sizes must be >= 1")
-        widened = replace(
-            base, cim=replace(base.cim, parallel_width=base.cim.parallel_width * batch)
-        )
-        parallel_model = CimArchitectureModel(widened)
-        par_d = float(parallel_model.delay_per_instruction_ns(x_fraction, m1, m2))
-        par_e = float(parallel_model.energy_per_instruction_pj(x_fraction, m1, m2))
-        rows.append(
-            {
-                "batch": float(batch),
-                "serial_speedup": conv_d / serial_d,
-                "parallel_speedup": conv_d / par_d,
-                "serial_energy_gain": conv_e / serial_e,
-                "parallel_energy_gain": conv_e / par_e,
-                "serial_cim_delay_ns": serial_d,
-                "parallel_cim_delay_ns": par_d,
-            }
-        )
-    return rows
-
-
 def banked_offload_rows(
     bank_counts: tuple[int, ...] = (1, 4, 16, 64),
     x_fraction: float = 0.6,
@@ -241,15 +191,15 @@ def banked_offload_rows(
     conventional: ConventionalArchitectureModel | None = None,
     cim_params: CimArchParams | None = None,
 ) -> list[dict[str, float]]:
-    """System speedup/energy-gain for intermediate converter-bank counts.
+    """System speedup/energy-gain for a sweep of converter-bank counts.
 
-    :func:`batch_offload_rows` evaluates the two readout endpoints —
-    one bank (serial, batch-invariant issue width) and one bank per
-    vector (fully parallel).  This sweep walks the continuum the k-bank
-    readout model opens: ``k`` converter banks multiply the CIM core's
-    effective issue width by ``k``, so each row reports the system-level
-    payoff of one intermediate deployment (``k = 1`` reproduces the
-    serial row of the batch sweep).
+    ``k`` converter banks multiply the CIM core's effective issue width
+    by ``k``, which shortens the accelerated part of the delay *and* the
+    static-leakage energy charged over it.  ``k = 1`` is serial
+    peripheral reuse (the :func:`offload_sweep` row at the same
+    ``x_fraction``) and ``k = B`` gives every vector of a B-column batch
+    its own bank (fully parallel); each row reports the system-level
+    payoff of one deployment.
     """
     base = cim_params if cim_params is not None else CimArchParams()
     conventional = conventional or ConventionalArchitectureModel()

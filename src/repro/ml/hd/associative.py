@@ -60,9 +60,9 @@ class AssociativeMemory:
         self._prototype_cache.pop(label, None)
 
     def train_many(self, labels, hypervectors: np.ndarray) -> None:
-        """Accumulate a labelled batch."""
+        """Accumulate a labelled batch (one label per hypervector)."""
         hypervectors = np.asarray(hypervectors)
-        for label, hv in zip(labels, hypervectors):
+        for label, hv in zip(labels, hypervectors, strict=True):
             self.train(label, hv)
 
     def train_counts(self, label: Hashable, counts: np.ndarray, total: int) -> None:

@@ -7,20 +7,15 @@ quantization, and a crossbar-mapped inference engine.
 """
 
 from repro.ml.nn.cim import CimNetwork
-from repro.ml.nn.conv import CimConvNet, Conv2d, ConvNet, im2col
 from repro.ml.nn.layers import Dense, relu, softmax
 from repro.ml.nn.network import Sequential
 from repro.ml.nn.quantize import quantize_network, quantize_symmetric
 from repro.ml.nn.train import train_classifier
 
 __all__ = [
-    "CimConvNet",
     "CimNetwork",
-    "Conv2d",
-    "ConvNet",
     "Dense",
     "Sequential",
-    "im2col",
     "quantize_network",
     "quantize_symmetric",
     "relu",

@@ -117,16 +117,16 @@ def _cmd_diff(args) -> int:
 
 def _cmd_snapshot(args) -> int:
     provider = _provider(args.db)
-    target_path = Path(args.out)
-    if target_path.exists():
-        target_path.unlink()
-    target = ResultsStore(target_path)
-    copied = 0
     names = args.names or provider.run_names()
     unknown = sorted(set(names) - set(provider.run_names()))
     if unknown:
         print(f"unknown run name(s): {', '.join(unknown)}", file=sys.stderr)
         return 2
+    target_path = Path(args.out)
+    if target_path.exists():
+        target_path.unlink()
+    target = ResultsStore(target_path)
+    copied = 0
     for name in names:
         run = provider.latest_run(name)
         if args.all:

@@ -16,17 +16,14 @@ Layering:
 * :mod:`~repro.serving.queue` — :class:`Request`/:class:`RequestResult`,
   the deadline-bounded coalescing :class:`RequestQueue`, and
   :class:`AdmissionController` overload behaviour.
-* :mod:`~repro.serving.server` — :class:`FleetServer`, the synchronous
+* :mod:`~repro.serving.server` — :class:`FleetServer`, the serving
   core: dispatch, demux, latency/SLO tracking, largest-remainder
   per-tenant counter attribution, ``kind="billing"`` store rows.
 * :mod:`~repro.serving.windows` — :class:`MaintenanceWindow`,
   drift-forecast scheduling of :class:`FleetMaintenance` sweeps into
   low-traffic slots on the shared service line.
-* :mod:`~repro.serving.async_server` — :class:`AsyncFleetServer`, the
-  thin asyncio facade for wall-clock deployments.
 """
 
-from repro.serving.async_server import AsyncFleetServer
 from repro.serving.clock import VirtualClock
 from repro.serving.queue import (
     ADMISSION_POLICIES,
@@ -43,7 +40,6 @@ __all__ = [
     "ADMISSION_POLICIES",
     "REQUEST_KINDS",
     "AdmissionController",
-    "AsyncFleetServer",
     "BlockDispatch",
     "FleetServer",
     "MaintenanceSlot",

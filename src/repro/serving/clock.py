@@ -7,9 +7,6 @@ simulation implementation: time advances only when the harness says so,
 which makes a whole serving trace (arrivals, coalescing deadlines,
 queue/service latencies, maintenance slots) a pure function of the
 submitted requests and the advance calls — replayable bit for bit.
-
-The asyncio facade substitutes an event-loop clock with the same
-protocol; the core never knows the difference.
 """
 
 from __future__ import annotations

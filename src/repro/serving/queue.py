@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro._util import check_in, check_positive
+from repro._util import check_elapsed, check_in, check_positive
 
 __all__ = [
     "ADMISSION_POLICIES",
@@ -128,12 +128,8 @@ class RequestQueue:
     def __init__(self, block_columns: int, coalesce_budget_s: float) -> None:
         if block_columns != int(block_columns) or block_columns < 1:
             raise ValueError("block_columns must be an integer >= 1")
-        if not coalesce_budget_s >= 0.0:
-            raise ValueError(
-                f"coalesce_budget_s must be >= 0, got {coalesce_budget_s!r}"
-            )
         self.block_columns = int(block_columns)
-        self.coalesce_budget_s = float(coalesce_budget_s)
+        self.coalesce_budget_s = check_elapsed("coalesce_budget_s", coalesce_budget_s)
         self._lanes: dict[str, deque[Request]] = {
             kind: deque() for kind in REQUEST_KINDS
         }

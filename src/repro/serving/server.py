@@ -12,13 +12,12 @@ path a single ``(n, 1000)`` caller would, and the fleet's counters
 price the traffic identically.
 
 Time is modelled, not measured: the server reads a clock object
-(:class:`~repro.serving.clock.VirtualClock` in simulation, the event
-loop's clock under the asyncio facade) and charges each dispatched
-block ``ceil(B / batch_window) * window_service_s`` of busy time on a
-single fleet-wide service line.  Queue latency (arrival → dispatch),
-service latency (dispatch → completion) and SLO conformance therefore
-come out deterministic for a given arrival trace — the property the
-determinism suite pins.
+(:class:`~repro.serving.clock.VirtualClock` by default) and charges
+each dispatched block ``ceil(B / batch_window) * window_service_s`` of
+busy time on a single fleet-wide service line.  Queue latency
+(arrival → dispatch), service latency (dispatch → completion) and SLO
+conformance therefore come out deterministic for a given arrival
+trace — the property the determinism suite pins.
 
 Tenancy: every request carries a tenant label, and the counter deltas
 of each dispatched block are attributed to tenants by their live
@@ -138,6 +137,7 @@ class FleetServer:
     slo_s:
         Per-request latency objective — a float for every tenant, or a
         ``{tenant: seconds}`` mapping (missing tenants get no SLO).
+        Every value must be finite and non-negative.
         Purely observational: requests are never dropped for missing
         it, but :meth:`latency_summary` reports the violations.
     admission:
@@ -168,6 +168,13 @@ class FleetServer:
             block_columns = int(fleet.batch_window)
         self.window_service_s = check_elapsed("window_service_s", window_service_s)
         self.queue = RequestQueue(block_columns, coalesce_budget_s)
+        if isinstance(slo_s, dict):
+            slo_s = {
+                tenant: check_elapsed(f"slo_s[{tenant!r}]", value)
+                for tenant, value in slo_s.items()
+            }
+        elif slo_s is not None:
+            slo_s = check_elapsed("slo_s", slo_s)
         self.slo_s = slo_s
         self.admission = admission
         self.maintenance = maintenance
@@ -175,7 +182,6 @@ class FleetServer:
             maintenance.bind(self)
         self._next_id = 0
         self._busy_until_s = -math.inf
-        self.results: dict[int, RequestResult] = {}
         self.completed: list[RequestResult] = []
         self.block_log: list[BlockDispatch] = []
         self._tenant_counters: dict[str, dict[str, int]] = {}
@@ -207,12 +213,15 @@ class FleetServer:
         control rejected it (the rejection is counted per tenant).  A
         ``"shed_oldest"`` controller instead evicts the most stale
         queued request — its :class:`RequestResult` (status
-        ``"shed"``, no value) completes immediately.  A vector of the
-        wrong shape or holding NaN or inf raises ``ValueError`` before
+        ``"shed"``, no value) completes immediately.  A tenant that is
+        not a ``str`` raises ``TypeError``, and a vector of the wrong
+        shape or holding NaN or inf raises ``ValueError``, before
         anything is counted or queued, so one bad request can never
         fail a coalesced block.
         """
         check_in("kind", kind, REQUEST_KINDS)
+        if not isinstance(tenant, str):
+            raise TypeError(f"tenant must be a str, got {tenant!r}")
         vector = np.asarray(vector, dtype=float)
         m, n = self.fleet.shape
         expected = n if kind == "matvec" else m
@@ -255,7 +264,6 @@ class FleetServer:
             slo_s=self._slo_for(request.tenant),
         )
         self._tenant_entry(request.tenant)["shed"] += 1
-        self.results[request.id] = result
         self.completed.append(result)
 
     # -- dispatch --------------------------------------------------------------
@@ -355,7 +363,6 @@ class FleetServer:
             entry["served"] += 1
             if not result.slo_ok:
                 entry["slo_violations"] += 1
-            self.results[request.id] = result
             self.completed.append(result)
             results.append(result)
         return results

@@ -20,7 +20,6 @@ from repro.workloads.emg import EmgGestureGenerator
 from repro.workloads.images import edge_texture_image, add_gaussian_noise
 from repro.workloads.languages import LanguageCorpus
 from repro.workloads.sensors import SensoryTask
-from repro.workloads.shapes import OrientedPatternTask
 from repro.workloads.signals import (
     gaussian_measurement_matrix,
     sparse_signal,
@@ -32,7 +31,6 @@ from repro.workloads.tpch import generate_lineitem, query6_reference
 __all__ = [
     "EmgGestureGenerator",
     "LanguageCorpus",
-    "OrientedPatternTask",
     "STAR_CATALOG",
     "SensoryTask",
     "add_gaussian_noise",

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.arch import batch_offload_rows, miss_rate_sweep, offload_sweep
+from repro.arch import miss_rate_sweep, offload_sweep
 
 
 class TestSweepStructure:
@@ -96,51 +96,16 @@ class TestOffloadSweep:
         assert row["energy_gain"] > 1.0
 
 
-class TestBatchOffload:
-    def test_serial_columns_are_batch_invariant(self):
-        """Peripheral reuse leaves the per-instruction CIM time alone."""
-        rows = batch_offload_rows(batches=(1, 8, 64))
-        serial = [r["serial_speedup"] for r in rows]
-        assert serial[0] == pytest.approx(serial[1]) == pytest.approx(serial[2])
-
-    def test_parallel_converters_improve_with_batch(self):
-        rows = batch_offload_rows(batches=(1, 8, 64))
-        parallel = [r["parallel_speedup"] for r in rows]
-        assert parallel == sorted(parallel)
-        assert parallel[-1] > parallel[0]
-        # static energy charged over a shorter delay: gain also grows
-        gains = [r["parallel_energy_gain"] for r in rows]
-        assert gains == sorted(gains)
-
-    def test_batch_one_matches_both_schedules(self):
-        (row,) = batch_offload_rows(batches=(1,))
-        assert row["parallel_speedup"] == pytest.approx(row["serial_speedup"])
-        assert row["parallel_cim_delay_ns"] == pytest.approx(
-            row["serial_cim_delay_ns"]
-        )
-
-    def test_rejects_bad_batch(self):
-        with pytest.raises(ValueError):
-            batch_offload_rows(batches=(0,))
-
-
 class TestBankedOffload:
     def test_k1_reproduces_the_serial_row(self):
         from repro.arch import banked_offload_rows
 
         (serial,) = banked_offload_rows(bank_counts=(1,))
-        rows = batch_offload_rows(batches=(1,))
-        assert serial["speedup"] == pytest.approx(rows[0]["serial_speedup"])
-        assert serial["energy_gain"] == pytest.approx(
-            rows[0]["serial_energy_gain"]
-        )
-
-    def test_max_banks_reproduces_the_parallel_row(self):
-        from repro.arch import banked_offload_rows
-
-        rows = batch_offload_rows(batches=(64,))
-        (banked,) = banked_offload_rows(bank_counts=(64,))
-        assert banked["speedup"] == pytest.approx(rows[0]["parallel_speedup"])
+        (row,) = offload_sweep([0.6], m1=0.8, m2=0.8)
+        assert serial["speedup"] == row["speedup"]
+        assert serial["energy_gain"] == row["energy_gain"]
+        assert serial["cim_delay_ns"] == row["cim_delay_ns"]
+        assert serial["cim_energy_pj"] == row["cim_energy_pj"]
 
     def test_speedup_monotone_in_banks(self):
         from repro.arch import banked_offload_rows
@@ -149,6 +114,9 @@ class TestBankedOffload:
         speedups = [row["speedup"] for row in rows]
         assert speedups == sorted(speedups)
         assert speedups[-1] > speedups[0]
+        # static energy charged over a shorter delay: gain also grows
+        gains = [row["energy_gain"] for row in rows]
+        assert gains == sorted(gains)
 
     def test_validation(self):
         from repro.arch import banked_offload_rows

@@ -54,6 +54,11 @@ class TestScaling:
         with pytest.raises(ValueError):
             CrossbarCostModel().power_advantage_over(0.0)
 
+    @pytest.mark.parametrize("field", ["rows", "cols", "n_adcs"])
+    def test_rejects_empty_array(self, field):
+        with pytest.raises(ValueError, match="rows, cols and n_adcs"):
+            CrossbarCostModel(**{field: 0})
+
 
 class TestBatchSchedules:
     def test_serial_b1_reproduces_the_mvm_anchor(self):
@@ -232,6 +237,11 @@ class TestAdcModel:
         with pytest.raises(ValueError):
             AdcModel().power_w(0.0)
 
+    @pytest.mark.parametrize("field", ["bits", "reference_bits"])
+    def test_rejects_zero_bit_resolution(self, field):
+        with pytest.raises(ValueError, match="resolutions"):
+            AdcModel(**{field: 0})
+
 
 class TestBankedReadout:
     """The banks=k continuum between the serial/parallel endpoints."""
@@ -287,6 +297,14 @@ class TestBankedReadout:
         model = CrossbarCostModel(mux_energy_per_level_fraction=0.05)
         energies = [model.matmat_energy_j(64, banks=k) for k in (64, 16, 4, 1)]
         assert energies == sorted(energies)
+
+    def test_converter_banks_and_per_vector_latency(self):
+        model = CrossbarCostModel()
+        assert model.converter_banks(64) == 1
+        assert model.converter_banks(64, "parallel") == 64
+        assert model.converter_banks(64, banks=16) == 16
+        report = model.batch_readout(64, banks=16)
+        assert report.latency_per_mvm_s == pytest.approx(report.latency_s / 64)
 
     def test_validation(self):
         model = CrossbarCostModel()

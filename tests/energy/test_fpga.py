@@ -43,6 +43,11 @@ class TestScaling:
         with pytest.raises(ValueError):
             FpgaMvmDesign().dot_product_cycles(bad)
 
+    @pytest.mark.parametrize("field", ["n_units", "lanes"])
+    def test_rejects_empty_design(self, field):
+        with pytest.raises(ValueError, match="n_units and lanes"):
+            FpgaMvmDesign(**{field: 0})
+
     def test_rejects_bad_rows(self):
         with pytest.raises(ValueError):
             FpgaMvmDesign().mvm_cycles(0, 1024)
@@ -69,6 +74,11 @@ class TestBatchedMatmat:
         design = FpgaMvmDesign()
         energies = [design.matmat_energy_j(b) for b in (1, 4, 16, 64)]
         assert energies == sorted(energies)
+
+    @pytest.mark.parametrize("field", ["rows", "vector_size"])
+    def test_rejects_empty_operand(self, field):
+        with pytest.raises(ValueError, match=f"{field} must be"):
+            FpgaMvmDesign().matmat_cycles(4, **{field: 0})
 
     def test_rejects_bad_batch(self):
         with pytest.raises(ValueError):

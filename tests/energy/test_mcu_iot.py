@@ -42,6 +42,25 @@ class TestCortexM0:
 
 
 class TestCimInferenceCost:
+    @pytest.mark.parametrize(
+        "build, match",
+        [
+            (
+                lambda: CortexM0Model(
+                    pj_per_cycle=10.0, overhead_cycles_per_neuron=-1.0
+                ),
+                "overhead_cycles_per_neuron",
+            ),
+            (lambda: CimInferenceCost(dac_energy_fraction=-0.1), "dac_energy_fraction"),
+            (lambda: CimInferenceCost().fc_layer_energy_j(0, 4), "layer dimensions"),
+            (lambda: CimInferenceCost().network_energy_j([8]), "input and an output"),
+        ],
+        ids=["m0_overhead", "dac_fraction", "layer_dims", "short_chain"],
+    )
+    def test_rejects_bad_values(self, build, match):
+        with pytest.raises(ValueError, match=match):
+            build()
+
     def test_cell_read_energy_20fj(self):
         assert CimInferenceCost().cell_read_energy_j == pytest.approx(20e-15)
 

@@ -185,3 +185,46 @@ class TestOperatorBackedClassification:
         _, binary = memory.prototype_matrix()
         predicted = memory.classify_batch(binary, operator=operator)
         assert predicted == labels
+
+
+class TestValidation:
+    def test_rejects_empty_dimension(self):
+        with pytest.raises(ValueError, match="d must be"):
+            AssociativeMemory(d=0)
+
+    @pytest.mark.parametrize(
+        "call, match",
+        [
+            (lambda m: m.train_counts("a", np.zeros(8), total=1), "counts must"),
+            (lambda m: m.similarities(np.zeros(8, dtype=np.uint8)), "query must"),
+            (lambda m: m.classify_batch(np.zeros(1024)), "queries must"),
+        ],
+        ids=["train_counts", "similarities", "classify_batch"],
+    )
+    def test_rejects_misshapen_vectors(self, memory, call, match):
+        with pytest.raises(ValueError, match=match):
+            call(memory)
+
+    def test_untrained_batch_search_rejected(self):
+        with pytest.raises(ValueError, match="untrained"):
+            AssociativeMemory(d=32).classify_batch(np.zeros((1, 32)))
+
+
+class TestTrainMany:
+    def test_equals_looped_train(self, rng):
+        labels = ["a", "b", "a", "c", "b", "a"]
+        hypervectors = rng.integers(0, 2, size=(len(labels), 64), dtype=np.uint8)
+        batched = AssociativeMemory(d=64, seed=1)
+        batched.train_many(labels, hypervectors)
+        looped = AssociativeMemory(d=64, seed=1)
+        for label, hypervector in zip(labels, hypervectors):
+            looped.train(label, hypervector)
+        assert batched.labels == looped.labels
+        for label in looped.labels:
+            assert np.array_equal(batched.prototype(label), looped.prototype(label))
+
+    def test_rejects_a_label_count_mismatch(self, rng):
+        memory = AssociativeMemory(d=64)
+        hypervectors = rng.integers(0, 2, size=(3, 64), dtype=np.uint8)
+        with pytest.raises(ValueError):
+            memory.train_many(["a", "b"], hypervectors)

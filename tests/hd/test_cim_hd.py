@@ -120,6 +120,12 @@ class TestCimAssociativeMemory:
         # query event per vector, batched or not
         assert batched.n_queries == sequential.n_queries == 2 * len(queries)
 
+    def test_accuracy_needs_queries(self, trained):
+        memory, _ = trained
+        cim = CimAssociativeMemory(memory, seed=9)
+        with pytest.raises(ValueError, match="no queries"):
+            cim.accuracy(np.zeros((0, cim.d), dtype=np.uint8), [])
+
     def test_batched_search_validation(self, trained):
         memory, _ = trained
         cim = CimAssociativeMemory(memory, seed=8)

@@ -33,6 +33,10 @@ class TestTextEncoder:
         with pytest.raises(ValueError):
             text_encoder.ngram_hypervector("ab")
 
+    def test_rejects_empty_grams(self, text_encoder):
+        with pytest.raises(ValueError, match="ngram must be"):
+            TextNgramEncoder(text_encoder.item_memory, ngram=0)
+
     def test_encode_deterministic_modulo_ties(self, text_encoder):
         a = text_encoder.encode("the quick brown fox")
         b = text_encoder.encode("the quick brown fox")
@@ -103,6 +107,10 @@ class TestBiosignalEncoder:
     def test_sample_validation(self, encoder):
         with pytest.raises(ValueError):
             encoder.spatial_hypervector(np.zeros(3))
+
+    def test_spatial_block_validation(self, encoder):
+        with pytest.raises(ValueError, match="window must be"):
+            encoder.spatial_hypervectors(np.zeros((6, 3)))
 
     def test_constructor_validation(self):
         with pytest.raises(ValueError):

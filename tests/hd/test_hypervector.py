@@ -12,6 +12,7 @@ from repro.ml.hd import (
     permute,
     random_hypervector,
 )
+from repro.ml.hd.hypervector import ngram_counts_from_rows
 
 
 def hv_strategy(d=64):
@@ -62,6 +63,11 @@ class TestBind:
         with pytest.raises(ValueError):
             bind(np.zeros(4, dtype=np.uint8), np.zeros(5, dtype=np.uint8))
 
+    def test_integer_inputs_bind_as_bits(self):
+        bound = bind(np.array([1, 0, 1, 0]), np.array([1, 1, 0, 0]))
+        assert bound.dtype == np.uint8
+        assert np.array_equal(bound, [0, 1, 1, 0])
+
 
 class TestBundle:
     def test_odd_majority_exact(self):
@@ -105,6 +111,21 @@ class TestBundle:
     def test_rejects_non_stack(self):
         with pytest.raises(ValueError):
             bundle(np.zeros(8, dtype=np.uint8))
+
+    def test_rejects_empty_stack(self):
+        with pytest.raises(ValueError, match="at least one"):
+            bundle(np.zeros((0, 8), dtype=np.uint8))
+
+
+class TestNgramCounts:
+    @pytest.mark.parametrize(
+        "length, ngram, match",
+        [(4, 0, "ngram must be"), (2, 3, "at least ngram")],
+        ids=["empty_gram", "short_stream"],
+    )
+    def test_validation(self, length, ngram, match):
+        with pytest.raises(ValueError, match=match):
+            ngram_counts_from_rows(np.zeros((length, 8), dtype=np.uint8), ngram)
 
 
 class TestPermute:

@@ -40,8 +40,22 @@ class TestItemMemory:
         memory = ItemMemory("abcd", d=128, seed=4)
         assert memory.matrix.shape == (4, 128)
 
+    def test_symbols_keep_insertion_order(self):
+        assert ItemMemory("cab", d=16, seed=0).symbols == ["c", "a", "b"]
+
+    def test_rejects_empty_dimension(self):
+        with pytest.raises(ValueError, match="d must be"):
+            ItemMemory("ab", d=0)
+
 
 class TestLevelItemMemory:
+    def test_matrix_stacks_levels_as_a_copy(self):
+        memory = LevelItemMemory(n_levels=4, d=64, seed=3)
+        matrix = memory.matrix
+        assert np.array_equal(matrix[2], memory.level(2))
+        matrix[:] = 0
+        assert memory.matrix.any()
+
     def test_similarity_decreases_with_level_distance(self):
         memory = LevelItemMemory(n_levels=16, d=8192, seed=0)
         sims = [

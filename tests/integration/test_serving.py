@@ -125,12 +125,10 @@ class TestDispatchTransparency:
         events = make_trace(fleet, kinds=kinds)
         server = serve_trace(fleet, events)
         reference = make_fleet()  # untouched twin dispatches the same blocks
+        by_id = {result.request.id: result for result in server.completed}
         for block in server.block_log:
             columns = np.stack(
-                [
-                    server.results[request_id].request.vector
-                    for request_id in block.request_ids
-                ],
+                [by_id[request_id].request.vector for request_id in block.request_ids],
                 axis=1,
             )
             if block.kind == "matvec":
@@ -139,7 +137,7 @@ class TestDispatchTransparency:
                 expected = reference.rmatmat(columns)
             for position, request_id in enumerate(block.request_ids):
                 np.testing.assert_array_equal(
-                    server.results[request_id].value,
+                    by_id[request_id].value,
                     expected[:, position],
                 )
         assert fleet.stats == reference.stats

@@ -30,6 +30,10 @@ class TestBitplanes:
 
 
 class TestBitSerialAdder:
+    def test_rejects_zero_bit_words(self):
+        with pytest.raises(ValueError, match="bits must be"):
+            BitSerialAdder(width=8, bits=0)
+
     def test_random_additions_exact(self, rng):
         adder = BitSerialAdder(width=128, bits=8, seed=0)
         a = rng.integers(0, 256, 128, dtype=np.uint64)

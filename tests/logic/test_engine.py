@@ -38,6 +38,11 @@ class TestReadWrite:
         with pytest.raises(ValueError):
             engine.write_row(0, np.zeros(32, dtype=np.uint8))
 
+    @pytest.mark.parametrize("shape", [(2, 32), (64,)], ids=["narrow", "flat"])
+    def test_load_rejects_misshapen_matrix(self, engine, shape):
+        with pytest.raises(ValueError, match="bit_matrix must be"):
+            engine.load(np.zeros(shape, dtype=np.uint8))
+
     def test_bad_address_rejected(self, engine):
         with pytest.raises(IndexError):
             engine.read_row(8)

@@ -34,6 +34,15 @@ class TestLevels:
         with pytest.raises(ValueError):
             noiseless().level_current(3, 2)
 
+    @pytest.mark.parametrize("v_read", [0.0, -0.2])
+    def test_rejects_non_positive_read_voltage(self, v_read):
+        with pytest.raises(ValueError, match="v_read"):
+            ScoutingLogic(v_read=v_read)
+
+    def test_column_currents_need_a_row_stack(self):
+        with pytest.raises(ValueError, match="2-D"):
+            noiseless().column_currents(np.full(4, 1e3))
+
 
 class TestTruthTables:
     @pytest.mark.parametrize("op", ["or", "and", "xor"])

@@ -87,3 +87,23 @@ class TestQuantizeNetwork:
         net, _, (x_test, y_test) = trained_task
         accuracy = quantize_network(net, 1).accuracy(x_test, y_test)
         assert 0.0 <= accuracy <= 1.0
+
+
+class TestNoiseAwareTraining:
+    def test_weight_noise_training_still_learns(self):
+        task = SensoryTask(n_features=16, n_classes=4, separation=2.5, seed=0)
+        x_train, y_train, x_test, y_test = task.train_test_split(400, 150, seed=1)
+        network = Sequential.mlp([16, 24, 4], seed=2)
+        losses = train_classifier(
+            network, x_train, y_train, epochs=25, weight_noise_sigma=0.1, seed=3
+        )
+        assert losses[-1] < losses[0]
+        assert network.accuracy(x_test, y_test) > 0.6
+
+    def test_negative_noise_rejected(self):
+        network = Sequential.mlp([4, 2], seed=0)
+        with pytest.raises(ValueError):
+            train_classifier(
+                network, np.zeros((8, 4)), np.zeros(8, dtype=int),
+                weight_noise_sigma=-0.1,
+            )

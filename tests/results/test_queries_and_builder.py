@@ -70,6 +70,22 @@ class TestHistory:
         assert [row["b"] for row in frame] == [None, 5.0]
 
 
+class TestQueries:
+    def test_run_names_filter_by_kind(self, store):
+        record(store, "bench_run", 1.0, stamp="2026-01-01T00:00:00+00:00")
+        store.record_run("report_run", "report", metrics={"x": 1.0})
+        provider = DataProvider(store)
+        assert provider.run_names() == ["bench_run", "report_run"]
+        assert provider.run_names(kind="report") == ["report_run"]
+
+    def test_document_rejects_a_non_document_artifact(self, store):
+        run_id = store.record_run(
+            "demo", "bench", metrics={"x": 1.0}, artifacts={"report": {"x": 1}}
+        )
+        with pytest.raises(TypeError, match="not a document"):
+            DataProvider(store).document(run_id)
+
+
 class TestRebuild:
     def test_rebuild_renders_latest_document(self, store):
         record(store, "demo", 1.0, stamp="2026-01-01T00:00:00+00:00")
@@ -100,6 +116,21 @@ class TestTrendReport:
         assert "+50.0%" in text
         # the history line lists both recorded values oldest-first
         assert "[2, 3]" in text
+
+    def test_change_from_a_zero_first_value(self, store):
+        for name, values in (("grew", (0.0, 0.5)), ("flat", (0.0, 0.0))):
+            for index, value in enumerate(values):
+                record(
+                    store, name, value,
+                    stamp=f"2026-0{index + 1}-01T00:00:00+00:00",
+                )
+        sections = [
+            ("Zero baselines", [("grew", "speedup", "grew"),
+                                ("flat", "speedup", "flat")]),
+        ]
+        text = trend_report(DataProvider(store), sections).render()
+        assert "grew  | grew.speedup | 2    | 0     | 0.5    | n/a" in text
+        assert "flat  | flat.speedup | 2    | 0     | 0      | 0%" in text
 
     def test_sections_without_data_are_dropped(self, store):
         record(store, "batched_mvm", 2.0, stamp="2026-01-01T00:00:00+00:00")
@@ -156,6 +187,13 @@ class TestHistoryDiff:
         assert len(regressions) == 1
         assert regressions[0].missing
         assert "absent" in regressions[0].describe()
+
+    def test_names_outside_the_baseline_and_ungated_runs_pass(self, tmp_path):
+        current, baseline = self.stores(tmp_path, 2.0, 0.5, "higher", 0.1)
+        with ResultsStore(tmp_path / "ungated.db") as ungated:
+            record(ungated, "demo", 2.0, stamp="2026-01-01T00:00:00+00:00")
+            assert history_diff(current, DataProvider(ungated)) == []
+        assert history_diff(current, baseline, ["not_in_baseline"]) == []
 
     def test_improvements_pass(self, tmp_path):
         current, baseline = self.stores(tmp_path, 2.0, 9.0, "higher", 0.1)

@@ -2,8 +2,10 @@
 
 import pytest
 
+from repro.core.report import ReportDocument, ReportText
 from repro.experiments import REGISTRY
 from repro.results.cli import main
+from repro.results.queries import DataProvider
 from repro.results.store import ResultsStore, set_active_store
 
 
@@ -79,3 +81,73 @@ class TestCommands:
         with pytest.raises(SystemExit) as excinfo:
             main(["--db", str(tmp_path / "nope.db"), "runs"])
         assert excinfo.value.code == 2
+
+
+def gated_store(path, speedup):
+    """A store with one gated bench run and no report document."""
+    with ResultsStore(path) as store:
+        store.record_run(
+            "bench",
+            "bench",
+            metrics={"speedup": speedup},
+            gates={"speedup": ("higher", 0.1)},
+        )
+    return path
+
+
+class TestSmallStores:
+    """Command paths on hand-built stores, with no report run."""
+
+    def test_diff_prints_regressions_and_fails(self, tmp_path, capsys):
+        baseline = gated_store(tmp_path / "baseline.db", 10.0)
+        current = gated_store(tmp_path / "current.db", 5.0)
+        assert main(["--db", str(current), "diff", "--baseline", str(baseline)]) == 1
+        stdout = capsys.readouterr().out
+        assert "1 gated metric(s) regressed vs baseline:" in stdout
+        assert "bench.speedup: 5 vs baseline 10 (higher is better" in stdout
+
+    def test_rejected_snapshot_leaves_the_target_untouched(self, tmp_path, capsys):
+        db = gated_store(tmp_path / "results.db", 10.0)
+        keep = tmp_path / "keep.db"
+        assert main(["--db", str(db), "snapshot", "-o", str(keep)]) == 0
+        before = keep.read_bytes()
+        argv = ["--db", str(db), "snapshot", "-o", str(keep), "no_such_run"]
+        assert main(argv) == 2
+        assert "unknown run name(s): no_such_run" in capsys.readouterr().err
+        assert keep.read_bytes() == before
+
+    def test_rebuild_without_documents_is_an_error(self, tmp_path, capsys):
+        db = gated_store(tmp_path / "results.db", 10.0)
+        assert main(["--db", str(db), "rebuild", "-o", str(tmp_path / "out")]) == 2
+        assert "no persisted report documents" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_check_skips_reports_missing_on_disk(self, tmp_path, capsys):
+        db = tmp_path / "results.db"
+        with ResultsStore(db) as store:
+            store.record_run(
+                "demo", "report", document=ReportDocument([ReportText("x")])
+            )
+        out = tmp_path / "out"
+        assert main(["--db", str(db), "rebuild", "--check", "-o", str(out)]) == 0
+        assert "skip" in capsys.readouterr().out
+        assert not out.exists()
+
+    def test_snapshot_replaces_the_target_and_keeps_history_on_request(
+        self, tmp_path
+    ):
+        db = gated_store(tmp_path / "results.db", 10.0)
+        with ResultsStore(db) as store:
+            store.record_run("bench", "bench", metrics={"speedup": 12.0})
+        target = tmp_path / "snapshot.db"
+        assert main(["--db", str(db), "snapshot", "--all", "-o", str(target)]) == 0
+        assert len(DataProvider(target).runs("bench")) == 2
+        assert main(["--db", str(db), "snapshot", "-o", str(target)]) == 0
+        (latest,) = DataProvider(target).runs("bench")
+        assert DataProvider(target).metrics(latest.id) == {"speedup": 12.0}
+
+    def test_runs_on_an_empty_store(self, tmp_path, capsys):
+        db = tmp_path / "empty.db"
+        ResultsStore(db).close()
+        assert main(["--db", str(db), "runs"]) == 0
+        assert capsys.readouterr().out == "no recorded runs\n"

@@ -30,7 +30,7 @@ class TestRequestQueueValidation:
         with pytest.raises(ValueError, match="block_columns"):
             RequestQueue(bad, coalesce_budget_s=1.0)
 
-    @pytest.mark.parametrize("bad", [-1.0, math.nan])
+    @pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf])
     def test_rejects_bad_budget(self, bad):
         with pytest.raises(ValueError, match="coalesce_budget_s"):
             RequestQueue(4, coalesce_budget_s=bad)
@@ -120,6 +120,10 @@ class TestAdmissionController:
             AdmissionController(0)
         with pytest.raises(ValueError, match="policy"):
             AdmissionController(4, policy="drop_newest")
+
+    def test_rejects_fractional_depth(self):
+        with pytest.raises(ValueError, match="max_depth must be an integer"):
+            AdmissionController(2.5)
 
     def test_reject_policy_counts(self):
         queue = RequestQueue(8, 1.0)

@@ -66,6 +66,21 @@ class TestSubmitValidation:
         with pytest.raises(ValueError, match="shape"):
             server.submit(rng.standard_normal((n, 1)), kind="matvec")
 
+    def test_rejects_non_str_tenant_before_counting(self, fleet, rng):
+        server = make_server(fleet)
+        n = fleet.shape[1]
+        server.submit(rng.standard_normal(n), tenant="a")
+        before = dict(fleet.stats)
+        with pytest.raises(TypeError, match="tenant"):
+            server.submit(rng.standard_normal(n), tenant=7)
+        assert server.queue.depth == 1
+        assert server.tenants == ("a",)
+        assert fleet.stats == before
+        # the block holding the good request still serves
+        (result,) = server.flush()
+        assert result.request.tenant == "a"
+        assert server.tenant_stats("a")["n_matvec"] == 1
+
     def test_default_block_columns_is_fleet_window(self, fleet):
         server = make_server(fleet)
         assert server.queue.block_columns == fleet.batch_window
@@ -128,10 +143,56 @@ class TestCoalescing:
         vectors = [rng.standard_normal(n) for _ in range(4)]
         requests = [server.submit(vector) for vector in vectors]
         server.step()
+        by_id = {result.request.id: result for result in server.completed}
         for request, vector in zip(requests, vectors):
-            result = server.results[request.id]
+            result = by_id[request.id]
             assert result.status == "served"
             np.testing.assert_allclose(result.value, fleet.matrix @ vector)
+
+
+class _BlockCountingFleet:
+    """An exact fleet whose stats also count dispatched blocks, a counter
+    that moves even when every column of a block is zero."""
+
+    def __init__(self, fleet):
+        self._fleet = fleet
+        self.shape = fleet.shape
+        self.batch_window = fleet.batch_window
+        self.blocks = 0
+
+    @property
+    def stats(self):
+        return {**self._fleet.stats, "blocks": self.blocks}
+
+    def matmat(self, block):
+        self.blocks += 1
+        return self._fleet.matmat(block)
+
+    def rmatmat(self, block):
+        self.blocks += 1
+        return self._fleet.rmatmat(block)
+
+
+class TestDeadBlocks:
+    def test_all_dead_block_bills_by_columns(self, fleet):
+        server = make_server(_BlockCountingFleet(fleet))
+        n = fleet.shape[1]
+        for tenant in ("a", "a", "b"):
+            server.submit(np.zeros(n), tenant=tenant)
+        server.flush()
+        (block,) = server.block_log
+        assert block.live_columns == 0
+        # no live column to weigh by: the block counter splits 2:1 by
+        # columns, and the ledgers still sum to the fleet's delta
+        assert server.tenant_stats("a")["blocks"] == 1
+        assert "blocks" not in server.tenant_stats("b")
+        assert server.served_counters == {"n_matvec": 3, "blocks": 1}
+
+    def test_empty_lane_dispatches_nothing(self, fleet):
+        server = make_server(fleet)
+        assert server._dispatch_block("matvec") == []
+        assert server.block_log == []
+        assert fleet.stats["n_matvec"] == 0
 
 
 class TestServiceModel:
@@ -192,6 +253,15 @@ class TestSloTracking:
         server.step()
         assert server.latency_summary()["slo_violations"] == 1.0
 
+    @pytest.mark.parametrize(
+        "bad",
+        [math.nan, -1.0, math.inf, {"a": -1.0}, {"a": 0.5, "b": math.nan}],
+        ids=["nan", "negative", "inf", "negative_tenant", "nan_tenant"],
+    )
+    def test_rejects_bad_slo(self, fleet, bad):
+        with pytest.raises(ValueError, match="slo_s"):
+            make_server(fleet, slo_s=bad)
+
     def test_summary_reports_percentiles(self, fleet, rng):
         server = make_server(fleet, coalesce_budget_s=0.0)
         n = fleet.shape[1]
@@ -224,7 +294,8 @@ class TestAdmission:
         third = server.submit(rng.standard_normal(n))
         assert third is not None
         assert server.queue.depth == 2
-        victim = server.results[first.id]
+        (victim,) = server.completed
+        assert victim.request is first
         assert victim.status == "shed" and victim.value is None
         assert server.tenant_requests("default")["shed"] == 1
 

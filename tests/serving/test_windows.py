@@ -105,6 +105,14 @@ class TestForecast:
         window = MaintenanceWindow(fleet, policy, gain_error_budget=0.01)
         assert window.seconds_until_due() == math.inf
 
+    def test_zero_matrix_fleet_has_no_forecaster(self):
+        fleet = ShardedOperator.from_matrix(
+            np.zeros((6, 4)), n_shards=2, batch_window=3, seed=5
+        )
+        window = make_window(fleet)
+        assert [window.policy.predictor_for(s) for s in fleet.shards] == [None] * 2
+        assert window.seconds_until_due() == math.inf
+
     def test_one_forecaster_per_shard_shared_with_the_policy(
         self, pcm_fleet, monkeypatch
     ):

@@ -2,13 +2,9 @@
 
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from repro._util import (
     as_rng,
-    bits_to_bytes,
-    bytes_to_bits,
     check_fraction,
     check_in,
     check_positive,
@@ -96,16 +92,3 @@ class TestHamming:
         with pytest.raises(ValueError):
             normalized_hamming(np.array([]), np.array([]))
 
-
-class TestBitPacking:
-    @given(st.binary(min_size=0, max_size=64))
-    def test_roundtrip(self, data):
-        assert bits_to_bytes(bytes_to_bits(data)) == data
-
-    def test_msb_first(self):
-        bits = bytes_to_bits(b"\x80")
-        assert bits[0] == 1 and bits[1:].sum() == 0
-
-    def test_bad_length_rejected(self):
-        with pytest.raises(ValueError):
-            bits_to_bytes(np.ones(7, dtype=np.uint8))

@@ -9,6 +9,7 @@ from repro.workloads import (
     SensoryTask,
     add_gaussian_noise,
     edge_texture_image,
+    gaussian_measurement_matrix,
 )
 from repro.workloads.images import step_edge_image
 from repro.workloads.languages import ALPHABET
@@ -136,3 +137,39 @@ class TestSensoryTask:
             SensoryTask(n_classes=1)
         with pytest.raises(ValueError):
             SensoryTask().sample(0)
+
+
+class TestGeneratorValidation:
+    @pytest.mark.parametrize(
+        "build, match",
+        [
+            (lambda: EmgGestureGenerator(noise_level=-0.1), "noise_level"),
+            (lambda: EmgGestureGenerator(seed=0).dataset(0), "windows_per_gesture"),
+            (
+                lambda: LanguageCorpus(n_languages=2, characteristic_fraction=0.0),
+                "characteristic_fraction",
+            ),
+            (
+                lambda: LanguageCorpus(n_languages=2, characteristic_fraction=1.5),
+                "characteristic_fraction",
+            ),
+            (
+                lambda: LanguageCorpus(n_languages=2, seed=0).dataset(0, 10),
+                "samples_per_language",
+            ),
+            (lambda: gaussian_measurement_matrix(0, 4), "m and n"),
+            (lambda: gaussian_measurement_matrix(4, 0), "m and n"),
+        ],
+        ids=[
+            "emg_noise",
+            "emg_dataset",
+            "language_fraction_zero",
+            "language_fraction_above_one",
+            "language_dataset",
+            "measurement_rows",
+            "measurement_columns",
+        ],
+    )
+    def test_rejects_bad_arguments(self, build, match):
+        with pytest.raises(ValueError, match=match):
+            build()
