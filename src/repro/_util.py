@@ -70,9 +70,9 @@ def check_finite(name: str, array: np.ndarray) -> np.ndarray:
 
 
 def check_positive(name: str, value: float) -> float:
-    """Raise ``ValueError`` unless ``value`` is strictly positive."""
-    if not value > 0:
-        raise ValueError(f"{name} must be > 0, got {value!r}")
+    """Raise ``ValueError`` unless ``value`` is finite and strictly positive."""
+    if not (value > 0 and np.isfinite(value)):
+        raise ValueError(f"{name} must be > 0 and finite, got {value!r}")
     return value
 
 

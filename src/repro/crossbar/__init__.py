@@ -17,16 +17,11 @@ Public API
   that drive 2-D voltage blocks (one input vector per column) with
   loop-equivalent conversion accounting.
 * :class:`ShardedOperator` — window-schedules batches larger than one
-  array's readout window across operator replicas (round-robin,
-  greedy-by-active-columns or placement-optimized) with
-  exactly merged conversion counters and per-shard drift clocks;
-  per-shard reads run serially or on a thread pool
-  (``parallelism="threads"``) with identical scheduling, results and
-  counters.
-* :class:`PlacementOptimizer` — cost-model-driven co-optimization of
-  window→shard dispatch and the ``banks=k`` readout configuration, with
-  an exact branch-and-bound oracle and fast labeling + local-search
-  heuristics behind one API (``schedule="optimized"`` consumes it).
+  array's readout window across operator replicas (round-robin or
+  greedy-by-active-columns) with exactly merged conversion counters
+  and per-shard drift clocks; per-shard reads run serially or on a
+  thread pool (``parallelism="threads"``) with identical scheduling,
+  results and counters.
 * :class:`FleetMaintenance` — scheduled recalibration/reprogramming of
   drifting shards between dispatch windows, with separable counters,
   predictive (drift-model-driven) triggers and calibrate → reprogram →
@@ -59,12 +54,6 @@ from repro.crossbar.lifetime import (
 from repro.crossbar.maintenance import FleetMaintenance, MaintenanceAction
 from repro.crossbar.nonidealities import apply_stuck_faults, ir_drop_factors
 from repro.crossbar.operator import CrossbarOperator, DenseOperator
-from repro.crossbar.placement import (
-    PLACEMENT_SOLVERS,
-    PlacementOptimizer,
-    PlacementPlan,
-    ShardState,
-)
 from repro.crossbar.programming import ProgrammingReport, program_and_verify
 from repro.crossbar.sharding import (
     PARALLELISM_MODES,
@@ -90,12 +79,8 @@ __all__ = [
     "MaintenanceAction",
     "MixedPrecisionSolver",
     "PARALLELISM_MODES",
-    "PLACEMENT_SOLVERS",
-    "PlacementOptimizer",
-    "PlacementPlan",
     "ProgrammingReport",
     "SHARD_SCHEDULES",
-    "ShardState",
     "ShardedOperator",
     "SolveResult",
     "apply_stuck_faults",

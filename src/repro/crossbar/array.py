@@ -93,8 +93,11 @@ class CrossbarArray:
             raise ValueError("target_conductance must be a 2-D matrix")
         if np.any(target_conductance < 0):
             raise ValueError("conductances must be non-negative")
-        if wire_resistance < 0:
-            raise ValueError("wire_resistance must be non-negative")
+        if not (np.isfinite(wire_resistance) and wire_resistance >= 0):
+            raise ValueError(
+                "wire_resistance must be finite and non-negative, "
+                f"got {wire_resistance!r}"
+            )
         self.device = device if device is not None else PcmDevice()
         self._rng = as_rng(seed)
         self.wire_resistance = wire_resistance

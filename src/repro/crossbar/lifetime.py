@@ -95,8 +95,8 @@ class DriftPredictor:
         if g_pos.size == 0:
             raise ValueError("at least one device pair is required")
         if max_devices is not None:
-            if max_devices < 1:
-                raise ValueError("max_devices must be >= 1 or None")
+            if not (float(max_devices).is_integer() and max_devices >= 1):
+                raise ValueError("max_devices must be an integer >= 1 or None")
             if g_pos.size > max_devices:
                 # Even deterministic stride: same subsample every build.
                 stride = -(-g_pos.size // int(max_devices))

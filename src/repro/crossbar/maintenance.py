@@ -202,8 +202,10 @@ class FleetMaintenance:
             verify_probes != int(verify_probes) or verify_probes < 1
         ):
             raise ValueError("verify_probes must be an integer >= 1 or None")
-        if programming_iterations is not None and programming_iterations < 1:
-            raise ValueError("programming_iterations must be >= 1 or None")
+        if programming_iterations is not None and not (
+            float(programming_iterations).is_integer() and programming_iterations >= 1
+        ):
+            raise ValueError("programming_iterations must be an integer >= 1 or None")
         self.fleet = fleet
         self.recalibrate_after_s = recalibrate_after_s
         self.reprogram_after_s = reprogram_after_s

@@ -8,24 +8,16 @@ dispatches the windows across one or more operator replicas that share
 the same programmed matrix but keep independent device noise and
 conversion counters (the ISAAC-style multi-tile serving scenario).
 
-Three scheduling policies are provided:
+Two scheduling policies are provided:
 
 * ``"round_robin"`` — windows rotate across the shards in arrival
   order (the cursor persists across calls, so successive requests keep
   rotating instead of always starting at shard 0);
 * ``"greedy"`` — each window goes to the shard with the least
   *active* (non-zero) columns dispatched so far, which balances real
-  device work under skewed traffic where many columns are zero;
-* ``"optimized"`` — each block's window→shard assignment is planned by
-  a :class:`~repro.crossbar.placement.PlacementOptimizer` minimizing
-  modeled latency/energy from the fleet's loads, gains and staleness
-  (cost-greedy labeling plus local search).  On a homogeneous fleet —
-  equal gains and staleness everywhere — the optimizer's labeling *is*
-  the greedy argmin, tie-breaks included, so dispatch is bitwise
-  identical to ``"greedy"``; heterogeneous fleets get the modeled-cost
-  improvement ``benchmarks/bench_placement.py`` gates.
+  device work under skewed traffic where many columns are zero.
 
-All three leave *degenerate* windows — all-zero, carrying no device
+Both leave *degenerate* windows — all-zero, carrying no device
 work — out of the scheduler state: a dead window is served by whichever
 shard the schedule currently favours, without advancing the round-robin
 cursor or the load tallies, so dead traffic between two live windows
@@ -96,12 +88,11 @@ import numpy as np
 
 from repro._util import as_rng, check_elapsed, check_finite, check_in
 from repro.crossbar.operator import CrossbarOperator, DenseOperator
-from repro.crossbar.placement import PlacementOptimizer, ShardState
 from repro.crossbar.tile import split_ranges
 
 __all__ = ["PARALLELISM_MODES", "SHARD_SCHEDULES", "ShardedOperator"]
 
-SHARD_SCHEDULES = ("round_robin", "greedy", "optimized")
+SHARD_SCHEDULES = ("round_robin", "greedy")
 PARALLELISM_MODES = ("serial", "threads")
 
 
@@ -120,12 +111,7 @@ class ShardedOperator:
         Maximum batch columns one shard digitizes per dispatch — the
         physical readout window of one array.
     schedule:
-        ``"round_robin"``, ``"greedy"`` or ``"optimized"`` (see module
-        docstring).
-    optimizer:
-        The :class:`~repro.crossbar.placement.PlacementOptimizer`
-        behind ``schedule="optimized"`` (``None`` builds one with
-        default cost weights).  Rejected under the other schedules.
+        ``"round_robin"`` or ``"greedy"`` (see module docstring).
     parallelism:
         ``"serial"`` (default) executes the per-shard calls of one
         dispatch in shard order; ``"threads"`` runs them concurrently
@@ -143,7 +129,6 @@ class ShardedOperator:
         schedule: str = "round_robin",
         parallelism: str = "serial",
         n_workers: int | None = None,
-        optimizer: PlacementOptimizer | None = None,
     ) -> None:
         shards = list(shards)
         if not shards:
@@ -172,21 +157,11 @@ class ShardedOperator:
         check_in("parallelism", parallelism, PARALLELISM_MODES)
         if n_workers is not None and (n_workers != int(n_workers) or n_workers < 1):
             raise ValueError("n_workers must be an integer >= 1 or None")
-        if optimizer is not None and schedule != "optimized":
-            raise ValueError(
-                "optimizer applies to schedule='optimized' only; "
-                f"got schedule={schedule!r}"
-            )
         self.shards = shards
         self.batch_window = int(batch_window)
         self.schedule = schedule
         self.parallelism = parallelism
         self.n_workers = int(n_workers) if n_workers is not None else len(shards)
-        self.optimizer = (
-            (optimizer if optimizer is not None else PlacementOptimizer())
-            if schedule == "optimized"
-            else None
-        )
         self.maintenance = None
         self._loads = [0] * len(shards)
         self._cursor = 0
@@ -215,7 +190,6 @@ class ShardedOperator:
         schedule: str = "round_robin",
         parallelism: str = "serial",
         n_workers: int | None = None,
-        optimizer: PlacementOptimizer | None = None,
         backend: str = "crossbar",
         stream: str = "shared",
         seed: int | np.random.Generator | None = None,
@@ -261,7 +235,6 @@ class ShardedOperator:
             schedule=schedule,
             parallelism=parallelism,
             n_workers=n_workers,
-            optimizer=optimizer,
         )
 
     # -- introspection ---------------------------------------------------------
@@ -390,30 +363,8 @@ class ShardedOperator:
         return split_ranges(batch, self.batch_window)
 
     # -- scheduling ------------------------------------------------------------
-    def _shard_states(self) -> list[ShardState]:
-        """The live shards as the placement optimizer sees them."""
-        if not self._active_indices():
-            raise RuntimeError(
-                "all shards are retired; the fleet has no serving capacity"
-            )
-        gains = self.shard_gains
-        staleness = self.shard_staleness
-        return [
-            ShardState(
-                index=i,
-                load=self._loads[i],
-                gain=gains[i],
-                staleness_s=staleness[i],
-            )
-            for i in self._active_indices()
-        ]
-
-    def _pick_shard(self, active_columns: int, forced: int | None = None) -> int:
+    def _pick_shard(self, active_columns: int) -> int:
         """Choose the shard for one window and record its load.
-
-        ``forced`` commits the placement optimizer's choice while still
-        accruing the window's real load, keeping :attr:`loads` truthful
-        for whatever schedule runs next.
 
         Degenerate windows (``active_columns == 0``) carry no device
         work: they are served by whichever shard the schedule currently
@@ -431,9 +382,7 @@ class ShardedOperator:
             raise RuntimeError(
                 "all shards are retired; the fleet has no serving capacity"
             )
-        if forced is not None:
-            index = forced
-        elif self.schedule == "round_robin":
+        if self.schedule == "round_robin":
             index = candidates[self._cursor % len(candidates)]
             if active_columns:
                 self._cursor += 1
@@ -442,47 +391,21 @@ class ShardedOperator:
         self._loads[index] += active_columns
         return index
 
-    def _window_actives(self, block: np.ndarray) -> list[tuple[int, int, int]]:
-        """``(start, stop, active_columns)`` per window of ``block``."""
-        return [
-            (
-                start,
-                stop,
-                int(np.count_nonzero(np.any(block[:, start:stop] != 0.0, axis=0))),
-            )
-            for start, stop in self.window_spans(block.shape[1])
-        ]
-
     def _assign_windows(self, block: np.ndarray) -> list[tuple[int, int, int]]:
         """``(start, stop, shard)`` per window, advancing scheduler state.
 
         The assignment sequence is a pure function of the block's
         per-window active-column counts and the scheduler state
-        (``loads``, cursor, and the staleness/gain snapshot the
-        optimized schedule takes at block entry) at call time — no
+        (``loads``, cursor and retirement flags) at call time — no
         clock, RNG or execution-timing input — which is what makes
         serial and threaded dispatch schedule identically.
         """
-        windows = self._window_actives(block)
-        if self.schedule == "optimized":
-            choices = self.optimizer.assign_windows(
-                [active for _, _, active in windows], self._shard_states()
-            )
-            return [
-                (start, stop, self._pick_shard(active, forced=choice))
-                for (start, stop, active), choice in zip(windows, choices)
-            ]
-        return [
-            (start, stop, self._pick_shard(active))
-            for start, stop, active in windows
-        ]
-
-    def _pick_single(self, active: int) -> int:
-        """Shard for one width-1 window (caller holds the scheduler lock)."""
-        if self.schedule == "optimized":
-            choice = self.optimizer.assign_windows([active], self._shard_states())[0]
-            return self._pick_shard(active, forced=choice)
-        return self._pick_shard(active)
+        plan = []
+        for start, stop in self.window_spans(block.shape[1]):
+            window = block[:, start:stop]
+            active = int(np.count_nonzero(np.any(window != 0.0, axis=0)))
+            plan.append((start, stop, self._pick_shard(active)))
+        return plan
 
     def _assign(self, block: np.ndarray) -> list[np.ndarray]:
         """Per-shard column index arrays for one dispatched block."""
@@ -502,9 +425,8 @@ class ShardedOperator:
         must be one of the fleet's two dimensions and every entry must
         be finite, so a block that dispatch would reject gets no plan.
         The plan is a pure function of the block and the *current*
-        scheduler state — loads, cursor, retirement flags and, under
-        ``schedule="optimized"``, the per-shard staleness/gain
-        snapshot.  Planning then dispatching therefore yields the
+        scheduler state — loads, cursor and retirement flags.  Planning
+        then dispatching therefore yields the
         identical assignment provided no scheduler input changed in
         between.
         """
@@ -697,45 +619,24 @@ class ShardedOperator:
                 for owner, columns in enumerate(columns_of)
             ]
 
+        # Commit forward windows strictly in window order, each as soon
+        # as its owner's transpose read (hence its x_out columns) is
+        # ready; _pick_shard therefore sees the same state sequence the
+        # unfused matmat(X) dispatch would.
         forward: list[tuple[int, int]] = []
-        if self.schedule == "optimized":
-            # The placement optimizer plans whole blocks (its objective
-            # needs every window's active count at once), so the
-            # forward phase synchronizes on all transpose reads and
-            # dispatches the planned forward block — trading the fused
-            # per-window pipeline for plan quality; shard execution
-            # still overlaps under threads.
-            for done in reverse_done:
-                if done is not None:
-                    done.result()
+        for start, stop, owner in reverse_plan:
+            if reverse_done[owner] is not None:
+                reverse_done[owner].result()
+            window = x_out[:, start:stop]
+            active = int(np.count_nonzero(np.any(window != 0.0, axis=0)))
             with self._scheduler_lock:
-                forward_plan = self._assign_windows(x_out)
-            for start, stop, index in forward_plan:
-                window = x_out[:, start:stop]
-                if serial:
-                    q_out[:, start:stop] = self._shard_call(index, "matmat", window)
-                else:
-                    forward.append(
-                        (start, pool.submit(self._shard_call, index, "matmat", window))
-                    )
-        else:
-            # Commit forward windows strictly in window order, each as
-            # soon as its owner's transpose read (hence its x_out
-            # columns) is ready; _pick_shard therefore sees the same
-            # state sequence the unfused matmat(X) dispatch would.
-            for start, stop, owner in reverse_plan:
-                if reverse_done[owner] is not None:
-                    reverse_done[owner].result()
-                window = x_out[:, start:stop]
-                active = int(np.count_nonzero(np.any(window != 0.0, axis=0)))
-                with self._scheduler_lock:
-                    index = self._pick_shard(active)
-                if serial:
-                    q_out[:, start:stop] = self._shard_call(index, "matmat", window)
-                else:
-                    forward.append(
-                        (start, pool.submit(self._shard_call, index, "matmat", window))
-                    )
+                index = self._pick_shard(active)
+            if serial:
+                q_out[:, start:stop] = self._shard_call(index, "matmat", window)
+            else:
+                forward.append(
+                    (start, pool.submit(self._shard_call, index, "matmat", window))
+                )
         for start, future in forward:
             result = future.result()
             q_out[:, start : start + result.shape[1]] = result
@@ -750,7 +651,7 @@ class ShardedOperator:
         check_finite("x", x)
         self._run_maintenance()
         with self._scheduler_lock:
-            index = self._pick_single(int(np.any(x != 0.0)))
+            index = self._pick_shard(int(np.any(x != 0.0)))
         with self._shard_locks[index]:
             return self.shards[index].matvec(x)
 
@@ -763,7 +664,7 @@ class ShardedOperator:
         check_finite("z", z)
         self._run_maintenance()
         with self._scheduler_lock:
-            index = self._pick_single(int(np.any(z != 0.0)))
+            index = self._pick_shard(int(np.any(z != 0.0)))
         with self._shard_locks[index]:
             return self.shards[index].rmatvec(z)
 

@@ -17,7 +17,7 @@ All methods are vectorized over numpy arrays of device states.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -66,6 +66,10 @@ class PcmDevice:
     set_noise_sigma: float = 0.3
 
     def __post_init__(self) -> None:
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if not np.isfinite(value):
+                raise ValueError(f"{field.name} must be finite, got {value!r}")
         check_positive("g_max", self.g_max)
         if self.g_min < 0:
             raise ValueError("g_min must be >= 0")

@@ -107,15 +107,6 @@ TREND_SECTIONS = [
         ],
     ),
     (
-        "Placement optimization (cost-model-driven dispatch):",
-        [
-            ("placement", "improvement_vs_best_fixed", "cost cut vs best fixed [frac]"),
-            ("placement", "cost_optimized", "optimized modeled cost"),
-            ("placement", "cost_greedy", "greedy modeled cost"),
-            ("placement", "oracle_worst_gap", "heuristic/exact worst gap [x]"),
-        ],
-    ),
-    (
         "Fleet serving (coalesced multi-tenant requests):",
         [
             ("serving", "coalesced_speedup", "coalesced vs per-request [x]"),

@@ -20,10 +20,7 @@ class VirtualClock:
     """Simulated time: starts at ``start_s`` and only moves on demand."""
 
     def __init__(self, start_s: float = 0.0) -> None:
-        start_s = float(start_s)
-        if not start_s >= 0.0:
-            raise ValueError(f"start_s must be >= 0, got {start_s!r}")
-        self._now_s = start_s
+        self._now_s = check_elapsed("start_s", start_s)
 
     def now(self) -> float:
         """Current simulated time in seconds."""

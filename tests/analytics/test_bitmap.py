@@ -31,6 +31,10 @@ class TestConstruction:
         with pytest.raises(ValueError):
             BitmapIndex(n_entries=3, entry_labels=["a"])
 
+    def test_needs_at_least_one_entry(self):
+        with pytest.raises(ValueError, match="n_entries"):
+            BitmapIndex(n_entries=0)
+
     def test_boolean_masks_coerced_to_uint8(self, index):
         row = index.row("low")
         assert row.dtype == np.uint8
@@ -42,6 +46,12 @@ class TestEqualityBins:
         labels = idx.add_equality_bins("color", np.array(["r", "g", "r", "b", "g"]))
         assert len(labels) == 3
         assert np.array_equal(idx.row("color=r"), [1, 0, 1, 0, 0])
+
+    def test_value_column_shape_validated(self):
+        idx = BitmapIndex(n_entries=4)
+        with pytest.raises(ValueError, match="values must have shape"):
+            idx.add_equality_bins("v", np.array([1, 2, 3]))
+        assert idx.n_bins == 0
 
     def test_bins_partition_entries(self):
         values = np.array([3, 1, 4, 1, 5, 9, 2, 6])

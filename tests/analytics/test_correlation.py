@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.analytics import CorrelatedProcesses, TemporalCorrelationDetector
+from repro.analytics.correlation import DetectionReport
 from repro.devices import PcmDevice
 
 
@@ -66,6 +67,11 @@ class TestCorrelatedProcesses:
             CorrelatedProcesses(8, correlated=[9])
         with pytest.raises(ValueError):
             CorrelatedProcesses(8).run(0)
+
+    @pytest.mark.parametrize("count", [0, 9])
+    def test_correlated_count_out_of_range(self, count):
+        with pytest.raises(ValueError, match="correlated count"):
+            CorrelatedProcesses(8, correlated=count)
 
 
 class TestAccumulation:
@@ -135,6 +141,26 @@ class TestDetector:
         detector = TemporalCorrelationDetector(8)
         with pytest.raises(ValueError):
             detector.step(np.zeros(4))
+
+    def test_needs_two_devices(self):
+        with pytest.raises(ValueError, match="two devices"):
+            TemporalCorrelationDetector(1)
+
+    def test_run_needs_a_step_by_process_history(self):
+        detector = TemporalCorrelationDetector(8)
+        with pytest.raises(ValueError, match="steps, N"):
+            detector.run(np.zeros(8))
+        assert detector.n_steps == 0
+
+    def test_disjoint_detection_scores_zero(self):
+        report = DetectionReport(
+            detected=np.array([0, 1]), conductances=np.zeros(4), threshold=0.0
+        )
+        assert report.scores(np.array([2, 3])) == {
+            "precision": 0.0,
+            "recall": 0.0,
+            "f1": 0.0,
+        }
 
     def test_scores_validation(self):
         proc = CorrelatedProcesses(16, correlated=4, seed=7)

@@ -40,6 +40,13 @@ class TestRegions:
         with pytest.raises(ValueError):
             accelerator.store_bits("bad", np.zeros(8, dtype=np.uint8))
 
+    def test_negative_scratch_rows_rejected(self, accelerator):
+        with pytest.raises(ValueError, match="scratch_rows"):
+            accelerator.store_bits(
+                "bad", np.zeros((2, 8), dtype=np.uint8), scratch_rows=-1
+            )
+        assert accelerator.regions == {}
+
 
 class TestCompute:
     def test_bitwise_through_facade(self, accelerator, rng):

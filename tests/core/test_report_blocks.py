@@ -45,8 +45,18 @@ class TestRenderParity:
     def test_document_coerces_plain_strings(self):
         assert ReportDocument(["a", "b"]).render() == "a\nb"
 
+    def test_append_coerces_plain_strings(self):
+        document = ReportDocument([ReportText("a")])
+        document.append("b")
+        assert document.blocks[-1] == ReportText("b")
+        assert document.render() == "a\nb"
+
 
 class TestValidation:
+    def test_document_rejects_non_blocks(self):
+        with pytest.raises(TypeError, match="not a report block"):
+            ReportDocument([3.5])
+
     def test_row_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
             ReportTable(("a", "b"), [(1,)])

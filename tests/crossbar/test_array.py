@@ -99,6 +99,12 @@ class TestIrDrop:
         with pytest.raises(ValueError):
             CrossbarArray(np.full((2, 2), 1e-6), wire_resistance=-1.0)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_rejects_non_finite_wire_resistance(self, bad):
+        """NaN would silently disable IR drop; inf would read zeros."""
+        with pytest.raises(ValueError, match="wire_resistance"):
+            CrossbarArray(np.full((2, 2), 1e-6), wire_resistance=bad)
+
 
 class TestLifecycle:
     def test_g_effective_is_the_drifted_conductance(self):

@@ -63,6 +63,14 @@ class TestCalibration:
         with pytest.raises(ValueError):
             operator.calibrate(n_probes=0)
 
+    def test_zero_matrix_fits_a_zero_gain(self):
+        """A zero target gives the probes no reference signal: the fit
+        maps the read noise to zero and reports no residual error."""
+        operator = CrossbarOperator(np.zeros((4, 6)), seed=0)
+        assert operator.calibrate(n_probes=4, seed=1) == 0.0
+        assert operator.last_calibration_error == 0.0
+        assert np.array_equal(operator.matvec(np.ones(6)), np.zeros(4))
+
 
 class TestFaultInjection:
     def test_injection_counts_and_degrades(self, rng):

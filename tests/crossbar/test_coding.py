@@ -62,6 +62,17 @@ class TestRoundTrip:
         recovered = coding.decode(v @ g_pos, v @ g_neg)
         assert np.allclose(recovered, v @ matrix, atol=1e-9)
 
+    def test_subnormal_matrix_encodes_as_zero(self):
+        """window / peak overflows for a subnormal peak; such
+        coefficients sit below any conductance step, so they encode as
+        a zero matrix with scale 1."""
+        device = PcmDevice.ideal()
+        coding = DifferentialCoding(device)
+        g_pos, g_neg = coding.encode(np.array([[5e-324, -5e-324]]))
+        assert coding.scale == 1.0
+        assert np.array_equal(g_pos, np.full((1, 2), device.g_min))
+        assert np.array_equal(g_neg, np.full((1, 2), device.g_min))
+
     def test_zero_matrix(self):
         device = PcmDevice.ideal()
         coding = DifferentialCoding(device)

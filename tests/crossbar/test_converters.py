@@ -34,6 +34,11 @@ class TestDac:
         with pytest.raises(ValueError):
             Dac(bits=0)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 2.5])
+    def test_rejects_non_integer_bits(self, bad):
+        with pytest.raises(ValueError, match="bits must be an integer"):
+            Dac(bits=bad)
+
     @given(st.integers(min_value=1, max_value=12))
     def test_quantizer_is_odd_symmetric(self, bits):
         dac = Dac(bits=bits, v_max=1.0)
@@ -69,3 +74,14 @@ class TestAdc:
     def test_rejects_bad_full_scale(self):
         with pytest.raises(ValueError):
             Adc(full_scale=0.0)
+
+    @pytest.mark.parametrize("bad", [0, float("nan"), float("inf"), 2.5])
+    def test_rejects_bad_bits(self, bad):
+        with pytest.raises(ValueError, match="bits must be an integer"):
+            Adc(bits=bad)
+
+    def test_one_bit_lsb_spans_the_full_range(self):
+        adc = Adc(bits=1, full_scale=0.5)
+        assert adc.lsb == 1.0
+        # the 1-bit quantizer keeps only zero and the two rails
+        assert set(adc.quantize(np.array([-0.4, 0.0, 0.4]))) <= {-0.5, 0.0, 0.5}

@@ -56,6 +56,11 @@ class TestExactBackend:
         with pytest.raises(ValueError):
             MixedPrecisionSolver(a).solve(b, outer_iterations=0)
 
+    def test_analog_only_solve_validates_the_rhs(self):
+        a, _ = spd_test_system(8, seed=4)
+        with pytest.raises(ValueError, match="b must have shape"):
+            MixedPrecisionSolver(a).analog_only_solve(np.zeros(9))
+
 
 class TestCrossbarBackend:
     def test_refinement_beats_noise_floor(self):
@@ -175,6 +180,16 @@ class TestBatchSolve:
                 batched.solutions[:, b], single.solution, atol=1e-9
             )
         assert batched_op.stats == looped_op.stats
+
+    def test_all_zero_block_runs_no_rounds(self):
+        a, _ = spd_test_system(8, seed=25)
+        operator = CrossbarOperator(a, seed=26)
+        solver = MixedPrecisionSolver(a, operator=operator)
+        result = solver.solve_batch(np.zeros((8, 3)))
+        assert result.all_converged
+        assert np.array_equal(result.iterations, np.zeros(3, dtype=int))
+        assert np.array_equal(result.solutions, np.zeros((8, 3)))
+        assert operator.n_matvec == 0  # no analog read at all
 
     def test_column_result_round_trip(self):
         a, _ = spd_test_system(16, seed=22)

@@ -168,6 +168,10 @@ class TestRealisticCrossbar:
         with pytest.raises(ValueError):
             CrossbarOperator(small_matrix, full_scale_mode="bogus")
 
+    def test_rejects_infinite_read_voltage(self, small_matrix):
+        with pytest.raises(ValueError, match="v_max"):
+            CrossbarOperator(small_matrix, v_read=float("inf"))
+
     def test_rejects_non_2d_matrix_and_bad_headroom(self, small_matrix):
         with pytest.raises(ValueError, match="2-D"):
             CrossbarOperator(np.ones(4))

@@ -105,8 +105,7 @@ class TestScheduling:
     @pytest.mark.parametrize("schedule", ["round_robin", "greedy"])
     def test_load_schedules_ignore_shard_clocks(self, small_matrix, schedule):
         """Round-robin and greedy route by cursor and live-column load
-        alone: a stale shard moves no window (only ``"optimized"``
-        reads the clocks, see :class:`TestOptimizedSchedule`)."""
+        alone: a stale shard moves no window."""
         fresh, aged = (
             ShardedOperator.from_matrix(
                 small_matrix,
@@ -427,171 +426,3 @@ class TestRetirement:
             fleet.advance_time(bad)
         # validation happened before the loop: no shard aged at all
         assert fleet.shard_ages == (0.0, 0.0)
-
-
-class TestOptimizedSchedule:
-    """The fourth schedule: cost-model-driven placement through the
-    plan/dispatch contract, bitwise-greedy on homogeneous fleets."""
-
-    def make_pair(self, small_matrix, batch_window=3):
-        return {
-            schedule: ShardedOperator.from_matrix(
-                small_matrix,
-                n_shards=3,
-                batch_window=batch_window,
-                schedule=schedule,
-                device=PcmDevice.ideal(),
-                seed=23,
-            )
-            for schedule in ("greedy", "optimized")
-        }
-
-    def test_homogeneous_fleet_is_bitwise_greedy(self, small_matrix):
-        """The headline reduction: on a fleet with uniform gains and
-        staleness the optimizer's labeling is exactly the greedy argmin
-        (tie-sets included), so results, loads and merged counters all
-        match bit for bit across a mixed stream of blocks."""
-        pair = self.make_pair(small_matrix)
-        stream = np.random.default_rng(9)
-        n = small_matrix.shape[1]
-        for width in (7, 2, 5, 1, 8):
-            block = stream.standard_normal((n, width))
-            if width == 5:
-                block[:, 2] = 0.0  # degenerate window traffic
-            np.testing.assert_array_equal(
-                pair["optimized"].matmat(block), pair["greedy"].matmat(block)
-            )
-        z = stream.standard_normal((small_matrix.shape[0], 4))
-        np.testing.assert_array_equal(
-            pair["optimized"].rmatmat(z), pair["greedy"].rmatmat(z)
-        )
-        assert pair["optimized"].loads == pair["greedy"].loads
-        assert pair["optimized"].stats == pair["greedy"].stats
-        assert pair["optimized"].shard_stats == pair["greedy"].shard_stats
-
-    def test_homogeneous_single_vector_paths_match_greedy(self, small_matrix):
-        pair = self.make_pair(small_matrix, batch_window=2)
-        stream = np.random.default_rng(9)
-        for _ in range(5):
-            x = stream.standard_normal(small_matrix.shape[1])
-            np.testing.assert_array_equal(
-                pair["optimized"].matvec(x), pair["greedy"].matvec(x)
-            )
-        assert pair["optimized"].loads == pair["greedy"].loads
-
-    def test_stale_shard_is_steered_away_from(self, small_matrix):
-        fleet = ShardedOperator.from_matrix(
-            small_matrix,
-            n_shards=2,
-            batch_window=2,
-            schedule="optimized",
-            device=PcmDevice.ideal(),
-            seed=23,
-        )
-        fleet.advance_time(1e6, shard=0)
-        stream = np.random.default_rng(9)
-        for _ in range(4):
-            fleet.matmat(stream.standard_normal((small_matrix.shape[1], 8)))
-        assert fleet.loads[0] < fleet.loads[1]
-
-    def test_custom_optimizer_is_honoured(self, small_matrix):
-        from repro.crossbar import PlacementOptimizer
-
-        eager = PlacementOptimizer(error_weight=100.0, staleness_halflife_s=10.0)
-        fleet = ShardedOperator.from_matrix(
-            small_matrix,
-            n_shards=2,
-            batch_window=2,
-            schedule="optimized",
-            optimizer=eager,
-            device=PcmDevice.ideal(),
-            seed=23,
-        )
-        assert fleet.optimizer is eager
-        fleet.advance_time(100.0, shard=0)
-        stream = np.random.default_rng(9)
-        fleet.matmat(stream.standard_normal((small_matrix.shape[1], 8)))
-        assert fleet.loads[0] == 0  # heavily penalized shard gets nothing
-
-    def test_optimizer_requires_the_optimized_schedule(self, small_matrix):
-        from repro.crossbar import PlacementOptimizer
-
-        with pytest.raises(ValueError, match="schedule='optimized' only"):
-            ShardedOperator.from_matrix(
-                small_matrix,
-                n_shards=2,
-                batch_window=2,
-                schedule="greedy",
-                optimizer=PlacementOptimizer(),
-                backend="exact",
-            )
-        # and the non-optimized schedules carry no optimizer at all
-        fleet = ShardedOperator.from_matrix(
-            small_matrix, n_shards=2, batch_window=2, backend="exact"
-        )
-        assert fleet.optimizer is None
-
-    def test_fused_sweep_matches_the_unfused_pair(self, small_matrix):
-        fleets = [
-            ShardedOperator.from_matrix(
-                small_matrix,
-                n_shards=3,
-                batch_window=2,
-                schedule="optimized",
-                backend="exact",
-            )
-            for _ in range(2)
-        ]
-        stream = np.random.default_rng(9)
-        z = stream.standard_normal((small_matrix.shape[0], 7))
-        transform = lambda u, cols: 0.5 * u
-        x_fused, q_fused = fleets[0].fused_sweep(z, transform)
-        x_ref = 0.5 * fleets[1].rmatmat(z)
-        q_ref = fleets[1].matmat(x_ref)
-        np.testing.assert_array_equal(x_fused, x_ref)
-        # forward windows dispatch per window in the fused path (per
-        # shard in the unfused pair), so gemm widths — and the last
-        # float bits — may differ; the schedule itself is identical.
-        np.testing.assert_allclose(q_fused, q_ref, rtol=1e-12, atol=1e-12)
-        assert fleets[0].stats == fleets[1].stats
-
-    def test_threaded_dispatch_is_bitwise_serial(self, small_matrix):
-        serial = ShardedOperator.from_matrix(
-            small_matrix,
-            n_shards=3,
-            batch_window=2,
-            schedule="optimized",
-            backend="exact",
-        )
-        threaded = ShardedOperator.from_matrix(
-            small_matrix,
-            n_shards=3,
-            batch_window=2,
-            schedule="optimized",
-            parallelism="threads",
-            backend="exact",
-        )
-        stream = np.random.default_rng(9)
-        try:
-            for width in (7, 3, 5):
-                block = stream.standard_normal((small_matrix.shape[1], width))
-                np.testing.assert_array_equal(
-                    serial.matmat(block), threaded.matmat(block)
-                )
-            assert serial.loads == threaded.loads
-            assert serial.stats == threaded.stats
-        finally:
-            threaded.shutdown()
-
-    def test_all_shards_retired_raises(self, small_matrix, rng):
-        fleet = ShardedOperator.from_matrix(
-            small_matrix,
-            n_shards=2,
-            batch_window=2,
-            schedule="optimized",
-            backend="exact",
-        )
-        fleet.retire_shard(0)
-        fleet.retire_shard(1)
-        with pytest.raises(RuntimeError, match="no serving capacity"):
-            fleet.matmat(rng.standard_normal((small_matrix.shape[1], 4)))

@@ -13,6 +13,10 @@ class TestConstruction:
         device = PcmDevice()
         assert device.dynamic_range == pytest.approx(24.9e-6)
 
+    def test_rejects_negative_g_min(self):
+        with pytest.raises(ValueError, match="g_min must be >= 0"):
+            PcmDevice(g_min=-1e-6)
+
     def test_rejects_inverted_window(self):
         with pytest.raises(ValueError, match="g_min must be below g_max"):
             PcmDevice(g_min=30e-6, g_max=25e-6)
@@ -20,6 +24,29 @@ class TestConstruction:
     def test_rejects_negative_noise(self):
         with pytest.raises(ValueError):
             PcmDevice(read_noise_sigma=-0.01)
+
+    @pytest.mark.parametrize(
+        "name, bad",
+        [
+            ("g_min", float("nan")),
+            ("g_max", float("inf")),
+            ("prog_noise_sigma", float("nan")),
+            ("prog_noise_sigma", float("inf")),
+            ("read_noise_sigma", float("nan")),
+            ("read_noise_sigma", float("inf")),
+            ("drift_nu", float("nan")),
+            ("drift_nu", float("inf")),
+            ("drift_t0", float("inf")),
+            ("set_step", float("inf")),
+            ("set_noise_sigma", float("nan")),
+            ("set_noise_sigma", float("inf")),
+        ],
+    )
+    def test_rejects_non_finite_fields(self, name, bad):
+        """A NaN or inf field would construct and then turn reads (or
+        reads after ageing) into NaN that are still billed."""
+        with pytest.raises(ValueError, match=name):
+            PcmDevice(**{name: bad})
 
     def test_ideal_factory_is_noiseless(self):
         device = PcmDevice.ideal()
@@ -74,6 +101,10 @@ class TestDrift:
     def test_negative_elapsed_rejected(self):
         with pytest.raises(ValueError):
             PcmDevice().drifted(np.array([1e-6]), -1.0)
+
+    def test_driftless_device_still_validates_elapsed(self):
+        with pytest.raises(ValueError, match="elapsed"):
+            PcmDevice.ideal().drifted(np.array([1e-6]), -1.0)
 
     @given(st.floats(min_value=0.0, max_value=1e8))
     def test_drift_never_increases(self, elapsed):

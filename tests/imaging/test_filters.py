@@ -52,6 +52,10 @@ class TestGuidedFilter:
         with pytest.raises(ValueError):
             guided_filter(np.zeros((4, 4)), np.zeros((4, 5)))
 
+    def test_guidance_must_be_2d(self):
+        with pytest.raises(ValueError, match="2-D"):
+            guided_filter(np.zeros(16))
+
     @pytest.mark.parametrize("bad", [{"radius": 0}, {"eps": 0.0}])
     def test_parameter_validation(self, bad):
         with pytest.raises(ValueError):
@@ -76,6 +80,10 @@ class TestBilateralFilter:
         tight = bilateral_filter(image, radius=4, sigma_range=0.05)
         loose = bilateral_filter(image, radius=4, sigma_range=50.0)
         assert edge_contrast(loose) < edge_contrast(tight)
+
+    def test_image_must_be_2d(self):
+        with pytest.raises(ValueError, match="2-D"):
+            bilateral_filter(np.zeros((2, 8, 8)))
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):

@@ -296,6 +296,31 @@ class TestMaintenancePolicy:
         )
         assert getattr(policy, name) == 2.0
 
+    @pytest.mark.parametrize("bad", [2.5, float("nan"), float("inf")])
+    def test_programming_iterations_must_be_an_integer(self, bad, rng):
+        """A fractional or non-finite count would construct, then fail
+        every reprogram mid-sweep and leave the fleet stale for good."""
+        fleet = ShardedOperator.from_matrix(
+            rng.standard_normal((4, 6)), n_shards=2, batch_window=2, seed=3
+        )
+        with pytest.raises(ValueError, match="programming_iterations"):
+            FleetMaintenance(
+                fleet, reprogram_after_s=1.0, programming_iterations=bad
+            )
+        assert fleet.maintenance is None
+
+    def test_zero_matrix_shard_has_no_forecast(self):
+        """A zero matrix carries no differential signal to forecast, so
+        the drift model abstains and never marks the shard due."""
+        fleet = ShardedOperator.from_matrix(
+            np.zeros((4, 6)), n_shards=1, batch_window=2, seed=1
+        )
+        policy = FleetMaintenance(fleet, gain_error_budget=0.01, seed=2)
+        fleet.advance_time(1e6)
+        shard = fleet.shards[0]
+        assert policy.predicted_gain_error(shard) is None
+        assert policy.due(shard) is None
+
     def test_fresh_ledger_prices_to_zero(self, rng):
         fleet = ShardedOperator.from_matrix(
             rng.standard_normal((8, 10)), n_shards=2, batch_window=2, seed=1

@@ -138,6 +138,14 @@ class TestDriftPredictor:
                     QUIET, np.full(4, 5e-6), np.full(4, 1e-6), max_devices=bad
                 )
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 2.5])
+    def test_rejects_a_non_integer_subsample(self, bad):
+        """NaN or inf would keep every pair; 2.5 would silently become 2."""
+        with pytest.raises(ValueError, match="max_devices must be an integer"):
+            DriftPredictor(
+                QUIET, np.full(4, 5e-6), np.full(4, 1e-6), max_devices=bad
+            )
+
     def test_from_operator_rejects_exact_replicas(self, rng):
         with pytest.raises(AttributeError):
             DriftPredictor.from_operator(DenseOperator(rng.standard_normal((4, 4))))
@@ -473,8 +481,9 @@ class TestLifetimeSimulator:
         fleet = ShardedOperator.from_matrix(
             matrix, n_shards=1, batch_window=4, backend="exact"
         )
-        with pytest.raises(ValueError, match="step_seconds"):
-            LifetimeSimulator(fleet, step_seconds=0.0)
+        for bad in (0.0, float("inf")):
+            with pytest.raises(ValueError, match="step_seconds"):
+                LifetimeSimulator(fleet, step_seconds=bad)
         with pytest.raises(ValueError, match="batch"):
             LifetimeSimulator(fleet, batch=0)
         with pytest.raises(ValueError, match="n_steps"):

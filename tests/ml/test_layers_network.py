@@ -75,6 +75,10 @@ class TestSequential:
         with pytest.raises(ValueError):
             Sequential([])
 
+    def test_mlp_needs_input_and_output_dims(self):
+        with pytest.raises(ValueError, match="input and output"):
+            Sequential.mlp([8])
+
     def test_predict_proba_sums_to_one(self):
         net = Sequential.mlp([4, 4, 2], seed=3)
         probs = net.predict_proba(np.random.default_rng(0).standard_normal((6, 4)))

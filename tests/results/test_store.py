@@ -1,6 +1,7 @@
 """Tests of the SQLite experiment store: schema, recording, round-trips."""
 
 import sqlite3
+import subprocess
 
 import pytest
 
@@ -12,10 +13,14 @@ from repro.core.report import (
 )
 from repro.experiments import table1_report
 from repro.results.queries import DataProvider
+from repro.results import store as store_module
 from repro.results.store import (
     SCHEMA_VERSION,
     ResultsStore,
+    active_store,
+    default_db_path,
     record_experiment,
+    results_dir,
     scalar_metrics,
     set_active_store,
 )
@@ -131,6 +136,35 @@ class TestRecordRun:
         assert provider.run_names() == ["demo"]
         snapshot.close()
 
+    def test_snapshot_replaces_an_existing_file(self, store, tmp_path):
+        store.record_run("first", "bench", metrics={"x": 1.0})
+        store.snapshot_to(tmp_path / "copy.db").close()
+        store.record_run("second", "bench", metrics={"x": 2.0})
+        snapshot = store.snapshot_to(tmp_path / "copy.db")
+        assert DataProvider(snapshot).run_names() == ["first", "second"]
+        snapshot.close()
+
+    def test_sequence_config_values_round_trip_as_lists(self, store):
+        store.record_run("demo", "bench", config={"shape": (4, 8), "seeds": [1]})
+        run = DataProvider(store).latest_run("demo")
+        assert run.config == {"shape": [4, 8], "seeds": [1]}
+
+    def test_git_sha_comes_from_the_environment(self, store, monkeypatch):
+        monkeypatch.setenv("REPRO_GIT_SHA", "0123abc")
+        store.record_run("demo", "bench")
+        assert DataProvider(store).latest_run("demo").git_sha == "0123abc"
+
+    def test_git_sha_is_null_without_git(self, store, monkeypatch):
+        monkeypatch.delenv("REPRO_GIT_SHA", raising=False)
+        monkeypatch.delenv("GITHUB_SHA", raising=False)
+
+        def no_git(*args, **kwargs):
+            raise OSError("git not installed")
+
+        monkeypatch.setattr(subprocess, "run", no_git)
+        store.record_run("demo", "bench")
+        assert DataProvider(store).latest_run("demo").git_sha is None
+
 
 class TestScalarMetrics:
     def test_extracts_top_level_numerics_only(self):
@@ -147,6 +181,18 @@ class TestScalarMetrics:
             "count": 3.0,
             "ok": 1.0,
         }
+
+
+class TestLocations:
+    def test_results_dir_override(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_RESULTS_DIR", str(tmp_path))
+        monkeypatch.delenv("REPRO_RESULTS_DB", raising=False)
+        assert results_dir() == tmp_path
+        assert default_db_path() == tmp_path / "results.db"
+
+    def test_results_dir_defaults_to_the_bench_results(self, monkeypatch):
+        monkeypatch.delenv("REPRO_RESULTS_DIR", raising=False)
+        assert results_dir().parts[-2:] == ("benchmarks", "results")
 
 
 class TestActiveStore:
@@ -170,6 +216,22 @@ class TestActiveStore:
             result.metrics["power_advantage"]
         )
         assert provider.latest_document("table1").render() == result.text
+
+    def test_no_store_without_the_env_var(self, monkeypatch):
+        monkeypatch.delenv("REPRO_RESULTS_DB", raising=False)
+        monkeypatch.setattr(store_module, "_active", store_module._UNSET)
+        assert active_store() is None
+
+    def test_set_active_store_opens_a_path(self, tmp_path):
+        db = tmp_path / "active.db"
+        active = set_active_store(db)
+        try:
+            assert isinstance(active, ResultsStore)
+            assert active.path == db
+            assert active_store() is active
+        finally:
+            active.close()
+            set_active_store(None)
 
     def test_env_var_opens_store_lazily(self, tmp_path, monkeypatch):
         db = tmp_path / "env.db"

@@ -49,6 +49,10 @@ class TestVirtualClock:
         with pytest.raises(ValueError, match="start_s"):
             VirtualClock(-1.0)
 
+    def test_rejects_infinite_start(self):
+        with pytest.raises(ValueError, match="start_s"):
+            VirtualClock(math.inf)
+
 
 class TestSubmitValidation:
     def test_rejects_unknown_kind(self, fleet, rng):

@@ -158,6 +158,11 @@ class TestExactRecovery:
                 **bad,
             )
 
+    def test_rejects_an_empty_signal_dimension(self):
+        problem = CsProblem.generate(n=64, m=32, k=4, seed=6)
+        with pytest.raises(ValueError, match="dimensions"):
+            amp_recover(problem.measurements, DenseOperator(problem.matrix), 0)
+
 
 class TestCrossbarRecovery:
     def test_recovery_close_to_exact(self):

@@ -225,6 +225,15 @@ class TestValidation:
                 ground_truth=fleet.signals[:, :1],
             )
 
+    def test_rejects_a_zero_energy_ground_truth_column(self):
+        fleet = CsProblem.generate_batch(n=64, m=32, k=4, batch=2, seed=6)
+        truth = fleet.signals.copy()
+        truth[:, 1] = 0.0
+        operator = DenseOperator(fleet.matrix)
+        with pytest.raises(ValueError, match="zero energy"):
+            amp_recover_batch(fleet.measurements, operator, 64, ground_truth=truth)
+        assert operator.n_matvec == operator.n_rmatvec == 0
+
     @pytest.mark.parametrize("bad", [{"iterations": 0}, {"threshold_factor": 0.0}])
     def test_parameter_validation(self, bad):
         fleet = CsProblem.generate_batch(n=64, m=32, k=4, batch=2, seed=6)

@@ -79,6 +79,15 @@ class TestCsProblem:
                 noise_std=0.0,
             )
 
+    def test_measurement_length_validated(self):
+        with pytest.raises(ValueError, match="measurement length"):
+            CsProblem(
+                matrix=np.zeros((2, 4)),
+                signal=np.ones(4),
+                measurements=np.ones(3),
+                noise_std=0.0,
+            )
+
     def test_recovery_nmse(self):
         problem = CsProblem.generate(n=64, m=32, k=4, seed=7)
         assert problem.recovery_nmse(problem.signal) == 0.0
@@ -137,6 +146,16 @@ class TestCsProblemBatch:
         assert problem.matrix is fleet.matrix
         with pytest.raises(IndexError):
             fleet.problem(3)
+
+    def test_recovery_nmse_rejects_a_zero_energy_signal(self):
+        fleet = CsProblemBatch(
+            matrix=np.ones((2, 4)),
+            signals=np.zeros((4, 2)),
+            measurements=np.zeros((2, 2)),
+            noise_std=0.0,
+        )
+        with pytest.raises(ValueError, match="zero energy"):
+            fleet.recovery_nmse(np.zeros((4, 2)))
 
     def test_recovery_nmse_per_column(self):
         fleet = CsProblem.generate_batch(n=64, m=32, k=4, batch=3, seed=6)

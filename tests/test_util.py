@@ -34,7 +34,7 @@ class TestCheckers:
     def test_check_positive_accepts(self):
         assert check_positive("x", 2.5) == 2.5
 
-    @pytest.mark.parametrize("bad", [0, -1, -0.001])
+    @pytest.mark.parametrize("bad", [0, -1, -0.001, float("inf")])
     def test_check_positive_rejects(self, bad):
         with pytest.raises(ValueError, match="x must be > 0"):
             check_positive("x", bad)
