@@ -15,6 +15,7 @@ __all__ = [
     "as_rng",
     "check_elapsed",
     "check_finite",
+    "check_int",
     "check_positive",
     "check_fraction",
     "check_in",
@@ -67,6 +68,24 @@ def check_finite(name: str, array: np.ndarray) -> np.ndarray:
     if not np.isfinite(array).all():
         raise ValueError(f"{name} must be finite, got NaN or inf entries")
     return array
+
+
+def check_int(name: str, value: float, minimum: int = 1) -> int:
+    """Return ``value`` as an ``int``; raise ``ValueError`` unless it is
+    an integer no smaller than ``minimum``.
+
+    Integral floats such as ``8.0`` pass.  NaN, inf, fractional and
+    non-numeric values raise a ``ValueError`` that names the parameter
+    (``int(inf)`` alone would raise ``OverflowError``, and ``int(nan)``
+    a message without the name).
+    """
+    try:
+        integer = int(value)
+    except (TypeError, ValueError, OverflowError):
+        integer = None
+    if integer is None or integer != value or integer < minimum:
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return integer
 
 
 def check_positive(name: str, value: float) -> float:

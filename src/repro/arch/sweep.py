@@ -13,6 +13,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from repro._util import check_int
 from repro.arch.cim import CimArchitectureModel
 from repro.arch.conventional import ConventionalArchitectureModel
 from repro.arch.params import CimArchParams
@@ -207,8 +208,7 @@ def banked_offload_rows(
     conv_e = float(conventional.energy_per_instruction_pj(x_fraction, m1, m2))
     rows = []
     for banks in bank_counts:
-        if banks != int(banks) or banks < 1:
-            raise ValueError("bank counts must be integers >= 1")
+        check_int("bank counts", banks)
         widened = replace(
             base,
             cim=replace(base.cim, parallel_width=base.cim.parallel_width * int(banks)),

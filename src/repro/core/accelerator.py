@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro._util import as_rng
+from repro._util import as_rng, check_int
 from repro.crossbar import CrossbarOperator, ShardedOperator
 from repro.devices import BinaryMemristor, PcmDevice
 from repro.logic import BitwiseEngine
@@ -110,8 +110,7 @@ class CimAccelerator:
         execution (see :mod:`repro.crossbar.sharding`).
         """
         self._check_free(name)
-        if n_shards != int(n_shards) or n_shards < 1:
-            raise ValueError("n_shards must be an integer >= 1")
+        check_int("n_shards", n_shards)
         if batch_window is None and n_shards > 1:
             raise ValueError("sharded regions need an explicit batch_window")
         if batch_window is None and schedule != "round_robin":

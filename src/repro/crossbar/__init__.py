@@ -19,7 +19,7 @@ Public API
 * :class:`ShardedOperator` — window-schedules batches larger than one
   array's readout window across operator replicas (round-robin or
   greedy-by-active-columns) with exactly merged conversion counters
-  and per-shard drift clocks; per-shard reads run serially or on a
+  and one drift time axis; per-shard reads run serially or on a
   thread pool (``parallelism="threads"``) with identical scheduling,
   results and counters.
 * :class:`FleetMaintenance` — scheduled recalibration/reprogramming of
@@ -52,7 +52,7 @@ from repro.crossbar.lifetime import (
     LifetimeSimulator,
 )
 from repro.crossbar.maintenance import FleetMaintenance, MaintenanceAction
-from repro.crossbar.nonidealities import apply_stuck_faults, ir_drop_factors
+from repro.crossbar.nonidealities import apply_stuck_faults
 from repro.crossbar.operator import CrossbarOperator, DenseOperator
 from repro.crossbar.programming import ProgrammingReport, program_and_verify
 from repro.crossbar.sharding import (
@@ -84,7 +84,6 @@ __all__ = [
     "ShardedOperator",
     "SolveResult",
     "apply_stuck_faults",
-    "ir_drop_factors",
     "program_and_verify",
     "spd_test_system",
     "split_ranges",

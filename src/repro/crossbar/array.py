@@ -8,8 +8,8 @@ paper's AMP mapping (Fig. 6) uses both directions on the *same* array to
 obtain ``A x_t`` and ``A* z_t``.
 
 Device non-idealities (programming error, read noise, drift) come from
-the :class:`~repro.devices.PcmDevice` model; array-level effects (IR
-drop, stuck devices) live in :mod:`repro.crossbar.nonidealities`.
+the :class:`~repro.devices.PcmDevice` model; stuck devices, the
+array-level effect, come from :mod:`repro.crossbar.nonidealities`.
 Every read, of one vector or of a block, goes through one
 output-referred read model, :func:`line_currents`, which a differential
 tile pair (:class:`~repro.crossbar.operator.CrossbarOperator`) shares.
@@ -20,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro._util import as_rng, check_elapsed
-from repro.crossbar.nonidealities import ir_drop_factors
+from repro.crossbar.nonidealities import apply_stuck_faults
 from repro.devices import PcmDevice
 from repro.crossbar.programming import ProgrammingReport, program_and_verify
 
@@ -71,11 +71,6 @@ class CrossbarArray:
         Values are clipped to the device window during programming.
     device:
         PCM device model; defaults to the library's standard device.
-    programming_iterations:
-        Rounds of program-and-verify used to write the array.
-    wire_resistance:
-        Per-segment interconnect resistance in ohms for the first-order
-        IR-drop model (0 disables IR drop).
     seed:
         RNG seed or generator for all stochastic behaviour of this array.
     """
@@ -84,8 +79,6 @@ class CrossbarArray:
         self,
         target_conductance: np.ndarray,
         device: PcmDevice | None = None,
-        programming_iterations: int = 5,
-        wire_resistance: float = 0.0,
         seed: int | np.random.Generator | None = None,
     ) -> None:
         target_conductance = np.asarray(target_conductance, dtype=float)
@@ -93,21 +86,11 @@ class CrossbarArray:
             raise ValueError("target_conductance must be a 2-D matrix")
         if np.any(target_conductance < 0):
             raise ValueError("conductances must be non-negative")
-        if not (np.isfinite(wire_resistance) and wire_resistance >= 0):
-            raise ValueError(
-                "wire_resistance must be finite and non-negative, "
-                f"got {wire_resistance!r}"
-            )
         self.device = device if device is not None else PcmDevice()
         self._rng = as_rng(seed)
-        self.wire_resistance = wire_resistance
         self._g_target = target_conductance
-        self._programming_iterations = programming_iterations
         self.programming_report: ProgrammingReport = program_and_verify(
-            self.device,
-            target_conductance,
-            iterations=programming_iterations,
-            seed=self._rng,
+            self.device, target_conductance, seed=self._rng
         )
         self._g_programmed = self.programming_report.conductance
         # Yield/endurance faults are device-permanent: the mask and the
@@ -118,15 +101,15 @@ class CrossbarArray:
         self._stuck_mask = np.zeros(self._g_programmed.shape, dtype=bool)
         self._stuck_values = np.zeros(self._g_programmed.shape)
         self.age_seconds = 0.0
-        # Reads recompute nothing per call: the drifted (and IR-scaled)
-        # conductance and its elementwise square are cached until the
-        # device state changes (see _invalidate_read_cache).  The cached
-        # matrices are deterministic functions of the state, so cached
-        # and uncached reads are bitwise identical.  ``_read_epoch``
-        # counts those state changes, so a cache built on top of this
-        # array's state (a differential tile pair's) can tell that it
-        # went stale.
-        self._read_cache: dict[int, tuple[np.ndarray, np.ndarray | None]] = {}
+        # Reads recompute nothing per call: the drifted conductance and
+        # its elementwise square are cached until the device state
+        # changes (see _invalidate_read_cache).  Both read directions
+        # share the entry.  The cached matrices are deterministic
+        # functions of the state, so cached and uncached reads are
+        # bitwise identical.  ``_read_epoch`` counts those state
+        # changes, so a cache built on top of this array's state (a
+        # differential tile pair's) can tell that it went stale.
+        self._read_cache: tuple[np.ndarray, np.ndarray | None] | None = None
         self._read_epoch = 0
         self.n_row_reads = 0
         self.n_col_reads = 0
@@ -163,7 +146,7 @@ class CrossbarArray:
 
     def _invalidate_read_cache(self) -> None:
         """Drop cached read matrices after any device-state change."""
-        self._read_cache.clear()
+        self._read_cache = None
         self._read_epoch += 1
 
     @property
@@ -193,7 +176,7 @@ class CrossbarArray:
         if seconds > 0:
             self._invalidate_read_cache()
 
-    def reprogram(self, iterations: int | None = None) -> ProgrammingReport:
+    def reprogram(self) -> ProgrammingReport:
         """Rewrite the array to its original target conductances.
 
         Runs a fresh program-and-verify session from the stored target
@@ -208,13 +191,8 @@ class CrossbarArray:
         rewrite silently healing the fault ablation.
         Returns the new programming report.
         """
-        if iterations is None:
-            iterations = self._programming_iterations
         self.programming_report = program_and_verify(
-            self.device,
-            self._g_target,
-            iterations=iterations,
-            seed=self._rng,
+            self.device, self._g_target, seed=self._rng
         )
         self._g_programmed = self.programming_report.conductance
         if self._stuck_mask.any():
@@ -231,15 +209,13 @@ class CrossbarArray:
         return self.programming_report
 
     def inject_stuck_faults(
-        self,
-        fraction: float,
-        mode: str = "both",
-        seed: int | np.random.Generator | None = None,
+        self, fraction: float, seed: int | np.random.Generator | None = None
     ) -> np.ndarray:
         """Force a random device fraction to a stuck state; returns the mask.
 
         Used by the fault-tolerance ablation: yield/endurance failures
-        leave devices stuck at RESET (``g_min``) or SET (``g_max``).
+        leave each faulted device stuck at RESET (``g_min``) or SET
+        (``g_max``), picked at random.
 
         Repeated injections *compose deterministically*: a device that
         is already stuck keeps its original stuck conductance even when
@@ -249,14 +225,11 @@ class CrossbarArray:
         draw only; :attr:`stuck_mask` holds the accumulated union that
         :meth:`reprogram` re-asserts after every rewrite.
         """
-        from repro.crossbar.nonidealities import apply_stuck_faults
-
         faulty, mask = apply_stuck_faults(
             self._g_programmed,
             fraction,
             self.device.g_min,
             self.device.g_max,
-            mode=mode,
             seed=seed if seed is not None else self._rng,
         )
         # Idempotence: cells already stuck keep their recorded value —
@@ -270,41 +243,29 @@ class CrossbarArray:
         self._invalidate_read_cache()
         return mask
 
-    def _mean_conductance(self, axis: int) -> np.ndarray:
-        """Conductances a read along ``axis`` sees: drifted, IR-scaled.
+    def _mean_conductance(self) -> np.ndarray:
+        """Conductances a read sees: the programmed state, drifted.
 
         The mean matrix of the output-referred read model.  Before any
-        drift and without IR drop this is the programmed matrix itself,
-        not a copy (no reader writes into it).  With ``wire_resistance
-        > 0`` the IR-drop factors depend on the read direction.
+        drift this is the programmed matrix itself, not a copy (no
+        reader writes into it).
         """
         if self.age_seconds == 0.0 or self.device.drift_nu == 0.0:
-            g_now = self._g_programmed
-        else:
-            g_now = self.device.drifted(self._g_programmed, self.age_seconds)
-        if self.wire_resistance > 0.0:
-            g_now = g_now * ir_drop_factors(g_now, self.wire_resistance, axis=axis)
-        return g_now
+            return self._g_programmed
+        return self.device.drifted(self._g_programmed, self.age_seconds)
 
-    def _read_key(self, axis: int) -> int:
-        """Read-cache key: without IR drop both directions share one."""
-        return axis if self.wire_resistance > 0.0 else -1
+    def _read_entry(self) -> tuple[np.ndarray, np.ndarray | None]:
+        """Cached ``(g_now, g_now**2)`` for reads in either direction.
 
-    def _read_entry(self, axis: int) -> tuple[np.ndarray, np.ndarray | None]:
-        """Cached ``(g_now, g_now**2)`` for reads along ``axis``.
-
-        The square is only built for a noisy device.  Entries live
+        The square is only built for a noisy device.  The entry lives
         until :meth:`_invalidate_read_cache` (drift, reprogramming,
         fault injection).
         """
-        key = self._read_key(axis)
-        entry = self._read_cache.get(key)
-        if entry is None:
-            g_now = self._mean_conductance(axis)
+        if self._read_cache is None:
+            g_now = self._mean_conductance()
             power = g_now**2 if self.device.read_noise_sigma != 0.0 else None
-            entry = (g_now, power)
-            self._read_cache[key] = entry
-        return entry
+            self._read_cache = (g_now, power)
+        return self._read_cache
 
     def _count_reads(self, columns: int, axis: int) -> None:
         """Tally ``columns`` read events along ``axis``."""
@@ -317,14 +278,12 @@ class CrossbarArray:
         """Currents for a 2-D voltage block (one read event per column).
 
         One :func:`line_currents` read of the cached ``(g_now,
-        g_now**2)``.  Two approximations against the device physics:
-        the clip of negative instantaneous conductances is ignored (it
-        sits ~1/sigma standard deviations away, negligible at realistic
-        noise levels), and with ``wire_resistance > 0`` the IR-drop
-        factors are computed on the mean (noise-free) conductance
-        rather than on each read's noisy realization.
+        g_now**2)``.  One approximation against the device physics: the
+        clip of negative instantaneous conductances is ignored (it sits
+        ~1/sigma standard deviations away, negligible at realistic
+        noise levels).
         """
-        mean, power = self._read_entry(axis)
+        mean, power = self._read_entry()
         return line_currents(
             mean, power, voltages, axis, self.device.read_noise_sigma, self._rng
         )
@@ -346,11 +305,11 @@ class CrossbarArray:
     def mvm(self, row_voltages: np.ndarray) -> np.ndarray:
         """Drive rows with ``row_voltages``; return column currents.
 
-        Computes ``I_j = sum_i G_ij * V_i`` with read noise and optional
-        IR drop applied.  ``row_voltages`` may also be a 2-D block of
-        shape ``(rows, B)`` — one input vector per column, exploiting
-        the crossbar's inherent parallelism — in which case the result
-        has shape ``(cols, B)`` and ``B`` read events are counted.
+        Computes ``I_j = sum_i G_ij * V_i`` with read noise applied.
+        ``row_voltages`` may also be a 2-D block of shape ``(rows, B)``
+        — one input vector per column, exploiting the crossbar's
+        inherent parallelism — in which case the result has shape
+        ``(cols, B)`` and ``B`` read events are counted.
         """
         return self._read(row_voltages, axis=0)
 

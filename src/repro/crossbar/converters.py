@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro._util import check_positive
+from repro._util import check_int, check_positive
 
 __all__ = ["Dac", "Adc"]
 
@@ -51,8 +51,8 @@ class Dac:
     """
 
     def __init__(self, bits: int | None = 8, v_max: float = 0.2) -> None:
-        if bits is not None and not (float(bits).is_integer() and bits >= 1):
-            raise ValueError(f"bits must be an integer >= 1 or None, got {bits!r}")
+        if bits is not None:
+            check_int("bits", bits)
         check_positive("v_max", v_max)
         self.bits = bits
         self.v_max = v_max
@@ -88,8 +88,8 @@ class Adc:
     """
 
     def __init__(self, bits: int | None = 8, full_scale: float = 1e-3) -> None:
-        if bits is not None and not (float(bits).is_integer() and bits >= 1):
-            raise ValueError(f"bits must be an integer >= 1 or None, got {bits!r}")
+        if bits is not None:
+            check_int("bits", bits)
         check_positive("full_scale", full_scale)
         self.bits = bits
         self.full_scale = full_scale

@@ -36,8 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro._util import as_rng, check_elapsed, check_in, check_positive
-from repro.crossbar.nonidealities import STUCK_MODES
+from repro._util import as_rng, check_elapsed, check_int, check_positive
 from repro.devices import PcmDevice
 
 __all__ = [
@@ -47,6 +46,15 @@ __all__ = [
     "LifetimeResult",
     "LifetimeSimulator",
 ]
+
+# The forecast runs on an even subsample of at most this many device
+# pairs: the scalar projection converges fast, so a few thousand pairs
+# forecast a million-device array.
+_MAX_PAIRS = 4096
+
+# ``seconds_until`` gives up (returns ``inf``) past ~100 years: drift
+# has a finite power-law ceiling, so some budgets are never reached.
+_HORIZON_S = 3.2e9
 
 
 class DriftPredictor:
@@ -75,18 +83,12 @@ class DriftPredictor:
         halves (any shape; flattened).  These are deployment-time
         constants — the predictor models the *target* state, not the
         noisy programmed state, which is exactly what makes it free.
-    max_devices:
-        Forecast on an even subsample of at most this many device
-        pairs (``None`` keeps all).  The scalar projection converges
-        fast, so a few thousand pairs forecast a million-device array.
+        Arrays of more than 4,096 pairs are forecast on an even
+        subsample of 4,096.
     """
 
     def __init__(
-        self,
-        device: PcmDevice,
-        g_pos: np.ndarray,
-        g_neg: np.ndarray,
-        max_devices: int | None = 4096,
+        self, device: PcmDevice, g_pos: np.ndarray, g_neg: np.ndarray
     ) -> None:
         g_pos = np.asarray(g_pos, dtype=float).ravel()
         g_neg = np.asarray(g_neg, dtype=float).ravel()
@@ -94,14 +96,11 @@ class DriftPredictor:
             raise ValueError("g_pos and g_neg must have the same size")
         if g_pos.size == 0:
             raise ValueError("at least one device pair is required")
-        if max_devices is not None:
-            if not (float(max_devices).is_integer() and max_devices >= 1):
-                raise ValueError("max_devices must be an integer >= 1 or None")
-            if g_pos.size > max_devices:
-                # Even deterministic stride: same subsample every build.
-                stride = -(-g_pos.size // int(max_devices))
-                g_pos = g_pos[::stride]
-                g_neg = g_neg[::stride]
+        if g_pos.size > _MAX_PAIRS:
+            # Even deterministic stride: same subsample every build.
+            stride = -(-g_pos.size // _MAX_PAIRS)
+            g_pos = g_pos[::stride]
+            g_neg = g_neg[::stride]
         self.device = device
         self._g_pos = g_pos
         self._g_neg = g_neg
@@ -113,9 +112,7 @@ class DriftPredictor:
             )
 
     @classmethod
-    def from_operator(
-        cls, operator, max_devices: int | None = 4096
-    ) -> "DriftPredictor":
+    def from_operator(cls, operator) -> "DriftPredictor":
         """Build the forecaster for a :class:`CrossbarOperator`.
 
         Reads the per-tile differential *target* conductances (fixed at
@@ -130,7 +127,7 @@ class DriftPredictor:
         g_neg = np.concatenate(
             [pair.negative.g_target.ravel() for pair in tiles.values()]
         )
-        return cls(operator.device, g_pos, g_neg, max_devices=max_devices)
+        return cls(operator.device, g_pos, g_neg)
 
     def drift_scale(self, age_seconds: float) -> float:
         """The scalar output gain ``s(age)`` drift has applied by now.
@@ -167,7 +164,6 @@ class DriftPredictor:
         budget: float,
         age_seconds: float = 0.0,
         calibrated_at_s: float | None = None,
-        horizon_s: float = 3.2e9,
     ) -> float:
         """Seconds from now until the forecast error reaches ``budget``.
 
@@ -175,9 +171,9 @@ class DriftPredictor:
         ``calibrated_at_s`` the age of the gain fit in effect (default:
         calibrated right now).  The error is monotone in elapsed time,
         so the crossing is bracketed geometrically and bisected; if the
-        budget is not reached within ``horizon_s`` (~100 years by
-        default — drift has a finite power-law ceiling) the answer is
-        ``inf``: the array will *never* need another drift calibration.
+        budget is not reached within ~100 years (drift has a finite
+        power-law ceiling) the answer is ``inf``: the array will *never*
+        need another drift calibration.
         This is the schedule the predictive maintenance trigger walks:
         each interval is a constant factor longer than the last.
         """
@@ -192,7 +188,7 @@ class DriftPredictor:
         while self.gain_error(high, calibrated_at_s) < budget:
             low, step = high, step * 2.0
             high = age_seconds + step
-            if high - age_seconds > horizon_s:
+            if high - age_seconds > _HORIZON_S:
                 return math.inf
         for _ in range(60):
             mid = 0.5 * (low + high)
@@ -229,7 +225,8 @@ class FaultInjector:
 
     Each shard independently suffers fault events at ``rate_per_s``
     (expected events per shard-second); each event sticks a random
-    ``fraction_per_event`` of the shard's devices at RESET/SET via
+    ``fraction_per_event`` of the shard's devices at RESET or SET (each
+    device picks one at random) via
     :meth:`~repro.crossbar.CrossbarOperator.inject_stuck_faults` —
     permanent, composing, rewrite-surviving.  Retired shards and
     fault-free exact replicas are skipped.  A zero-rate injector
@@ -244,9 +241,6 @@ class FaultInjector:
         Expected fault events per shard per simulated second.
     fraction_per_event:
         Device fraction stuck by one event, in ``(0, 1]``.
-    mode:
-        Stuck polarity — ``"low"``, ``"high"`` or ``"both"`` (see
-        :func:`~repro.crossbar.nonidealities.apply_stuck_faults`).
     seed:
         RNG seed or generator for arrival counts and fault draws.
     """
@@ -256,7 +250,6 @@ class FaultInjector:
         fleet,
         rate_per_s: float,
         fraction_per_event: float = 1e-3,
-        mode: str = "both",
         seed: int | np.random.Generator | None = None,
     ) -> None:
         if not (math.isfinite(rate_per_s) and rate_per_s >= 0):
@@ -265,11 +258,9 @@ class FaultInjector:
             )
         if not 0.0 < fraction_per_event <= 1.0:
             raise ValueError("fraction_per_event must be in (0, 1]")
-        check_in("mode", mode, STUCK_MODES)
         self.fleet = fleet
         self.rate_per_s = float(rate_per_s)
         self.fraction_per_event = float(fraction_per_event)
-        self.mode = mode
         self._rng = as_rng(seed)
         self.time_s = 0.0
         self.events: list[FaultEvent] = []
@@ -298,7 +289,7 @@ class FaultInjector:
                 continue
             for _ in range(int(self._rng.poisson(expected))):
                 count = shard.inject_stuck_faults(
-                    self.fraction_per_event, self.mode, self._rng
+                    self.fraction_per_event, seed=self._rng
                 )
                 new.append(
                     FaultEvent(
@@ -421,22 +412,19 @@ class LifetimeSimulator:
         check_positive("step_seconds", step_seconds)
         if batch is None:
             batch = fleet.batch_window * len(fleet.shards)
-        if batch != int(batch) or batch < 1:
-            raise ValueError("batch must be an integer >= 1 or None")
         self.fleet = fleet
         self.injector = injector
         self.step_seconds = float(step_seconds)
-        self.batch = int(batch)
+        self.batch = check_int("batch", batch)
         self._rng = as_rng(seed)
 
     def run(self, n_steps: int) -> LifetimeResult:
         """Simulate ``n_steps`` service steps; returns the telemetry."""
-        if n_steps != int(n_steps) or n_steps < 1:
-            raise ValueError("n_steps must be an integer >= 1")
+        n_steps = check_int("n_steps", n_steps)
         result = LifetimeResult(step_seconds=self.step_seconds)
         matrix = self.fleet.matrix
         n = matrix.shape[1]
-        for step in range(int(n_steps)):
+        for step in range(n_steps):
             self.fleet.advance_time(self.step_seconds)
             if self.injector is not None:
                 result.fault_events.extend(self.injector.advance(self.step_seconds))

@@ -37,8 +37,8 @@ batched or per-vector dispatch) and services each shard whose staleness
   after the gain fit — the signal that catches non-scalar damage
   (stuck faults, drift dispersion) that a digital gain cannot hide;
 * ``verify_error_budget`` closes the escalation ladder: every
-  reprogram is verified with ``verify_probes`` random probes against
-  the stored target, and a shard whose rewrite cannot reach the budget
+  reprogram is verified with ``n_probes`` random probes against the
+  stored target, and a shard whose rewrite cannot reach the budget
   (stuck faults make the error floor irreducible) is **retired** —
   :meth:`ShardedOperator.retire_shard` takes it out of rotation and
   the fleet rebalances onto the survivors.
@@ -64,7 +64,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro._util import as_rng
+from repro._util import as_rng, check_int
 
 __all__ = ["FleetMaintenance", "MaintenanceAction"]
 
@@ -142,18 +142,13 @@ class FleetMaintenance:
         (``shard.last_calibration_error``) exceeds this, the
         calibration escalates to a reprogram — the trigger that catches
         stuck faults and other non-scalar damage.
-    verify_probes:
-        Probe vectors for the post-reprogram verify step (defaults to
-        ``n_probes`` when a ``verify_error_budget`` is set).
     verify_error_budget:
         Relative read error every reprogram must verify below; a shard
         that cannot hit it is retired from the fleet.  ``None``
         disables verify and retirement.
     n_probes:
-        Probe vectors per calibration (as in ``calibrate``).
-    programming_iterations:
-        Verify rounds per reprogram (``None`` keeps each shard's
-        construction-time setting).
+        Probe vectors per calibration (as in ``calibrate``) and per
+        post-reprogram verify step.
     seed:
         RNG seed or generator for the calibration/verify probes.
     attach:
@@ -170,10 +165,8 @@ class FleetMaintenance:
         gain_error_budget: float | None = None,
         gain_error_threshold: float | None = None,
         calibration_error_threshold: float | None = None,
-        verify_probes: int | None = None,
         verify_error_budget: float | None = None,
         n_probes: int = 8,
-        programming_iterations: int | None = None,
         seed: int | np.random.Generator | None = None,
         attach: bool = True,
     ) -> None:
@@ -196,16 +189,7 @@ class FleetMaintenance:
         ):
             if value is not None and not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be finite and positive or None")
-        if n_probes != int(n_probes) or n_probes < 1:
-            raise ValueError("n_probes must be an integer >= 1")
-        if verify_probes is not None and (
-            verify_probes != int(verify_probes) or verify_probes < 1
-        ):
-            raise ValueError("verify_probes must be an integer >= 1 or None")
-        if programming_iterations is not None and not (
-            float(programming_iterations).is_integer() and programming_iterations >= 1
-        ):
-            raise ValueError("programming_iterations must be an integer >= 1 or None")
+        n_probes = check_int("n_probes", n_probes)
         self.fleet = fleet
         self.recalibrate_after_s = recalibrate_after_s
         self.reprogram_after_s = reprogram_after_s
@@ -213,11 +197,7 @@ class FleetMaintenance:
         self.gain_error_threshold = gain_error_threshold
         self.calibration_error_threshold = calibration_error_threshold
         self.verify_error_budget = verify_error_budget
-        self.verify_probes = (
-            int(verify_probes) if verify_probes is not None else int(n_probes)
-        )
-        self.n_probes = int(n_probes)
-        self.programming_iterations = programming_iterations
+        self.n_probes = n_probes
         self._rng = as_rng(seed)
         self._sweep_lock = threading.Lock()
         self.actions: list[MaintenanceAction] = []
@@ -358,13 +338,9 @@ class FleetMaintenance:
         out of rotation.
         """
         if self.verify_error_budget is None:
-            shard.reprogram(self.programming_iterations)
+            shard.reprogram()
             return "reprogram", None
-        shard.reprogram(
-            self.programming_iterations,
-            verify_probes=self.verify_probes,
-            verify_seed=self._rng,
-        )
+        shard.reprogram(verify_probes=self.n_probes, verify_seed=self._rng)
         verify_error = float(shard.last_reprogram_error)
         if verify_error > self.verify_error_budget:
             retire = getattr(self.fleet, "retire_shard", None)

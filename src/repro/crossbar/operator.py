@@ -38,6 +38,12 @@ from repro.devices import PcmDevice
 
 __all__ = ["CrossbarOperator", "DenseOperator"]
 
+# The ADC full scale sits this many times above the largest line L2-norm
+# of the scaled matrix: the worst-case sum current of a dense line is
+# ~sqrt(lines) larger than any current that actually occurs and would
+# waste ADC levels.
+_FULL_SCALE_SIGMAS = 4.0
+
 
 def _input_vector(x: np.ndarray, lines: int, name: str) -> np.ndarray:
     """Validate a ``(lines,)`` input vector: shape, then finiteness."""
@@ -132,56 +138,37 @@ class _TilePair:
         g_pos: np.ndarray,
         g_neg: np.ndarray,
         device: PcmDevice,
-        programming_iterations: int,
-        wire_resistance: float,
         rng: np.random.Generator,
     ) -> None:
-        self.positive = CrossbarArray(
-            g_pos,
-            device=device,
-            programming_iterations=programming_iterations,
-            wire_resistance=wire_resistance,
-            seed=rng,
-        )
-        self.negative = CrossbarArray(
-            g_neg,
-            device=device,
-            programming_iterations=programming_iterations,
-            wire_resistance=wire_resistance,
-            seed=rng,
-        )
+        self.positive = CrossbarArray(g_pos, device=device, seed=rng)
+        self.negative = CrossbarArray(g_neg, device=device, seed=rng)
         self._rng = rng
-        # (G+ - G-, G+**2 + G-**2) per read key, valid for the members'
-        # read epochs in ``_cache_epoch``.  A member state change (drift,
-        # reprogramming, stuck faults, through the pair or on a member
-        # directly) moves its epoch, and the next read drops every
-        # entry before building a new one.  The members' own caches stay
-        # empty unless a member is read directly.
-        self._read_cache: dict[int, tuple[np.ndarray, np.ndarray | None]] = {}
+        # (G+ - G-, G+**2 + G-**2) for both read directions, valid for
+        # the members' read epochs in ``_cache_epoch``.  A member state
+        # change (drift, reprogramming, stuck faults, through the pair
+        # or on a member directly) moves its epoch, and the next read
+        # rebuilds the entry.  The members' own caches stay empty unless
+        # a member is read directly.
+        self._read_cache: tuple[np.ndarray, np.ndarray | None] | None = None
         self._cache_epoch = (0, 0)
 
-    def _read_entry(self, axis: int) -> tuple[np.ndarray, np.ndarray | None]:
+    def _read_entry(self) -> tuple[np.ndarray, np.ndarray | None]:
         epoch = (self.positive._read_epoch, self.negative._read_epoch)
-        if epoch != self._cache_epoch:
-            self._read_cache.clear()
-            self._cache_epoch = epoch
-        key = self.positive._read_key(axis)
-        entry = self._read_cache.get(key)
-        if entry is None:
-            g_pos = self.positive._mean_conductance(axis)
-            g_neg = self.negative._mean_conductance(axis)
+        if self._read_cache is None or epoch != self._cache_epoch:
+            g_pos = self.positive._mean_conductance()
+            g_neg = self.negative._mean_conductance()
             power = None
             if self.positive.device.read_noise_sigma != 0.0:
                 power = g_pos**2
                 power += g_neg**2
-            entry = (g_pos - g_neg, power)
-            self._read_cache[key] = entry
-        return entry
+            self._read_cache = (g_pos - g_neg, power)
+            self._cache_epoch = epoch
+        return self._read_cache
 
     def _read(self, voltages: np.ndarray, axis: int) -> np.ndarray:
         self.positive._count_reads(voltages.shape[1], axis)
         self.negative._count_reads(voltages.shape[1], axis)
-        mean, power = self._read_entry(axis)
+        mean, power = self._read_entry()
         return line_currents(
             mean,
             power,
@@ -203,9 +190,9 @@ class _TilePair:
         self.positive.advance_time(seconds)
         self.negative.advance_time(seconds)
 
-    def reprogram(self, iterations: int | None = None) -> None:
-        self.positive.reprogram(iterations)
-        self.negative.reprogram(iterations)
+    def reprogram(self) -> None:
+        self.positive.reprogram()
+        self.negative.reprogram()
 
     @property
     def n_program_pulses(self) -> int:
@@ -242,22 +229,6 @@ class CrossbarOperator:
     tile_shape:
         Maximum physical array size ``(rows, cols)``; larger matrices
         are tiled and partial sums accumulate digitally after the ADC.
-    programming_iterations:
-        Program-and-verify rounds for writing the conductances.
-    wire_resistance:
-        Per-segment wire resistance for the IR-drop model (0 = off).
-    utilization:
-        Fraction of the conductance window given to the largest
-        coefficient (headroom for drift).
-    full_scale_mode:
-        How the ADC full-scale current is chosen. ``"statistical"``
-        (default) sizes it at ``full_scale_sigmas`` times the largest
-        line L2-norm — the practical choice, since the worst-case sum
-        current of a dense line is ~sqrt(rows) larger than any current
-        that actually occurs and would waste ADC levels.  ``"worst"``
-        guarantees no clipping ever.
-    full_scale_sigmas:
-        Headroom multiplier for the statistical mode.
     seed:
         RNG seed or generator for all stochastic device behaviour.
     """
@@ -270,17 +241,8 @@ class CrossbarOperator:
         adc_bits: int | None = 8,
         v_read: float = 0.2,
         tile_shape: tuple[int, int] = (1024, 1024),
-        programming_iterations: int = 5,
-        wire_resistance: float = 0.0,
-        utilization: float = 1.0,
-        full_scale_mode: str = "statistical",
-        full_scale_sigmas: float = 4.0,
         seed: int | np.random.Generator | None = None,
     ) -> None:
-        if full_scale_mode not in ("statistical", "worst"):
-            raise ValueError("full_scale_mode must be 'statistical' or 'worst'")
-        if full_scale_sigmas <= 0:
-            raise ValueError("full_scale_sigmas must be positive")
         matrix = np.asarray(matrix, dtype=float)
         if matrix.ndim != 2:
             raise ValueError("matrix must be 2-D")
@@ -294,7 +256,7 @@ class CrossbarOperator:
         self._col_spans = split_ranges(m, tile_shape[1])
 
         # One shared scale across tiles keeps decoding a single divide.
-        coding = DifferentialCoding(self.device, utilization=utilization)
+        coding = DifferentialCoding(self.device)
         g_pos_full, g_neg_full = coding.encode(stored)
         self._scale = coding.scale
         self._tiles: dict[tuple[int, int], _TilePair] = {}
@@ -304,23 +266,19 @@ class CrossbarOperator:
                     g_pos_full[r0:r1, c0:c1],
                     g_neg_full[r0:r1, c0:c1],
                     device=self.device,
-                    programming_iterations=programming_iterations,
-                    wire_resistance=wire_resistance,
                     rng=rng,
                 )
 
         self.dac = Dac(bits=dac_bits, v_max=v_read)
         scaled = stored * self._scale * v_read
-        if full_scale_mode == "worst":
-            col_fs = float(np.abs(scaled).sum(axis=0).max()) if stored.size else 0.0
-            row_fs = float(np.abs(scaled).sum(axis=1).max()) if stored.size else 0.0
-            margin = 1.05
-        else:
-            col_fs = float(np.sqrt((scaled**2).sum(axis=0)).max()) if stored.size else 0.0
-            row_fs = float(np.sqrt((scaled**2).sum(axis=1)).max()) if stored.size else 0.0
-            margin = full_scale_sigmas
-        self.adc_columns = Adc(bits=adc_bits, full_scale=max(col_fs * margin, 1e-12))
-        self.adc_rows = Adc(bits=adc_bits, full_scale=max(row_fs * margin, 1e-12))
+        col_fs = float(np.sqrt((scaled**2).sum(axis=0)).max()) if stored.size else 0.0
+        row_fs = float(np.sqrt((scaled**2).sum(axis=1)).max()) if stored.size else 0.0
+        self.adc_columns = Adc(
+            bits=adc_bits, full_scale=max(col_fs * _FULL_SCALE_SIGMAS, 1e-12)
+        )
+        self.adc_rows = Adc(
+            bits=adc_bits, full_scale=max(row_fs * _FULL_SCALE_SIGMAS, 1e-12)
+        )
         self.v_read = v_read
         self.n_matvec = 0
         self.n_rmatvec = 0
@@ -329,7 +287,6 @@ class CrossbarOperator:
         self.n_live_matvec = 0
         self.n_live_rmatvec = 0
         self._gain = 1.0
-        self._programming_iterations = programming_iterations
         # Lifecycle clocks and maintenance counters: ``age_seconds`` is
         # time since (re)programming, ``staleness_seconds`` time since
         # the last maintenance event of either kind.  Like the
@@ -395,15 +352,13 @@ class CrossbarOperator:
 
     def reprogram(
         self,
-        programming_iterations: int | None = None,
         verify_probes: int | None = None,
         verify_seed: int | np.random.Generator | None = None,
     ) -> int:
         """Rewrite every tile from the stored target matrix.
 
         The heavy drift-maintenance action: a full program-and-verify
-        session per tile pair (defaulting to the construction-time
-        iteration count), after which the drift and staleness clocks
+        session per tile pair, after which the drift and staleness clocks
         restart and the digital gain returns to unity.  Devices stuck
         by injected yield faults survive the rewrite (see
         :meth:`CrossbarArray.reprogram`).  Pulses are counted into
@@ -421,7 +376,7 @@ class CrossbarOperator:
         """
         before = self.n_program_pulses
         for pair in self._tiles.values():
-            pair.reprogram(programming_iterations)
+            pair.reprogram()
         self._gain = 1.0
         self.age_seconds = 0.0
         self._maintained_at_age = 0.0
@@ -463,10 +418,7 @@ class CrossbarOperator:
         return float(np.linalg.norm(observed - reference)) / denominator
 
     def inject_stuck_faults(
-        self,
-        fraction: float,
-        mode: str = "both",
-        seed: int | np.random.Generator | None = None,
+        self, fraction: float, seed: int | np.random.Generator | None = None
     ) -> int:
         """Inject stuck devices into every tile; returns the fault count.
 
@@ -479,8 +431,8 @@ class CrossbarOperator:
         rng = as_rng(seed)
         total = 0
         for pair in self._tiles.values():
-            total += int(pair.positive.inject_stuck_faults(fraction, mode, rng).sum())
-            total += int(pair.negative.inject_stuck_faults(fraction, mode, rng).sum())
+            total += int(pair.positive.inject_stuck_faults(fraction, rng).sum())
+            total += int(pair.negative.inject_stuck_faults(fraction, rng).sum())
         return total
 
     @property

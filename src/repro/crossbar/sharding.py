@@ -48,11 +48,12 @@ solver sweep (e.g. one :func:`~repro.signal.amp_recover_batch`
 iteration) stops being a whole-fleet barrier while reproducing the
 unfused scheduling trace decision-for-decision.
 
-Fleets age: :meth:`ShardedOperator.advance_time` drifts the whole fleet
-or (``shard=i``) a single replica, so shards maintained at different
-times carry heterogeneous :attr:`shard_ages`; :meth:`gain_dispersion`
-reports the resulting spread of per-shard calibration gains — the
-fleet-level signature of stale shards serving live traffic.  Attach a
+Fleets age: :meth:`ShardedOperator.advance_time` drifts every replica
+by the same elapsed time, so all shards share one time axis and differ
+only in when each was last reprogrammed (:attr:`shard_ages`) or
+maintained (:attr:`shard_staleness`); :meth:`gain_dispersion` reports
+the resulting spread of per-shard calibration gains — the fleet-level
+signature of stale shards serving live traffic.  Attach a
 :class:`~repro.crossbar.maintenance.FleetMaintenance` policy to
 recalibrate or reprogram shards between dispatch windows; the policy
 quiesces the fleet (:meth:`quiesce`) before touching a shard, so
@@ -86,7 +87,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from repro._util import as_rng, check_elapsed, check_finite, check_in
+from repro._util import as_rng, check_elapsed, check_finite, check_in, check_int
 from repro.crossbar.operator import CrossbarOperator, DenseOperator
 from repro.crossbar.tile import split_ranges
 
@@ -151,17 +152,16 @@ class ShardedOperator:
                     "contract (result invariance, merged-counter pricing) "
                     "assumes identical replicas"
                 )
-        if batch_window != int(batch_window) or batch_window < 1:
-            raise ValueError("batch_window must be an integer >= 1")
+        batch_window = check_int("batch_window", batch_window)
         check_in("schedule", schedule, SHARD_SCHEDULES)
         check_in("parallelism", parallelism, PARALLELISM_MODES)
-        if n_workers is not None and (n_workers != int(n_workers) or n_workers < 1):
-            raise ValueError("n_workers must be an integer >= 1 or None")
+        if n_workers is not None:
+            n_workers = check_int("n_workers", n_workers)
         self.shards = shards
-        self.batch_window = int(batch_window)
+        self.batch_window = batch_window
         self.schedule = schedule
         self.parallelism = parallelism
-        self.n_workers = int(n_workers) if n_workers is not None else len(shards)
+        self.n_workers = n_workers if n_workers is not None else len(shards)
         self.maintenance = None
         self._loads = [0] * len(shards)
         self._cursor = 0
@@ -210,21 +210,20 @@ class ShardedOperator:
         """
         check_in("backend", backend, ("crossbar", "exact"))
         check_in("stream", stream, ("shared", "per_shard"))
-        if n_shards != int(n_shards) or n_shards < 1:
-            raise ValueError("n_shards must be an integer >= 1")
+        n_shards = check_int("n_shards", n_shards)
         if backend == "exact":
             if operator_kwargs or seed is not None or stream != "shared":
                 raise ValueError(
                     "seed, stream and operator keyword arguments apply to "
                     "the crossbar backend only"
                 )
-            shards = [DenseOperator(matrix) for _ in range(int(n_shards))]
+            shards = [DenseOperator(matrix) for _ in range(n_shards)]
         else:
             rng = as_rng(seed)
             if stream == "per_shard":
-                streams = rng.spawn(int(n_shards))
+                streams = rng.spawn(n_shards)
             else:
-                streams = [rng] * int(n_shards)
+                streams = [rng] * n_shards
             shards = [
                 CrossbarOperator(matrix, seed=child, **operator_kwargs)
                 for child in streams
@@ -292,12 +291,12 @@ class ShardedOperator:
         silently re-base the rotation and skew which survivor serves
         the next window.
         """
-        if index != int(index) or not 0 <= index < len(self.shards):
+        index = check_int("index", index, minimum=0)
+        if index >= len(self.shards):
             raise ValueError(
-                f"shard must be an index in [0, {len(self.shards)}), "
+                f"index must be a shard index in [0, {len(self.shards)}), "
                 f"got {index!r}"
             )
-        index = int(index)
         with self._scheduler_lock:
             if self._retired[index]:
                 return False
@@ -669,28 +668,17 @@ class ShardedOperator:
             return self.shards[index].rmatvec(z)
 
     # -- maintenance -----------------------------------------------------------
-    def advance_time(self, seconds: float, shard: int | None = None) -> None:
-        """Drift replicas that model drift (exact shards don't).
+    def advance_time(self, seconds: float) -> None:
+        """Drift every replica that models drift (exact shards don't).
 
-        ``shard=None`` ages the whole fleet in lockstep; an index ages
-        one replica only — the heterogeneous-fleet case, e.g. catching
-        a repaired shard up to peers that kept serving while it was
-        offline.  Per-shard clocks are visible as :attr:`shard_ages`.
+        The whole fleet ages in lockstep, so shard clocks differ only by
+        when each shard was last reprogrammed or calibrated.
         ``seconds`` is validated (finite, non-negative) before any
         shard ages, so a bad value never leaves the fleet's drift
         clocks partially advanced or NaN-poisoned.
         """
         seconds = check_elapsed("seconds", seconds)
-        if shard is None:
-            targets = list(enumerate(self.shards))
-        else:
-            if shard != int(shard) or not 0 <= shard < len(self.shards):
-                raise ValueError(
-                    f"shard must be an index in [0, {len(self.shards)}), "
-                    f"got {shard!r}"
-                )
-            targets = [(int(shard), self.shards[int(shard)])]
-        for index, replica in targets:
+        for index, replica in enumerate(self.shards):
             if hasattr(replica, "advance_time"):
                 with self._shard_locks[index]:
                     replica.advance_time(seconds)

@@ -50,7 +50,7 @@ import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 
-from repro._util import check_in, check_positive
+from repro._util import check_in, check_int, check_positive
 from repro.energy.adc import AdcModel
 
 __all__ = [
@@ -65,8 +65,7 @@ READOUT_SCHEDULES = ("serial", "parallel")
 
 def check_batch_schedule(batch: int, schedule: str) -> None:
     """Shared validation for every batch-pricing API in this package."""
-    if batch != int(batch) or batch < 1:
-        raise ValueError("batch must be an integer >= 1")
+    check_int("batch", batch)
     check_in("schedule", schedule, READOUT_SCHEDULES)
 
 
@@ -81,17 +80,16 @@ def resolve_banks(
     banks and ``"banked"`` in between, so the endpoints stay
     indistinguishable from the named schedules.
     """
-    if batch != int(batch) or batch < 1:
-        raise ValueError("batch must be an integer >= 1")
+    batch = check_int("batch", batch)
     if banks is None:
         schedule = "serial" if schedule is None else schedule
         check_in("schedule", schedule, READOUT_SCHEDULES)
-        return (1 if schedule == "serial" else int(batch)), schedule
+        return (1 if schedule == "serial" else batch), schedule
     if schedule is not None:
         raise ValueError("pass either schedule or banks, not both")
-    if banks != int(banks) or not 1 <= banks <= batch:
-        raise ValueError(f"banks must be an integer in [1, {int(batch)}], got {banks!r}")
-    banks = int(banks)
+    banks = check_int("banks", banks)
+    if banks > batch:
+        raise ValueError(f"banks must be an integer in [1, {batch}], got {banks!r}")
     if banks == 1:
         return banks, "serial"
     if banks == batch:
@@ -494,12 +492,9 @@ def sharded_readout_rows(
     actually engaged, and prices only the engaged silicon — idle shards
     and capped-away banks cost nothing in this readout sweep.
     """
-    if batch != int(batch) or batch < 1:
-        raise ValueError("batch must be an integer >= 1")
-    if batch_window is not None and (
-        batch_window != int(batch_window) or batch_window < 1
-    ):
-        raise ValueError("batch_window must be an integer >= 1 or None")
+    batch = check_int("batch", batch)
+    if batch_window is not None:
+        batch_window = check_int("batch_window", batch_window)
     if loads is not None:
         if batch_window is not None:
             raise ValueError(
@@ -514,40 +509,33 @@ def sharded_readout_rows(
         loads = list(loads)
         if not loads:
             raise ValueError("loads must name at least one shard")
-        if any(load != int(load) or load < 0 for load in loads):
-            raise ValueError("loads must be non-negative integers")
-        loads = [int(load) for load in loads]
+        loads = [check_int("loads", load, minimum=0) for load in loads]
         if sum(loads) < 1:
             raise ValueError("loads must contain at least one active column")
         if sum(loads) > batch:
             raise ValueError(
                 f"loads dispatch {sum(loads)} active columns, more than "
-                f"the batch of {int(batch)}"
+                f"the batch of {batch}"
             )
         shard_counts = (len(loads),)
     model = model if model is not None else CrossbarCostModel()
-    batch = int(batch)
     rows = []
     for shards in shard_counts:
-        if shards != int(shards) or shards < 1:
-            raise ValueError("shard counts must be integers >= 1")
-        shards = int(shards)
+        shards = check_int("shard counts", shards)
         if loads is not None:
             shares = list(loads)
         elif batch_window is None:
             base, extra = divmod(batch, shards)
             shares = [base + (1 if i < extra else 0) for i in range(shards)]
         else:
-            window = int(batch_window)
             widths = [
-                min(window, batch - start) for start in range(0, batch, window)
+                min(batch_window, batch - start)
+                for start in range(0, batch, batch_window)
             ]
             shares = [sum(widths[i::shards]) for i in range(shards)]
         shares = [share for share in shares if share > 0]
         for banks in bank_counts:
-            if banks != int(banks) or banks < 1:
-                raise ValueError("bank counts must be integers >= 1")
-            banks = int(banks)
+            banks = check_int("bank counts", banks)
             reports = [
                 model.batch_readout(share, banks=min(banks, share))
                 for share in shares

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro._util import check_positive
+from repro._util import check_int, check_positive
 
 __all__ = ["FpgaMvmDesign"]
 
@@ -85,8 +85,7 @@ class FpgaMvmDesign:
         accumulation drain is paid once per pass instead of once per
         vector — the FPGA's (only) batch amortization.
         """
-        if batch != int(batch) or batch < 1:
-            raise ValueError("batch must be an integer >= 1")
+        check_int("batch", batch)
         if rows < 1:
             raise ValueError("rows must be >= 1")
         if vector_size < 1:

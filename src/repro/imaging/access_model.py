@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro._util import check_positive
+from repro._util import check_int, check_positive
 
 __all__ = ["NeighborhoodAccessModel", "AccessReport"]
 
@@ -138,9 +138,7 @@ class NeighborhoodAccessModel:
         exactly, access for access and joule for joule.
         """
         self._validate(height, width, radius)
-        if burst != int(burst) or burst < 1:
-            raise ValueError("burst must be an integer >= 1")
-        burst = int(burst)
+        burst = check_int("burst", burst)
         rows_per_window = 2 * radius + 1
         groups_per_row = -(-width // burst)  # ceil division, ragged tail
         activations = height * groups_per_row * rows_per_window

@@ -4,8 +4,8 @@ The crossbar stack below this package answers *"how fast/cheap is one
 ``(n, B)`` dispatch?"*; this package answers *"what does the fleet look
 like as a shared service?"* — many independent clients submitting
 single vectors, coalesced into full readout windows under a latency
-budget, with admission control at the door, drift maintenance scheduled
-into traffic lulls from the lifetime model's forecasts, and per-tenant
+budget, with admission control at the door, the drift-maintenance
+policy's due sweeps scheduled into traffic lulls, and per-tenant
 metering that bills each workload through the same experiment store as
 every benchmark.
 
@@ -20,8 +20,8 @@ Layering:
   core: dispatch, demux, latency/SLO tracking, largest-remainder
   per-tenant counter attribution, ``kind="billing"`` store rows.
 * :mod:`~repro.serving.windows` — :class:`MaintenanceWindow`,
-  drift-forecast scheduling of :class:`FleetMaintenance` sweeps into
-  low-traffic slots on the shared service line.
+  scheduling of a detached :class:`FleetMaintenance` policy's due
+  sweeps into traffic lulls on the shared service line.
 """
 
 from repro.serving.clock import VirtualClock

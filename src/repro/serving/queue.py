@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro._util import check_elapsed, check_in, check_positive
+from repro._util import check_elapsed, check_in, check_int
 
 __all__ = [
     "ADMISSION_POLICIES",
@@ -126,9 +126,7 @@ class RequestQueue:
     """
 
     def __init__(self, block_columns: int, coalesce_budget_s: float) -> None:
-        if block_columns != int(block_columns) or block_columns < 1:
-            raise ValueError("block_columns must be an integer >= 1")
-        self.block_columns = int(block_columns)
+        self.block_columns = check_int("block_columns", block_columns)
         self.coalesce_budget_s = check_elapsed("coalesce_budget_s", coalesce_budget_s)
         self._lanes: dict[str, deque[Request]] = {
             kind: deque() for kind in REQUEST_KINDS
@@ -214,11 +212,8 @@ class AdmissionController:
     """
 
     def __init__(self, max_depth: int, policy: str = "reject") -> None:
-        if max_depth != int(max_depth):
-            raise ValueError("max_depth must be an integer")
-        check_positive("max_depth", max_depth)
+        self.max_depth = check_int("max_depth", max_depth)
         check_in("policy", policy, ADMISSION_POLICIES)
-        self.max_depth = int(max_depth)
         self.policy = policy
         self.n_admitted = 0
         self.n_rejected = 0

@@ -3,9 +3,10 @@
 :class:`FleetServer` turns a :class:`~repro.crossbar.ShardedOperator`
 from a library call into a long-lived service.  Independent clients
 :meth:`submit` single vectors; the server queues them per direction,
-coalesces them into ``block_columns``-wide blocks under a latency
-budget (see :class:`~repro.serving.queue.RequestQueue`), dispatches
-each block across the fleet with one ``matmat``/``rmatmat`` call, and
+coalesces them into blocks of up to the fleet's ``batch_window``
+columns under a latency budget (see
+:class:`~repro.serving.queue.RequestQueue`), dispatches each block
+across the fleet with one ``matmat``/``rmatmat`` call, and
 demultiplexes the result columns back to their requests — so a
 thousand one-vector clients ride the same windowed, sharded, batched
 path a single ``(n, 1000)`` caller would, and the fleet's counters
@@ -17,7 +18,9 @@ each dispatched block ``ceil(B / batch_window) * window_service_s`` of
 busy time on a single fleet-wide service line.  Queue latency
 (arrival → dispatch), service latency (dispatch → completion) and SLO
 conformance therefore come out deterministic for a given arrival
-trace — the property the determinism suite pins.
+trace — the property the determinism suite pins.  :meth:`advance` moves
+the serving clock and the fleet's drift clocks together, so traffic,
+drift and maintenance share one time axis.
 
 Tenancy: every request carries a tenant label, and the counter deltas
 of each dispatched block are attributed to tenants by their live
@@ -27,7 +30,11 @@ tenant a stats dict that
 :meth:`~repro.energy.CrossbarCostModel.energy_from_stats` prices
 directly, and :meth:`record_billing` writes one ``kind="billing"`` run
 row per tenant through the experiment store — invoices share the query
-path of every other result in the repo.
+path of every other result in the repo.  A fleet with an attached
+:class:`~repro.crossbar.FleetMaintenance` policy is refused: its
+reactive sweeps would run inside dispatch and be billed to tenants, so
+maintenance is served through a
+:class:`~repro.serving.windows.MaintenanceWindow` instead.
 
 An idle server is free: constructing one touches nothing but the
 fleet's shape, so a fleet with a server attached but no traffic stays
@@ -121,12 +128,12 @@ class FleetServer:
         The :class:`~repro.crossbar.ShardedOperator` (or any object
         with the ``matmat``/``rmatmat``/``shape``/``stats``/
         ``batch_window`` protocol) that executes coalesced blocks.
+        Blocks hold up to ``batch_window`` columns, one full readout
+        pass per shard dispatch.  A fleet with an attached maintenance
+        policy raises ``ValueError``, here and at every dispatch.
     clock:
         Time source (``now()``/``advance(seconds)``); defaults to a
         fresh :class:`VirtualClock` at 0.
-    block_columns:
-        Columns per coalesced block; defaults to the fleet's
-        ``batch_window`` (one full readout pass per shard dispatch).
     coalesce_budget_s:
         Longest a request waits for co-travellers before its partial
         block dispatches anyway.
@@ -135,11 +142,10 @@ class FleetServer:
         pass; a block of B columns occupies the service line for
         ``ceil(B / batch_window)`` windows' worth.
     slo_s:
-        Per-request latency objective — a float for every tenant, or a
-        ``{tenant: seconds}`` mapping (missing tenants get no SLO).
-        Every value must be finite and non-negative.
-        Purely observational: requests are never dropped for missing
-        it, but :meth:`latency_summary` reports the violations.
+        Per-request latency objective in seconds, the same for every
+        tenant; must be finite and non-negative.  Purely observational:
+        requests are never dropped for missing it, but
+        :meth:`latency_summary` reports the violations.
     admission:
         Optional :class:`AdmissionController`; ``None`` serves an
         unbounded queue.
@@ -155,25 +161,18 @@ class FleetServer:
         fleet,
         clock=None,
         *,
-        block_columns: int | None = None,
         coalesce_budget_s: float = 1.0,
         window_service_s: float = 1.0,
-        slo_s: float | dict[str, float] | None = None,
+        slo_s: float | None = None,
         admission: AdmissionController | None = None,
         maintenance=None,
     ) -> None:
         self.fleet = fleet
+        self._check_detached()
         self.clock = clock if clock is not None else VirtualClock()
-        if block_columns is None:
-            block_columns = int(fleet.batch_window)
         self.window_service_s = check_elapsed("window_service_s", window_service_s)
-        self.queue = RequestQueue(block_columns, coalesce_budget_s)
-        if isinstance(slo_s, dict):
-            slo_s = {
-                tenant: check_elapsed(f"slo_s[{tenant!r}]", value)
-                for tenant, value in slo_s.items()
-            }
-        elif slo_s is not None:
+        self.queue = RequestQueue(fleet.batch_window, coalesce_budget_s)
+        if slo_s is not None:
             slo_s = check_elapsed("slo_s", slo_s)
         self.slo_s = slo_s
         self.admission = admission
@@ -187,12 +186,23 @@ class FleetServer:
         self._tenant_counters: dict[str, dict[str, int]] = {}
         self._tenant_requests: dict[str, dict[str, int]] = {}
 
-    # -- submission ------------------------------------------------------------
-    def _slo_for(self, tenant: str) -> float | None:
-        if isinstance(self.slo_s, dict):
-            return self.slo_s.get(tenant)
-        return self.slo_s
+    def _check_detached(self) -> None:
+        """Refuse a fleet whose maintenance policy sweeps inside dispatch.
 
+        An attached policy's probes would land in the counter delta of
+        the block that triggered them, split across tenants, and be
+        billed again as maintenance.  Checked at construction and before
+        each dispatch, since a policy can be attached to the fleet after
+        the server is built.
+        """
+        if getattr(self.fleet, "maintenance", None) is not None:
+            raise ValueError(
+                "fleet has an attached maintenance policy, whose sweeps "
+                "would be billed to tenants; build the policy with "
+                "attach=False and pass it to a MaintenanceWindow"
+            )
+
+    # -- submission ------------------------------------------------------------
     def _tenant_entry(self, tenant: str) -> dict[str, int]:
         if tenant not in self._tenant_requests:
             self._tenant_requests[tenant] = {
@@ -261,7 +271,7 @@ class FleetServer:
             value=None,
             dispatched_at_s=math.nan,
             completed_at_s=now_s,
-            slo_s=self._slo_for(request.tenant),
+            slo_s=self.slo_s,
         )
         self._tenant_entry(request.tenant)["shed"] += 1
         self.completed.append(result)
@@ -305,6 +315,7 @@ class FleetServer:
         return served
 
     def _dispatch_block(self, kind: str) -> list[RequestResult]:
+        self._check_detached()
         requests = self.queue.pop_block(kind)
         if not requests:
             return []
@@ -349,7 +360,6 @@ class FleetServer:
 
         results = []
         for column, request in enumerate(requests):
-            slo = self._slo_for(request.tenant)
             result = RequestResult(
                 request=request,
                 status="served",
@@ -357,7 +367,7 @@ class FleetServer:
                 dispatched_at_s=start,
                 completed_at_s=completed_at,
                 block_id=block_id,
-                slo_s=slo,
+                slo_s=self.slo_s,
             )
             entry = self._tenant_entry(request.tenant)
             entry["served"] += 1
@@ -397,12 +407,12 @@ class FleetServer:
                     ledger[key] = ledger.get(key, 0) + share
 
     # -- time ------------------------------------------------------------------
-    def advance(self, seconds: float, *, age_fleet: bool = True) -> float:
-        """Advance the serving clock (and, by default, the fleet's
-        drift clocks in lockstep) — the simulation's single time axis,
-        so maintenance forecasts and coalesce deadlines share it.
-        Returns the new time."""
-        if age_fleet and hasattr(self.fleet, "advance_time"):
+    def advance(self, seconds: float) -> float:
+        """Advance the serving clock and the fleet's drift clocks in
+        lockstep — the simulation's single time axis, so maintenance
+        triggers and coalesce deadlines share it.  Returns the new
+        time."""
+        if hasattr(self.fleet, "advance_time"):
             self.fleet.advance_time(seconds)
         return self.clock.advance(seconds)
 

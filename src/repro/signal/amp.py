@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro._util import check_in, nmse
+from repro._util import check_in, check_int, nmse
 
 __all__ = ["AmpBatchResult", "AmpResult", "amp_recover", "amp_recover_batch",
            "soft_threshold"]
@@ -187,10 +187,8 @@ def _check_amp_parameters(n: int, m: int, iterations: int,
 
 def _check_stagnation(stagnation_window: int | None,
                       stagnation_tolerance: float) -> None:
-    if stagnation_window is not None and (
-        stagnation_window != int(stagnation_window) or stagnation_window < 1
-    ):
-        raise ValueError("stagnation_window must be an integer >= 1 or None")
+    if stagnation_window is not None:
+        check_int("stagnation_window", stagnation_window)
     if stagnation_tolerance < 0:
         raise ValueError("stagnation_tolerance must be non-negative")
 

@@ -121,5 +121,6 @@ class TestBankedOffload:
     def test_validation(self):
         from repro.arch import banked_offload_rows
 
-        with pytest.raises(ValueError, match="bank counts"):
-            banked_offload_rows(bank_counts=(0,))
+        for bad in (0, float("inf"), float("nan")):
+            with pytest.raises(ValueError, match="bank counts"):
+                banked_offload_rows(bank_counts=(bad,))

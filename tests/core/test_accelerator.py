@@ -105,8 +105,9 @@ class TestShardedRegions:
 
     def test_store_matrix_argument_validation(self, accelerator, rng):
         matrix = rng.standard_normal((4, 6))
-        with pytest.raises(ValueError, match="n_shards"):
-            accelerator.store_matrix("a", matrix, n_shards=0)
+        for bad in (0, float("inf"), float("nan")):
+            with pytest.raises(ValueError, match="n_shards"):
+                accelerator.store_matrix("a", matrix, n_shards=bad)
         with pytest.raises(ValueError, match="batch_window"):
             accelerator.store_matrix("b", matrix, n_shards=2)
         # a schedule without sharding would be silently dead: reject it

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from repro.core import CimAccelerator
-from repro.crossbar import CrossbarArray, CrossbarOperator, ir_drop_factors
+from repro.crossbar import CrossbarArray, CrossbarOperator
 from repro.crossbar.operator import _TilePair
 from repro.devices import PcmDevice
 
@@ -89,17 +89,6 @@ class TestExactEquivalence:
         x = rng.standard_normal(small_matrix.shape[1])
         np.testing.assert_allclose(
             batched.matmat(x[:, None])[:, 0], looped.matvec(x), atol=1e-12
-        )
-
-    @pytest.mark.parametrize("device", DETERMINISTIC_DEVICES)
-    def test_equivalence_with_ir_drop(self, rng, device):
-        """With deterministic reads the IR-drop model is identical in
-        both paths (factors depend only on the programmed state)."""
-        matrix = rng.standard_normal((24, 24))
-        batched, looped = make_twins(matrix, device=device, wire_resistance=0.5)
-        x_block = rng.standard_normal((24, 4))
-        np.testing.assert_allclose(
-            batched.matmat(x_block), looped_matvec(looped, x_block), atol=1e-12
         )
 
     def test_equivalence_survives_drift(self, rng):
@@ -188,8 +177,6 @@ class TestNoisyStatisticalEquivalence:
             self.conductances(0),
             self.conductances(5),
             device=self.device(),
-            programming_iterations=5,
-            wire_resistance=0.0,
             rng=np.random.default_rng(3),
         )
         pair.advance_time(age_seconds)
@@ -296,7 +283,7 @@ class TestTilePairReads:
     """The pair's cached ``G+ - G-`` and ``G+**2 + G-**2`` track every
     state change of either member, and both members count every read."""
 
-    def make_operator(self, wire_resistance=0.0):
+    def make_operator(self):
         matrix = np.random.default_rng(6).standard_normal((6, 10))
         # programming noise keeps reprogramming visible; reads are exact
         return CrossbarOperator(
@@ -304,23 +291,15 @@ class TestTilePairReads:
             device=PcmDevice(read_noise_sigma=0.0),
             dac_bits=None,
             adc_bits=None,
-            wire_resistance=wire_resistance,
             seed=8,
         )
 
     @staticmethod
     def expected_product(operator, block, axis):
         """``gain * (G+ - G-)`` applied to ``block``, from both members'
-        ``g_effective`` (IR drop applied per read direction)."""
+        ``g_effective``."""
         pair = operator._tiles[(0, 0)]
-
-        def g_read(array):
-            g = array.g_effective
-            if array.wire_resistance > 0.0:
-                g = g * ir_drop_factors(g, array.wire_resistance, axis=axis)
-            return g
-
-        diff = g_read(pair.positive) - g_read(pair.negative)
+        diff = pair.positive.g_effective - pair.negative.g_effective
         product = diff.T @ block if axis == 0 else diff @ block
         return operator.gain * product / operator._scale
 
@@ -333,14 +312,9 @@ class TestTilePairReads:
         ),
     }
 
-    @pytest.mark.parametrize(
-        "mutation, wire_resistance",
-        [(name, 0.0) for name in MUTATIONS] + [("advance_time", 2.0)],
-    )
-    def test_read_after_state_change_uses_fresh_conductances(
-        self, mutation, wire_resistance
-    ):
-        operator = self.make_operator(wire_resistance)
+    @pytest.mark.parametrize("mutation", list(MUTATIONS))
+    def test_read_after_state_change_uses_fresh_conductances(self, mutation):
+        operator = self.make_operator()
         rng = np.random.default_rng(9)
         x_block = rng.standard_normal((10, 3))
         z_block = rng.standard_normal((6, 3))

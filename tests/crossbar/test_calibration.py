@@ -91,7 +91,7 @@ class TestFaultInjection:
         from repro.crossbar import CrossbarArray
 
         array = CrossbarArray(np.full((8, 8), 5e-6), seed=4)
-        mask = array.inject_stuck_faults(0.5, mode="low", seed=5)
+        mask = array.inject_stuck_faults(0.5, seed=5)
         assert mask.shape == (8, 8)
         assert mask.any()
 

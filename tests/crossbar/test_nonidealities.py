@@ -1,41 +1,9 @@
-"""Tests of IR drop and stuck-fault injection."""
+"""Tests of stuck-fault injection."""
 
 import numpy as np
 import pytest
 
-from repro.crossbar import apply_stuck_faults, ir_drop_factors
-
-
-class TestIrDrop:
-    def test_zero_resistance_is_identity(self):
-        g = np.random.default_rng(0).uniform(1e-6, 20e-6, (4, 4))
-        assert np.array_equal(ir_drop_factors(g, 0.0, axis=0), np.ones((4, 4)))
-
-    def test_factors_bounded(self):
-        g = np.full((8, 8), 20e-6)
-        factors = ir_drop_factors(g, 10.0, axis=0)
-        assert np.all(factors > 0) and np.all(factors <= 1)
-
-    def test_attenuation_grows_along_wire(self):
-        g = np.full((4, 6), 20e-6)
-        factors = ir_drop_factors(g, 10.0, axis=0)
-        # Driving rows: the row wire runs across columns.
-        row = factors[0]
-        assert np.all(np.diff(row) < 0)
-
-    def test_axis_one_transposes_direction(self):
-        g = np.full((4, 6), 20e-6)
-        factors = ir_drop_factors(g, 10.0, axis=1)
-        col = factors[:, 0]
-        assert np.all(np.diff(col) < 0)
-
-    def test_rejects_bad_axis(self):
-        with pytest.raises(ValueError):
-            ir_drop_factors(np.ones((2, 2)), 1.0, axis=2)
-
-    def test_rejects_negative_resistance(self):
-        with pytest.raises(ValueError):
-            ir_drop_factors(np.ones((2, 2)), -1.0, axis=0)
+from repro.crossbar import apply_stuck_faults
 
 
 class TestStuckFaults:

@@ -164,39 +164,26 @@ class TestRealisticCrossbar:
         with pytest.raises(ValueError):
             op.rmatvec(np.zeros(small_matrix.shape[1]))
 
-    def test_rejects_bad_full_scale_mode(self, small_matrix):
-        with pytest.raises(ValueError):
-            CrossbarOperator(small_matrix, full_scale_mode="bogus")
-
     def test_rejects_infinite_read_voltage(self, small_matrix):
         with pytest.raises(ValueError, match="v_max"):
             CrossbarOperator(small_matrix, v_read=float("inf"))
 
-    def test_rejects_non_2d_matrix_and_bad_headroom(self, small_matrix):
+    def test_rejects_non_2d_matrix(self):
         with pytest.raises(ValueError, match="2-D"):
             CrossbarOperator(np.ones(4))
-        with pytest.raises(ValueError, match="full_scale_sigmas"):
-            CrossbarOperator(small_matrix, full_scale_sigmas=0.0)
 
-    def test_worst_case_full_scale_never_clips(self, rng):
-        # On long lines the worst-case current (the L1 norm) is ~sqrt(400)
-        # times the L2 norm, far past the statistical 4-sigma range.
+    def test_statistical_full_scale_clips_the_worst_case_line(self, rng):
+        # The ADC range is four times the largest line L2 norm.  On long
+        # lines the worst-case current (the L1 norm) is ~sqrt(400) times
+        # the L2 norm, far past that range.
         matrix = rng.standard_normal((4, 400))
         line = int(np.argmax(np.abs(matrix).sum(axis=1)))
         x = np.sign(matrix[line])  # drives that line to its largest current
         exact = (matrix @ x)[line]
-        readings = {
-            mode: CrossbarOperator(
-                matrix,
-                device=PcmDevice.ideal(),
-                adc_bits=12,
-                full_scale_mode=mode,
-                seed=0,
-            ).matvec(x)[line]
-            for mode in ("statistical", "worst")
-        }
-        assert readings["worst"] == pytest.approx(exact, rel=1e-2)
-        assert readings["statistical"] < 0.5 * exact  # clipped
+        operator = CrossbarOperator(
+            matrix, device=PcmDevice.ideal(), adc_bits=12, seed=0
+        )
+        assert operator.matvec(x)[line] < 0.5 * exact  # clipped
 
 
 class TestVerifyReads:

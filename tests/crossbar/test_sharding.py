@@ -25,7 +25,7 @@ class TestConstruction:
         with pytest.raises(ValueError, match="share one shape"):
             ShardedOperator([a, b], batch_window=4)
 
-    @pytest.mark.parametrize("bad", [0, -1, 2.5])
+    @pytest.mark.parametrize("bad", [0, -1, 2.5, float("inf"), float("nan")])
     def test_rejects_bad_window(self, bad, rng):
         shard = DenseOperator(rng.standard_normal((4, 6)))
         with pytest.raises(ValueError, match="batch_window"):
@@ -35,6 +35,11 @@ class TestConstruction:
         shard = DenseOperator(rng.standard_normal((4, 6)))
         with pytest.raises(ValueError, match="schedule"):
             ShardedOperator([shard], batch_window=2, schedule="random")
+
+    @pytest.mark.parametrize("bad", [float("inf"), float("nan")])
+    def test_from_matrix_rejects_non_finite_shard_counts(self, bad, small_matrix):
+        with pytest.raises(ValueError, match="n_shards"):
+            ShardedOperator.from_matrix(small_matrix, n_shards=bad, batch_window=4)
 
     def test_from_matrix_validation(self, small_matrix):
         with pytest.raises(ValueError, match="n_shards"):
@@ -117,8 +122,12 @@ class TestScheduling:
             )
             for _ in range(2)
         )
-        aged.advance_time(1e6, shard=0)
-        aged.advance_time(3e3, shard=2)
+        # shard clocks differ by when each shard was last reprogrammed
+        aged.advance_time(1e6)
+        aged.shards[1].reprogram()
+        aged.advance_time(3e3)
+        aged.shards[2].reprogram()
+        assert aged.shard_ages == (1e6 + 3e3, 3e3, 0.0)
         stream = np.random.default_rng(4)
         n = small_matrix.shape[1]
         for width in (5, 3, 8):
@@ -329,10 +338,10 @@ class TestRetirement:
         assert fleet.n_active_shards == 2
         assert fleet.retirement_log == [1]
 
-    @pytest.mark.parametrize("bad", [-1, 3, 1.5])
+    @pytest.mark.parametrize("bad", [-1, 3, 1.5, float("inf"), float("nan")])
     def test_retire_validates_the_index(self, bad, small_matrix):
         fleet = self.exact_fleet(small_matrix)
-        with pytest.raises(ValueError, match="shard must be an index"):
+        with pytest.raises(ValueError, match="index must be"):
             fleet.retire_shard(bad)
 
     def test_round_robin_skips_retired_shards(self, small_matrix, rng):

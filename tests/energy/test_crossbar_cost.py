@@ -128,6 +128,14 @@ class TestBatchSchedules:
         with pytest.raises(ValueError):
             model.batch_readout(2.5)  # fractional converter banks
 
+    @pytest.mark.parametrize("bad", [float("inf"), float("nan")])
+    def test_rejects_non_finite_batch(self, bad):
+        model = CrossbarCostModel()
+        with pytest.raises(ValueError, match="batch"):
+            model.batch_readout(bad)
+        with pytest.raises(ValueError, match="batch"):
+            model.matmat_energy_j(bad)
+
     def test_integral_float_batch_accepted(self):
         report = CrossbarCostModel().batch_readout(4.0, "parallel")
         assert report.adc_banks == 4 and isinstance(report.adc_banks, int)
@@ -306,6 +314,11 @@ class TestBankedReadout:
         report = model.batch_readout(64, banks=16)
         assert report.latency_per_mvm_s == pytest.approx(report.latency_s / 64)
 
+    @pytest.mark.parametrize("bad", [float("inf"), float("nan")])
+    def test_rejects_non_finite_banks(self, bad):
+        with pytest.raises(ValueError, match="banks"):
+            CrossbarCostModel().batch_readout(8, banks=bad)
+
     def test_validation(self):
         model = CrossbarCostModel()
         with pytest.raises(ValueError, match="banks"):
@@ -381,12 +394,13 @@ class TestShardedReadoutRows:
     def test_validation(self):
         from repro.energy import sharded_readout_rows
 
-        with pytest.raises(ValueError):
-            sharded_readout_rows(0)
-        with pytest.raises(ValueError, match="shard counts"):
-            sharded_readout_rows(8, shard_counts=(0,))
-        with pytest.raises(ValueError, match="bank counts"):
-            sharded_readout_rows(8, bank_counts=(0,))
+        for bad in (0, float("inf"), float("nan")):
+            with pytest.raises(ValueError, match="batch"):
+                sharded_readout_rows(bad)
+            with pytest.raises(ValueError, match="shard counts"):
+                sharded_readout_rows(8, shard_counts=(bad,))
+            with pytest.raises(ValueError, match="bank counts"):
+                sharded_readout_rows(8, bank_counts=(bad,))
 
     def test_window_aware_shares_follow_round_robin_dispatch(self):
         """With batch_window set, the sweep prices the scheduler's real
@@ -403,8 +417,9 @@ class TestShardedReadoutRows:
             8, shard_counts=(2,), bank_counts=(1,), model=model
         )
         assert even["latency_cycles"] == 4.0
-        with pytest.raises(ValueError, match="batch_window"):
-            sharded_readout_rows(8, batch_window=0)
+        for bad in (0, float("inf"), float("nan")):
+            with pytest.raises(ValueError, match="batch_window"):
+                sharded_readout_rows(8, batch_window=bad)
 
 
 class TestMaintenanceBilling:
@@ -618,10 +633,9 @@ class TestScheduleAwarePricing:
             sharded_readout_rows(8, loads=(4, 4), shard_counts=(2, 3))
         with pytest.raises(ValueError, match="at least one shard"):
             sharded_readout_rows(8, loads=())
-        with pytest.raises(ValueError, match="non-negative"):
-            sharded_readout_rows(8, loads=(4, -1))
-        with pytest.raises(ValueError, match="non-negative"):
-            sharded_readout_rows(8, loads=(2.5, 1))
+        for bad in (-1, 2.5, float("inf"), float("nan")):
+            with pytest.raises(ValueError, match="loads must be an integer >= 0"):
+                sharded_readout_rows(8, loads=(4, bad))
         with pytest.raises(ValueError, match="active column"):
             sharded_readout_rows(8, loads=(0, 0))
         with pytest.raises(ValueError, match="more than the batch"):

@@ -80,6 +80,7 @@ class TestBatchedMatmat:
         with pytest.raises(ValueError, match=f"{field} must be"):
             FpgaMvmDesign().matmat_cycles(4, **{field: 0})
 
-    def test_rejects_bad_batch(self):
-        with pytest.raises(ValueError):
-            FpgaMvmDesign().matmat_cycles(0)
+    @pytest.mark.parametrize("bad", [0, float("inf"), float("nan")])
+    def test_rejects_bad_batch(self, bad):
+        with pytest.raises(ValueError, match="batch"):
+            FpgaMvmDesign().matmat_cycles(bad)

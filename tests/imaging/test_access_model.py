@@ -135,9 +135,8 @@ class TestCimBurst:
 
     def test_validation(self):
         model = NeighborhoodAccessModel()
-        with pytest.raises(ValueError, match="burst"):
-            model.cim_burst(8, 8, 3, burst=0)
-        with pytest.raises(ValueError, match="burst"):
-            model.cim_burst(8, 8, 3, burst=2.5)
+        for bad in (0, 2.5, float("inf"), float("nan")):
+            with pytest.raises(ValueError, match="burst"):
+                model.cim_burst(8, 8, 3, burst=bad)
         with pytest.raises(ValueError):
             model.cim_burst(0, 8, 3, burst=2)

@@ -247,10 +247,8 @@ class TestMaintenancePolicy:
             )
         with pytest.raises(ValueError, match="n_probes"):
             FleetMaintenance(fleet, recalibrate_after_s=1.0, n_probes=0)
-        with pytest.raises(ValueError, match="programming_iterations"):
-            FleetMaintenance(
-                fleet, recalibrate_after_s=1.0, programming_iterations=0
-            )
+        with pytest.raises(ValueError, match="n_probes"):
+            FleetMaintenance(fleet, recalibrate_after_s=1.0, n_probes=2.5)
         # NaN compares false against every staleness, so a NaN threshold
         # would construct a policy that silently never maintains
         for name in (
@@ -266,9 +264,16 @@ class TestMaintenancePolicy:
                     FleetMaintenance(
                         fleet, **{"recalibrate_after_s": 1.0, name: bad}
                     )
-        for name in ("n_probes", "verify_probes"):
-            with pytest.raises(ValueError, match=name):
-                FleetMaintenance(fleet, recalibrate_after_s=1.0, **{name: 2.5})
+
+    @pytest.mark.parametrize("bad", [float("inf"), float("nan")])
+    def test_probe_count_must_be_finite(self, bad, rng):
+        fleet = ShardedOperator.from_matrix(
+            rng.standard_normal((4, 6)), n_shards=1, batch_window=2,
+            backend="exact",
+        )
+        with pytest.raises(ValueError, match="n_probes"):
+            FleetMaintenance(fleet, recalibrate_after_s=1.0, n_probes=bad)
+        assert fleet.maintenance is None
 
     @pytest.mark.parametrize(
         "name",
@@ -295,19 +300,6 @@ class TestMaintenancePolicy:
             fleet, attach=False, **{"recalibrate_after_s": 1.0, name: 2.0}
         )
         assert getattr(policy, name) == 2.0
-
-    @pytest.mark.parametrize("bad", [2.5, float("nan"), float("inf")])
-    def test_programming_iterations_must_be_an_integer(self, bad, rng):
-        """A fractional or non-finite count would construct, then fail
-        every reprogram mid-sweep and leave the fleet stale for good."""
-        fleet = ShardedOperator.from_matrix(
-            rng.standard_normal((4, 6)), n_shards=2, batch_window=2, seed=3
-        )
-        with pytest.raises(ValueError, match="programming_iterations"):
-            FleetMaintenance(
-                fleet, reprogram_after_s=1.0, programming_iterations=bad
-            )
-        assert fleet.maintenance is None
 
     def test_zero_matrix_shard_has_no_forecast(self):
         """A zero matrix carries no differential signal to forecast, so
@@ -346,7 +338,8 @@ class TestMaintenancePolicy:
         )
         fleet.advance_time(1e3)  # past the calibration threshold only
         assert [policy.due(shard) for shard in fleet.shards] == ["calibrate"] * 2
-        fleet.advance_time(1e4, shard=1)  # shard 1 past both thresholds
+        fleet.shards[0].calibrate(seed=15)  # shard 0 serviced out of band
+        fleet.advance_time(9e3)  # shard 1 past both thresholds
         assert [policy.due(shard) for shard in fleet.shards] == [
             "calibrate",
             "reprogram",
@@ -358,19 +351,6 @@ class TestMaintenancePolicy:
         ]
         assert actions[0].pulses == 0 and actions[1].probes == 0
         assert (policy.n_calibrations, policy.n_reprograms) == (1, 1)
-
-    def test_programming_iterations_override_the_shard_setting(self, rng):
-        matrix = rng.standard_normal((8, 10))
-        fleet = ShardedOperator.from_matrix(
-            matrix, n_shards=1, batch_window=2, seed=23
-        )
-        policy = FleetMaintenance(
-            fleet, reprogram_after_s=1e3, programming_iterations=2, seed=24
-        )
-        fleet.advance_time(1e4)
-        (action,) = policy.sweep()
-        # one pulse per device per verify round (built with 5 rounds)
-        assert action.pulses == 2 * fleet.shards[0].n_devices
 
     def test_verified_rewrite_stays_in_rotation(self, rng):
         matrix = rng.standard_normal((8, 10))
@@ -384,7 +364,6 @@ class TestMaintenancePolicy:
             n_probes=3,
             seed=16,
         )
-        assert policy.verify_probes == 3  # defaults to n_probes
         fleet.advance_time(1e4)
         actions = policy.sweep()
         assert [action.action for action in actions] == ["reprogram"] * 2
@@ -404,7 +383,7 @@ class TestMaintenancePolicy:
             fleet,
             reprogram_after_s=1e3,
             verify_error_budget=0.2,
-            verify_probes=4,
+            n_probes=4,
             seed=18,
         )
         fleet.shards[0].inject_stuck_faults(0.3, seed=19)  # survives rewrites
@@ -538,7 +517,9 @@ class TestMaintenancePolicy:
         fleet.advance_time(1e5)
         assert len(policy.sweep()) == 2
         assert policy.sweep() == []  # staleness reset by the first sweep
-        fleet.advance_time(1e5, shard=0)  # only shard 0 regrows
+        fleet.advance_time(600.0)
+        fleet.shards[1].calibrate(seed=11)
+        fleet.advance_time(600.0)  # only shard 0 regrows past the threshold
         assert [action.shard for action in policy.sweep()] == [0]
 
 
@@ -549,13 +530,12 @@ class TestHeterogeneousAges:
             matrix, n_shards=3, batch_window=2, seed=0
         )
         fleet.advance_time(100.0)
-        fleet.advance_time(900.0, shard=1)
-        assert fleet.shard_ages == (100.0, 1000.0, 100.0)
-        assert fleet.shard_staleness == (100.0, 1000.0, 100.0)
-        with pytest.raises(ValueError, match="shard"):
-            fleet.advance_time(1.0, shard=3)
-        with pytest.raises(ValueError, match="shard"):
-            fleet.advance_time(1.0, shard=-1)
+        fleet.shards[1].reprogram()
+        fleet.shards[2].calibrate(seed=1)
+        fleet.advance_time(900.0)
+        # one time axis: clocks differ only by each shard's last service
+        assert fleet.shard_ages == (1000.0, 900.0, 1000.0)
+        assert fleet.shard_staleness == (1000.0, 900.0, 900.0)
 
     def test_gain_dispersion_tracks_partial_maintenance(self, rng):
         matrix = rng.standard_normal((8, 10))

@@ -120,47 +120,42 @@ class TestDriftPredictor:
             DriftPredictor(QUIET, np.ones(3), np.ones(4))
 
     def test_subsampled_forecast_tracks_the_full_one(self, rng):
-        matrix = rng.standard_normal((32, 48))
-        op = quiet_operator(matrix)
-        full = DriftPredictor.from_operator(op, max_devices=None)
-        small = DriftPredictor.from_operator(op, max_devices=256)
+        # 6,144 pairs, above the 4,096-pair ceiling: the forecast runs on
+        # an even subsample and must track the all-pairs projection
+        op = quiet_operator(rng.standard_normal((64, 96)))
+        predictor = DriftPredictor.from_operator(op)
+        pair = op._tiles[(0, 0)]
+        g_pos = pair.positive.g_target.ravel()
+        g_neg = pair.negative.g_target.ravel()
+        assert predictor._diff.size <= 4096 < g_pos.size
+        diff = g_pos - g_neg
         for age in (1e3, 1e6):
-            assert small.drift_scale(age) == pytest.approx(
-                full.drift_scale(age), rel=0.02
-            )
+            drifted = g_pos * QUIET.drift_factors(
+                g_pos, age
+            ) - g_neg * QUIET.drift_factors(g_neg, age)
+            full = float(drifted @ diff) / float(diff @ diff)
+            assert predictor.drift_scale(age) == pytest.approx(full, rel=0.02)
 
-    def test_rejects_empty_targets_and_a_bad_subsample(self):
+    def test_rejects_empty_targets(self):
         with pytest.raises(ValueError, match="at least one device pair"):
             DriftPredictor(QUIET, np.ones(0), np.ones(0))
-        for bad in (0, -3):
-            with pytest.raises(ValueError, match="max_devices"):
-                DriftPredictor(
-                    QUIET, np.full(4, 5e-6), np.full(4, 1e-6), max_devices=bad
-                )
-
-    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 2.5])
-    def test_rejects_a_non_integer_subsample(self, bad):
-        """NaN or inf would keep every pair; 2.5 would silently become 2."""
-        with pytest.raises(ValueError, match="max_devices must be an integer"):
-            DriftPredictor(
-                QUIET, np.full(4, 5e-6), np.full(4, 1e-6), max_devices=bad
-            )
 
     def test_from_operator_rejects_exact_replicas(self, rng):
         with pytest.raises(AttributeError):
             DriftPredictor.from_operator(DenseOperator(rng.standard_normal((4, 4))))
 
     def test_subsample_is_deterministic_and_spares_small_arrays(self, rng):
-        op = quiet_operator(rng.standard_normal((32, 48)))
-        first = DriftPredictor.from_operator(op, max_devices=100)
-        second = DriftPredictor.from_operator(op, max_devices=100)
-        whole = DriftPredictor.from_operator(op, max_devices=None)
-        assert first._diff.size <= 100 < whole._diff.size
+        op = quiet_operator(rng.standard_normal((64, 96)))
+        first = DriftPredictor.from_operator(op)
+        second = DriftPredictor.from_operator(op)
+        assert first._diff.size <= 4096 < 64 * 96
+        assert np.array_equal(first._diff, second._diff)
         assert first.drift_scale(1e5) == second.drift_scale(1e5)
-        # a ceiling above the pair count keeps every pair
-        roomy = DriftPredictor.from_operator(op, max_devices=10**6)
-        assert roomy._diff.size == whole._diff.size
-        assert roomy.drift_scale(1e5) == whole.drift_scale(1e5)
+        # an array below the ceiling keeps every pair
+        small = DriftPredictor.from_operator(
+            quiet_operator(rng.standard_normal((32, 48)))
+        )
+        assert small._diff.size == 32 * 48
 
     def test_a_fit_leaves_no_error_at_its_own_age(self, rng):
         predictor = DriftPredictor.from_operator(
@@ -173,9 +168,10 @@ class TestDriftPredictor:
         predictor = DriftPredictor.from_operator(
             quiet_operator(rng.standard_normal((8, 8)))
         )
-        wait = predictor.seconds_until(0.05)
-        assert math.isfinite(wait)
-        assert predictor.seconds_until(0.05, horizon_s=wait / 4) == math.inf
+        assert math.isfinite(predictor.seconds_until(0.05))
+        # ~100 years of power-law drift stays far short of a 50 % error
+        assert predictor.gain_error(3.2e9) < 0.5
+        assert predictor.seconds_until(0.5) == math.inf
 
     def test_construction_touches_no_counters_or_rng(self, rng):
         matrix = rng.standard_normal((8, 12))
@@ -484,17 +480,16 @@ class TestLifetimeSimulator:
         for bad in (0.0, float("inf")):
             with pytest.raises(ValueError, match="step_seconds"):
                 LifetimeSimulator(fleet, step_seconds=bad)
-        with pytest.raises(ValueError, match="batch"):
-            LifetimeSimulator(fleet, batch=0)
-        with pytest.raises(ValueError, match="n_steps"):
-            LifetimeSimulator(fleet).run(0)
+        for bad in (0, float("inf"), float("nan")):
+            with pytest.raises(ValueError, match="batch"):
+                LifetimeSimulator(fleet, batch=bad)
+            with pytest.raises(ValueError, match="n_steps"):
+                LifetimeSimulator(fleet).run(bad)
         for bad in (-1.0, float("nan"), float("inf")):
             with pytest.raises(ValueError, match="rate_per_s"):
                 FaultInjector(fleet, rate_per_s=bad)
         with pytest.raises(ValueError, match="fraction_per_event"):
             FaultInjector(fleet, rate_per_s=0.0, fraction_per_event=0.0)
-        with pytest.raises(ValueError, match="mode"):
-            FaultInjector(fleet, rate_per_s=0.0, mode="bogus")
 
     def test_default_batch_is_one_window_per_shard(self, rng):
         fleet = ShardedOperator.from_matrix(
@@ -523,7 +518,7 @@ class TestLifetimeSimulator:
 
     def test_fault_clock_moves_only_after_the_arrivals_are_drawn(self, rng):
         class BrokenShard(DenseOperator):
-            def inject_stuck_faults(self, fraction, mode, seed):
+            def inject_stuck_faults(self, fraction, seed):
                 raise RuntimeError("fault draw failed")
 
         fleet = ShardedOperator(

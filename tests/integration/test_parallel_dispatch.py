@@ -242,7 +242,7 @@ class TestLifecycleIdentity:
             for fleet in (serial, threaded):
                 fleet.advance_time(40.0)
                 if epoch == 1:
-                    fleet.advance_time(30.0, shard=0)  # heterogeneous aging
+                    fleet.shards[0].reprogram()  # heterogeneous shard ages
             a = amp_recover_batch(problem.measurements, serial, problem.n, iterations=4)
             b = amp_recover_batch(problem.measurements, threaded, problem.n, iterations=4)
             assert np.array_equal(a.estimates, b.estimates)
@@ -418,7 +418,7 @@ class _SlowFakeShard:
         self.staleness_seconds = 0.0
         return 1.0
 
-    def reprogram(self, iterations=None, **kwargs):  # pragma: no cover
+    def reprogram(self, **kwargs):  # pragma: no cover
         raise AssertionError("sweep must not escalate in this test")
 
 
@@ -620,7 +620,7 @@ class TestValidationAndDegenerates:
             )
         assert "serial" in PARALLELISM_MODES and "threads" in PARALLELISM_MODES
 
-    @pytest.mark.parametrize("bad", [0, -1, 1.5])
+    @pytest.mark.parametrize("bad", [0, -1, 1.5, float("inf"), float("nan")])
     def test_bad_worker_counts_rejected(self, bad, rng):
         matrix = rng.standard_normal((6, 8))
         with pytest.raises(ValueError, match="n_workers"):

@@ -11,6 +11,8 @@ The serving determinism contract, as the layer's consumers rely on it:
 * **Counter conservation** — per-tenant counter ledgers sum exactly
   (integer equality, not approximately) to the fleet's merged counters
   for the served traffic, so tenant bills partition the fleet's bill.
+  A fleet with an attached maintenance policy is refused, since its
+  sweeps would run inside dispatch and be billed to tenants.
 * **Idle neutrality** — constructing a serving layer over a fleet, and
   serving nothing, leaves the fleet bitwise indistinguishable from a
   bare one.
@@ -22,7 +24,7 @@ the experiment database with priceable metrics.
 import numpy as np
 import pytest
 
-from repro.crossbar import ShardedOperator
+from repro.crossbar import FleetMaintenance, ShardedOperator
 from repro.energy import CrossbarCostModel
 from repro.results import ResultsStore
 from repro.serving import (
@@ -180,6 +182,34 @@ class TestCounterConservation:
         assert all(
             bill["total_energy_j"] > 0.0 for bill in bills.values()
         )
+
+
+class TestAttachedMaintenanceIsRefused:
+    """An attached policy sweeps inside ``fleet.matmat``: its probes would
+    land in the block's counter delta, be split across the tenants and
+    then be billed again as maintenance."""
+
+    def test_policy_attached_before_the_server(self):
+        fleet = make_fleet(backend="crossbar")
+        FleetMaintenance(fleet, recalibrate_after_s=0.5, seed=1)
+        with pytest.raises(ValueError, match="attach=False.*MaintenanceWindow"):
+            FleetServer(fleet, VirtualClock())
+
+    def test_policy_attached_after_the_server(self, rng):
+        fleet = make_fleet(backend="crossbar")
+        server = FleetServer(fleet, VirtualClock(), coalesce_budget_s=0.0)
+        server.submit(rng.standard_normal(fleet.shape[1]), tenant="alice")
+        policy = FleetMaintenance(fleet, recalibrate_after_s=0.5, seed=1)
+        server.advance(1.0)  # the policy now owes every shard a calibration
+        before = dict(fleet.stats)
+        with pytest.raises(ValueError, match="attach=False.*MaintenanceWindow"):
+            server.step()
+        # refused before any block left the queue: nothing ran or billed
+        assert server.queue.depth == 1
+        assert server.block_log == []
+        assert server.served_counters == {}
+        assert fleet.stats == before
+        assert policy.actions == []
 
 
 class TestIdleNeutrality:

@@ -25,7 +25,7 @@ def make_request(id=0, tenant="t", kind="matvec", arrival_s=0.0, n=4):
 
 
 class TestRequestQueueValidation:
-    @pytest.mark.parametrize("bad", [0, -1, 2.5])
+    @pytest.mark.parametrize("bad", [0, -1, 2.5, math.inf, math.nan])
     def test_rejects_bad_block_columns(self, bad):
         with pytest.raises(ValueError, match="block_columns"):
             RequestQueue(bad, coalesce_budget_s=1.0)
@@ -121,9 +121,10 @@ class TestAdmissionController:
         with pytest.raises(ValueError, match="policy"):
             AdmissionController(4, policy="drop_newest")
 
-    def test_rejects_fractional_depth(self):
+    @pytest.mark.parametrize("bad", [2.5, math.inf, math.nan])
+    def test_rejects_fractional_depth(self, bad):
         with pytest.raises(ValueError, match="max_depth must be an integer"):
-            AdmissionController(2.5)
+            AdmissionController(bad)
 
     def test_reject_policy_counts(self):
         queue = RequestQueue(8, 1.0)

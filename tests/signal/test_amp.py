@@ -254,6 +254,8 @@ class TestStagnationRule:
             {"stagnation_window": 2.5},
             {"stagnation_window": -3},
             {"stagnation_tolerance": -0.1},
+            {"stagnation_window": float("inf")},
+            {"stagnation_window": float("nan")},
         ],
     )
     def test_parameter_validation(self, bad):

@@ -7,6 +7,7 @@ from repro._util import (
     as_rng,
     check_fraction,
     check_in,
+    check_int,
     check_positive,
     check_shape,
     hamming_distance,
@@ -52,6 +53,23 @@ class TestCheckers:
         assert check_in("op", "or", ("or", "and")) == "or"
         with pytest.raises(ValueError, match="op must be one of"):
             check_in("op", "nand", ("or", "and"))
+
+    @pytest.mark.parametrize("value", [8, 8.0, np.int64(8), np.float64(8.0)])
+    def test_check_int_returns_an_int(self, value):
+        result = check_int("n", value)
+        assert result == 8 and type(result) is int
+
+    @pytest.mark.parametrize(
+        "bad", [0, -3, 2.5, float("inf"), float("-inf"), float("nan"), "8", None]
+    )
+    def test_check_int_rejects_naming_the_parameter(self, bad):
+        with pytest.raises(ValueError, match="n must be an integer >= 1"):
+            check_int("n", bad)
+
+    def test_check_int_minimum(self):
+        assert check_int("index", 0, minimum=0) == 0
+        with pytest.raises(ValueError, match="index must be an integer >= 0"):
+            check_int("index", -1, minimum=0)
 
     def test_check_shape(self):
         arr = np.zeros((2, 3))
