@@ -73,8 +73,8 @@ def time_tile_read(m, n, batch):
     col_voltages = rng.uniform(-0.2, 0.2, (m, batch))
 
     def pair_read():
-        pair.column_currents(row_voltages)
-        pair.row_currents(col_voltages)
+        pair.column_currents(row_voltages, operator.age_seconds)
+        pair.row_currents(col_voltages, operator.age_seconds)
 
     def member_reads():
         pair.positive.mvm(row_voltages) - pair.negative.mvm(row_voltages)

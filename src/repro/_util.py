@@ -16,6 +16,7 @@ __all__ = [
     "check_elapsed",
     "check_finite",
     "check_int",
+    "check_nonnegative",
     "check_positive",
     "check_fraction",
     "check_in",
@@ -92,6 +93,17 @@ def check_positive(name: str, value: float) -> float:
     """Raise ``ValueError`` unless ``value`` is finite and strictly positive."""
     if not (value > 0 and np.isfinite(value)):
         raise ValueError(f"{name} must be > 0 and finite, got {value!r}")
+    return value
+
+
+def check_nonnegative(name: str, value: float) -> float:
+    """Raise ``ValueError`` unless ``value`` is finite and ``>= 0``.
+
+    For stopping tolerances: NaN compares false against every residual,
+    so a NaN tolerance would silently switch its stopping rule off.
+    """
+    if not (value >= 0 and np.isfinite(value)):
+        raise ValueError(f"{name} must be >= 0 and finite, got {value!r}")
     return value
 
 

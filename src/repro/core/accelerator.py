@@ -17,8 +17,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro._util import as_rng, check_int
-from repro.crossbar import CrossbarOperator, ShardedOperator
+from repro._util import as_rng
+from repro.crossbar import CrossbarOperator
 from repro.devices import BinaryMemristor, PcmDevice
 from repro.logic import BitwiseEngine
 
@@ -54,7 +54,7 @@ class CimAccelerator:
         self.dac_bits = dac_bits
         self.adc_bits = adc_bits
         self._bit_regions: dict[str, BitwiseEngine] = {}
-        self._matrix_regions: dict[str, CrossbarOperator | ShardedOperator] = {}
+        self._matrix_regions: dict[str, CrossbarOperator] = {}
 
     # -- region management -----------------------------------------------------
     def _check_free(self, name: str) -> None:
@@ -86,66 +86,25 @@ class CimAccelerator:
         return engine
 
     def store_matrix(
-        self,
-        name: str,
-        matrix: np.ndarray,
-        n_shards: int = 1,
-        batch_window: int | None = None,
-        schedule: str = "round_robin",
-        parallelism: str = "serial",
-        n_workers: int | None = None,
-        **operator_kwargs,
-    ) -> CrossbarOperator | ShardedOperator:
+        self, name: str, matrix: np.ndarray, **operator_kwargs
+    ) -> CrossbarOperator:
         """Create a matrix region programmed with ``matrix``.
 
-        With the defaults the region is one crossbar operator.  Passing
-        ``batch_window`` (and optionally ``n_shards`` > 1) instead
-        builds a :class:`~repro.crossbar.ShardedOperator` fleet — the
-        same matrix programmed into ``n_shards`` replicas with batches
-        window-scheduled across them — which serves the identical
-        ``matmat``/``rmatmat`` protocol, so callers cannot tell the
-        difference except in capacity.  ``parallelism="threads"`` (with
-        an optional ``n_workers`` cap) makes the fleet execute its
-        per-shard reads concurrently; results and counters match serial
-        execution (see :mod:`repro.crossbar.sharding`).
+        The region is one :class:`~repro.crossbar.CrossbarOperator` on
+        the accelerator's analog device; ``operator_kwargs`` (e.g.
+        ``tile_shape`` or converter bits) pass through to it.
         """
         self._check_free(name)
-        check_int("n_shards", n_shards)
-        if batch_window is None and n_shards > 1:
-            raise ValueError("sharded regions need an explicit batch_window")
-        if batch_window is None and schedule != "round_robin":
-            raise ValueError(
-                "schedule applies to sharded regions; pass batch_window"
-            )
-        if batch_window is None and (parallelism != "serial" or n_workers is not None):
-            raise ValueError(
-                "parallelism applies to sharded regions; pass batch_window"
-            )
         dac_bits = operator_kwargs.pop("dac_bits", self.dac_bits)
         adc_bits = operator_kwargs.pop("adc_bits", self.adc_bits)
-        if batch_window is None:
-            operator: CrossbarOperator | ShardedOperator = CrossbarOperator(
-                matrix,
-                device=self.analog_device,
-                dac_bits=dac_bits,
-                adc_bits=adc_bits,
-                seed=self._rng,
-                **operator_kwargs,
-            )
-        else:
-            operator = ShardedOperator.from_matrix(
-                matrix,
-                n_shards=n_shards,
-                batch_window=batch_window,
-                schedule=schedule,
-                parallelism=parallelism,
-                n_workers=n_workers,
-                device=self.analog_device,
-                dac_bits=dac_bits,
-                adc_bits=adc_bits,
-                seed=self._rng,
-                **operator_kwargs,
-            )
+        operator = CrossbarOperator(
+            matrix,
+            device=self.analog_device,
+            dac_bits=dac_bits,
+            adc_bits=adc_bits,
+            seed=self._rng,
+            **operator_kwargs,
+        )
         self._matrix_regions[name] = operator
         return operator
 
@@ -155,7 +114,7 @@ class CimAccelerator:
         except KeyError:
             raise KeyError(f"unknown bit region {name!r}") from None
 
-    def matrix_region(self, name: str) -> CrossbarOperator | ShardedOperator:
+    def matrix_region(self, name: str) -> CrossbarOperator:
         try:
             return self._matrix_regions[name]
         except KeyError:

@@ -8,14 +8,16 @@ output currents are digitized by ADCs.
 
 Public API
 ----------
-* :class:`CrossbarArray` — one physical array of PCM devices.
+* :class:`CrossbarArray` — one physical array of PCM devices, read at
+  its programmed state (it keeps no drift clock).
 * :class:`CrossbarOperator` — a signed real matrix mapped onto
   differential device pairs with DAC/ADC interfaces and optional tiling;
   exposes ``matvec`` (rows driven, columns read) and ``rmatvec``
   (columns driven, rows read), exactly as the AMP mapping requires,
   as the one-column case of the batched forms ``matmat``/``rmatmat``
   that drive 2-D voltage blocks (one input vector per column) with
-  loop-equivalent conversion accounting.
+  loop-equivalent conversion accounting.  Its ``age_seconds`` is the
+  one drift clock of the programmed matrix.
 * :class:`ShardedOperator` — window-schedules batches larger than one
   array's readout window across operator replicas (round-robin or
   greedy-by-active-columns) with exactly merged conversion counters
@@ -39,7 +41,6 @@ from repro.crossbar.array import CrossbarArray
 from repro.crossbar.coding import DifferentialCoding
 from repro.crossbar.converters import Adc, Dac
 from repro.crossbar.mixed_precision import (
-    BatchSolveResult,
     MixedPrecisionSolver,
     SolveResult,
     spd_test_system,
@@ -64,7 +65,6 @@ from repro.crossbar.tile import split_ranges
 
 __all__ = [
     "Adc",
-    "BatchSolveResult",
     "CrossbarArray",
     "CrossbarOperator",
     "Dac",

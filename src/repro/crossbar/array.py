@@ -7,19 +7,24 @@ voltages to the columns and sensing the rows computes ``I = G v``.  The
 paper's AMP mapping (Fig. 6) uses both directions on the *same* array to
 obtain ``A x_t`` and ``A* z_t``.
 
-Device non-idealities (programming error, read noise, drift) come from
-the :class:`~repro.devices.PcmDevice` model; stuck devices, the
-array-level effect, come from :mod:`repro.crossbar.nonidealities`.
-Every read, of one vector or of a block, goes through one
-output-referred read model, :func:`line_currents`, which a differential
-tile pair (:class:`~repro.crossbar.operator.CrossbarOperator`) shares.
+Device non-idealities (programming error, read noise) come from the
+:class:`~repro.devices.PcmDevice` model; stuck devices, the array-level
+effect, come from :mod:`repro.crossbar.nonidealities`.  Every read, of
+one vector or of a block, goes through one output-referred read model,
+:func:`line_currents`, which a differential tile pair
+(:class:`~repro.crossbar.operator.CrossbarOperator`) shares.
+
+An array keeps no clock: a standalone array reads its programmed
+state.  Drift (Sec. III) ages a programmed matrix as one unit, so the
+clock lives on the operator that owns the array, and its tile pairs
+drift the members' programmed conductances to that age when they read.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro._util import as_rng, check_elapsed
+from repro._util import as_rng
 from repro.crossbar.nonidealities import apply_stuck_faults
 from repro.devices import PcmDevice
 from repro.crossbar.programming import ProgrammingReport, program_and_verify
@@ -100,9 +105,8 @@ class CrossbarArray:
         # on new ones.
         self._stuck_mask = np.zeros(self._g_programmed.shape, dtype=bool)
         self._stuck_values = np.zeros(self._g_programmed.shape)
-        self.age_seconds = 0.0
-        # Reads recompute nothing per call: the drifted conductance and
-        # its elementwise square are cached until the device state
+        # Reads recompute nothing per call: the programmed conductance
+        # and its elementwise square are cached until the device state
         # changes (see _invalidate_read_cache).  Both read directions
         # share the entry.  The cached matrices are deterministic
         # functions of the state, so cached and uncached reads are
@@ -132,18 +136,6 @@ class CrossbarArray:
     def cols(self) -> int:
         return self._g_programmed.shape[1]
 
-    @property
-    def g_effective(self) -> np.ndarray:
-        """Conductances a read sees right now: the programmed state
-        decayed by the device drift law for ``age_seconds``."""
-        return self.device.drifted(self._g_programmed, self.age_seconds)
-
-    @property
-    def conductance(self) -> np.ndarray:
-        """Current conductance matrix including accumulated drift
-        (alias of :attr:`g_effective`, kept for the original API)."""
-        return self.g_effective
-
     def _invalidate_read_cache(self) -> None:
         """Drop cached read matrices after any device-state change."""
         self._read_cache = None
@@ -164,32 +156,19 @@ class CrossbarArray:
         """Fraction of this array's devices stuck at a fault value."""
         return float(self._stuck_mask.mean()) if self._stuck_mask.size else 0.0
 
-    def advance_time(self, seconds: float) -> None:
-        """Accumulate drift time (Sec. III: PCM conductances relax).
-
-        ``seconds`` must be finite and non-negative — a negative or NaN
-        elapsed time would silently corrupt the drift clock (NaN
-        compares false against every maintenance threshold).
-        """
-        seconds = check_elapsed("seconds", seconds)
-        self.age_seconds += seconds
-        if seconds > 0:
-            self._invalidate_read_cache()
-
     def reprogram(self) -> ProgrammingReport:
         """Rewrite the array to its original target conductances.
 
         Runs a fresh program-and-verify session from the stored target
         (consuming this array's RNG stream, as the initial programming
-        did), resets the drift clock to zero, and counts the applied
-        pulses into the maintenance ledger — the drift-compensation
-        escalation when scalar gain calibration is no longer enough.
-        Stuck-fault state injected via :meth:`inject_stuck_faults`
-        *survives* the rewrite: failed devices cannot be reprogrammed,
-        so their stuck conductances are re-asserted after the session —
-        yield and drift compose into one lifetime story instead of a
-        rewrite silently healing the fault ablation.
-        Returns the new programming report.
+        did) and counts the applied pulses into the maintenance ledger
+        — the drift-compensation escalation when scalar gain
+        calibration is no longer enough.  Stuck-fault state injected
+        via :meth:`inject_stuck_faults` *survives* the rewrite: failed
+        devices cannot be reprogrammed, so their stuck conductances are
+        re-asserted after the session — yield and drift compose into
+        one lifetime story instead of a rewrite silently healing the
+        fault ablation.  Returns the new programming report.
         """
         self.programming_report = program_and_verify(
             self.device, self._g_target, seed=self._rng
@@ -202,7 +181,6 @@ class CrossbarArray:
             self._g_programmed[self._stuck_mask] = self._stuck_values[
                 self._stuck_mask
             ]
-        self.age_seconds = 0.0
         self._invalidate_read_cache()
         self.n_reprograms += 1
         self.n_program_pulses += self.programming_report.n_pulses
@@ -243,28 +221,18 @@ class CrossbarArray:
         self._invalidate_read_cache()
         return mask
 
-    def _mean_conductance(self) -> np.ndarray:
-        """Conductances a read sees: the programmed state, drifted.
-
-        The mean matrix of the output-referred read model.  Before any
-        drift this is the programmed matrix itself, not a copy (no
-        reader writes into it).
-        """
-        if self.age_seconds == 0.0 or self.device.drift_nu == 0.0:
-            return self._g_programmed
-        return self.device.drifted(self._g_programmed, self.age_seconds)
-
     def _read_entry(self) -> tuple[np.ndarray, np.ndarray | None]:
-        """Cached ``(g_now, g_now**2)`` for reads in either direction.
+        """Cached ``(G, G**2)`` for reads in either direction.
 
-        The square is only built for a noisy device.  The entry lives
-        until :meth:`_invalidate_read_cache` (drift, reprogramming,
-        fault injection).
+        ``G`` is the programmed matrix itself, not a copy (no reader
+        writes into it).  The square is only built for a noisy device.
+        The entry lives until :meth:`_invalidate_read_cache`
+        (reprogramming, fault injection).
         """
         if self._read_cache is None:
-            g_now = self._mean_conductance()
-            power = g_now**2 if self.device.read_noise_sigma != 0.0 else None
-            self._read_cache = (g_now, power)
+            g = self._g_programmed
+            power = g**2 if self.device.read_noise_sigma != 0.0 else None
+            self._read_cache = (g, power)
         return self._read_cache
 
     def _count_reads(self, columns: int, axis: int) -> None:
@@ -277,9 +245,9 @@ class CrossbarArray:
     def _batched_currents(self, voltages: np.ndarray, axis: int) -> np.ndarray:
         """Currents for a 2-D voltage block (one read event per column).
 
-        One :func:`line_currents` read of the cached ``(g_now,
-        g_now**2)``.  One approximation against the device physics: the
-        clip of negative instantaneous conductances is ignored (it sits
+        One :func:`line_currents` read of the cached ``(G, G**2)``.
+        One approximation against the device physics: the clip of
+        negative instantaneous conductances is ignored (it sits
         ~1/sigma standard deviations away, negligible at realistic
         noise levels).
         """
@@ -323,4 +291,4 @@ class CrossbarArray:
         return self._read(col_voltages, axis=1)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"CrossbarArray(shape={self.shape}, age={self.age_seconds:g}s)"
+        return f"CrossbarArray(shape={self.shape})"

@@ -36,7 +36,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro._util import as_rng, check_elapsed, check_int, check_positive
+from repro._util import (
+    as_rng, check_elapsed, check_int, check_nonnegative, check_positive
+)
 from repro.devices import PcmDevice
 
 __all__ = [
@@ -252,10 +254,7 @@ class FaultInjector:
         fraction_per_event: float = 1e-3,
         seed: int | np.random.Generator | None = None,
     ) -> None:
-        if not (math.isfinite(rate_per_s) and rate_per_s >= 0):
-            raise ValueError(
-                f"rate_per_s must be finite and non-negative, got {rate_per_s!r}"
-            )
+        check_nonnegative("rate_per_s", rate_per_s)
         if not 0.0 < fraction_per_event <= 1.0:
             raise ValueError("fraction_per_event must be in (0, 1]")
         self.fleet = fleet
@@ -339,38 +338,6 @@ class LifetimeResult:
         """Worst served-step NMSE over the whole lifetime."""
         values = [value for value in self.nmse if not math.isnan(value)]
         return max(values) if values else math.nan
-
-    def summary(self, maintenance=None, cost_model=None) -> dict[str, float]:
-        """Headline lifetime numbers (the benchmark's gate inputs).
-
-        Pass the fleet's :class:`FleetMaintenance` policy to include
-        the action counts, and a
-        :class:`~repro.energy.CrossbarCostModel` to split the energy
-        bill into serving versus maintenance shares.
-        """
-        out: dict[str, float] = {
-            "steps": float(len(self.served)),
-            "sim_seconds": float(len(self.served)) * self.step_seconds,
-            "availability": self.availability,
-            "nmse_max": self.nmse_envelope,
-            "n_retirements": float(len(self.retirements)),
-            "n_fault_events": float(len(self.fault_events)),
-        }
-        served_nmse = [value for value in self.nmse if not math.isnan(value)]
-        out["nmse_mean"] = (
-            sum(served_nmse) / len(served_nmse) if served_nmse else math.nan
-        )
-        if maintenance is not None:
-            out["n_calibrations"] = float(maintenance.n_calibrations)
-            out["n_reprograms"] = float(maintenance.n_reprograms)
-            out["n_calibration_probes"] = float(maintenance.n_calibration_probes)
-            out["n_program_pulses"] = float(maintenance.n_program_pulses)
-            if cost_model is not None:
-                maintenance_j = cost_model.energy_from_stats(maintenance.stats)[
-                    "total_energy_j"
-                ]
-                out["maintenance_energy_j"] = maintenance_j
-        return out
 
 
 class LifetimeSimulator:

@@ -18,13 +18,8 @@ in the analog domain — the headline result of [22].
 The inner solver here is damped Richardson iteration
 ``z_{k+1} = z_k + omega (r - A z_k)``, convergent for matrices with
 spectrum in (0, 2/omega); the provided problem generator returns
-diagonally dominant SPD systems that satisfy this comfortably.
-
-Both loops are multi-RHS capable: :meth:`MixedPrecisionSolver.solve_batch`
-refines an ``(n, B)`` right-hand-side block through the operator's
-``matmat`` path — one crossbar pass per inner step for the whole block —
-with per-column convergence and active-set masking, so converged
-columns stop consuming analog reads while the rest keep refining.
+diagonally dominant SPD systems that satisfy this comfortably.  Each
+inner step is one analog ``matvec`` on the operator.
 """
 
 from __future__ import annotations
@@ -33,10 +28,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro._util import as_rng, check_positive
+from repro._util import as_rng, check_int, check_nonnegative, check_positive
 
 __all__ = [
-    "BatchSolveResult",
     "MixedPrecisionSolver",
     "SolveResult",
     "spd_test_system",
@@ -84,56 +78,6 @@ class SolveResult:
         return self.residual_history[-1]
 
 
-@dataclass
-class BatchSolveResult:
-    """Outcome of a multi-RHS mixed-precision solve.
-
-    Attributes
-    ----------
-    solutions:
-        Solution block of shape ``(n, B)`` — one column per right-hand
-        side.
-    iterations:
-        Per-column outer refinement rounds executed (columns leave the
-        working set once converged).
-    converged:
-        Per-column convergence flags.
-    residual_histories:
-        Per-column relative-residual tracks, identical in meaning to
-        :attr:`SolveResult.residual_history`.
-    """
-
-    solutions: np.ndarray
-    iterations: np.ndarray
-    converged: np.ndarray
-    residual_histories: list[list[float]]
-
-    @property
-    def batch(self) -> int:
-        return self.solutions.shape[1]
-
-    @property
-    def all_converged(self) -> bool:
-        return bool(self.converged.all())
-
-    @property
-    def final_residuals(self) -> np.ndarray:
-        """Last relative residual per column (0 for zero columns)."""
-        return np.array(
-            [history[-1] if history else 0.0 for history in self.residual_histories]
-        )
-
-    def column_result(self, column: int) -> SolveResult:
-        """The :class:`SolveResult` view of one batch column."""
-        if not 0 <= column < self.batch:
-            raise IndexError(f"column must lie in [0, {self.batch}), got {column}")
-        return SolveResult(
-            solution=self.solutions[:, column].copy(),
-            residual_history=list(self.residual_histories[column]),
-            converged=bool(self.converged[column]),
-        )
-
-
 class MixedPrecisionSolver:
     """Iterative-refinement linear solver over an analog MVM engine.
 
@@ -164,29 +108,22 @@ class MixedPrecisionSolver:
         matrix = np.asarray(matrix, dtype=float)
         if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
             raise ValueError("matrix must be square")
-        if inner_iterations < 1:
-            raise ValueError("inner_iterations must be >= 1")
         self.matrix = matrix
         self.operator = operator
-        self.inner_iterations = inner_iterations
+        self.inner_iterations = check_int("inner_iterations", inner_iterations)
         if omega is None:
             omega = 1.0 / float(np.abs(matrix).sum(axis=1).max())
         check_positive("omega", omega)
         self.omega = omega
 
     def _analog_matvec(self, x: np.ndarray) -> np.ndarray:
-        """Low-precision ``A @ x`` — batched through ``matmat`` when
-        ``x`` is an ``(n, B)`` block, so one crossbar pass serves every
-        right-hand side of the working set."""
+        """Low-precision ``A @ x`` on the operator."""
         if self.operator is None:
             return self.matrix @ x
-        if x.ndim == 2:
-            return self.operator.matmat(x)
         return self.operator.matvec(x)
 
     def _inner_solve(self, r: np.ndarray) -> np.ndarray:
-        """Inexact solve of ``A z = r`` (or ``A Z = R`` for a 2-D
-        residual block) by damped Richardson iteration."""
+        """Inexact solve of ``A z = r`` by damped Richardson iteration."""
         z = np.zeros_like(r)
         for _ in range(self.inner_iterations):
             z = z + self.omega * (r - self._analog_matvec(z))
@@ -203,8 +140,8 @@ class MixedPrecisionSolver:
         n = self.matrix.shape[0]
         if b.shape != (n,):
             raise ValueError(f"b must have shape ({n},)")
-        if outer_iterations < 1:
-            raise ValueError("outer_iterations must be >= 1")
+        outer_iterations = check_int("outer_iterations", outer_iterations)
+        check_nonnegative("tolerance", tolerance)
         b_norm = float(np.linalg.norm(b))
         if b_norm == 0.0:
             return SolveResult(solution=np.zeros(n), converged=True)
@@ -222,63 +159,6 @@ class MixedPrecisionSolver:
         result.solution = x
         return result
 
-    def solve_batch(
-        self,
-        b_block: np.ndarray,
-        outer_iterations: int = 30,
-        tolerance: float = 1e-10,
-    ) -> BatchSolveResult:
-        """Solve ``A X = B`` for an ``(n, B)`` right-hand-side block.
-
-        Runs the iterative-refinement loop on all columns at once: one
-        exact digital residual per round, one block Richardson inner
-        solve whose analog MVMs go through the operator's ``matmat``.
-        Convergence is judged per column, and converged columns leave
-        the working set — later rounds refine narrower blocks, exactly
-        mirroring the batched AMP solver's active-set masking.  On an
-        exact backend column ``b`` reproduces ``solve(B[:, b])``.
-        """
-        b_block = np.asarray(b_block, dtype=float)
-        n = self.matrix.shape[0]
-        if b_block.ndim != 2 or b_block.shape[0] != n:
-            raise ValueError(f"B must have shape ({n}, B), got {b_block.shape}")
-        batch = b_block.shape[1]
-        if batch == 0:
-            raise ValueError("B must contain at least one column")
-        if outer_iterations < 1:
-            raise ValueError("outer_iterations must be >= 1")
-        b_norms = np.linalg.norm(b_block, axis=0)
-
-        x = np.zeros((n, batch))
-        iteration_counts = np.zeros(batch, dtype=int)
-        converged = b_norms == 0.0  # zero RHS: solved by the zero vector
-        residual_histories: list[list[float]] = [[] for _ in range(batch)]
-        active = np.flatnonzero(~converged)
-
-        for _ in range(outer_iterations):
-            if active.size == 0:
-                break
-            residual = b_block[:, active] - self.matrix @ x[:, active]
-            relative = np.linalg.norm(residual, axis=0) / b_norms[active]
-            for position, column in enumerate(active):
-                residual_histories[column].append(float(relative[position]))
-            iteration_counts[active] += 1
-            done = relative < tolerance
-            if done.any():
-                converged[active[done]] = True
-                active = active[~done]
-                residual = residual[:, ~done]
-                if active.size == 0:
-                    break
-            x[:, active] += self._inner_solve(residual)
-
-        return BatchSolveResult(
-            solutions=x,
-            iterations=iteration_counts,
-            converged=converged,
-            residual_histories=residual_histories,
-        )
-
     def analog_only_solve(
         self, b: np.ndarray, iterations: int = 300
     ) -> SolveResult:
@@ -291,6 +171,7 @@ class MixedPrecisionSolver:
         n = self.matrix.shape[0]
         if b.shape != (n,):
             raise ValueError(f"b must have shape ({n},)")
+        iterations = check_int("iterations", iterations)
         b_norm = float(np.linalg.norm(b)) or 1.0
         x = np.zeros(n)
         result = SolveResult(solution=x)

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro._util import as_rng, check_elapsed, check_finite
+from repro._util import as_rng, check_elapsed, check_finite, check_int
 from repro.crossbar.array import CrossbarArray, line_currents
 from repro.crossbar.coding import DifferentialCoding
 from repro.crossbar.converters import Adc, Dac
@@ -131,6 +131,10 @@ class _TilePair:
     GEMM, one noise-power GEMM and one normal per output line and
     column, where reading both members and subtracting takes twice
     each.  Both members still count every read event.
+
+    The pair keeps no clock.  Every read takes the owning operator's
+    ``age`` and sees the members' programmed conductances drifted to
+    it (:meth:`PcmDevice.drifted`).
     """
 
     def __init__(
@@ -144,31 +148,35 @@ class _TilePair:
         self.negative = CrossbarArray(g_neg, device=device, seed=rng)
         self._rng = rng
         # (G+ - G-, G+**2 + G-**2) for both read directions, valid for
-        # the members' read epochs in ``_cache_epoch``.  A member state
-        # change (drift, reprogramming, stuck faults, through the pair
-        # or on a member directly) moves its epoch, and the next read
-        # rebuilds the entry.  The members' own caches stay empty unless
-        # a member is read directly.
+        # the age and the members' read epochs in ``_cache_key``.  A
+        # new age or a member state change (reprogramming, stuck
+        # faults, through the pair or on a member directly) moves the
+        # key, and the next read rebuilds the entry.  The members' own
+        # caches stay empty unless a member is read directly.
         self._read_cache: tuple[np.ndarray, np.ndarray | None] | None = None
-        self._cache_epoch = (0, 0)
+        self._cache_key = (0.0, 0, 0)
 
-    def _read_entry(self) -> tuple[np.ndarray, np.ndarray | None]:
-        epoch = (self.positive._read_epoch, self.negative._read_epoch)
-        if self._read_cache is None or epoch != self._cache_epoch:
-            g_pos = self.positive._mean_conductance()
-            g_neg = self.negative._mean_conductance()
+    def _read_entry(self, age: float) -> tuple[np.ndarray, np.ndarray | None]:
+        key = (age, self.positive._read_epoch, self.negative._read_epoch)
+        if self._read_cache is None or key != self._cache_key:
+            device = self.positive.device
+            g_pos = self.positive._g_programmed
+            g_neg = self.negative._g_programmed
+            if age != 0.0 and device.drift_nu != 0.0:
+                g_pos = device.drifted(g_pos, age)
+                g_neg = device.drifted(g_neg, age)
             power = None
-            if self.positive.device.read_noise_sigma != 0.0:
+            if device.read_noise_sigma != 0.0:
                 power = g_pos**2
                 power += g_neg**2
             self._read_cache = (g_pos - g_neg, power)
-            self._cache_epoch = epoch
+            self._cache_key = key
         return self._read_cache
 
-    def _read(self, voltages: np.ndarray, axis: int) -> np.ndarray:
+    def _read(self, voltages: np.ndarray, axis: int, age: float) -> np.ndarray:
         self.positive._count_reads(voltages.shape[1], axis)
         self.negative._count_reads(voltages.shape[1], axis)
-        mean, power = self._read_entry()
+        mean, power = self._read_entry(age)
         return line_currents(
             mean,
             power,
@@ -178,17 +186,15 @@ class _TilePair:
             self._rng,
         )
 
-    def column_currents(self, row_voltages: np.ndarray) -> np.ndarray:
-        """Forward read of a ``(rows, B)`` block: ``(cols, B)`` currents."""
-        return self._read(row_voltages, axis=0)
+    def column_currents(self, row_voltages: np.ndarray, age: float) -> np.ndarray:
+        """Forward read of a ``(rows, B)`` block at ``age`` seconds after
+        programming: ``(cols, B)`` currents."""
+        return self._read(row_voltages, axis=0, age=age)
 
-    def row_currents(self, col_voltages: np.ndarray) -> np.ndarray:
-        """Transpose read of a ``(cols, B)`` block: ``(rows, B)`` currents."""
-        return self._read(col_voltages, axis=1)
-
-    def advance_time(self, seconds: float) -> None:
-        self.positive.advance_time(seconds)
-        self.negative.advance_time(seconds)
+    def row_currents(self, col_voltages: np.ndarray, age: float) -> np.ndarray:
+        """Transpose read of a ``(cols, B)`` block at ``age`` seconds
+        after programming: ``(rows, B)`` currents."""
+        return self._read(col_voltages, axis=1, age=age)
 
     def reprogram(self) -> None:
         self.positive.reprogram()
@@ -250,10 +256,15 @@ class CrossbarOperator:
         self.device = device if device is not None else PcmDevice()
         rng = as_rng(seed)
 
+        if np.shape(tile_shape) != (2,):
+            raise ValueError(f"tile_shape must be (rows, cols), got {tile_shape!r}")
+        tile_rows = check_int("tile_shape rows", tile_shape[0])
+        tile_cols = check_int("tile_shape cols", tile_shape[1])
+
         stored = matrix.T  # rows = signal dim n, cols = measurement dim m
         n, m = stored.shape
-        self._row_spans = split_ranges(n, tile_shape[0])
-        self._col_spans = split_ranges(m, tile_shape[1])
+        self._row_spans = split_ranges(n, tile_rows)
+        self._col_spans = split_ranges(m, tile_cols)
 
         # One shared scale across tiles keeps decoding a single divide.
         coding = DifferentialCoding(self.device)
@@ -339,16 +350,13 @@ class CrossbarOperator:
         return self.age_seconds - self._maintained_at_age
 
     def advance_time(self, seconds: float) -> None:
-        """Let every tile drift for ``seconds`` (Sec. III, PCM drift).
+        """Let the programmed matrix drift for ``seconds`` (Sec. III).
 
-        ``seconds`` must be finite and non-negative (validated before
-        any tile ages, so a bad value never partially drifts the
-        operator).
+        :attr:`age_seconds` is the one drift clock of the matrix: every
+        tile pair reads at that age, so ageing is one validated add.
+        ``seconds`` must be finite and non-negative.
         """
-        seconds = check_elapsed("seconds", seconds)
-        for pair in self._tiles.values():
-            pair.advance_time(seconds)
-        self.age_seconds += seconds
+        self.age_seconds += check_elapsed("seconds", seconds)
 
     def reprogram(
         self,
@@ -404,8 +412,7 @@ class CrossbarOperator:
         probe-vector operation), so verify work is priced by
         ``energy_from_stats`` without any new energy key.
         """
-        if n_probes < 1:
-            raise ValueError("n_probes must be >= 1")
+        n_probes = check_int("n_probes", n_probes)
         rng = as_rng(seed)
         m, n = self.shape
         probes = rng.standard_normal((n_probes, n)).T
@@ -467,8 +474,7 @@ class CrossbarOperator:
         gain, which is the signal an escalation policy uses to order a
         full rewrite.
         """
-        if n_probes < 1:
-            raise ValueError("n_probes must be >= 1")
+        n_probes = check_int("n_probes", n_probes)
         rng = as_rng(seed)
         m, n = self.shape
         previous_gain = self._gain
@@ -538,7 +544,9 @@ class CrossbarOperator:
             for ri, (r0, r1) in enumerate(self._row_spans):
                 v_block = voltages[r0:r1]
                 for ci, (c0, c1) in enumerate(self._col_spans):
-                    yield (c0, c1), self._tiles[(ri, ci)].column_currents(v_block)
+                    yield (c0, c1), self._tiles[(ri, ci)].column_currents(
+                        v_block, self.age_seconds
+                    )
 
         result, live = self._batched_product(x_block, m, self.adc_columns, tile_currents)
         self.n_live_matvec += live
@@ -558,7 +566,7 @@ class CrossbarOperator:
             for ri, (r0, r1) in enumerate(self._row_spans):
                 for ci, (c0, c1) in enumerate(self._col_spans):
                     yield (r0, r1), self._tiles[(ri, ci)].row_currents(
-                        voltages[c0:c1]
+                        voltages[c0:c1], self.age_seconds
                     )
 
         result, live = self._batched_product(z_block, n, self.adc_rows, tile_currents)

@@ -48,9 +48,10 @@ solver sweep (e.g. one :func:`~repro.signal.amp_recover_batch`
 iteration) stops being a whole-fleet barrier while reproducing the
 unfused scheduling trace decision-for-decision.
 
-Fleets age: :meth:`ShardedOperator.advance_time` drifts every replica
-by the same elapsed time, so all shards share one time axis and differ
-only in when each was last reprogrammed (:attr:`shard_ages`) or
+Fleets age: :meth:`ShardedOperator.advance_time` adds the same elapsed
+time to every replica's one drift clock (its ``age_seconds``), so all
+shards share one time axis and differ only in when each was last
+reprogrammed (:attr:`shard_ages`) or
 maintained (:attr:`shard_staleness`); :meth:`gain_dispersion` reports
 the resulting spread of per-shard calibration gains — the fleet-level
 signature of stale shards serving live traffic.  Attach a
@@ -61,12 +62,10 @@ maintenance never overlaps in-flight reads even under threaded or
 multi-caller dispatch.
 
 The scheduler preserves the operator protocol — ``matvec``/``rmatvec``,
-``matmat``/``rmatmat``, ``shape`` and ``stats`` — so every batched
-consumer (:func:`~repro.signal.amp_recover_batch`,
-:meth:`~repro.crossbar.MixedPrecisionSolver.solve_batch`,
-:meth:`~repro.core.CimAccelerator.matmat`, the HD
-:meth:`~repro.ml.hd.AssociativeMemory.classify_batch` operator path)
-accepts a sharded fleet transparently.  Two invariants make it safe to
+``matmat``/``rmatmat``, ``shape`` and ``stats`` — so its consumers
+(:func:`~repro.signal.amp_recover_batch` and
+:class:`~repro.serving.FleetServer`) take a fleet where they would take
+one operator.  Two invariants make it safe to
 deploy (pinned by ``tests/integration/test_sharding_invariants.py``):
 
 * **result invariance** — every output column depends only on its own

@@ -123,21 +123,6 @@ class AssociativeMemory:
         matrix = np.stack([self.prototype(label) for label in labels])
         return labels, matrix
 
-    def bipolar_prototype_matrix(self) -> tuple[list[Hashable], np.ndarray]:
-        """Prototypes mapped to +-1, for programming an analog operator.
-
-        A bipolar dot product counts matches linearly —
-        ``qb . pb = 2 * matches - d`` for ``qb = 2q - 1`` and
-        ``pb = 2p - 1`` — so a ``(classes, d)`` operator programmed
-        with this matrix (a :class:`~repro.crossbar.CrossbarOperator`,
-        :class:`~repro.crossbar.DenseOperator`, or a
-        :class:`~repro.crossbar.ShardedOperator` fleet of either)
-        evaluates the associative search as one ``matmat``; pass it to
-        :meth:`classify_batch` via ``operator=``.
-        """
-        labels, prototypes = self.prototype_matrix()
-        return labels, 2.0 * prototypes.astype(np.float64) - 1.0
-
     # -- classification -------------------------------------------------------
     def similarities(self, query: np.ndarray) -> dict[Hashable, float]:
         """Hamming similarity of a query to every class prototype."""
@@ -156,42 +141,21 @@ class AssociativeMemory:
             raise ValueError("associative memory is untrained")
         return max(scores, key=scores.get)
 
-    def classify_batch(self, queries: np.ndarray, operator=None) -> list[Hashable]:
+    def classify_batch(self, queries: np.ndarray) -> list[Hashable]:
         """Winning label per query row.
 
         Exactly equivalent to per-query :meth:`classify`: both read the
         cached prototypes, whose tie-bits are fixed per trained state.
-
-        With ``operator`` given — any ``matmat``-capable object of
-        shape ``(classes, d)`` programmed with
-        :meth:`bipolar_prototype_matrix` (a single crossbar or a
-        :class:`~repro.crossbar.ShardedOperator` fleet) — the whole
-        batch of match counts is evaluated as one bipolar analog
-        ``matmat``, and on an exact backend the labels equal the
-        software path's.
         """
         queries = np.asarray(queries)
         if queries.ndim != 2 or queries.shape[1] != self.d:
             raise ValueError(f"queries must have shape (B, {self.d}), got {queries.shape}")
         q = queries.astype(np.float64)
-        if operator is None:
-            labels, prototypes = self.prototype_matrix()
-            # Match counts via two 0/1 matmuls keep memory at
-            # O(B * classes) instead of a (B, classes, d) broadcast.
-            p = prototypes.astype(np.float64)
-            matches = q @ p.T + (1.0 - q) @ (1.0 - p.T)
-        else:
-            labels = self.labels
-            if not labels:
-                raise ValueError("associative memory is untrained")
-            if operator.shape != (len(labels), self.d):
-                raise ValueError(
-                    f"operator must have shape ({len(labels)}, {self.d}) — "
-                    "program it with bipolar_prototype_matrix() — got "
-                    f"{operator.shape}"
-                )
-            scores = operator.matmat(2.0 * q.T - 1.0)  # (classes, B)
-            matches = (scores.T + self.d) / 2.0
+        labels, prototypes = self.prototype_matrix()
+        # Match counts via two 0/1 matmuls keep memory at
+        # O(B * classes) instead of a (B, classes, d) broadcast.
+        p = prototypes.astype(np.float64)
+        matches = q @ p.T + (1.0 - q) @ (1.0 - p.T)
         winners = np.argmax(matches, axis=1)
         return [labels[int(index)] for index in winners]
 

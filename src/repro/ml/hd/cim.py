@@ -176,8 +176,3 @@ class CimAssociativeMemory:
         predicted = self.classify_batch(np.asarray(queries))
         hits = sum(p == label for p, label in zip(predicted, labels))
         return hits / len(labels)
-
-    def advance_time(self, seconds: float) -> None:
-        """Accumulate PCM drift on both prototype arrays."""
-        self.array_direct.advance_time(seconds)
-        self.array_complement.advance_time(seconds)

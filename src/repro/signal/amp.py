@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro._util import check_in, check_int, nmse
+from repro._util import check_in, check_int, check_nonnegative, check_positive, nmse
 
 __all__ = ["AmpBatchResult", "AmpResult", "amp_recover", "amp_recover_batch",
            "soft_threshold"]
@@ -162,35 +162,22 @@ class AmpBatchResult:
             return 2 * int(sum(self.active_counts))
         return 2 * self.sweeps
 
-    def column_result(self, column: int) -> AmpResult:
-        """The :class:`AmpResult` view of one batch column."""
-        if not 0 <= column < self.batch:
-            raise IndexError(f"column must lie in [0, {self.batch}), got {column}")
-        return AmpResult(
-            estimate=self.estimates[:, column].copy(),
-            residual_norms=list(self.residual_norms[column]),
-            nmse_history=list(self.nmse_histories[column]),
-            thresholds=list(self.thresholds[column]),
-            converged=bool(self.converged[column]),
-        )
 
-
-def _check_amp_parameters(n: int, m: int, iterations: int,
-                          threshold_factor: float) -> None:
-    if n < 1 or m < 1:
-        raise ValueError("dimensions must be >= 1")
-    if iterations < 1:
-        raise ValueError("iterations must be >= 1")
-    if threshold_factor <= 0:
-        raise ValueError("threshold_factor must be positive")
-
-
-def _check_stagnation(stagnation_window: int | None,
-                      stagnation_tolerance: float) -> None:
+def _check_amp_parameters(
+    n: int, m: int, iterations: int, threshold_factor: float, tolerance: float,
+    stagnation_window: int | None, stagnation_tolerance: float,
+) -> tuple[int, int, int | None]:
+    """Validate the shared AMP arguments; returns the counts as ``int``."""
+    n = check_int("n (signal dimensions)", n)
+    if m < 1:
+        raise ValueError("measurement dimensions must be >= 1")
+    iterations = check_int("iterations", iterations)
+    check_positive("threshold_factor", threshold_factor)
+    check_nonnegative("tolerance", tolerance)
     if stagnation_window is not None:
-        check_int("stagnation_window", stagnation_window)
-    if stagnation_tolerance < 0:
-        raise ValueError("stagnation_tolerance must be non-negative")
+        stagnation_window = check_int("stagnation_window", stagnation_window)
+    check_nonnegative("stagnation_tolerance", stagnation_tolerance)
+    return n, iterations, stagnation_window
 
 
 def _residual_stalled(history: list[float], window: int, tolerance: float) -> bool:
@@ -251,8 +238,10 @@ def amp_recover(
     """
     y = np.asarray(measurements, dtype=float)
     m = y.shape[0]
-    _check_amp_parameters(n, m, iterations, threshold_factor)
-    _check_stagnation(stagnation_window, stagnation_tolerance)
+    n, iterations, stagnation_window = _check_amp_parameters(
+        n, m, iterations, threshold_factor, tolerance,
+        stagnation_window, stagnation_tolerance,
+    )
 
     x = np.zeros(n)
     z = y.copy()
@@ -356,8 +345,10 @@ def amp_recover_batch(
     m, batch = y.shape
     if batch < 1:
         raise ValueError("measurements must contain at least one column")
-    _check_amp_parameters(n, m, iterations, threshold_factor)
-    _check_stagnation(stagnation_window, stagnation_tolerance)
+    n, iterations, stagnation_window = _check_amp_parameters(
+        n, m, iterations, threshold_factor, tolerance,
+        stagnation_window, stagnation_tolerance,
+    )
     truth = None
     if ground_truth is not None:
         truth = np.asarray(ground_truth, dtype=float)

@@ -75,41 +75,3 @@ class TestCompute:
         stats = accelerator.stats
         assert stats["db"]["n_ops"] == 1
         assert stats["A"]["n_matvec"] == 1
-
-
-class TestShardedRegions:
-    def test_store_sharded_matrix_region(self, accelerator, rng):
-        from repro.crossbar import ShardedOperator
-
-        matrix = rng.standard_normal((4, 6))
-        region = accelerator.store_matrix(
-            "fleet", matrix, n_shards=2, batch_window=3
-        )
-        assert isinstance(region, ShardedOperator)
-        assert accelerator.regions == {"fleet": "matrix"}
-        block = rng.standard_normal((6, 7))
-        result = accelerator.matmat("fleet", block)
-        np.testing.assert_allclose(result, matrix @ block, atol=1e-9)
-        stats = accelerator.stats["fleet"]
-        assert stats["n_matvec"] == 7
-
-    def test_windowed_single_array_region(self, accelerator, rng):
-        """batch_window alone is enough: one shard, windowed batches."""
-        from repro.crossbar import ShardedOperator
-
-        region = accelerator.store_matrix(
-            "w", rng.standard_normal((4, 6)), batch_window=2
-        )
-        assert isinstance(region, ShardedOperator)
-        assert region.n_shards == 1
-
-    def test_store_matrix_argument_validation(self, accelerator, rng):
-        matrix = rng.standard_normal((4, 6))
-        for bad in (0, float("inf"), float("nan")):
-            with pytest.raises(ValueError, match="n_shards"):
-                accelerator.store_matrix("a", matrix, n_shards=bad)
-        with pytest.raises(ValueError, match="batch_window"):
-            accelerator.store_matrix("b", matrix, n_shards=2)
-        # a schedule without sharding would be silently dead: reject it
-        with pytest.raises(ValueError, match="schedule"):
-            accelerator.store_matrix("c", matrix, schedule="greedy")

@@ -67,44 +67,13 @@ class TestMvm:
         assert not np.allclose(first, second)
 
 
-class TestDrift:
-    def test_advance_time_reduces_currents(self):
-        g = np.full((8, 8), 5e-6)
-        array = CrossbarArray(
-            g, device=PcmDevice(prog_noise_sigma=0.0, read_noise_sigma=0.0), seed=0
-        )
-        v = np.full(8, 0.2)
-        before = array.mvm(v).sum()
-        array.advance_time(1e5)
-        after = array.mvm(v).sum()
-        assert after < before
-
-    def test_negative_time_rejected(self):
-        array = ideal_array(np.full((2, 2), 1e-6))
-        with pytest.raises(ValueError):
-            array.advance_time(-1.0)
-
-
 class TestLifecycle:
-    def test_g_effective_is_the_drifted_conductance(self):
-        array = CrossbarArray(np.full((3, 4), 5e-6), seed=2)
-        assert np.array_equal(array.g_effective, array.conductance)
-        fresh = array.g_effective.copy()
-        array.advance_time(1e6)
-        aged = array.g_effective
-        assert (aged <= fresh).all() and (aged < fresh).any()
-        assert np.array_equal(
-            aged, array.device.drifted(array._g_programmed, 1e6)
-        )
-
-    def test_reprogram_resets_the_drift_clock_and_counts_pulses(self):
+    def test_reprogram_counts_pulses(self):
         array = CrossbarArray(np.full((3, 4), 5e-6), seed=3)
         assert array.n_reprograms == 0
         assert array.n_program_pulses == 0  # deployment is not maintenance
         assert array.programming_report.n_pulses == 5 * 12
-        array.advance_time(1e6)
         report = array.reprogram()
-        assert array.age_seconds == 0.0
         assert array.n_reprograms == 1
         assert array.n_program_pulses == 5 * 12
         assert report is array.programming_report
@@ -112,25 +81,6 @@ class TestLifecycle:
         array.reprogram()
         assert array.n_reprograms == 2
         assert array.n_program_pulses == 2 * 5 * 12
-
-    def test_reprogram_recovers_a_drifted_array(self):
-        target = np.full((4, 4), 5e-6)
-        array = CrossbarArray(target, seed=4)
-        array.advance_time(1e8)
-        drifted_error = np.abs(array.g_effective - target).max()
-        array.reprogram()
-        restored_error = np.abs(array.g_effective - target).max()
-        assert restored_error < drifted_error
-
-
-class TestAdvanceTimeValidation:
-    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -0.5])
-    def test_rejects_nonfinite_and_negative_seconds(self, bad):
-        array = ideal_array(np.full((2, 2), 1e-6))
-        with pytest.raises(ValueError, match="finite non-negative"):
-            array.advance_time(bad)
-        # the drift clock is untouched by the rejected call
-        assert array.age_seconds == 0.0
 
 
 class TestStuckFaultPersistence:

@@ -41,6 +41,11 @@ def looped_rmatvec(operator, z_block):
     )
 
 
+def drifted(member, age_seconds):
+    """A tile-pair member's programmed conductances drifted to an age."""
+    return member.device.drifted(member._g_programmed, age_seconds)
+
+
 DETERMINISTIC_DEVICES = [
     PcmDevice.ideal(),
     PcmDevice(read_noise_sigma=0.0),  # programming noise, deterministic reads
@@ -154,9 +159,10 @@ class TestNoisyStatisticalEquivalence:
     # reference draws every device through ``PcmDevice.read`` (the
     # physical per-device model, clip included) and sums the currents,
     # so the two sample means and variances must agree within sampling
-    # error, in both read directions, fresh and drifted.  A tile pair
-    # reads its difference current as one Gaussian; its reference reads
-    # both members device by device and subtracts.
+    # error, in both read directions.  An array reads its programmed
+    # state.  A tile pair reads its difference current as one Gaussian,
+    # fresh and drifted to the age it is read at; its reference reads
+    # both members' drifted conductances device by device and subtracts.
 
     READS = 4000
     SIGMA = 0.05
@@ -167,20 +173,16 @@ class TestNoisyStatisticalEquivalence:
     def conductances(self, seed):
         return np.random.default_rng(seed).uniform(1e-6, 25e-6, (12, 9))
 
-    def make_array(self, age_seconds):
-        array = CrossbarArray(self.conductances(0), device=self.device(), seed=3)
-        array.advance_time(age_seconds)
-        return array
+    def make_array(self):
+        return CrossbarArray(self.conductances(0), device=self.device(), seed=3)
 
-    def make_pair(self, age_seconds):
-        pair = _TilePair(
+    def make_pair(self):
+        return _TilePair(
             self.conductances(0),
             self.conductances(5),
             device=self.device(),
             rng=np.random.default_rng(3),
         )
-        pair.advance_time(age_seconds)
-        return pair
 
     def monte_carlo(self, g_now, voltages, transpose, mc_rng):
         """One per-device read of ``g_now``: every device drawn."""
@@ -206,16 +208,15 @@ class TestNoisyStatisticalEquivalence:
         )
         np.testing.assert_allclose(model.var(axis=0), expected_var, rtol=0.15)
 
-    @pytest.mark.parametrize("age_seconds", [0.0, 1e6])
     @pytest.mark.parametrize("transpose", [False, True])
-    def test_mean_and_variance_match_per_device_monte_carlo(self, age_seconds, transpose):
-        array = self.make_array(age_seconds)
+    def test_mean_and_variance_match_per_device_monte_carlo(self, transpose):
+        array = self.make_array()
         lines = array.cols if transpose else array.rows
         voltages = np.random.default_rng(1).uniform(-0.2, 0.2, lines)
         read = array.mvm_t if transpose else array.mvm
         model = np.stack([read(voltages) for _ in range(self.READS)])
 
-        g_now = array.g_effective
+        g_now = array._g_programmed
         mc_rng = np.random.default_rng(2)
         reference = np.stack(
             [
@@ -230,14 +231,16 @@ class TestNoisyStatisticalEquivalence:
     def test_pair_read_matches_difference_of_member_monte_carlos(
         self, age_seconds, transpose
     ):
-        pair = self.make_pair(age_seconds)
+        pair = self.make_pair()
         lines = pair.positive.cols if transpose else pair.positive.rows
         voltages = np.random.default_rng(1).uniform(-0.2, 0.2, lines)
         read = pair.row_currents if transpose else pair.column_currents
-        model = np.stack([read(voltages[:, None])[:, 0] for _ in range(self.READS)])
+        model = np.stack(
+            [read(voltages[:, None], age_seconds)[:, 0] for _ in range(self.READS)]
+        )
 
-        g_pos = pair.positive.g_effective
-        g_neg = pair.negative.g_effective
+        g_pos = drifted(pair.positive, age_seconds)
+        g_neg = drifted(pair.negative, age_seconds)
         mc_rng = np.random.default_rng(2)
         reference = np.stack(
             [
@@ -252,7 +255,7 @@ class TestNoisyStatisticalEquivalence:
 
     def test_one_column_read_draws_one_normal_per_line(self):
         """A 1-D read consumes the stream exactly like a one-column block."""
-        vector_read, block_read = self.make_array(0.0), self.make_array(0.0)
+        vector_read, block_read = self.make_array(), self.make_array()
         voltages = np.random.default_rng(4).uniform(0.0, 0.2, vector_read.rows)
         for _ in range(3):
             np.testing.assert_array_equal(
@@ -263,25 +266,26 @@ class TestNoisyStatisticalEquivalence:
     def test_one_column_pair_read_draws_one_normal_per_line(self):
         """A pair read draws one normal per output line and column, for
         the difference current, and none per member."""
-        pair = self.make_pair(1e6)
+        pair = self.make_pair()
         twin = np.random.default_rng()
         twin.bit_generator.state = pair._rng.bit_generator.state
         voltages = np.random.default_rng(4).uniform(-0.2, 0.2, pair.positive.rows)
-        g_pos = pair.positive.g_effective
-        g_neg = pair.negative.g_effective
+        g_pos = drifted(pair.positive, 1e6)
+        g_neg = drifted(pair.negative, 1e6)
         for _ in range(3):
             expected = (g_pos - g_neg).T @ voltages + self.SIGMA * np.sqrt(
                 (g_pos**2 + g_neg**2).T @ voltages**2
             ) * twin.standard_normal(pair.positive.cols)
             np.testing.assert_allclose(
-                pair.column_currents(voltages[:, None])[:, 0], expected, rtol=1e-12
+                pair.column_currents(voltages[:, None], 1e6)[:, 0], expected, rtol=1e-12
             )
         assert pair._rng.standard_normal() == twin.standard_normal()
 
 
 class TestTilePairReads:
-    """The pair's cached ``G+ - G-`` and ``G+**2 + G-**2`` track every
-    state change of either member, and both members count every read."""
+    """The pair's cached ``G+ - G-`` and ``G+**2 + G-**2`` track the age
+    it is read at and every state change of either member, and both
+    members count every read."""
 
     def make_operator(self):
         matrix = np.random.default_rng(6).standard_normal((6, 10))
@@ -297,9 +301,10 @@ class TestTilePairReads:
     @staticmethod
     def expected_product(operator, block, axis):
         """``gain * (G+ - G-)`` applied to ``block``, from both members'
-        ``g_effective``."""
+        programmed conductances drifted to the operator's age."""
         pair = operator._tiles[(0, 0)]
-        diff = pair.positive.g_effective - pair.negative.g_effective
+        age = operator.age_seconds
+        diff = drifted(pair.positive, age) - drifted(pair.negative, age)
         product = diff.T @ block if axis == 0 else diff @ block
         return operator.gain * product / operator._scale
 
@@ -332,12 +337,75 @@ class TestTilePairReads:
 
     def test_both_members_count_every_read_column(self, rng):
         pair = self.make_operator()._tiles[(0, 0)]
-        pair.column_currents(rng.uniform(-0.2, 0.2, (10, 4)))
-        pair.row_currents(rng.uniform(-0.2, 0.2, (6, 2)))
-        pair.row_currents(rng.uniform(-0.2, 0.2, (6, 1)))
+        pair.column_currents(rng.uniform(-0.2, 0.2, (10, 4)), 0.0)
+        pair.row_currents(rng.uniform(-0.2, 0.2, (6, 2)), 0.0)
+        pair.row_currents(rng.uniform(-0.2, 0.2, (6, 1)), 1e3)
         for member in (pair.positive, pair.negative):
             assert member.n_col_reads == 4
             assert member.n_row_reads == 3
+
+    def test_each_new_age_rebuilds_the_entry_with_its_drifted_law(self):
+        """Reading at age a, then b, then a again builds a fresh entry
+        each time, and each read sees the law drifted to its own age."""
+        pair = self.make_operator()._tiles[(0, 0)]
+        block = np.random.default_rng(10).uniform(-0.2, 0.2, (10, 3))
+        entries = []
+        for age in (1e3, 1e6, 1e3):
+            currents = pair.column_currents(block, age)
+            entries.append(pair._read_cache)
+            diff = drifted(pair.positive, age) - drifted(pair.negative, age)
+            np.testing.assert_allclose(currents, diff.T @ block, rtol=1e-12)
+        assert entries[0] is not entries[1] and entries[1] is not entries[2]
+        assert not np.allclose(entries[0][0], entries[1][0], rtol=1e-6)
+        np.testing.assert_array_equal(entries[0][0], entries[2][0])
+
+    def test_ageing_leaves_the_member_arrays_alone(self):
+        """The operator's age is the only clock: ageing it moves no
+        member's read epoch, so no member cache is dropped."""
+        matrix = np.random.default_rng(13).standard_normal((20, 24))
+        operator = CrossbarOperator(matrix, tile_shape=(8, 8), seed=14)
+        members = [
+            member
+            for pair in operator._tiles.values()
+            for member in (pair.positive, pair.negative)
+        ]
+        epochs = [member._read_epoch for member in members]
+        operator.advance_time(1e5)
+        assert operator.age_seconds == 1e5
+        assert [member._read_epoch for member in members] == epochs
+        assert not any(hasattr(member, "age_seconds") for member in members)
+
+    def test_a_zero_tick_keeps_the_cached_entry(self):
+        operator = self.make_operator()
+        pair = operator._tiles[(0, 0)]
+        rng = np.random.default_rng(11)
+        operator.advance_time(1e3)
+        pair.column_currents(rng.uniform(-0.2, 0.2, (10, 2)), operator.age_seconds)
+        entry = pair._read_cache
+        operator.advance_time(0.0)
+        pair.row_currents(rng.uniform(-0.2, 0.2, (6, 2)), operator.age_seconds)
+        assert pair._read_cache is entry
+        operator.advance_time(1.0)
+        pair.row_currents(rng.uniform(-0.2, 0.2, (6, 2)), operator.age_seconds)
+        assert pair._read_cache is not entry
+
+    @pytest.mark.parametrize(
+        "mutation", ["reprogram", "operator_stuck_faults", "member_stuck_faults"]
+    )
+    def test_state_changes_invalidate_the_entry_at_one_age(self, mutation):
+        """Reprogramming and stuck faults move a member's read epoch, so
+        the next read at the same age rebuilds the entry."""
+        operator = self.make_operator()
+        pair = operator._tiles[(0, 0)]
+        block = np.random.default_rng(12).uniform(-0.2, 0.2, (10, 2))
+        pair.column_currents(block, 0.0)
+        entry = pair._read_cache
+        self.MUTATIONS[mutation](operator)
+        assert operator.age_seconds == 0.0
+        currents = pair.column_currents(block, 0.0)
+        assert pair._read_cache is not entry
+        diff = pair.positive._g_programmed - pair.negative._g_programmed
+        np.testing.assert_allclose(currents, diff.T @ block, rtol=1e-12)
 
 
 class TestCounterEquivalence:

@@ -62,6 +62,10 @@ class TestCalibration:
         operator, _ = drifted
         with pytest.raises(ValueError):
             operator.calibrate(n_probes=0)
+        for bad in (2.5, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="n_probes"):
+                operator.calibrate(n_probes=bad)
+        assert operator.n_calibrations == 0
 
     def test_zero_matrix_fits_a_zero_gain(self):
         """A zero target gives the probes no reference signal: the fit

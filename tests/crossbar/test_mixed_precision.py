@@ -8,7 +8,6 @@ from repro.crossbar import (
     MixedPrecisionSolver,
     spd_test_system,
 )
-from repro.devices import PcmDevice
 
 
 class TestTestSystem:
@@ -55,6 +54,38 @@ class TestExactBackend:
             MixedPrecisionSolver(a).solve(np.zeros(9))
         with pytest.raises(ValueError):
             MixedPrecisionSolver(a).solve(b, outer_iterations=0)
+        with pytest.raises(ValueError, match="inner_iterations"):
+            MixedPrecisionSolver(a, inner_iterations=2.5)
+        with pytest.raises(ValueError, match="outer_iterations"):
+            MixedPrecisionSolver(a).solve(b, outer_iterations=float("nan"))
+        for tolerance in (float("nan"), -1.0):
+            with pytest.raises(ValueError, match="tolerance"):
+                MixedPrecisionSolver(a).solve(b, tolerance=tolerance)
+        with pytest.raises(ValueError, match="iterations"):
+            MixedPrecisionSolver(a).analog_only_solve(b, iterations=2.5)
+
+    @pytest.mark.parametrize("name", ["inner_iterations", "outer_iterations"])
+    def test_integral_float_counts_run_like_ints(self, name):
+        a, b = spd_test_system(16, seed=5)
+        counts = {"inner_iterations": 4, "outer_iterations": 6}
+        reference = MixedPrecisionSolver(a, inner_iterations=4).solve(
+            b, outer_iterations=6, tolerance=0.0
+        )
+        counts[name] = float(counts[name])
+        result = MixedPrecisionSolver(
+            a, inner_iterations=counts["inner_iterations"]
+        ).solve(b, outer_iterations=counts["outer_iterations"], tolerance=0.0)
+        np.testing.assert_array_equal(result.solution, reference.solution)
+        assert result.residual_history == reference.residual_history
+        assert result.iterations == 6
+
+    def test_analog_only_solve_takes_an_integral_float_count(self):
+        a, b = spd_test_system(8, seed=4)
+        solver = MixedPrecisionSolver(a)
+        result = solver.analog_only_solve(b, iterations=7.0)
+        reference = solver.analog_only_solve(b, iterations=7)
+        assert result.iterations == 7
+        assert result.residual_history == reference.residual_history
 
     def test_analog_only_solve_validates_the_rhs(self):
         a, _ = spd_test_system(8, seed=4)
@@ -102,113 +133,3 @@ class TestCrossbarBackend:
 
         with pytest.raises(ValueError):
             _ = SolveResult(solution=np.zeros(2)).final_residual
-
-
-class TestBatchSolve:
-    """Multi-RHS refinement through the matmat path."""
-
-    def make_rhs(self, n, batch, seed):
-        return np.random.default_rng(seed).standard_normal((n, batch))
-
-    def test_exact_backend_matches_per_column_solve(self):
-        a, _ = spd_test_system(48, seed=11)
-        rhs = self.make_rhs(48, 5, 12)
-        rhs[:, 3] = 0.0  # zero column: solved by the zero vector
-        solver = MixedPrecisionSolver(a)
-        result = solver.solve_batch(rhs, tolerance=1e-12)
-        assert result.all_converged
-        for b in range(5):
-            single = solver.solve(rhs[:, b], tolerance=1e-12)
-            np.testing.assert_allclose(
-                result.solutions[:, b], single.solution, atol=1e-12
-            )
-            assert result.iterations[b] == single.iterations
-            assert bool(result.converged[b]) == single.converged
-            np.testing.assert_allclose(
-                result.residual_histories[b], single.residual_history,
-                rtol=1e-7, atol=1e-15,
-            )
-        assert result.iterations[3] == 0
-        assert result.final_residuals[3] == 0.0
-
-    def test_crossbar_backend_reaches_digital_accuracy(self):
-        a, _ = spd_test_system(64, seed=13)
-        rhs = self.make_rhs(64, 4, 14)
-        operator = CrossbarOperator(a, seed=15)
-        solver = MixedPrecisionSolver(a, operator=operator, inner_iterations=8)
-        result = solver.solve_batch(rhs, outer_iterations=40, tolerance=1e-9)
-        assert result.all_converged
-        assert result.final_residuals.max() < 1e-9
-        np.testing.assert_allclose(
-            result.solutions, np.linalg.solve(a, rhs), atol=1e-6
-        )
-
-    def test_all_inner_work_goes_through_matmat(self):
-        """Every inner Richardson step is one crossbar matmat over the
-        working set; the counters tally one logical read per column."""
-        a, _ = spd_test_system(32, seed=16)
-        rhs = self.make_rhs(32, 3, 17)
-        operator = CrossbarOperator(a, seed=18)
-        solver = MixedPrecisionSolver(a, operator=operator, inner_iterations=6)
-        result = solver.solve_batch(rhs, outer_iterations=20)
-        # each column's refinement rounds (minus the final converged
-        # check) ran inner_iterations analog reads
-        expected = int(
-            sum(
-                (rounds - 1 if converged else rounds) * 6
-                for rounds, converged in zip(result.iterations, result.converged)
-            )
-        )
-        assert operator.n_matvec == expected
-
-    def test_masked_counters_match_looped_on_deterministic_twins(self):
-        """With deterministic reads the batched and looped solves take
-        identical trajectories, so the conversion counters agree even
-        though converged columns leave the working set."""
-        a, _ = spd_test_system(32, seed=19)
-        rhs = self.make_rhs(32, 4, 20)
-        quiet = PcmDevice(read_noise_sigma=0.0)
-        batched_op = CrossbarOperator(a, device=quiet, seed=21)
-        batched = MixedPrecisionSolver(
-            a, operator=batched_op, inner_iterations=5
-        ).solve_batch(rhs, outer_iterations=30, tolerance=1e-9)
-        looped_op = CrossbarOperator(a, device=quiet, seed=21)
-        looped = MixedPrecisionSolver(a, operator=looped_op, inner_iterations=5)
-        for b in range(4):
-            single = looped.solve(rhs[:, b], outer_iterations=30, tolerance=1e-9)
-            np.testing.assert_allclose(
-                batched.solutions[:, b], single.solution, atol=1e-9
-            )
-        assert batched_op.stats == looped_op.stats
-
-    def test_all_zero_block_runs_no_rounds(self):
-        a, _ = spd_test_system(8, seed=25)
-        operator = CrossbarOperator(a, seed=26)
-        solver = MixedPrecisionSolver(a, operator=operator)
-        result = solver.solve_batch(np.zeros((8, 3)))
-        assert result.all_converged
-        assert np.array_equal(result.iterations, np.zeros(3, dtype=int))
-        assert np.array_equal(result.solutions, np.zeros((8, 3)))
-        assert operator.n_matvec == 0  # no analog read at all
-
-    def test_column_result_round_trip(self):
-        a, _ = spd_test_system(16, seed=22)
-        rhs = self.make_rhs(16, 2, 23)
-        result = MixedPrecisionSolver(a).solve_batch(rhs)
-        view = result.column_result(0)
-        assert view.iterations == result.iterations[0]
-        np.testing.assert_array_equal(view.solution, result.solutions[:, 0])
-        with pytest.raises(IndexError):
-            result.column_result(2)
-
-    def test_validation(self):
-        a, _ = spd_test_system(8, seed=24)
-        solver = MixedPrecisionSolver(a)
-        with pytest.raises(ValueError):
-            solver.solve_batch(np.zeros(8))  # 1-D belongs to solve
-        with pytest.raises(ValueError):
-            solver.solve_batch(np.zeros((9, 2)))
-        with pytest.raises(ValueError):
-            solver.solve_batch(np.zeros((8, 0)))
-        with pytest.raises(ValueError):
-            solver.solve_batch(np.zeros((8, 2)), outer_iterations=0)

@@ -172,6 +172,25 @@ class TestRealisticCrossbar:
         with pytest.raises(ValueError, match="2-D"):
             CrossbarOperator(np.ones(4))
 
+    @pytest.mark.parametrize(
+        "tile_shape", [(2.5, 4), (4,), (4, 4, 4), (0, 4), (4, float("nan"))]
+    )
+    def test_rejects_bad_tile_shape(self, small_matrix, tile_shape):
+        with pytest.raises(ValueError, match="tile_shape"):
+            CrossbarOperator(small_matrix, tile_shape=tile_shape)
+
+    def test_integral_float_tile_shape_tiles_like_ints(self, rng):
+        matrix = rng.standard_normal((20, 24))
+        x = rng.standard_normal(24)
+        tiled = CrossbarOperator(
+            matrix, device=PcmDevice.ideal(), tile_shape=(8.0, 8.0), seed=0
+        )
+        reference = CrossbarOperator(
+            matrix, device=PcmDevice.ideal(), tile_shape=(8, 8), seed=0
+        )
+        assert tiled.n_tiles == reference.n_tiles == 9
+        np.testing.assert_array_equal(tiled.matvec(x), reference.matvec(x))
+
     def test_statistical_full_scale_clips_the_worst_case_line(self, rng):
         # The ADC range is four times the largest line L2 norm.  On long
         # lines the worst-case current (the L1 norm) is ~sqrt(400) times
@@ -199,10 +218,22 @@ class TestVerifyReads:
         op.reprogram()
         assert op.last_reprogram_error is None
 
+    @pytest.mark.parametrize("probe", ["calibrate", "read_error"])
+    def test_integral_float_probe_counts_probe_like_ints(self, small_matrix, probe):
+        twins = [
+            CrossbarOperator(small_matrix, device=PcmDevice.ideal(), seed=0)
+            for _ in range(2)
+        ]
+        first = getattr(twins[0], probe)(n_probes=4.0, seed=1)
+        second = getattr(twins[1], probe)(n_probes=4, seed=1)
+        assert first == second
+        assert twins[0].n_calibration_probes == twins[1].n_calibration_probes == 4
+
     def test_probes_need_a_signal(self, small_matrix):
         op = CrossbarOperator(small_matrix, seed=0)
-        with pytest.raises(ValueError, match="n_probes"):
-            op.read_error(n_probes=0)
+        for bad in (0, 2.5, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="n_probes"):
+                op.read_error(n_probes=bad)
         zero = CrossbarOperator(np.zeros((4, 6)), device=PcmDevice.ideal(), seed=0)
         with pytest.raises(RuntimeError, match="no reference signal"):
             zero.read_error(n_probes=2, seed=1)

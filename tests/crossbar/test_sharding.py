@@ -197,8 +197,8 @@ class TestAccounting:
         )
         a, b = fleet.shards
         np.testing.assert_array_equal(a.matrix, b.matrix)
-        g_a = a._tiles[(0, 0)].positive.conductance
-        g_b = b._tiles[(0, 0)].positive.conductance
+        g_a = a._tiles[(0, 0)].positive._g_programmed
+        g_b = b._tiles[(0, 0)].positive._g_programmed
         assert not np.array_equal(g_a, g_b)
 
     def test_advance_time_reaches_every_replica(self, rng):
@@ -208,7 +208,7 @@ class TestAccounting:
         )
         fleet.advance_time(1e5)
         for shard in fleet.shards:
-            assert shard._tiles[(0, 0)].positive.age_seconds == 1e5
+            assert shard.age_seconds == 1e5
         # exact shards have no clock; advance_time must still be safe
         dense = ShardedOperator.from_matrix(
             matrix, n_shards=2, batch_window=4, backend="exact"
@@ -435,3 +435,7 @@ class TestRetirement:
             fleet.advance_time(bad)
         # validation happened before the loop: no shard aged at all
         assert fleet.shard_ages == (0.0, 0.0)
+        # one operator rejects the value the same way
+        with pytest.raises(ValueError, match="finite non-negative"):
+            shards[0].advance_time(bad)
+        assert shards[0].age_seconds == 0.0

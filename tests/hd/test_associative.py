@@ -136,57 +136,6 @@ class TestTieDeterminism:
         assert set(np.unique(tied_memory.prototype("a"))) <= {0, 1}
 
 
-class TestOperatorBackedClassification:
-    """classify_batch through the matmat operator protocol."""
-
-    def test_bipolar_matrix_maps_prototypes(self, memory):
-        labels, bipolar = memory.bipolar_prototype_matrix()
-        _, binary = memory.prototype_matrix()
-        assert labels == memory.labels
-        np.testing.assert_array_equal(bipolar, 2.0 * binary - 1.0)
-        assert set(np.unique(bipolar)) <= {-1.0, 1.0}
-
-    def test_dense_operator_path_matches_software(self, memory, rng):
-        from repro.crossbar import DenseOperator
-
-        _, bipolar = memory.bipolar_prototype_matrix()
-        operator = DenseOperator(bipolar)
-        queries = (rng.random((7, 1024)) < 0.5).astype(np.uint8)
-        assert memory.classify_batch(queries, operator=operator) == (
-            memory.classify_batch(queries)
-        )
-        assert operator.n_matvec == 7
-
-    def test_operator_shape_is_validated(self, memory, rng):
-        from repro.crossbar import DenseOperator
-
-        wrong = DenseOperator(np.ones((2, 1024)))
-        queries = (rng.random((3, 1024)) < 0.5).astype(np.uint8)
-        with pytest.raises(ValueError, match="bipolar_prototype_matrix"):
-            memory.classify_batch(queries, operator=wrong)
-
-    def test_untrained_memory_rejected(self):
-        from repro.crossbar import DenseOperator
-
-        memory = AssociativeMemory(d=16, seed=0)
-        with pytest.raises(ValueError, match="untrained"):
-            memory.classify_batch(
-                np.zeros((1, 16), dtype=np.uint8),
-                operator=DenseOperator(np.ones((1, 16))),
-            )
-
-    def test_noisy_crossbar_operator_stays_accurate(self, memory, rng):
-        """A real (noisy, quantized) crossbar programmed with the
-        bipolar prototypes classifies clean queries correctly."""
-        from repro.crossbar import CrossbarOperator
-
-        labels, bipolar = memory.bipolar_prototype_matrix()
-        operator = CrossbarOperator(bipolar, seed=3)
-        _, binary = memory.prototype_matrix()
-        predicted = memory.classify_batch(binary, operator=operator)
-        assert predicted == labels
-
-
 class TestValidation:
     def test_rejects_empty_dimension(self):
         with pytest.raises(ValueError, match="d must be"):

@@ -146,15 +146,3 @@ class TestCimAssociativeMemory:
         cim.classify(memory.prototype(0))
         cim.classify(memory.prototype(1))
         assert cim.n_queries == 2
-
-    def test_drift_tolerated(self, trained, rng):
-        """Prototype search survives moderate drift: all conductances
-        decay together, so the argmax ordering is largely preserved."""
-        memory, protos = trained
-        cim = CimAssociativeMemory(memory, seed=6)
-        cim.advance_time(3600.0)  # one hour of drift
-        label, base = next(iter(protos.items()))
-        query = base.copy()
-        flip = rng.choice(1024, 80, replace=False)
-        query[flip] ^= 1
-        assert cim.classify(query) == label

@@ -9,10 +9,9 @@ exact (noise-free, deterministic) backends.  Across a seeded
   to serial dispatch on both the quantizing ideal-device crossbar and
   the float-exact dense backend, with equal per-shard counters, merged
   counters and :attr:`loads`;
-* consumers — AMP (through the pipelined ``fused_sweep`` path),
-  mixed-precision batch solves, ``CimAccelerator`` regions and the HD
-  ``classify_batch`` operator path produce identical outputs and
-  iteration histories through a threaded fleet;
+* consumers — AMP (through the pipelined ``fused_sweep`` path)
+  produces identical outputs and iteration histories through a
+  threaded fleet;
 * lifecycle — drift clocks, staleness, gains and the maintenance action
   log evolve identically under both execution modes;
 * races — concurrent callers hammering one fleet (high worker count,
@@ -31,17 +30,13 @@ import threading
 import numpy as np
 import pytest
 
-from repro.core import CimAccelerator
 from repro.crossbar import (
     PARALLELISM_MODES,
     SHARD_SCHEDULES,
-    MixedPrecisionSolver,
     ShardedOperator,
-    spd_test_system,
 )
 from repro.crossbar.maintenance import FleetMaintenance
 from repro.devices import PcmDevice
-from repro.ml.hd import AssociativeMemory
 from repro.signal import CsProblem, amp_recover_batch
 
 COUNTER_KEYS = (
@@ -165,60 +160,6 @@ class TestConsumers:
         assert a.nmse_histories == b.nmse_histories
         assert_fleets_identical(serial, threaded)
         threaded.shutdown()
-
-    @pytest.mark.parametrize("shards,window,batch,workers", [(2, 3, 8, 2), (3, 5, 4, 4)])
-    def test_mixed_precision_solve_identical(self, shards, window, batch, workers, rng):
-        matrix, _ = spd_test_system(24, seed=21)
-        b_block = rng.standard_normal((24, batch))
-        b_block[:, 1] = 0.0  # zero RHS: solved by the zero vector
-        serial, threaded = make_mode_pair(matrix, shards, window, workers=workers)
-        a = MixedPrecisionSolver(matrix, operator=serial).solve_batch(
-            b_block, outer_iterations=12
-        )
-        b = MixedPrecisionSolver(matrix, operator=threaded).solve_batch(
-            b_block, outer_iterations=12
-        )
-        assert np.array_equal(a.solutions, b.solutions)
-        assert np.array_equal(a.iterations, b.iterations)
-        assert a.residual_histories == b.residual_histories
-        assert_fleets_identical(serial, threaded)
-
-    @pytest.mark.parametrize("shards,window,batch", [(2, 3, 8), (3, 5, 4)])
-    def test_accelerator_threaded_region_identical(self, shards, window, batch, rng):
-        matrix = rng.standard_normal((18, 30))
-        x_block = rng.standard_normal((30, batch))
-        z_block = rng.standard_normal((18, batch))
-        plain = CimAccelerator(analog_device=PcmDevice.ideal(), seed=0)
-        plain.store_matrix("w", matrix, n_shards=shards, batch_window=window)
-        fleet = CimAccelerator(analog_device=PcmDevice.ideal(), seed=0)
-        fleet.store_matrix(
-            "w",
-            matrix,
-            n_shards=shards,
-            batch_window=window,
-            parallelism="threads",
-            n_workers=shards,
-        )
-        assert np.array_equal(fleet.matmat("w", x_block), plain.matmat("w", x_block))
-        assert np.array_equal(fleet.rmatmat("w", z_block), plain.rmatmat("w", z_block))
-        merged, reference = fleet.stats["w"], plain.stats["w"]
-        for key in COUNTER_KEYS:
-            assert merged[key] == reference[key]
-
-    @pytest.mark.parametrize("shards,window", [(2, 3), (3, 5)])
-    def test_hd_classification_identical(self, shards, window):
-        rng = np.random.default_rng(31)
-        memory = AssociativeMemory(d=64, seed=32)
-        for label in range(5):
-            for _ in range(3):
-                memory.train(label, (rng.random(64) < 0.5).astype(np.uint8))
-        queries = (rng.random((9, 64)) < 0.5).astype(np.uint8)
-        _, bipolar = memory.bipolar_prototype_matrix()
-        serial, threaded = make_mode_pair(bipolar, shards, window, workers=shards)
-        assert memory.classify_batch(queries, operator=threaded) == (
-            memory.classify_batch(queries, operator=serial)
-        )
-        assert_fleets_identical(serial, threaded)
 
 
 class TestLifecycleIdentity:
@@ -639,13 +580,6 @@ class TestValidationAndDegenerates:
             ShardedOperator.from_matrix(
                 matrix, n_shards=2, batch_window=2, backend="exact",
                 stream="per_shard",
-            )
-
-    def test_accelerator_rejects_parallelism_without_window(self, rng):
-        accelerator = CimAccelerator(seed=0)
-        with pytest.raises(ValueError, match="batch_window"):
-            accelerator.store_matrix(
-                "w", rng.standard_normal((4, 6)), parallelism="threads"
             )
 
     def test_empty_batch_under_threads(self, rng):

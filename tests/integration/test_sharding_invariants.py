@@ -13,10 +13,8 @@ deterministic) backends, across a seeded grid of
 * counters — the merged fleet DAC/ADC/live-read counters equal the
   single-array counters exactly, so ``energy_from_stats`` prices a
   sharded run identically;
-* consumers — ``amp_recover_batch``, ``MixedPrecisionSolver.solve_batch``,
-  ``CimAccelerator.matmat`` and the HD ``classify_batch`` operator path
-  all produce identical outputs and iteration histories through a
-  sharded fleet;
+* consumers — ``amp_recover_batch`` produces identical outputs and
+  iteration histories through a sharded fleet;
 * k-bank readout — ``batch_readout(banks=1)`` and ``banks=B`` reproduce
   the serial/parallel schedules bit-for-bit.
 """
@@ -24,17 +22,13 @@ deterministic) backends, across a seeded grid of
 import numpy as np
 import pytest
 
-from repro.core import CimAccelerator
 from repro.crossbar import (
     CrossbarOperator,
     DenseOperator,
-    MixedPrecisionSolver,
     ShardedOperator,
-    spd_test_system,
 )
 from repro.devices import PcmDevice
 from repro.energy import CrossbarCostModel
-from repro.ml.hd import AssociativeMemory
 from repro.signal import CsProblem, amp_recover_batch
 
 COUNTER_KEYS = (
@@ -179,87 +173,6 @@ class TestAmpConsumer:
             assert stats["n_live_matvec"] == 0 and stats["n_live_rmatvec"] == 0
         model = CrossbarCostModel(rows=48, cols=24, devices_per_cell=2)
         assert model.energy_from_stats(sharded.stats)["total_energy_j"] == 0.0
-
-
-class TestMixedPrecisionConsumer:
-    @pytest.mark.parametrize("shards,window,batch", [(2, 3, 8), (3, 5, 4)])
-    def test_solve_batch_identical(self, shards, window, batch, rng):
-        matrix, _ = spd_test_system(24, seed=21)
-        b_block = rng.standard_normal((24, batch))
-        b_block[:, 1] = 0.0  # zero RHS: solved by the zero vector
-        sharded, single = make_crossbar_pair(matrix, shards, window)
-        a = MixedPrecisionSolver(matrix, operator=sharded).solve_batch(
-            b_block, outer_iterations=12
-        )
-        b = MixedPrecisionSolver(matrix, operator=single).solve_batch(
-            b_block, outer_iterations=12
-        )
-        assert np.array_equal(a.solutions, b.solutions)
-        assert np.array_equal(a.iterations, b.iterations)
-        assert np.array_equal(a.converged, b.converged)
-        assert a.residual_histories == b.residual_histories
-        assert counters(sharded) == counters(single)
-
-
-class TestAcceleratorConsumer:
-    @pytest.mark.parametrize("shards,window,batch", [(2, 3, 8), (3, 5, 4)])
-    def test_sharded_region_matches_plain_region(self, shards, window, batch, rng):
-        matrix = rng.standard_normal((18, 30))
-        x_block = rng.standard_normal((30, batch))
-        z_block = rng.standard_normal((18, batch))
-        fleet = CimAccelerator(analog_device=PcmDevice.ideal(), seed=0)
-        fleet.store_matrix("w", matrix, n_shards=shards, batch_window=window)
-        plain = CimAccelerator(analog_device=PcmDevice.ideal(), seed=0)
-        plain.store_matrix("w", matrix)
-        assert np.array_equal(
-            fleet.matmat("w", x_block), plain.matmat("w", x_block)
-        )
-        assert np.array_equal(
-            fleet.rmatmat("w", z_block), plain.rmatmat("w", z_block)
-        )
-        merged, single = fleet.stats["w"], plain.stats["w"]
-        for key in COUNTER_KEYS:
-            assert merged[key] == single[key]
-
-    def test_sharded_region_requires_window(self, rng):
-        accelerator = CimAccelerator(seed=0)
-        with pytest.raises(ValueError, match="batch_window"):
-            accelerator.store_matrix("w", rng.standard_normal((4, 6)), n_shards=2)
-
-
-class TestHdConsumer:
-    @pytest.fixture()
-    def trained(self):
-        rng = np.random.default_rng(31)
-        memory = AssociativeMemory(d=64, seed=32)
-        for label in range(5):
-            for _ in range(3):
-                memory.train(label, (rng.random(64) < 0.5).astype(np.uint8))
-        queries = (rng.random((9, 64)) < 0.5).astype(np.uint8)
-        return memory, queries
-
-    @pytest.mark.parametrize("shards,window", [(2, 3), (3, 5)])
-    def test_classify_batch_identical_through_sharded_crossbar(
-        self, trained, shards, window
-    ):
-        memory, queries = trained
-        _, bipolar = memory.bipolar_prototype_matrix()
-        sharded, single = make_crossbar_pair(bipolar, shards, window)
-        assert memory.classify_batch(queries, operator=sharded) == (
-            memory.classify_batch(queries, operator=single)
-        )
-        assert counters(sharded) == counters(single)
-
-    def test_dense_operator_path_matches_software(self, trained):
-        memory, queries = trained
-        _, bipolar = memory.bipolar_prototype_matrix()
-        sharded = ShardedOperator.from_matrix(
-            bipolar, n_shards=2, batch_window=4, backend="exact"
-        )
-        assert memory.classify_batch(queries, operator=sharded) == (
-            memory.classify_batch(queries)
-        )
-        assert sharded.stats["n_matvec"] == queries.shape[0]
 
 
 class TestBankEndpoints:

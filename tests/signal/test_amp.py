@@ -147,16 +147,46 @@ class TestExactRecovery:
         assert result.iterations == 1
         assert np.array_equal(result.estimate, np.zeros(problem.n))
 
-    @pytest.mark.parametrize("bad", [{"iterations": 0}, {"threshold_factor": 0.0}])
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"iterations": 0},
+            {"threshold_factor": 0.0},
+            {"iterations": 2.5},
+            {"iterations": float("nan")},
+            {"n": float("nan")},
+            {"threshold_factor": float("nan")},
+            {"threshold_factor": float("inf")},
+            {"tolerance": float("nan")},
+            {"tolerance": -1.0},
+        ],
+    )
     def test_parameter_validation(self, bad):
+        """Each bad value raises a ValueError naming its parameter."""
         problem = CsProblem.generate(n=64, m=32, k=4, seed=6)
-        with pytest.raises(ValueError):
+        arguments = {"n": problem.n, **bad}
+        with pytest.raises(ValueError, match=next(iter(bad))):
             amp_recover(
                 problem.measurements,
                 DenseOperator(problem.matrix),
-                problem.n,
-                **bad,
+                **arguments,
             )
+
+    @pytest.mark.parametrize(
+        "name, value", [("iterations", 20.0), ("n", 64.0), ("stagnation_window", 3.0)]
+    )
+    def test_integral_float_counts_run_like_ints(self, name, value):
+        problem = CsProblem.generate(n=64, m=32, k=4, seed=6)
+        arguments = {"n": problem.n, "iterations": 20, "stagnation_window": 3}
+        reference = amp_recover(
+            problem.measurements, DenseOperator(problem.matrix), **arguments
+        )
+        arguments[name] = value
+        result = amp_recover(
+            problem.measurements, DenseOperator(problem.matrix), **arguments
+        )
+        np.testing.assert_array_equal(result.estimate, reference.estimate)
+        assert result.iterations == reference.iterations > 3
 
     def test_rejects_an_empty_signal_dimension(self):
         problem = CsProblem.generate(n=64, m=32, k=4, seed=6)
@@ -256,6 +286,7 @@ class TestStagnationRule:
             {"stagnation_tolerance": -0.1},
             {"stagnation_window": float("inf")},
             {"stagnation_window": float("nan")},
+            {"stagnation_tolerance": float("nan")},
         ],
     )
     def test_parameter_validation(self, bad):

@@ -138,21 +138,6 @@ class TestExactLoopEquivalence:
         with pytest.raises(ValueError):
             result.readout_cycles("pipelined")
 
-    def test_column_result_round_trip(self, fleet):
-        result = amp_recover_batch(
-            fleet.measurements,
-            DenseOperator(fleet.matrix),
-            fleet.n,
-            iterations=20,
-            ground_truth=fleet.signals,
-        )
-        view = result.column_result(1)
-        assert view.iterations == result.iterations[1]
-        assert view.final_nmse == result.final_nmse[1]
-        np.testing.assert_array_equal(view.estimate, result.estimates[:, 1])
-        with pytest.raises(IndexError):
-            result.column_result(fleet.batch)
-
 
 class TestCrossbarBackend:
     def test_deterministic_twins_match_looped(self):
@@ -234,13 +219,46 @@ class TestValidation:
             amp_recover_batch(fleet.measurements, operator, 64, ground_truth=truth)
         assert operator.n_matvec == operator.n_rmatvec == 0
 
-    @pytest.mark.parametrize("bad", [{"iterations": 0}, {"threshold_factor": 0.0}])
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"iterations": 0},
+            {"threshold_factor": 0.0},
+            {"iterations": 2.5},
+            {"iterations": float("nan")},
+            {"n": float("nan")},
+            {"threshold_factor": float("nan")},
+            {"threshold_factor": float("inf")},
+            {"tolerance": float("nan")},
+            {"tolerance": -1.0},
+            {"stagnation_tolerance": float("nan")},
+        ],
+    )
     def test_parameter_validation(self, bad):
+        """Each bad value raises a ValueError naming its parameter."""
         fleet = CsProblem.generate_batch(n=64, m=32, k=4, batch=2, seed=6)
-        with pytest.raises(ValueError):
+        arguments = {"n": 64, **bad}
+        with pytest.raises(ValueError, match=next(iter(bad))):
             amp_recover_batch(
-                fleet.measurements, DenseOperator(fleet.matrix), 64, **bad
+                fleet.measurements, DenseOperator(fleet.matrix), **arguments
             )
+
+    @pytest.mark.parametrize(
+        "name, value", [("iterations", 20.0), ("n", 64.0), ("stagnation_window", 3.0)]
+    )
+    def test_integral_float_counts_run_like_ints(self, name, value):
+        fleet = CsProblem.generate_batch(n=64, m=32, k=4, batch=2, seed=6)
+        arguments = {"n": 64, "iterations": 20, "stagnation_window": 3}
+        reference = amp_recover_batch(
+            fleet.measurements, DenseOperator(fleet.matrix), **arguments
+        )
+        arguments[name] = value
+        result = amp_recover_batch(
+            fleet.measurements, DenseOperator(fleet.matrix), **arguments
+        )
+        np.testing.assert_array_equal(result.estimates, reference.estimates)
+        assert np.array_equal(result.iterations, reference.iterations)
+        assert reference.iterations.min() > 3
 
     def test_final_nmse_requires_ground_truth(self):
         fleet = CsProblem.generate_batch(n=64, m=32, k=4, batch=2, seed=6)

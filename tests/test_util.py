@@ -8,6 +8,7 @@ from repro._util import (
     check_fraction,
     check_in,
     check_int,
+    check_nonnegative,
     check_positive,
     check_shape,
     hamming_distance,
@@ -39,6 +40,15 @@ class TestCheckers:
     def test_check_positive_rejects(self, bad):
         with pytest.raises(ValueError, match="x must be > 0"):
             check_positive("x", bad)
+
+    @pytest.mark.parametrize("value", [0, 0.0, 1e-12, 30])
+    def test_check_nonnegative_accepts(self, value):
+        assert check_nonnegative("tolerance", value) == value
+
+    @pytest.mark.parametrize("bad", [-1e-12, float("nan"), float("inf")])
+    def test_check_nonnegative_rejects_naming_the_parameter(self, bad):
+        with pytest.raises(ValueError, match="tolerance must be >= 0 and finite"):
+            check_nonnegative("tolerance", bad)
 
     @pytest.mark.parametrize("value", [0.0, 0.5, 1.0])
     def test_check_fraction_accepts(self, value):
