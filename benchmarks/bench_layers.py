@@ -1,10 +1,9 @@
-"""Per-layer performance ledger of the noisy crossbar path.
+"""Per-layer performance ledger of the noisy crossbar path and the HD workload.
 
-Each layer is timed on one fixed shape grid, and the run is recorded as
-a ``kind="profile"`` row (shape grid, core count and BLAS env in the
-config, one metric per layer and shape) so ``python -m repro.results``
-trends layer times across changes.  The ledger starts with the layer
-that dominates batched reads:
+Each layer is timed on fixed inputs, and the run is recorded as a
+``kind="profile"`` row (inputs, core count and BLAS env in the config,
+one metric per layer and shape) so ``python -m repro.results`` trends
+layer times across changes.  The ledger holds three layers:
 
 * **tile read** — one forward plus one transpose read of the single
   differential tile pair of a :class:`CrossbarOperator` built with
@@ -15,15 +14,28 @@ that dominates batched reads:
   the same two reads from the public member reads
   ``positive.mvm(v) - negative.mvm(v)``: four GEMMs and two draws per
   direction.  Both sides run warm (read caches built) and interleaved,
-  and each time is the median of ``REPEATS`` calls.  Emits
-  ``BENCH_layers.json``.
+  and each time is the median of ``REPEATS`` calls.
+* **workload_gen** — the Fig. 8 training corpus,
+  ``LanguageCorpus(21, seed=1).dataset(3, 2000, seed=2)`` (63 texts of
+  2000 characters), against a reference that draws every character
+  with its own ``Generator.choice(27, p=row)`` call.
+* **hd_ngram** — ``TextNgramEncoder.ngram_counts`` (d = 4096,
+  trigrams) over those 63 texts, against a reference that gathers the
+  whole text and binds it with one ``np.roll`` copy per offset and an
+  int64 column sum.
+
+Both sides of each HD pair must give identical output, and each HD time
+is the median of ``HD_REPEATS`` interleaved calls (the references take
+seconds).
 
 Shapes are ``A`` as ``(m, n)`` with batch ``B``: 256x512/B=64,
-1024x1024/B=256 and 2048x2048/B=512.  Gate: the tile-read ratio
+1024x1024/B=256 and 2048x2048/B=512.  Gates: the tile-read ratio
 (reference / pair) at 1024x1024/B=256 must be at least 1.6x; it
 measured 2.0-2.2x across the grid on a 2-vCPU host with one BLAS
 thread.  A threaded BLAS moves both sides by its pool, so an unpinned
-run is recorded but its gate is skipped with the reason.
+run is recorded but its gate is skipped with the reason.  The HD
+ratios run no BLAS and are gated on every run: at least 10x for
+workload_gen and 3x for hd_ngram (about 55x and 6x on the same host).
 
 Run (one BLAS thread, as CI does)::
 
@@ -40,11 +52,18 @@ import pytest
 from _harness import available_cores
 
 from repro.crossbar import CrossbarOperator
+from repro.ml.hd import ItemMemory, TextNgramEncoder
+from repro.workloads import LanguageCorpus
+from repro.workloads.languages import ALPHABET
 
 SHAPES = ((256, 512, 64), (1024, 1024, 256), (2048, 2048, 512))
 GATE_SHAPE = (1024, 1024, 256)
 MIN_TILE_READ_RATIO = 1.6
 REPEATS = 5
+# Fig. 8's training corpus: (languages, texts per language, characters).
+CORPUS = (21, 3, 2000)
+HD_REPEATS = 3
+MIN_RATIOS = {"workload_gen": 10.0, "hd_ngram": 3.0}
 BLAS_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
@@ -53,15 +72,16 @@ def shape_label(m, n, batch):
 
 
 def interleaved_medians(first, second, repeats):
-    """Median seconds of two callables, run alternately after a warm-up."""
-    first(), second()
+    """Median seconds of two callables, run alternately after a warm-up,
+    and the warm-up's two results."""
+    outputs = first(), second()
     times = ([], [])
     for _ in range(repeats):
         for fn, samples in zip((first, second), times):
             t0 = time.perf_counter()
             fn()
             samples.append(time.perf_counter() - t0)
-    return float(np.median(times[0])), float(np.median(times[1]))
+    return float(np.median(times[0])), float(np.median(times[1])), outputs
 
 
 def time_tile_read(m, n, batch):
@@ -80,10 +100,61 @@ def time_tile_read(m, n, batch):
         pair.positive.mvm(row_voltages) - pair.negative.mvm(row_voltages)
         pair.positive.mvm_t(col_voltages) - pair.negative.mvm_t(col_voltages)
 
-    return interleaved_medians(pair_read, member_reads, REPEATS)
+    return interleaved_medians(pair_read, member_reads, REPEATS)[:2]
 
 
-def test_tile_read_layer(write_result):
+def choice_dataset(corpus, samples_per_language, length, seed):
+    """``corpus.dataset`` texts, one ``Generator.choice`` call per character."""
+    rng = np.random.default_rng(seed)
+    n_symbols = len(ALPHABET)
+    texts = []
+    for language in range(corpus.n_languages):
+        chain = corpus.transition_matrix(language)
+        for _ in range(samples_per_language):
+            state = int(rng.integers(n_symbols))
+            symbols = []
+            for _ in range(length):
+                state = int(rng.choice(n_symbols, p=chain[state]))
+                symbols.append(ALPHABET[state])
+            texts.append("".join(symbols))
+    return texts
+
+
+def rolled_ngram_counts(encoder, text):
+    """n-gram counts from a whole-text gather, one ``np.roll`` copy per
+    offset and an int64 column sum."""
+    rows = encoder.item_memory.rows(text)
+    ngram = encoder.ngram
+    n_grams = len(text) - ngram + 1
+    bound = np.roll(rows[:n_grams], ngram - 1, axis=1)
+    for offset in range(1, ngram):
+        rotated = np.roll(rows[offset : offset + n_grams], ngram - 1 - offset, axis=1)
+        bound = np.bitwise_xor(bound, rotated)
+    return bound.sum(axis=0, dtype=np.int64)
+
+
+def time_hd_layers():
+    """(fast s, reference s) of workload_gen and hd_ngram on the corpus."""
+    n_languages, per_language, length = CORPUS
+    corpus = LanguageCorpus(n_languages, seed=1)
+    sample_s, choice_s, (dataset, reference) = interleaved_medians(
+        lambda: corpus.dataset(per_language, length, seed=2)[0],
+        lambda: choice_dataset(corpus, per_language, length, seed=2),
+        HD_REPEATS,
+    )
+    assert dataset == reference, "one-draw sampling diverged from Generator.choice"
+
+    encoder = TextNgramEncoder(ItemMemory(ALPHABET, d=4096, seed=0), ngram=3)
+    count_s, rolled_s, (counts, rolled) = interleaved_medians(
+        lambda: [encoder.ngram_counts(text)[0] for text in dataset],
+        lambda: [rolled_ngram_counts(encoder, text) for text in dataset],
+        HD_REPEATS,
+    )
+    assert all(map(np.array_equal, counts, rolled)), "n-gram counts diverged"
+    return {"workload_gen": (sample_s, choice_s), "hd_ngram": (count_s, rolled_s)}
+
+
+def test_layer_ledger(write_result):
     blas_env = {key: os.environ.get(key) for key in BLAS_ENV}
     pinned = all(value == "1" for value in blas_env.values())
     nproc = available_cores()
@@ -111,6 +182,21 @@ def test_tile_read_layer(write_result):
         f"  gate: ratio at {shape_label(*GATE_SHAPE)} >= {MIN_TILE_READ_RATIO}x"
         + ("" if pinned else " (skipped: BLAS not pinned to one thread)")
     )
+    n_languages, per_language, length = CORPUS
+    lines += [
+        "Per-layer ledger - HD workload "
+        f"({n_languages} languages x {per_language} texts x {length} characters)",
+        "  layer          measured     reference   ratio   gate",
+    ]
+    for layer, (fast_s, reference_s) in time_hd_layers().items():
+        ratio = reference_s / fast_s
+        metrics[f"{layer}_ms"] = fast_s * 1e3
+        metrics[f"{layer}_reference_ms"] = reference_s * 1e3
+        metrics[f"{layer}_ratio"] = ratio
+        lines.append(
+            f"  {layer:<12} {fast_s * 1e3:9.2f} ms {reference_s * 1e3:9.2f} ms"
+            f"  {ratio:5.1f}x  >= {MIN_RATIOS[layer]:g}x"
+        )
 
     write_result(
         "layers",
@@ -118,6 +204,8 @@ def test_tile_read_layer(write_result):
         config={
             "shapes": [list(shape) for shape in SHAPES],
             "repeats": REPEATS,
+            "corpus": list(CORPUS),
+            "hd_repeats": HD_REPEATS,
             "nproc": nproc,
             "blas_env": blas_env,
             "blas_pinned": pinned,
@@ -126,6 +214,8 @@ def test_tile_read_layer(write_result):
         kind="profile",
     )
 
+    for layer, floor in MIN_RATIOS.items():
+        assert metrics[f"{layer}_ratio"] >= floor, f"{layer} ratio below {floor}x"
     if not pinned:
         pytest.skip(
             "BLAS threads not pinned to one "

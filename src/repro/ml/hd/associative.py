@@ -161,9 +161,11 @@ class AssociativeMemory:
 
     def accuracy(self, queries: np.ndarray, labels) -> float:
         """Fraction of queries classified as their true label."""
-        labels = list(labels)
+        queries, labels = np.asarray(queries), list(labels)
         if len(labels) == 0:
             raise ValueError("no queries supplied")
-        predicted = self.classify_batch(np.asarray(queries))
+        if len(queries) != len(labels):
+            raise ValueError(f"got {len(queries)} queries but {len(labels)} labels")
+        predicted = self.classify_batch(queries)
         hits = sum(p == label for p, label in zip(predicted, labels))
         return hits / len(labels)

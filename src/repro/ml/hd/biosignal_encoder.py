@@ -70,8 +70,8 @@ class BiosignalEncoder:
         One level-memory gather and one XOR over the full
         ``(T, channels, d)`` block replace the former per-step
         bind-and-bundle loop; the channel majority (random tie-breaks,
-        as the paper specifies) is taken per time step on the summed
-        block.
+        as the paper specifies) is taken per time step on the block
+        summed in the narrowest integer type that holds ``n_channels``.
         """
         window = np.asarray(window, dtype=float)
         if window.ndim != 2 or window.shape[1] != self.n_channels:
@@ -83,7 +83,7 @@ class BiosignalEncoder:
         )
         channel_hvs = self.channel_memory.rows(range(self.n_channels))
         totals = np.bitwise_xor(level_hvs, channel_hvs[None, :, :]).sum(
-            axis=1, dtype=np.int64
+            axis=1, dtype=np.min_scalar_type(self.n_channels)
         )
         return majority_from_counts(totals, self.n_channels / 2.0, self._rng)
 
@@ -92,8 +92,9 @@ class BiosignalEncoder:
 
         Returns ``(counts, n_grams)`` like
         :meth:`TextNgramEncoder.ngram_counts`: the component-wise sum of
-        all permuted-bound temporal n-gram hypervectors, computed as
-        ``ngram`` rolled XORs over the ``(n_grams, d)`` spatial block.
+        all permuted-bound temporal n-gram hypervectors, computed by
+        :func:`ngram_counts_from_rows` over the ``(T, d)`` spatial block
+        (the same n-gram path as text).
         """
         window = np.asarray(window, dtype=float)
         if window.ndim != 2 or window.shape[1] != self.n_channels:

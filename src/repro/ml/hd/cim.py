@@ -169,10 +169,6 @@ class CimAssociativeMemory:
         winners = np.argmax(self.match_currents_batch(queries), axis=1)
         return [self.labels[int(index)] for index in winners]
 
-    def accuracy(self, queries: np.ndarray, labels) -> float:
-        labels = list(labels)
-        if len(labels) == 0:
-            raise ValueError("no queries supplied")
-        predicted = self.classify_batch(np.asarray(queries))
-        hits = sum(p == label for p, label in zip(predicted, labels))
-        return hits / len(labels)
+    # Scored as the software memory scores, over this memory's
+    # classify_batch: the label-count check runs before any array read.
+    accuracy = AssociativeMemory.accuracy

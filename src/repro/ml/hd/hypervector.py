@@ -48,37 +48,46 @@ def majority_from_counts(
     return result
 
 
-NGRAM_CHUNK = 8192
-"""Default position-chunk size for bounded-memory n-gram accumulation."""
+NGRAM_CHUNK = 256
+"""Positions per n-gram accumulation block.  A ``(256, d)`` uint8 block
+(1 MB at d = 4096) stays in cache, and its column sums fit ``uint16``
+exactly (256 * 255 < 2**16)."""
 
 
-def ngram_counts_from_rows(
-    rows: np.ndarray, ngram: int, chunk: int = NGRAM_CHUNK
-) -> tuple[np.ndarray, int]:
+def ngram_counts_from_rows(rows: np.ndarray, ngram: int) -> tuple[np.ndarray, int]:
     """Component sum of all permuted-bound n-gram vectors of a sequence.
 
-    ``rows`` stacks one hypervector per position, shape ``(L, d)``; the
-    n-gram at position ``s`` is ``XOR_o roll(rows[s + o], ngram-1-o)``
-    (the text/biosignal encoding scheme).  Returns ``(counts,
-    n_grams)``.  Positions accumulate in blocks of ``chunk`` grams, so
-    the transient rolled copies stay bounded at ``(chunk, d)`` however
-    long the stream is — vectorized but O(chunk * d) memory.
+    ``rows`` stacks one binary hypervector per position, shape
+    ``(L, d)``; the n-gram at position ``s`` is
+    ``XOR_o roll(rows[s + o], ngram-1-o)`` (the text/biosignal encoding
+    scheme).  Returns ``(counts, n_grams)``.  Positions accumulate in
+    blocks of :data:`NGRAM_CHUNK` grams: each offset's rotation is
+    written into one preallocated block as two slice operations (a copy
+    for the first offset, an in-place XOR for the rest), and each block
+    is column-summed in ``uint16``.  Memory stays O(NGRAM_CHUNK * d)
+    however long the stream is.
     """
     if ngram < 1:
         raise ValueError("ngram must be >= 1")
-    if rows.ndim != 2 or rows.shape[0] < ngram:
+    rows = np.asarray(rows, dtype=np.uint8)
+    if rows.ndim != 2 or rows.shape[0] < ngram or rows.shape[1] < 1:
         raise ValueError("rows must stack at least ngram hypervectors")
-    n_grams = rows.shape[0] - ngram + 1
-    counts = np.zeros(rows.shape[1], dtype=np.int64)
-    for start in range(0, n_grams, chunk):
-        stop = min(start + chunk, n_grams)
-        bound = None
+    n_grams, d = rows.shape[0] - ngram + 1, rows.shape[1]
+    counts = np.zeros(d, dtype=np.int64)
+    block = np.empty((min(NGRAM_CHUNK, n_grams), d), dtype=np.uint8)
+    for start in range(0, n_grams, NGRAM_CHUNK):
+        bound = block[: min(NGRAM_CHUNK, n_grams - start)]
         for offset in range(ngram):
-            rotated = np.roll(
-                rows[start + offset : stop + offset], ngram - 1 - offset, axis=1
-            )
-            bound = rotated if bound is None else np.bitwise_xor(bound, rotated)
-        counts += bound.sum(axis=0, dtype=np.int64)
+            # roll(source, shift, axis=1), written in two column slices.
+            shift = (ngram - 1 - offset) % d
+            source = rows[start + offset : start + offset + len(bound)]
+            if offset == 0:
+                bound[:, shift:] = source[:, : d - shift]
+                bound[:, :shift] = source[:, d - shift :]
+            else:
+                bound[:, shift:] ^= source[:, : d - shift]
+                bound[:, :shift] ^= source[:, d - shift :]
+        counts += bound.sum(axis=0, dtype=np.uint16)
     return counts, n_grams
 
 

@@ -25,6 +25,15 @@ __all__ = ["LanguageRecognizer", "GestureRecognizer"]
 _BACKENDS = ("exact", "cim")
 
 
+def _paired(samples, labels) -> tuple[list, list]:
+    """``samples`` and ``labels`` as lists; ``ValueError`` unless their
+    lengths match (``zip`` alone would drop the surplus silently)."""
+    samples, labels = list(samples), list(labels)
+    if len(samples) != len(labels):
+        raise ValueError(f"got {len(samples)} samples but {len(labels)} labels")
+    return samples, labels
+
+
 class _HdClassifier:
     """Shared train/evaluate logic over an encoder + associative memory."""
 
@@ -48,6 +57,7 @@ class _HdClassifier:
         at count level (single majority at classification time), which
         preserves the training statistics exactly.
         """
+        samples, labels = _paired(samples, labels)
         for sample, label in zip(samples, labels):
             counts = self._encode_counts(sample)
             if counts is None:
@@ -99,12 +109,12 @@ class _HdClassifier:
         adc_bits: int | None = 8,
     ) -> float:
         """Classification accuracy on the chosen backend."""
-        labels = list(labels)
+        samples, labels = _paired(samples, labels)
+        if not labels:
+            raise ValueError("no samples supplied")
         predictions = self.predict(
             samples, backend=backend, device=device, adc_bits=adc_bits
         )
-        if not labels:
-            raise ValueError("no samples supplied")
         hits = sum(p == t for p, t in zip(predictions, labels))
         return hits / len(labels)
 

@@ -76,11 +76,11 @@ class TextNgramEncoder:
         statistics exactly, which is how the language-recognition
         prototypes are trained on a whole corpus stream.
 
-        The accumulation is vectorized over text positions (item
-        gathers plus rolled XORs in bounded position chunks) and
-        bit-identical to summing :meth:`ngram_hypervector` per
-        position; memory stays O(chunk * d) however long the corpus
-        stream is.
+        The accumulation is vectorized over text positions (one item
+        gather per block of ``NGRAM_CHUNK`` positions, rotated XORs in
+        place, exact ``uint16`` block sums) and bit-identical to
+        summing :meth:`ngram_hypervector` per position; memory stays
+        O(NGRAM_CHUNK * d) however long the corpus stream is.
         """
         if len(text) < self.ngram:
             raise ValueError("text shorter than the n-gram order")

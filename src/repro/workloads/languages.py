@@ -17,13 +17,18 @@ the paper-reported ~97 % regime).
 
 from __future__ import annotations
 
+from bisect import bisect_right
+
 import numpy as np
 
-from repro._util import as_rng, check_positive
+from repro._util import as_rng, check_int, check_positive
 
 __all__ = ["ALPHABET", "LanguageCorpus"]
 
 ALPHABET = "abcdefghijklmnopqrstuvwxyz "
+
+# ``Generator.choice``'s tolerance on ``sum(p) == 1`` for float64 ``p``.
+_PROBABILITY_ATOL = float(np.sqrt(np.finfo(np.float64).eps))
 
 
 class LanguageCorpus:
@@ -50,8 +55,7 @@ class LanguageCorpus:
         characteristic_fraction: float = 0.12,
         seed: int | np.random.Generator | None = 1234,
     ) -> None:
-        if n_languages < 2:
-            raise ValueError("need at least two languages")
+        n_languages = check_int("n_languages", n_languages, minimum=2)
         check_positive("distinctiveness", distinctiveness)
         if not 0.0 < characteristic_fraction <= 1.0:
             raise ValueError("characteristic_fraction must lie in (0, 1]")
@@ -82,18 +86,35 @@ class LanguageCorpus:
         length: int,
         seed: int | np.random.Generator | None = None,
     ) -> str:
-        """Generate one text sample of ``length`` characters."""
-        if not 0 <= language < self.n_languages:
+        """Generate one text sample of ``length`` characters.
+
+        The text, and the generator state it leaves, are bit-identical
+        to drawing each character with
+        ``rng.choice(n_symbols, p=chain[state])``.  ``choice`` inverts
+        the normalised row CDF (``cumsum / last``) at one uniform
+        double per call; here the CDFs are built once, the doubles come
+        from one ``rng.random(length)`` draw and ``bisect_right``
+        inverts them.  ``choice``'s probability-vector check runs once
+        over the chain instead of once per character.
+        """
+        language = check_int("language", language, minimum=0)
+        if language >= self.n_languages:
             raise ValueError(f"language must lie in [0, {self.n_languages})")
-        if length < 1:
-            raise ValueError("length must be >= 1")
+        length = check_int("length", length)
         rng = as_rng(seed)
         chain = self._transitions[language]
-        n_symbols = len(self.alphabet)
-        state = int(rng.integers(n_symbols))
+        if not (
+            np.all(chain >= 0)
+            and np.all(np.abs(chain.sum(axis=1) - 1.0) <= _PROBABILITY_ATOL)
+        ):
+            raise ValueError("transition rows must be probability vectors")
+        cdf = np.cumsum(chain, axis=1)
+        cdf /= cdf[:, -1:]
+        cdf_rows = cdf.tolist()
+        state = int(rng.integers(len(self.alphabet)))
         symbols = []
-        for _ in range(length):
-            state = int(rng.choice(n_symbols, p=chain[state]))
+        for uniform in rng.random(length).tolist():
+            state = bisect_right(cdf_rows[state], uniform)
             symbols.append(self.alphabet[state])
         return "".join(symbols)
 
@@ -104,8 +125,7 @@ class LanguageCorpus:
         seed: int | np.random.Generator | None = None,
     ) -> tuple[list[str], np.ndarray]:
         """Labelled dataset: (texts, labels) across all languages."""
-        if samples_per_language < 1:
-            raise ValueError("samples_per_language must be >= 1")
+        samples_per_language = check_int("samples_per_language", samples_per_language)
         rng = as_rng(seed)
         texts: list[str] = []
         labels: list[int] = []

@@ -83,6 +83,12 @@ class TestClassification:
         with pytest.raises(ValueError):
             memory.accuracy(np.zeros((0, 1024)), [])
 
+    @pytest.mark.parametrize("labels", [["a", "b"], ["a", "b", "c", "a"]])
+    def test_accuracy_rejects_a_label_count_mismatch(self, memory, labels):
+        protos = np.stack([memory.prototype(label) for label in ("a", "b", "c")])
+        with pytest.raises(ValueError, match="3 queries but"):
+            memory.accuracy(protos, labels)
+
 
 class TestTieDeterminism:
     """Prototype tie-bits are drawn once per trained state and cached."""

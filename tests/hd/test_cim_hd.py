@@ -126,6 +126,15 @@ class TestCimAssociativeMemory:
         with pytest.raises(ValueError, match="no queries"):
             cim.accuracy(np.zeros((0, cim.d), dtype=np.uint8), [])
 
+    @pytest.mark.parametrize("n_labels", [2, 6])
+    def test_accuracy_rejects_a_label_count_mismatch(self, trained, n_labels):
+        memory, _ = trained
+        cim = CimAssociativeMemory(memory, seed=9)
+        queries = np.stack([memory.prototype(label) for label in range(4)])
+        with pytest.raises(ValueError, match="4 queries but"):
+            cim.accuracy(queries, list(range(n_labels)))
+        assert cim.n_queries == 0  # rejected before any array read
+
     def test_batched_search_validation(self, trained):
         memory, _ = trained
         cim = CimAssociativeMemory(memory, seed=8)

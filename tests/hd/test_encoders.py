@@ -9,6 +9,18 @@ from repro.ml.hd import (
     TextNgramEncoder,
     hamming_similarity,
 )
+from repro.ml.hd.hypervector import NGRAM_CHUNK
+from repro.workloads.languages import ALPHABET
+
+# Stream lengths for trigram encoders: one full block of NGRAM_CHUNK
+# n-grams (NGRAM_CHUNK + ngram - 1 positions) +- 1, and three blocks.
+CHUNK_CROSSING_LENGTHS = [NGRAM_CHUNK + 2 + delta for delta in (-1, 0, 1)] + [
+    3 * NGRAM_CHUNK + 7
+]
+
+
+def random_text(length):
+    return "".join(np.random.default_rng(length).choice(list(ALPHABET), length))
 
 
 @pytest.fixture
@@ -58,10 +70,15 @@ class TestTextEncoder:
         assert n == 2
         assert counts.max() <= n and counts.min() >= 0
 
-    def test_vectorized_counts_equal_per_position_loop(self, text_encoder):
+    @pytest.mark.parametrize(
+        "text",
+        ["the quick brown fox jumps"]
+        + [random_text(length) for length in CHUNK_CROSSING_LENGTHS],
+        ids=lambda text: f"{len(text)}_chars",
+    )
+    def test_vectorized_counts_equal_per_position_loop(self, text_encoder, text):
         """The rolled-XOR accumulation is bit-identical to summing
         ngram_hypervector over every position."""
-        text = "the quick brown fox jumps"
         counts, n_grams = text_encoder.ngram_counts(text)
         reference = np.zeros(text_encoder.d, dtype=np.int64)
         for start in range(len(text) - text_encoder.ngram + 1):
@@ -118,14 +135,15 @@ class TestBiosignalEncoder:
         with pytest.raises(ValueError):
             BiosignalEncoder(n_channels=4, ngram=0)
 
-    def test_window_counts_equal_per_step_loop(self):
+    @pytest.mark.parametrize("steps", [12] + CHUNK_CROSSING_LENGTHS)
+    def test_window_counts_equal_per_step_loop(self, steps):
         """With an odd channel count (no spatial ties, no RNG) the
         vectorized window counts match the explicit per-position
         permute-bind-accumulate loop exactly."""
         from repro.ml.hd.hypervector import bind, permute
 
         encoder = BiosignalEncoder(n_channels=5, d=1024, n_levels=8, ngram=3, seed=4)
-        window = np.random.default_rng(2).random((12, 5))
+        window = np.random.default_rng(2).random((steps, 5))
         counts, n_grams = encoder.window_counts(window)
 
         spatial = [encoder.spatial_hypervector(sample) for sample in window]
@@ -136,7 +154,7 @@ class TestBiosignalEncoder:
                 rotated = permute(spatial[start + offset], encoder.ngram - 1 - offset)
                 gram = rotated if gram is None else bind(gram, rotated)
             reference += gram
-        assert n_grams == 10
+        assert n_grams == steps - 2
         assert np.array_equal(counts, reference)
 
     def test_spatial_hypervectors_match_single_steps(self):

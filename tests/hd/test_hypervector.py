@@ -12,7 +12,7 @@ from repro.ml.hd import (
     permute,
     random_hypervector,
 )
-from repro.ml.hd.hypervector import ngram_counts_from_rows
+from repro.ml.hd.hypervector import NGRAM_CHUNK, ngram_counts_from_rows
 
 
 def hv_strategy(d=64):
@@ -126,6 +126,29 @@ class TestNgramCounts:
     def test_validation(self, length, ngram, match):
         with pytest.raises(ValueError, match=match):
             ngram_counts_from_rows(np.zeros((length, 8), dtype=np.uint8), ngram)
+
+    @pytest.mark.parametrize("ngram", [1, 3, 5])
+    def test_all_ones_counts_are_exact_over_full_blocks(self, ngram):
+        """An odd number of bound all-ones rows is all ones, so every
+        column counts every n-gram; a full block of NGRAM_CHUNK ones
+        already overflows a uint8 accumulator."""
+        rows = np.ones((2 * NGRAM_CHUNK + 10 + ngram - 1, 16), dtype=np.uint8)
+        counts, n_grams = ngram_counts_from_rows(rows, ngram)
+        assert n_grams == 2 * NGRAM_CHUNK + 10
+        assert np.array_equal(counts, np.full(16, n_grams))
+
+    @pytest.mark.parametrize("d, ngram", [(2, 5), (3, 3), (64, 4)])
+    def test_matches_rolled_reference(self, d, ngram):
+        """Rotations wrap modulo d, also when a shift exceeds d."""
+        rows = np.random.default_rng(d).integers(0, 2, (NGRAM_CHUNK + 9, d), np.uint8)
+        n_grams = len(rows) - ngram + 1
+        reference = np.zeros(d, dtype=np.int64)
+        for start in range(n_grams):
+            gram = np.zeros(d, dtype=np.uint8)
+            for offset in range(ngram):
+                gram ^= np.roll(rows[start + offset], ngram - 1 - offset)
+            reference += gram
+        assert np.array_equal(ngram_counts_from_rows(rows, ngram)[0], reference)
 
 
 class TestPermute:

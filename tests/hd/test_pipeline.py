@@ -51,6 +51,22 @@ class TestLanguageRecognition:
         with pytest.raises(ValueError):
             recognizer.evaluate(texts[:1], labels[:1], backend="quantum")
 
+    @pytest.mark.parametrize("backend", ["exact", "cim"])
+    @pytest.mark.parametrize("n_labels", [2, 12])
+    def test_evaluate_rejects_a_label_count_mismatch(
+        self, language_setup, backend, n_labels
+    ):
+        recognizer, texts, labels = language_setup
+        with pytest.raises(ValueError, match="6 samples but"):
+            recognizer.evaluate(texts[:6], labels[:n_labels], backend=backend)
+
+    def test_fit_rejects_a_label_count_mismatch_before_training(self, language_setup):
+        _, texts, labels = language_setup
+        recognizer = LanguageRecognizer(d=256, ngram=3, seed=0)
+        with pytest.raises(ValueError, match="6 samples but 3 labels"):
+            recognizer.fit(texts[:6], labels[:3])
+        assert recognizer.memory.n_classes == 0
+
 
 class TestGestureRecognition:
     def test_software_accuracy_high(self, gesture_setup):

@@ -40,6 +40,18 @@ class TestImages:
             add_gaussian_noise(np.zeros((2, 2)), -0.1)
 
 
+def choice_per_character(corpus, language, length, rng):
+    """Reference sampler: one ``Generator.choice`` call per character."""
+    chain = corpus.transition_matrix(language)
+    n_symbols = len(ALPHABET)
+    state = int(rng.integers(n_symbols))
+    symbols = []
+    for _ in range(length):
+        state = int(rng.choice(n_symbols, p=chain[state]))
+        symbols.append(ALPHABET[state])
+    return "".join(symbols)
+
+
 class TestLanguageCorpus:
     def test_transition_matrices_stochastic(self):
         corpus = LanguageCorpus(n_languages=4, seed=0)
@@ -66,6 +78,36 @@ class TestLanguageCorpus:
         assert len(texts) == 6
         assert np.array_equal(np.bincount(labels), [2, 2, 2])
 
+    @pytest.mark.parametrize("corpus_seed", [1, 7])
+    @pytest.mark.parametrize("language", [0, 3, 5])
+    @pytest.mark.parametrize("seed", [0, 5, 11])
+    @pytest.mark.parametrize("length", [1, 2, 1000])
+    def test_sample_equals_per_character_choice(
+        self, corpus_seed, language, seed, length
+    ):
+        """One-draw sampling reproduces Generator.choice's text and
+        leaves the generator in the same state."""
+        corpus = LanguageCorpus(n_languages=6, seed=corpus_seed)
+        sampled_rng = np.random.default_rng(seed)
+        reference_rng = np.random.default_rng(seed)
+        text = corpus.sample(language, length, seed=sampled_rng)
+        assert text == choice_per_character(corpus, language, length, reference_rng)
+        assert sampled_rng.bit_generator.state == reference_rng.bit_generator.state
+
+    def test_dataset_leaves_generator_as_per_character_choice(self):
+        corpus = LanguageCorpus(n_languages=4, seed=2)
+        dataset_rng = np.random.default_rng(8)
+        reference_rng = np.random.default_rng(8)
+        texts, labels = corpus.dataset(2, 40, seed=dataset_rng)
+        reference = [
+            choice_per_character(corpus, language, 40, reference_rng)
+            for language in range(4)
+            for _ in range(2)
+        ]
+        assert texts == reference
+        assert list(labels) == [0, 0, 1, 1, 2, 2, 3, 3]
+        assert dataset_rng.bit_generator.state == reference_rng.bit_generator.state
+
     def test_validation(self):
         with pytest.raises(ValueError):
             LanguageCorpus(n_languages=1)
@@ -74,6 +116,32 @@ class TestLanguageCorpus:
             corpus.sample(5, 10)
         with pytest.raises(ValueError):
             corpus.sample(0, 0)
+
+    @pytest.mark.parametrize(
+        "build, name",
+        [
+            (lambda: LanguageCorpus(n_languages=float("nan")), "n_languages"),
+            (lambda: LanguageCorpus(n_languages=2.5), "n_languages"),
+            (lambda: LanguageCorpus(n_languages=3, seed=0).sample(1.5, 10), "language"),
+            (lambda: LanguageCorpus(n_languages=3, seed=0).sample(-1, 10), "language"),
+            (lambda: LanguageCorpus(n_languages=3, seed=0).sample(0, 2.5), "length"),
+            (
+                lambda: LanguageCorpus(n_languages=3, seed=0).dataset(1.5, 10),
+                "samples_per_language",
+            ),
+        ],
+        ids=[
+            "languages_nan",
+            "languages_fractional",
+            "language_fractional",
+            "language_negative",
+            "length_fractional",
+            "samples_fractional",
+        ],
+    )
+    def test_rejects_non_integer_counts(self, build, name):
+        with pytest.raises(ValueError, match=name):
+            build()
 
 
 class TestEmgGenerator:
