@@ -63,8 +63,8 @@ def check_finite(name: str, array: np.ndarray) -> np.ndarray:
 
     Analog reads peak-normalize their inputs, so one NaN or inf turns a
     whole output column into NaN that is still billed as a live read.
-    Every read entry point (operator, fleet, server) validates through
-    this helper before any counter, load or queue moves.
+    Every read entry point (array, operator, fleet, server) validates
+    through this helper before any counter, load or queue moves.
     """
     if not np.isfinite(array).all():
         raise ValueError(f"{name} must be finite, got NaN or inf entries")

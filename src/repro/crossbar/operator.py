@@ -130,7 +130,10 @@ class _TilePair:
     read of the cached ``G+ - G-`` and ``G+**2 + G-**2``: one mean
     GEMM, one noise-power GEMM and one normal per output line and
     column, where reading both members and subtracting takes twice
-    each.  Both members still count every read event.
+    each.  Both members still count every read event.  The mean
+    ``G+ - G-`` is cached in float64; the power ``G+**2 + G-**2``, which
+    only sets the noise std, is built from float32 squares and cached
+    in float32, the precision contract of :func:`line_currents`.
 
     The pair keeps no clock.  Every read takes the owning operator's
     ``age`` and sees the members' programmed conductances drifted to
@@ -167,8 +170,8 @@ class _TilePair:
                 g_neg = device.drifted(g_neg, age)
             power = None
             if device.read_noise_sigma != 0.0:
-                power = g_pos**2
-                power += g_neg**2
+                power = np.square(g_pos, dtype=np.float32)
+                power += np.square(g_neg, dtype=np.float32)
             self._read_cache = (g_pos - g_neg, power)
             self._cache_key = key
         return self._read_cache

@@ -16,6 +16,7 @@ import pytest
 
 from repro.core import CimAccelerator
 from repro.crossbar import CrossbarArray, CrossbarOperator
+from repro.crossbar.array import line_currents
 from repro.crossbar.operator import _TilePair
 from repro.devices import PcmDevice
 
@@ -265,21 +266,102 @@ class TestNoisyStatisticalEquivalence:
 
     def test_one_column_pair_read_draws_one_normal_per_line(self):
         """A pair read draws one normal per output line and column, for
-        the difference current, and none per member."""
+        the difference current, and none per member.  The noise power
+        is formed as the read forms it: float32 squares of both members
+        summed, against the float32 square of the one-column block."""
         pair = self.make_pair()
         twin = np.random.default_rng()
         twin.bit_generator.state = pair._rng.bit_generator.state
         voltages = np.random.default_rng(4).uniform(-0.2, 0.2, pair.positive.rows)
         g_pos = drifted(pair.positive, 1e6)
         g_neg = drifted(pair.negative, 1e6)
+        power = np.square(g_pos, dtype=np.float32) + np.square(g_neg, dtype=np.float32)
+        noise_power = power.T @ np.square(voltages[:, None], dtype=np.float32)
         for _ in range(3):
             expected = (g_pos - g_neg).T @ voltages + self.SIGMA * np.sqrt(
-                (g_pos**2 + g_neg**2).T @ voltages**2
-            ) * twin.standard_normal(pair.positive.cols)
+                noise_power
+            )[:, 0] * twin.standard_normal(pair.positive.cols)
             np.testing.assert_allclose(
                 pair.column_currents(voltages[:, None], 1e6)[:, 0], expected, rtol=1e-12
             )
         assert pair._rng.standard_normal() == twin.standard_normal()
+
+
+class _UnitNormals:
+    """A generator stand-in whose every standard normal is 1."""
+
+    def standard_normal(self, shape):
+        return np.ones(shape)
+
+
+PAIR_AGE = 1e6
+
+
+def make_reader(kind, shape, sigma):
+    """A fresh array or differential tile pair with ``shape`` devices."""
+    g = np.random.default_rng(20).uniform(1e-6, 25e-6, (2, *shape))
+    device = PcmDevice(read_noise_sigma=sigma)
+    if kind == "array":
+        return CrossbarArray(g[0], device=device, seed=21)
+    return _TilePair(g[0], g[1], device=device, rng=np.random.default_rng(21))
+
+
+def block_read(reader, block, axis):
+    """One block read along ``axis``; a pair reads at ``PAIR_AGE``."""
+    if isinstance(reader, CrossbarArray):
+        return (reader.mvm, reader.mvm_t)[axis](block)
+    return (reader.column_currents, reader.row_currents)[axis](block, PAIR_AGE)
+
+
+def float64_power(reader):
+    """The noise-power law ``G**2`` (``G+**2 + G-**2``) in float64."""
+    if isinstance(reader, CrossbarArray):
+        return reader._g_programmed**2
+    g_pos, g_neg = drifted(reader.positive, PAIR_AGE), drifted(reader.negative, PAIR_AGE)
+    return g_pos**2 + g_neg**2
+
+
+class TestReadPrecision:
+    """The read-noise precision contract of ``line_currents``: the mean
+    GEMM runs on a float64 matrix, the noise power on a float32 one
+    (it only sets a standard deviation), and a noise-free device
+    caches no power at all."""
+
+    @pytest.mark.parametrize("kind", ["array", "pair"])
+    def test_noisy_read_caches_float32_power_and_float64_mean(self, kind):
+        reader = make_reader(kind, (12, 9), sigma=0.05)
+        block_read(reader, np.full((12, 2), 0.1), axis=0)
+        mean, power = reader._read_cache
+        assert mean.dtype == np.float64
+        assert power.dtype == np.float32
+        assert power.shape == mean.shape
+
+    @pytest.mark.parametrize("kind", ["array", "pair"])
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_noise_free_read_caches_no_power_and_returns_the_mean(self, kind, axis):
+        reader = make_reader(kind, (12, 9), sigma=0.0)
+        block = np.random.default_rng(22).uniform(-0.2, 0.2, ((12, 9)[axis], 3))
+        currents = block_read(reader, block, axis)
+        mean, power = reader._read_cache
+        assert power is None
+        np.testing.assert_array_equal(currents, (mean.T if axis == 0 else mean) @ block)
+
+    @pytest.mark.parametrize("kind", ["array", "pair"])
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_float32_noise_std_of_a_1024_line_read(self, kind, axis):
+        """The noise std of a 1024-line read agrees with the float64
+        law within ``lines * eps(float32)``."""
+        lines = 1024
+        reader = make_reader(kind, (lines, 8) if axis == 0 else (8, lines), sigma=0.05)
+        block = np.random.default_rng(23).uniform(-0.2, 0.2, (lines, 4))
+        block_read(reader, block, axis)
+        mean, power = reader._read_cache
+        # zero mean, unit sigma and unit normals: the read returns its std
+        std = line_currents(np.zeros_like(mean), power, block, axis, 1.0, _UnitNormals())
+        law = float64_power(reader)
+        reference = np.sqrt((law.T if axis == 0 else law) @ block**2)
+        assert std.dtype == np.float64
+        np.testing.assert_allclose(std, reference, rtol=lines * np.finfo(np.float32).eps)
 
 
 class TestTilePairReads:

@@ -3,10 +3,10 @@
 Analog reads peak-normalize each input column, so a single NaN or inf
 would turn a whole output column into NaN while the converters still
 bill it as a live read.  ``CrossbarOperator`` and its exact drop-in
-``DenseOperator`` (all four products), ``ShardedOperator`` (every
-dispatch entry point) and ``FleetServer.submit`` must instead raise
-``ValueError`` before any counter, load, cursor or queue moves,
-wherever the bad entry sits.
+``DenseOperator`` (all four products), ``CrossbarArray`` (both read
+directions), ``ShardedOperator`` (every dispatch entry point) and
+``FleetServer.submit`` must instead raise ``ValueError`` before any
+counter, load, cursor or queue moves, wherever the bad entry sits.
 """
 
 import numpy as np
@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.crossbar import CrossbarOperator, DenseOperator, ShardedOperator
+from repro.crossbar import CrossbarArray, CrossbarOperator, DenseOperator, ShardedOperator
 from repro.serving import FleetServer, VirtualClock
 
 M, N = 6, 10
@@ -72,6 +72,28 @@ def test_operator_vectors_reject_non_finite_before_counting(row, bad, transpose,
     with pytest.raises(ValueError, match="finite"):
         (operator.rmatvec if transpose else operator.matvec)(vector)
     assert operator.stats == before
+
+
+@PROPERTY
+@given(
+    batch=st.integers(1, 5),
+    row=st.integers(0, 100),
+    column=st.integers(0, 100),
+    bad=BAD_VALUES,
+    transpose=st.booleans(),
+    vector=st.booleans(),
+)
+def test_array_reads_reject_non_finite_before_counting(
+    batch, row, column, bad, transpose, vector
+):
+    array = CrossbarArray(np.abs(MATRIX), seed=0)
+    lines = array.cols if transpose else array.rows
+    voltages = poisoned_block(lines, 1 if vector else batch, row, column, bad)
+    if vector:
+        voltages = voltages[:, 0]
+    with pytest.raises(ValueError, match="finite"):
+        (array.mvm_t if transpose else array.mvm)(voltages)
+    assert (array.n_col_reads, array.n_row_reads) == (0, 0)
 
 
 @PROPERTY
