@@ -7,6 +7,7 @@ that may be ``None`` (fresh entropy), an integer, or an existing
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -50,7 +51,7 @@ def check_elapsed(name: str, value: float) -> float:
     touching any clock, so a bad value can never partially age a fleet.
     """
     value = float(value)
-    if not np.isfinite(value) or value < 0:
+    if not math.isfinite(value) or value < 0:
         raise ValueError(
             f"{name} must be a finite non-negative number of seconds, "
             f"got {value!r}"

@@ -84,7 +84,8 @@ class CrossbarArray:
     ----------
     target_conductance:
         Desired conductance matrix in siemens, shape ``(rows, cols)``.
-        Values are clipped to the device window during programming.
+        Values are clipped to the device window during programming;
+        NaN or inf raises ``ValueError`` before any programming draw.
     device:
         PCM device model; defaults to the library's standard device.
     seed:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro._util import check_finite
 from repro.devices import PcmDevice
 
 __all__ = ["DifferentialCoding"]
@@ -51,9 +52,11 @@ class DifferentialCoding:
 
         Returns matrices in siemens with the same shape as ``matrix``.
         A zero matrix maps both arrays to ``g_min`` and yields scale 1
-        (any scale decodes a zero differential current correctly).
+        (any scale decodes a zero differential current correctly).  A
+        matrix holding NaN or inf raises ``ValueError`` before any
+        scaling: it has no finite peak to scale by.
         """
-        matrix = np.asarray(matrix, dtype=float)
+        matrix = check_finite("matrix", np.asarray(matrix, dtype=float))
         peak = float(np.max(np.abs(matrix))) if matrix.size else 0.0
         window = self.utilization * self.device.dynamic_range
         scale = window / peak if peak > 0 else 1.0

@@ -137,7 +137,11 @@ class _TilePair:
 
     The pair keeps no clock.  Every read takes the owning operator's
     ``age`` and sees the members' programmed conductances drifted to
-    it (:meth:`PcmDevice.drifted`).
+    it: ``G * ((t0 + age) / t0) ** (-nu(G))``, the law of
+    :meth:`PcmDevice.drifted`.  The exponent ``-nu(G)`` is fixed until
+    a member's state changes, so the first aged read caches it per
+    member, and a read at a new age then costs one ``pow`` and one
+    multiply per device.
     """
 
     def __init__(
@@ -158,6 +162,20 @@ class _TilePair:
         # caches stay empty unless a member is read directly.
         self._read_cache: tuple[np.ndarray, np.ndarray | None] | None = None
         self._cache_key = (0.0, 0, 0)
+        # Per member, ``(read epoch, -nu(G))`` (PcmDevice.drift_exponents):
+        # built by the first read at a non-zero age, rebuilt when the
+        # member's epoch moves.  A pair that never ages holds none.
+        self._exponents: list[tuple[int, np.ndarray] | None] = [None, None]
+
+    def _drifted(self, index: int, member: CrossbarArray, time_factor: float):
+        """``member``'s programmed conductances under ``time_factor``."""
+        entry = self._exponents[index]
+        if entry is None or entry[0] != member._read_epoch:
+            exponents = member.device.drift_exponents(member._g_programmed)
+            entry = self._exponents[index] = (member._read_epoch, exponents)
+        drifted = np.power(time_factor, entry[1])
+        drifted *= member._g_programmed
+        return drifted
 
     def _read_entry(self, age: float) -> tuple[np.ndarray, np.ndarray | None]:
         key = (age, self.positive._read_epoch, self.negative._read_epoch)
@@ -166,8 +184,9 @@ class _TilePair:
             g_pos = self.positive._g_programmed
             g_neg = self.negative._g_programmed
             if age != 0.0 and device.drift_nu != 0.0:
-                g_pos = device.drifted(g_pos, age)
-                g_neg = device.drifted(g_neg, age)
+                time_factor = device.drift_time_factor(age)
+                g_pos = self._drifted(0, self.positive, time_factor)
+                g_neg = self._drifted(1, self.negative, time_factor)
             power = None
             if device.read_noise_sigma != 0.0:
                 power = np.square(g_pos, dtype=np.float32)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro._util import as_rng
+from repro._util import as_rng, check_finite, check_int
 from repro.devices import PcmDevice
 
 __all__ = ["ProgrammingReport", "program_and_verify"]
@@ -75,33 +75,41 @@ def program_and_verify(
         The PCM device model supplying noise characteristics.
     target:
         Desired conductances in siemens; values are clipped to the
-        device's programmable window.
+        device's programmable window.  NaN or inf raises ``ValueError``.
     iterations:
-        Number of program/verify rounds (>= 1).
+        Number of program/verify rounds, an integer >= 1.
     gain:
         Fraction of the measured error corrected per round; values below
         1 trade convergence speed for stability.
     seed:
         RNG seed or generator for the stochastic pulse errors.
     """
-    if iterations < 1:
-        raise ValueError("iterations must be >= 1")
+    iterations = check_int("iterations", iterations)
     if not 0.0 < gain <= 1.0:
         raise ValueError("gain must lie in (0, 1]")
+    target = device.clip(check_finite("target", np.asarray(target, dtype=float)))
     rng = as_rng(seed)
-    target = device.clip(target)
     pulse_sigma = device.prog_noise_sigma * device.g_max
 
-    # Devices start from an un-programmed (low-conductance) state.
-    conductance = np.full_like(target, device.g_min)
+    # Devices start from an un-programmed (low-conductance) state.  Each
+    # round runs in place: the verify read's new array holds the
+    # correction and then the residual.  Every buffer is C-order, so
+    # the pulse draws fill devices in the order ``rng.normal(size=)``
+    # would, and the residual's mean sums in C order.
+    conductance = np.full(target.shape, device.g_min)
+    pulse_noise = np.empty(target.shape) if pulse_sigma > 0.0 else None
     history: list[float] = []
     for _ in range(iterations):
-        observed = device.read(conductance, seed=rng)
-        error = target - observed
-        correction = gain * error
-        if pulse_sigma > 0.0:
-            correction = correction + rng.normal(0.0, pulse_sigma, size=target.shape)
-        conductance = device.clip(conductance + correction)
-        residual = conductance - target
-        history.append(float(np.sqrt(np.mean(residual**2))) / device.g_max)
+        step = device.read(conductance, seed=rng)
+        np.subtract(target, step, out=step)
+        step *= gain
+        if pulse_noise is not None:
+            rng.standard_normal(out=pulse_noise)
+            pulse_noise *= pulse_sigma
+            step += pulse_noise
+        conductance += step
+        np.clip(conductance, device.g_min, device.g_max, out=conductance)
+        np.subtract(conductance, target, out=step)
+        np.square(step, out=step)
+        history.append(float(np.sqrt(np.mean(step))) / device.g_max)
     return ProgrammingReport(conductance=conductance, rms_error_history=history)

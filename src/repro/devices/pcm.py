@@ -17,6 +17,7 @@ All methods are vectorized over numpy arrays of device states.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -113,6 +114,26 @@ class PcmDevice:
         error = rng.normal(0.0, sigma, size=target.shape)
         return self.clip(target + error)
 
+    def drift_exponents(self, conductance: np.ndarray) -> np.ndarray:
+        """Per-device exponent ``-nu(g)`` of the drift law.
+
+        States near ``g_min`` are amorphous-dominated and drift with the
+        full exponent ``drift_nu``; crystalline (high-g) states barely
+        drift.  The exponent is interpolated linearly in between.  It
+        depends on the programmed state only, so a reader that ages one
+        programmed matrix can keep it until the devices are rewritten.
+        """
+        conductance = np.asarray(conductance, dtype=float)
+        amorphous_fraction = 1.0 - (conductance - self.g_min) / self.dynamic_range
+        return -(self.drift_nu * np.clip(amorphous_fraction, 0.0, 1.0))
+
+    def drift_time_factor(self, elapsed: float) -> float:
+        """The drift law's time factor ``(t0 + t) / t0`` after ``elapsed``
+        seconds; ``elapsed`` must be finite and non-negative."""
+        if not math.isfinite(elapsed) or elapsed < 0:
+            raise ValueError("elapsed time must be finite and non-negative")
+        return (self.drift_t0 + elapsed) / self.drift_t0
+
     def drift_factors(self, conductance: np.ndarray, elapsed: float) -> np.ndarray:
         """Multiplicative decay each state suffers after ``elapsed`` seconds.
 
@@ -124,27 +145,17 @@ class PcmDevice:
         inverts this law to schedule recalibration).
         """
         conductance = np.asarray(conductance, dtype=float)
-        if not np.isfinite(elapsed) or elapsed < 0:
-            raise ValueError("elapsed time must be finite and non-negative")
+        time_factor = self.drift_time_factor(elapsed)
         if self.drift_nu == 0.0 or elapsed == 0.0:
             return np.ones_like(conductance)
-        time_factor = (self.drift_t0 + elapsed) / self.drift_t0
-        amorphous_fraction = 1.0 - (conductance - self.g_min) / self.dynamic_range
-        nu = self.drift_nu * np.clip(amorphous_fraction, 0.0, 1.0)
-        return time_factor ** (-nu)
+        return time_factor ** self.drift_exponents(conductance)
 
     def drifted(self, conductance: np.ndarray, elapsed: float) -> np.ndarray:
-        """Conductance after ``elapsed`` seconds of structural drift.
-
-        States near ``g_min`` are amorphous-dominated and drift with the
-        full exponent ``drift_nu``; crystalline (high-g) states barely
-        drift.  The exponent is interpolated linearly in between.
-        """
+        """Conductance after ``elapsed`` seconds of structural drift
+        (:meth:`drift_factors` applied to ``conductance``)."""
         conductance = np.asarray(conductance, dtype=float)
         if self.drift_nu == 0.0 or elapsed == 0.0:
-            # keep the validation of the factor path for degenerate cases
-            if not np.isfinite(elapsed) or elapsed < 0:
-                raise ValueError("elapsed time must be finite and non-negative")
+            self.drift_time_factor(elapsed)  # validates degenerate cases too
             return conductance.copy()
         return conductance * self.drift_factors(conductance, elapsed)
 
@@ -184,13 +195,22 @@ class PcmDevice:
         conductance: np.ndarray,
         seed: int | np.random.Generator | None = None,
     ) -> np.ndarray:
-        """Instantaneous conductance seen by one read operation."""
+        """Instantaneous conductance seen by one read operation.
+
+        Each device sees its own relative fluctuation
+        ``N(0, read_noise_sigma**2)``, drawn in C order, and a negative
+        instantaneous conductance reads as zero.  The result is one
+        new C-order array.
+        """
         conductance = np.asarray(conductance, dtype=float)
         if self.read_noise_sigma == 0.0:
             return conductance.copy()
         rng = as_rng(seed)
-        noise = rng.normal(0.0, self.read_noise_sigma, size=conductance.shape)
-        return np.clip(conductance * (1.0 + noise), 0.0, None)
+        observed = rng.standard_normal(conductance.shape)
+        observed *= self.read_noise_sigma
+        observed += 1.0
+        observed *= conductance
+        return np.clip(observed, 0.0, None, out=observed)
 
     @classmethod
     def ideal(cls, g_max: float = 25e-6) -> "PcmDevice":

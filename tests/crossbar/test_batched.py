@@ -287,6 +287,65 @@ class TestNoisyStatisticalEquivalence:
         assert pair._rng.standard_normal() == twin.standard_normal()
 
 
+class TestDriftExponentCache:
+    """Each member's drift exponent ``-nu(G)`` is cached per read epoch.
+    An aged entry equals the rebuild through ``PcmDevice.drifted`` bit
+    for bit, a new age reuses the exponents, a member state change
+    rebuilds that member's, and a pair that never ages holds none."""
+
+    def make_operator(self, **device_kwargs):
+        matrix = np.random.default_rng(40).standard_normal((6, 10))
+        return CrossbarOperator(matrix, device=PcmDevice(**device_kwargs), seed=41)
+
+    @staticmethod
+    def block():
+        return np.random.default_rng(42).uniform(-0.2, 0.2, (10, 3))
+
+    @staticmethod
+    def assert_entry_is_the_drifted_law(pair, age):
+        g_pos, g_neg = drifted(pair.positive, age), drifted(pair.negative, age)
+        power = np.square(g_pos, dtype=np.float32) + np.square(g_neg, dtype=np.float32)
+        mean, cached_power = pair._read_cache
+        np.testing.assert_array_equal(mean, g_pos - g_neg, strict=True)
+        np.testing.assert_array_equal(cached_power, power, strict=True)
+
+    def test_new_ages_reuse_the_exponents(self):
+        pair = self.make_operator()._tiles[(0, 0)]
+        exponents = None
+        for age in (1e3, 1e6, 2.5e7):
+            pair.column_currents(self.block(), age)
+            self.assert_entry_is_the_drifted_law(pair, age)
+            current = [entry[1] for entry in pair._exponents]
+            exponents = exponents or current
+            assert all(a is b for a, b in zip(current, exponents))
+
+    MEMBER_CHANGES = {
+        "reprogram": lambda member: member.reprogram(),
+        "stuck_faults": lambda member: member.inject_stuck_faults(0.3, seed=43),
+    }
+
+    @pytest.mark.parametrize("change", list(MEMBER_CHANGES))
+    def test_member_change_between_reads_at_one_age(self, change):
+        operator = self.make_operator()
+        operator.advance_time(1e4)
+        pair = operator._tiles[(0, 0)]
+        pair.column_currents(self.block(), operator.age_seconds)
+        positive, negative = (entry[1] for entry in pair._exponents)
+        self.MEMBER_CHANGES[change](pair.positive)
+        pair.column_currents(self.block(), operator.age_seconds)
+        self.assert_entry_is_the_drifted_law(pair, operator.age_seconds)
+        assert pair._exponents[0][1] is not positive
+        assert pair._exponents[1][1] is negative
+
+    @pytest.mark.parametrize("drift_nu, age", [(0.031, 0.0), (0.0, 1e6)])
+    def test_a_pair_that_never_drifts_holds_no_exponents(self, drift_nu, age):
+        operator = self.make_operator(drift_nu=drift_nu)
+        operator.advance_time(age)
+        operator.matmat(self.block())
+        operator.rmatmat(np.ones((6, 2)))
+        assert operator._tiles[(0, 0)]._exponents == [None, None]
+
+
 class _UnitNormals:
     """A generator stand-in whose every standard normal is 1."""
 
@@ -393,6 +452,7 @@ class TestTilePairReads:
     MUTATIONS = {
         "advance_time": lambda op: op.advance_time(1e5),
         "reprogram": lambda op: op.reprogram(),
+        "member_reprogram": lambda op: op._tiles[(0, 0)].negative.reprogram(),
         "operator_stuck_faults": lambda op: op.inject_stuck_faults(0.3, seed=1),
         "member_stuck_faults": lambda op: op._tiles[(0, 0)].positive.inject_stuck_faults(
             0.3, seed=1

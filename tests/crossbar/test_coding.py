@@ -45,6 +45,16 @@ class TestEncode:
         with pytest.raises(ValueError):
             DifferentialCoding(PcmDevice.ideal(), utilization=0.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_matrix_rejected_before_scaling(self, bad):
+        """NaN would scale by the finite peak and inf by 0; both
+        reject, and no scale is set."""
+        coding = DifferentialCoding(PcmDevice())
+        with pytest.raises(ValueError, match="matrix must be finite"):
+            coding.encode(np.array([[1.0, bad]]))
+        with pytest.raises(RuntimeError):
+            _ = coding.scale
+
 
 class TestRoundTrip:
     @given(

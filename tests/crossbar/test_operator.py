@@ -172,6 +172,16 @@ class TestRealisticCrossbar:
         with pytest.raises(ValueError, match="2-D"):
             CrossbarOperator(np.ones(4))
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_rejects_non_finite_matrix_before_programming(self, small_matrix, bad):
+        matrix = small_matrix.copy()
+        matrix[0, 1] = bad
+        rng = np.random.default_rng(7)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="matrix must be finite"):
+            CrossbarOperator(matrix, tile_shape=(4, 4), seed=rng)
+        assert rng.bit_generator.state == state
+
     @pytest.mark.parametrize(
         "tile_shape", [(2.5, 4), (4,), (4, 4, 4), (0, 4), (4, float("nan"))]
     )

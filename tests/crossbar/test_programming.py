@@ -3,8 +3,67 @@
 import numpy as np
 import pytest
 
-from repro.crossbar import program_and_verify
+from repro.crossbar import CrossbarArray, DifferentialCoding, program_and_verify
 from repro.devices import PcmDevice
+
+
+def reference_read(device, conductance, rng):
+    """``PcmDevice.read`` as one allocation per step: a ``rng.normal``
+    noise matrix, ``1 + noise``, the product and the clip."""
+    conductance = np.asarray(conductance, dtype=float)
+    if device.read_noise_sigma == 0.0:
+        return conductance.copy()
+    noise = rng.normal(0.0, device.read_noise_sigma, size=conductance.shape)
+    return np.clip(conductance * (1.0 + noise), 0.0, None)
+
+
+def reference_program_and_verify(device, target, iterations, gain, rng):
+    """``program_and_verify`` with a new array for every step of every
+    round: returns ``(conductance, rms_error_history)``."""
+    target = device.clip(target)
+    pulse_sigma = device.prog_noise_sigma * device.g_max
+    conductance = np.full_like(target, device.g_min)
+    history = []
+    for _ in range(iterations):
+        observed = reference_read(device, conductance, rng)
+        error = target - observed
+        correction = gain * error
+        if pulse_sigma > 0.0:
+            correction = correction + rng.normal(0.0, pulse_sigma, size=target.shape)
+        conductance = device.clip(conductance + correction)
+        residual = conductance - target
+        history.append(float(np.sqrt(np.mean(residual**2))) / device.g_max)
+    return conductance, history
+
+
+def coded_member():
+    """The G+ targets of a 12x20 matrix coded as a crossbar stores it
+    (``A.T``): an F-order array."""
+    matrix = np.random.default_rng(30).standard_normal((12, 20))
+    g_pos, _ = DifferentialCoding(PcmDevice()).encode(matrix.T)
+    assert g_pos.flags.f_contiguous and not g_pos.flags.c_contiguous
+    return g_pos
+
+
+TARGETS = {
+    "f_order_coded_member": coded_member,
+    "c_order_target": lambda: np.ascontiguousarray(coded_member()),
+    "strided_slice": lambda: coded_member()[1::3, 2::2],
+    "vector": lambda: coded_member()[:, 0].copy(),
+}
+DEVICES = {
+    "noisy": PcmDevice(),
+    "read_noise_free": PcmDevice(read_noise_sigma=0.0),
+    "program_noise_free": PcmDevice(prog_noise_sigma=0.0),
+}
+
+
+def assert_same_array(actual, expected):
+    """Equal values bit for bit, in the same memory layout."""
+    np.testing.assert_array_equal(actual, expected, strict=True)
+    assert actual.strides == expected.strides
+    assert actual.flags.c_contiguous == expected.flags.c_contiguous
+    assert actual.flags.f_contiguous == expected.flags.f_contiguous
 
 
 class TestProgramAndVerify:
@@ -59,3 +118,75 @@ class TestPulseAccounting:
             device, np.full((3, 5), 5e-6), iterations=4, seed=0
         )
         assert report.n_pulses == 4 * 15
+
+
+class TestInPlaceRounds:
+    """The in-place rounds and read give the per-step reference's
+    conductances, layout, error history and generator state bit for
+    bit."""
+
+    @pytest.mark.parametrize("gain", [1.0, 0.5])
+    @pytest.mark.parametrize("device", list(DEVICES))
+    @pytest.mark.parametrize("target", list(TARGETS))
+    def test_session_matches_per_step_reference(self, target, device, gain):
+        device, target = DEVICES[device], TARGETS[target]()
+        rng, twin = np.random.default_rng(31), np.random.default_rng(31)
+        report = program_and_verify(device, target, iterations=4, gain=gain, seed=rng)
+        conductance, history = reference_program_and_verify(
+            device, target, 4, gain, twin
+        )
+        assert_same_array(report.conductance, conductance)
+        assert report.rms_error_history == history
+        assert rng.bit_generator.state == twin.bit_generator.state
+
+    @pytest.mark.parametrize("device", list(DEVICES))
+    @pytest.mark.parametrize("target", list(TARGETS))
+    def test_read_matches_per_step_reference(self, target, device):
+        device, target = DEVICES[device], TARGETS[target]()
+        rng, twin = np.random.default_rng(32), np.random.default_rng(32)
+        assert_same_array(
+            device.read(target, seed=rng), reference_read(device, target, twin)
+        )
+        assert rng.bit_generator.state == twin.bit_generator.state
+
+    def test_array_programs_through_the_same_rounds(self):
+        """A crossbar member programmed from an F-order coded target
+        holds the reference session's C-order conductances."""
+        target = coded_member()
+        array = CrossbarArray(target, seed=np.random.default_rng(33))
+        conductance, _ = reference_program_and_verify(
+            array.device, target, 5, 1.0, np.random.default_rng(33)
+        )
+        assert_same_array(array._g_programmed, conductance)
+        assert array._g_programmed.flags.c_contiguous
+
+
+class TestRejectsBadInputsBeforeAnyDraw:
+    """A non-finite target or a non-integer iteration count raises
+    ``ValueError`` naming it, and leaves the generator untouched."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_target(self, bad):
+        rng = np.random.default_rng(34)
+        state = rng.bit_generator.state
+        target = np.full((2, 3), 5e-6)
+        target[1, 2] = bad
+        with pytest.raises(ValueError, match="target must be finite"):
+            program_and_verify(PcmDevice(), target, seed=rng)
+        with pytest.raises(ValueError, match="finite|non-negative"):
+            CrossbarArray(target, seed=rng)
+        assert rng.bit_generator.state == state
+
+    @pytest.mark.parametrize("iterations", [2.5, np.nan, np.inf, 0, -1, "3"])
+    def test_non_integer_iterations(self, iterations):
+        rng = np.random.default_rng(35)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="iterations must be an integer"):
+            program_and_verify(
+                PcmDevice(), np.full(4, 5e-6), iterations=iterations, seed=rng
+            )
+        assert rng.bit_generator.state == state
+
+    def test_integral_float_iterations_run_that_many_rounds(self):
+        report = program_and_verify(PcmDevice(), np.full(4, 5e-6), iterations=3.0, seed=0)
+        assert report.iterations == 3

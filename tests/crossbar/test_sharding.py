@@ -41,6 +41,18 @@ class TestConstruction:
         with pytest.raises(ValueError, match="n_shards"):
             ShardedOperator.from_matrix(small_matrix, n_shards=bad, batch_window=4)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("-inf")])
+    def test_from_matrix_rejects_non_finite_matrix_before_programming(
+        self, bad, small_matrix
+    ):
+        matrix = small_matrix.copy()
+        matrix[-1, 0] = bad
+        rng = np.random.default_rng(8)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="matrix must be finite"):
+            ShardedOperator.from_matrix(matrix, n_shards=3, batch_window=4, seed=rng)
+        assert rng.bit_generator.state == state
+
     def test_from_matrix_validation(self, small_matrix):
         with pytest.raises(ValueError, match="n_shards"):
             ShardedOperator.from_matrix(small_matrix, n_shards=0, batch_window=4)

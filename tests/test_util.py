@@ -5,6 +5,7 @@ import pytest
 
 from repro._util import (
     as_rng,
+    check_elapsed,
     check_fraction,
     check_in,
     check_int,
@@ -49,6 +50,16 @@ class TestCheckers:
     def test_check_nonnegative_rejects_naming_the_parameter(self, bad):
         with pytest.raises(ValueError, match="tolerance must be >= 0 and finite"):
             check_nonnegative("tolerance", bad)
+
+    @pytest.mark.parametrize("value", [0, 0.0, 2.5, np.float64(1e6), np.int64(3)])
+    def test_check_elapsed_returns_a_float(self, value):
+        result = check_elapsed("seconds", value)
+        assert type(result) is float and result == value
+
+    @pytest.mark.parametrize("bad", [-1e-9, float("nan"), float("inf"), np.float64("-inf")])
+    def test_check_elapsed_rejects_naming_the_parameter(self, bad):
+        with pytest.raises(ValueError, match="seconds must be a finite non-negative"):
+            check_elapsed("seconds", bad)
 
     @pytest.mark.parametrize("value", [0.0, 0.5, 1.0])
     def test_check_fraction_accepts(self, value):
