@@ -28,6 +28,23 @@ Both sides of each HD pair must give identical output, and each HD time
 is the median of ``HD_REPEATS`` interleaved calls (the references take
 seconds).
 
+Two more layers rebuild device state, and each is timed against the
+per-step code it replaced, kept here as the reference:
+
+* **program_verify** — one five-round ``program_and_verify`` session on
+  the F-order G+ targets of a 512x1024 matrix (the 1024x512 member of
+  the perfbench ``cs_single`` and ``cs_fleet`` fleets), run in place,
+  against a session that allocates a new array for every step of every
+  round.
+* **drift_rebuild** — the ``(G+ - G-, G+**2 + G-**2)`` read entry of a
+  256x256 tile pair (the perfbench ``serve_drift`` shard) rebuilt at a
+  fresh age from the pair's cached drift exponents: one ``pow`` and one
+  multiply per device.  The reference rebuilds it through
+  ``PcmDevice.drifted``, which recomputes every exponent.
+
+Both sides of each pair must give identical output bit for bit, and
+each time is the median of ``STATE_REPEATS`` interleaved calls.
+
 The HD pairs are timed first, before any tile read.  The hd_ngram
 reference makes 8 MB ``np.roll`` copies, and whether they page-fault
 depends on what the process freed before them: glibc raises its mmap
@@ -47,8 +64,10 @@ tile-read ratio (reference / pair) at 1024x1024/B=256 must be at least
 1.6x; it measured 1.9-2.5x across the grid on a 2-vCPU host with one
 BLAS thread.  A threaded BLAS moves both sides by its pool, so an
 unpinned run is recorded but its gate is skipped with the reason.  The
-HD ratios run no BLAS and are gated on every run: at least 10x for
-workload_gen and 3x for hd_ngram (about 52x and 4x on the same host).
+HD and device-state ratios run no BLAS and are gated on every run: at
+least 10x for workload_gen, 3x for hd_ngram, 1.1x for program_verify
+and 1.2x for drift_rebuild (about 52x, 3.5x, 1.2-1.3x and 1.5-1.6x on
+the same host).
 
 Run (one BLAS thread, as CI does)::
 
@@ -56,6 +75,7 @@ Run (one BLAS thread, as CI does)::
         PYTHONPATH=src python -m pytest -q benchmarks/bench_layers.py
 """
 
+import itertools
 import os
 import time
 
@@ -64,7 +84,8 @@ import pytest
 
 from _harness import available_cores
 
-from repro.crossbar import CrossbarOperator
+from repro.crossbar import CrossbarOperator, DifferentialCoding, program_and_verify
+from repro.devices import PcmDevice
 from repro.ml.hd import ItemMemory, TextNgramEncoder
 from repro.workloads import LanguageCorpus
 from repro.workloads.languages import ALPHABET
@@ -76,7 +97,17 @@ REPEATS = 5
 # Fig. 8's training corpus: (languages, texts per language, characters).
 CORPUS = (21, 3, 2000)
 HD_REPEATS = 3
-MIN_RATIOS = {"workload_gen": 10.0, "hd_ngram": 3.0}
+# The stored (member) shape of cs_single's and cs_fleet's 512x1024 A,
+# and serve_drift's 256x256 shard.
+PROGRAM_SHAPE = (1024, 512)
+DRIFT_SHAPE = (256, 256)
+STATE_REPEATS = {"program_verify": 5, "drift_rebuild": 25}
+MIN_RATIOS = {
+    "workload_gen": 10.0,
+    "hd_ngram": 3.0,
+    "program_verify": 1.1,
+    "drift_rebuild": 1.2,
+}
 BLAS_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
@@ -167,12 +198,91 @@ def time_hd_layers():
     return {"workload_gen": (sample_s, choice_s), "hd_ngram": (count_s, rolled_s)}
 
 
+def per_step_program_and_verify(device, target, seed, iterations=5, gain=1.0):
+    """``program_and_verify`` with a new array for every step of every
+    round (the verify read draws one ``rng.normal`` matrix): returns
+    ``(conductance, rms_error_history)``."""
+    rng = np.random.default_rng(seed)
+    target = device.clip(target)
+    pulse_sigma = device.prog_noise_sigma * device.g_max
+    conductance = np.full_like(target, device.g_min)
+    history = []
+    for _ in range(iterations):
+        noise = rng.normal(0.0, device.read_noise_sigma, size=conductance.shape)
+        observed = np.clip(conductance * (1.0 + noise), 0.0, None)
+        correction = gain * (target - observed)
+        correction = correction + rng.normal(0.0, pulse_sigma, size=target.shape)
+        conductance = device.clip(conductance + correction)
+        residual = conductance - target
+        history.append(float(np.sqrt(np.mean(residual**2))) / device.g_max)
+    return conductance, history
+
+
+def drifted_entry(pair, age):
+    """A tile pair's read entry at ``age``, drifted through
+    ``PcmDevice.drifted``."""
+    device = pair.positive.device
+    g_pos = device.drifted(pair.positive._g_programmed, age)
+    g_neg = device.drifted(pair.negative._g_programmed, age)
+    power = np.square(g_pos, dtype=np.float32)
+    power += np.square(g_neg, dtype=np.float32)
+    return g_pos - g_neg, power
+
+
+def time_state_layers():
+    """(fast s, reference s) of program_verify and drift_rebuild."""
+    device = PcmDevice()
+    rows, cols = PROGRAM_SHAPE
+    matrix = np.random.default_rng(0).standard_normal((cols, rows))
+    target, _ = DifferentialCoding(device).encode(matrix.T)
+    session_s, per_step_s, (report, reference) = interleaved_medians(
+        lambda: program_and_verify(device, target, seed=1),
+        lambda: per_step_program_and_verify(device, target, seed=1),
+        STATE_REPEATS["program_verify"],
+    )
+    assert np.array_equal(report.conductance, reference[0])
+    assert report.rms_error_history == reference[1], "programming diverged"
+
+    operator = CrossbarOperator(
+        np.random.default_rng(0).standard_normal(DRIFT_SHAPE), seed=1
+    )
+    pair = operator._tiles[(0, 0)]
+    # Each call reads a new age, so the entry is rebuilt every time.
+    ages, reference_ages = itertools.count(1.0), itertools.count(1.0)
+    rebuild_s, drifted_s, (entry, reference) = interleaved_medians(
+        lambda: pair._read_entry(1e3 * next(ages)),
+        lambda: drifted_entry(pair, 1e3 * next(reference_ages)),
+        STATE_REPEATS["drift_rebuild"],
+    )
+    assert all(map(np.array_equal, entry, reference)), "drift rebuild diverged"
+    return {
+        "program_verify": (session_s, per_step_s),
+        "drift_rebuild": (rebuild_s, drifted_s),
+    }
+
+
+def ratio_lines(layers, metrics):
+    """Record each layer's times and ratio; one ledger line per layer."""
+    lines = ["  layer              measured    reference   ratio   gate"]
+    for layer, (fast_s, reference_s) in layers.items():
+        ratio = reference_s / fast_s
+        metrics[f"{layer}_ms"] = fast_s * 1e3
+        metrics[f"{layer}_reference_ms"] = reference_s * 1e3
+        metrics[f"{layer}_ratio"] = ratio
+        lines.append(
+            f"  {layer:<14} {fast_s * 1e3:9.2f} ms {reference_s * 1e3:9.2f} ms"
+            f"  {ratio:5.2f}x  >= {MIN_RATIOS[layer]:g}x"
+        )
+    return lines
+
+
 def test_layer_ledger(write_result):
     blas_env = {key: os.environ.get(key) for key in BLAS_ENV}
     pinned = all(value == "1" for value in blas_env.values())
     nproc = available_cores()
     # Before any tile read: see the module docstring.
     hd_layers = time_hd_layers()
+    state_layers = time_state_layers()
 
     metrics = {}
     lines = [
@@ -198,20 +308,16 @@ def test_layer_ledger(write_result):
         + ("" if pinned else " (skipped: BLAS not pinned to one thread)")
     )
     n_languages, per_language, length = CORPUS
-    lines += [
+    lines.append(
         "Per-layer ledger - HD workload "
-        f"({n_languages} languages x {per_language} texts x {length} characters)",
-        "  layer          measured     reference   ratio   gate",
-    ]
-    for layer, (fast_s, reference_s) in hd_layers.items():
-        ratio = reference_s / fast_s
-        metrics[f"{layer}_ms"] = fast_s * 1e3
-        metrics[f"{layer}_reference_ms"] = reference_s * 1e3
-        metrics[f"{layer}_ratio"] = ratio
-        lines.append(
-            f"  {layer:<12} {fast_s * 1e3:9.2f} ms {reference_s * 1e3:9.2f} ms"
-            f"  {ratio:5.1f}x  >= {MIN_RATIOS[layer]:g}x"
-        )
+        f"({n_languages} languages x {per_language} texts x {length} characters)"
+    )
+    lines += ratio_lines(hd_layers, metrics)
+    lines.append(
+        "Per-layer ledger - device-state rebuilds (program_verify "
+        "{}x{}, drift_rebuild {}x{})".format(*PROGRAM_SHAPE, *DRIFT_SHAPE)
+    )
+    lines += ratio_lines(state_layers, metrics)
 
     write_result(
         "layers",
@@ -221,6 +327,9 @@ def test_layer_ledger(write_result):
             "repeats": REPEATS,
             "corpus": list(CORPUS),
             "hd_repeats": HD_REPEATS,
+            "program_shape": list(PROGRAM_SHAPE),
+            "drift_shape": list(DRIFT_SHAPE),
+            "state_repeats": STATE_REPEATS,
             "nproc": nproc,
             "blas_env": blas_env,
             "blas_pinned": pinned,

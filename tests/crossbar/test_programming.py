@@ -62,8 +62,6 @@ def assert_same_array(actual, expected):
     """Equal values bit for bit, in the same memory layout."""
     np.testing.assert_array_equal(actual, expected, strict=True)
     assert actual.strides == expected.strides
-    assert actual.flags.c_contiguous == expected.flags.c_contiguous
-    assert actual.flags.f_contiguous == expected.flags.f_contiguous
 
 
 class TestProgramAndVerify:
