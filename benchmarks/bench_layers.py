@@ -198,16 +198,18 @@ def time_hd_layers():
     return {"workload_gen": (sample_s, choice_s), "hd_ngram": (count_s, rolled_s)}
 
 
-def per_step_program_and_verify(device, target, seed, iterations=5, gain=1.0):
-    """``program_and_verify`` with a new array for every step of every
-    round (the verify read draws one ``rng.normal`` matrix): returns
+def per_step_program_and_verify(device, target, seed):
+    """``program_and_verify``'s default session (five rounds, gain 1)
+    with a new array for every step of every round (the verify read
+    draws one ``rng.normal`` matrix): returns
     ``(conductance, rms_error_history)``."""
     rng = np.random.default_rng(seed)
     target = device.clip(target)
     pulse_sigma = device.prog_noise_sigma * device.g_max
     conductance = np.full_like(target, device.g_min)
+    gain = 1.0
     history = []
-    for _ in range(iterations):
+    for _ in range(5):
         noise = rng.normal(0.0, device.read_noise_sigma, size=conductance.shape)
         observed = np.clip(conductance * (1.0 + noise), 0.0, None)
         correction = gain * (target - observed)
@@ -232,8 +234,8 @@ def drifted_entry(pair, age):
 def time_state_layers():
     """(fast s, reference s) of program_verify and drift_rebuild."""
     device = PcmDevice()
-    rows, cols = PROGRAM_SHAPE
-    matrix = np.random.default_rng(0).standard_normal((cols, rows))
+    # A crossbar stores A.T, so the coded member is an F-order view.
+    matrix = np.random.default_rng(0).standard_normal(PROGRAM_SHAPE[::-1])
     target, _ = DifferentialCoding(device).encode(matrix.T)
     session_s, per_step_s, (report, reference) = interleaved_medians(
         lambda: program_and_verify(device, target, seed=1),
