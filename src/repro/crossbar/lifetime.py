@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro._util import (
-    as_rng, check_elapsed, check_int, check_nonnegative, check_positive
+    as_rng, check_elapsed, check_finite, check_int, check_nonnegative, check_positive
 )
 from repro.devices import PcmDevice
 
@@ -86,14 +86,14 @@ class DriftPredictor:
         constants — the predictor models the *target* state, not the
         noisy programmed state, which is exactly what makes it free.
         Arrays of more than 4,096 pairs are forecast on an even
-        subsample of 4,096.
+        subsample of 4,096.  NaN or inf targets raise ``ValueError``.
     """
 
     def __init__(
         self, device: PcmDevice, g_pos: np.ndarray, g_neg: np.ndarray
     ) -> None:
-        g_pos = np.asarray(g_pos, dtype=float).ravel()
-        g_neg = np.asarray(g_neg, dtype=float).ravel()
+        g_pos = check_finite("g_pos", np.asarray(g_pos, dtype=float).ravel())
+        g_neg = check_finite("g_neg", np.asarray(g_neg, dtype=float).ravel())
         if g_pos.shape != g_neg.shape:
             raise ValueError("g_pos and g_neg must have the same size")
         if g_pos.size == 0:
@@ -106,6 +106,10 @@ class DriftPredictor:
         self.device = device
         self._g_pos = g_pos
         self._g_neg = g_neg
+        # Per-device exponents -nu(g) of the drift law: the targets are
+        # constants, so each forecast costs one pow per half.
+        self._exponents_pos = device.drift_exponents(g_pos)
+        self._exponents_neg = device.drift_exponents(g_neg)
         self._diff = g_pos - g_neg
         self._norm = float(self._diff @ self._diff)
         if self._norm == 0.0:
@@ -138,9 +142,9 @@ class DriftPredictor:
         amorphous-dominated states relax.
         """
         age_seconds = check_elapsed("age_seconds", age_seconds)
-        drifted = self._g_pos * self.device.drift_factors(
-            self._g_pos, age_seconds
-        ) - self._g_neg * self.device.drift_factors(self._g_neg, age_seconds)
+        time_factor = self.device.drift_time_factor(age_seconds)
+        drifted = np.power(time_factor, self._exponents_pos) * self._g_pos
+        drifted -= np.power(time_factor, self._exponents_neg) * self._g_neg
         return float(drifted @ self._diff) / self._norm
 
     def gain_error(self, age_seconds: float, calibrated_at_s: float = 0.0) -> float:
@@ -262,12 +266,12 @@ class FaultInjector:
         self.fraction_per_event = float(fraction_per_event)
         self._rng = as_rng(seed)
         self.time_s = 0.0
-        self.events: list[FaultEvent] = []
 
     def advance(self, seconds: float) -> list[FaultEvent]:
         """Advance the fault clock; inject this interval's arrivals.
 
-        Returns the new events (also appended to :attr:`events`).
+        Returns the interval's events; the injector keeps no history
+        (:class:`LifetimeResult` collects a simulated life's events).
         Call alongside ``fleet.advance_time`` so the fault clock and
         the drift clocks stay in step.  The clock moves only once the
         interval's arrivals are drawn, so a failed draw leaves it where
@@ -299,13 +303,12 @@ class FaultInjector:
                     )
                 )
         self.time_s = end_s
-        self.events.extend(new)
         return new
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"FaultInjector(rate_per_s={self.rate_per_s:g}, "
-            f"events={len(self.events)})"
+            f"time_s={self.time_s:g})"
         )
 
 
@@ -396,15 +399,20 @@ class LifetimeSimulator:
             if self.injector is not None:
                 result.fault_events.extend(self.injector.advance(self.step_seconds))
             block = self._rng.standard_normal((n, self.batch))
-            retired_before = len(self.fleet.retirement_log)
+            retired_before = self.fleet.retired_shards
             try:
                 observed = self.fleet.matmat(block)
                 served = True
             except RuntimeError:
                 observed = None
                 served = False
-            for shard in self.fleet.retirement_log[retired_before:]:
-                result.retirements.append((step, shard))
+            # A step's one sweep retires shards in shard order, so the
+            # flags that flipped list them in retirement order.
+            for shard, (before, after) in enumerate(
+                zip(retired_before, self.fleet.retired_shards)
+            ):
+                if after and not before:
+                    result.retirements.append((step, shard))
             if served:
                 reference = matrix @ block
                 power = float(np.sum(reference**2))

@@ -65,18 +65,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro._util import as_rng, check_int
+from repro.energy.crossbar_cost import REQUIRED_STATS_KEYS
 
 __all__ = ["FleetMaintenance", "MaintenanceAction"]
-
-# energy_from_stats requires these keys; the maintenance ledger always
-# carries them (zero-initialized) so the maintenance share is priceable
-# even before the first action.
-_REQUIRED_STAT_KEYS = (
-    "n_matvec",
-    "n_rmatvec",
-    "dac_conversions",
-    "adc_conversions",
-)
 
 
 @dataclass(frozen=True)
@@ -201,7 +192,7 @@ class FleetMaintenance:
         self._rng = as_rng(seed)
         self._sweep_lock = threading.Lock()
         self.actions: list[MaintenanceAction] = []
-        self._stats: dict[str, int] = {key: 0 for key in _REQUIRED_STAT_KEYS}
+        self._stats: dict[str, int] = {key: 0 for key in REQUIRED_STATS_KEYS}
         self._shard_predictors: dict[int, object] = {}
         if attach:
             fleet.maintenance = self

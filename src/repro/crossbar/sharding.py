@@ -170,7 +170,6 @@ class ShardedOperator:
         # receive no new windows, probes or rewrites; the fleet serves
         # at reduced capacity and only errors when nothing remains.
         self._retired = [False] * len(shards)
-        self.retirement_log: list[int] = []
         # Scheduling stays serial and deterministic under one lock;
         # per-shard locks make each replica's counters and RNG stream
         # single-writer even with concurrent callers; the executor is
@@ -279,16 +278,15 @@ class ShardedOperator:
         already retired (retirement is idempotent).
 
         Retirement mutates scheduler state (the retired flags the
-        candidate lists are built from, the retirement log, and the
-        round-robin cursor), so it runs under ``_scheduler_lock`` —
-        a retirement can never interleave a concurrent ``_assign`` /
-        :meth:`plan_assignments` mid-plan.  The round-robin cursor is
-        remapped onto the survivors so the shard that was next in the
-        rotation before the retirement is still next after it (minus
-        the retiree): the cursor indexes the *candidate list*, whose
-        length just changed, and without the remap a retirement would
-        silently re-base the rotation and skew which survivor serves
-        the next window.
+        candidate lists are built from and the round-robin cursor), so
+        it runs under ``_scheduler_lock`` — a retirement can never
+        interleave a concurrent ``_assign`` / :meth:`plan_assignments`
+        mid-plan.  The round-robin cursor is remapped onto the
+        survivors so the shard that was next in the rotation before
+        the retirement is still next after it (minus the retiree): the
+        cursor indexes the *candidate list*, whose length just changed,
+        and without the remap a retirement would silently re-base the
+        rotation and skew which survivor serves the next window.
         """
         index = check_int("index", index, minimum=0)
         if index >= len(self.shards):
@@ -310,7 +308,6 @@ class ShardedOperator:
             else:
                 self._cursor = 0
             self._retired[index] = True
-            self.retirement_log.append(index)
             return True
 
     @property

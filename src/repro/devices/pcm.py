@@ -38,8 +38,10 @@ class PcmDevice:
     g_max:
         Maximum programmable conductance in siemens (SET state).
     prog_noise_sigma:
-        Std-dev of the residual programming error, expressed as a
-        fraction of ``g_max`` (absolute, state-independent floor).
+        Std-dev of the error of one programming pulse of
+        :func:`~repro.crossbar.programming.program_and_verify`,
+        expressed as a fraction of ``g_max`` (absolute,
+        state-independent).
     read_noise_sigma:
         Relative std-dev of instantaneous read fluctuations.
     drift_nu:
@@ -91,28 +93,6 @@ class PcmDevice:
     def clip(self, conductance: np.ndarray) -> np.ndarray:
         """Clip conductances to the programmable window."""
         return np.clip(np.asarray(conductance, dtype=float), self.g_min, self.g_max)
-
-    def program(
-        self,
-        target: np.ndarray,
-        seed: int | np.random.Generator | None = None,
-        iterations: int = 1,
-    ) -> np.ndarray:
-        """Program devices toward ``target`` conductances.
-
-        Models a program-and-verify loop: each extra iteration shrinks
-        the residual error by half (a common empirical behaviour for
-        iterative PCM programming).  Returns the achieved conductances.
-        """
-        if iterations < 1:
-            raise ValueError("iterations must be >= 1")
-        rng = as_rng(seed)
-        target = self.clip(target)
-        sigma = self.prog_noise_sigma * self.g_max / (2.0 ** (iterations - 1))
-        if sigma == 0.0:
-            return target
-        error = rng.normal(0.0, sigma, size=target.shape)
-        return self.clip(target + error)
 
     def drift_exponents(self, conductance: np.ndarray) -> np.ndarray:
         """Per-device exponent ``-nu(g)`` of the drift law.

@@ -57,10 +57,15 @@ __all__ = [
     "BatchReadout",
     "CrossbarCostModel",
     "READOUT_SCHEDULES",
+    "REQUIRED_STATS_KEYS",
     "sharded_readout_rows",
 ]
 
 READOUT_SCHEDULES = ("serial", "parallel")
+
+#: The counters :meth:`CrossbarCostModel.energy_from_stats` requires; a
+#: ledger that starts with all of them at zero prices before any traffic.
+REQUIRED_STATS_KEYS = ("n_matvec", "n_rmatvec", "dac_conversions", "adc_conversions")
 
 
 def check_batch_schedule(batch: int, schedule: str) -> None:
@@ -389,7 +394,7 @@ class CrossbarCostModel:
         this ledger existed.  The total is monotone non-decreasing in
         every counter.
         """
-        for key in ("n_matvec", "n_rmatvec", "dac_conversions", "adc_conversions"):
+        for key in REQUIRED_STATS_KEYS:
             if key not in stats:
                 raise KeyError(f"stats must provide {key!r}")
         for key, value in stats.items():

@@ -19,8 +19,7 @@ routes all of them through one SQLite-backed store:
 
 Layout follows the SimCash paper-builder pattern: report sections pull
 from a ``DataProvider`` over persisted experiment runs instead of
-re-running experiments or re-parsing text files.  The serving layer's
-per-tenant billing reports are expected to reuse the same substrate.
+re-running experiments or re-parsing text files.
 """
 
 from repro.results.store import (

@@ -1,9 +1,8 @@
 """The query layer over the experiment store: a ``DataProvider``.
 
-Report builders, the CI history-diff gate, and (soon) the serving
-layer's billing reports never touch SQL — they ask a
-:class:`DataProvider` for latest runs, metric histories ordered across
-runs, and cross-run trend frames.
+Report builders and the CI history-diff gate never touch SQL — they
+ask a :class:`DataProvider` for latest runs, metric histories ordered
+across runs, and cross-run trend frames.
 """
 
 from __future__ import annotations

@@ -17,10 +17,10 @@ __all__ = ["VirtualClock"]
 
 
 class VirtualClock:
-    """Simulated time: starts at ``start_s`` and only moves on demand."""
+    """Simulated time: starts at 0 and only moves on demand."""
 
-    def __init__(self, start_s: float = 0.0) -> None:
-        self._now_s = check_elapsed("start_s", start_s)
+    def __init__(self) -> None:
+        self._now_s = 0.0
 
     def now(self) -> float:
         """Current simulated time in seconds."""

@@ -1,4 +1,4 @@
-"""Request coalescing and admission control for fleet serving.
+"""Request coalescing for fleet serving.
 
 A production crossbar fleet is not called with tidy ``(n, B)`` blocks —
 it sees a stream of single-vector (or small-batch) requests from many
@@ -11,19 +11,11 @@ never share a dispatch) and a block is released either when it fills
 ``block_columns`` columns or when the oldest queued request has waited
 its whole ``coalesce_budget_s`` — so batching can add at most the
 budget to any request's latency, whatever the traffic looks like.
-
-:class:`AdmissionController` bounds the queue itself.  Past
-``max_depth`` queued requests the server degrades gracefully instead of
-growing without bound: ``"reject"`` refuses the new arrival,
-``"shed_oldest"`` drops the most stale queued request to make room (the
-shed request completes with ``status="shed"`` and no value).  Either
-way memory is bounded and the controller's counters make the shed/
-reject rate an observable, billable quantity.
+Every queued request is served: the queue has no overload path.
 """
 
 from __future__ import annotations
 
-import math
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -32,8 +24,6 @@ import numpy as np
 from repro._util import check_elapsed, check_in, check_int
 
 __all__ = [
-    "ADMISSION_POLICIES",
-    "AdmissionController",
     "Request",
     "RequestQueue",
     "RequestResult",
@@ -43,9 +33,6 @@ __all__ = [
 #: The two dispatch directions a request can take through the fleet.
 REQUEST_KINDS = ("matvec", "rmatvec")
 
-#: Overload behaviours past the queue-depth bound.
-ADMISSION_POLICIES = ("reject", "shed_oldest")
-
 
 @dataclass(frozen=True)
 class Request:
@@ -53,7 +40,7 @@ class Request:
 
     ``kind="matvec"`` asks for ``A @ x`` (vector of length ``n``),
     ``kind="rmatvec"`` for ``A.T @ z`` (length ``m``).  ``tenant``
-    labels the workload for per-tenant accounting and billing.
+    labels the workload for per-tenant accounting.
     """
 
     id: int
@@ -65,49 +52,45 @@ class Request:
 
 @dataclass(frozen=True)
 class RequestResult:
-    """One finished request: its value (if served) and its latencies.
+    """One served request: its value and its latencies.
 
-    ``status`` is ``"served"`` (value holds the request's result
-    column) or ``"shed"`` (dropped by admission control; value is
-    ``None`` and only the total latency — arrival to shed — is
-    defined).  ``block_id`` indexes the coalesced block that carried a
-    served request in :attr:`FleetServer.block_log`.
+    ``value`` holds the request's result column, and ``block_id``
+    indexes the coalesced block that carried it in
+    :attr:`FleetServer.block_log`.
     """
 
     request: Request
-    status: str
-    value: np.ndarray | None = field(repr=False)
+    value: np.ndarray = field(repr=False)
     dispatched_at_s: float
     completed_at_s: float
-    block_id: int | None = None
+    block_id: int
     slo_s: float | None = None
+
+    @property
+    def status(self) -> str:
+        """Always ``"served"``: only a served request has a result."""
+        return "served"
 
     @property
     def queue_latency_s(self) -> float:
         """Seconds spent queued before the block dispatched."""
-        if self.status != "served":
-            return math.nan
         return self.dispatched_at_s - self.request.arrival_s
 
     @property
     def service_latency_s(self) -> float:
         """Seconds of modelled fleet service time for the block."""
-        if self.status != "served":
-            return math.nan
         return self.completed_at_s - self.dispatched_at_s
 
     @property
     def latency_s(self) -> float:
-        """End-to-end seconds from arrival to completion (or shed)."""
+        """End-to-end seconds from arrival to completion."""
         return self.completed_at_s - self.request.arrival_s
 
     @property
     def slo_ok(self) -> bool:
         """Whether the request met its latency SLO (vacuously true
-        without one; a shed request never meets it)."""
-        if self.slo_s is None:
-            return True
-        return self.status == "served" and self.latency_s <= self.slo_s
+        without one)."""
+        return self.slo_s is None or self.latency_s <= self.slo_s
 
 
 class RequestQueue:
@@ -182,18 +165,6 @@ class RequestQueue:
         count = min(len(lane), self.block_columns)
         return [lane.popleft() for _ in range(count)]
 
-    def shed_oldest(self) -> Request | None:
-        """Drop and return the most stale queued request (any lane)."""
-        candidates = [
-            (lane[0].arrival_s, lane[0].id, kind)
-            for kind, lane in self._lanes.items()
-            if lane
-        ]
-        if not candidates:
-            return None
-        _, _, kind = min(candidates)
-        return self._lanes[kind].popleft()
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         depths = {kind: len(lane) for kind, lane in self._lanes.items()}
         return (
@@ -201,43 +172,3 @@ class RequestQueue:
             f"coalesce_budget_s={self.coalesce_budget_s:g}, depths={depths})"
         )
 
-
-class AdmissionController:
-    """Queue-depth-bounded admission: shed or reject past ``max_depth``.
-
-    The decision is taken at submit time against the queue's current
-    depth, so the queue can never hold more than ``max_depth`` requests
-    — overload degrades service (shed/rejected requests) instead of
-    growing memory without bound.
-    """
-
-    def __init__(self, max_depth: int, policy: str = "reject") -> None:
-        self.max_depth = check_int("max_depth", max_depth)
-        check_in("policy", policy, ADMISSION_POLICIES)
-        self.policy = policy
-        self.n_admitted = 0
-        self.n_rejected = 0
-        self.n_shed = 0
-
-    def decide(self, queue: RequestQueue) -> str:
-        """``"admit"``, ``"reject"`` or ``"shed"`` for one new arrival.
-
-        Counters update here; on ``"shed"`` the caller must actually
-        evict the oldest queued request before pushing the new one.
-        """
-        if queue.depth < self.max_depth:
-            self.n_admitted += 1
-            return "admit"
-        if self.policy == "reject":
-            self.n_rejected += 1
-            return "reject"
-        self.n_shed += 1
-        self.n_admitted += 1
-        return "shed"
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"AdmissionController(max_depth={self.max_depth}, "
-            f"policy={self.policy!r}, admitted={self.n_admitted}, "
-            f"rejected={self.n_rejected}, shed={self.n_shed})"
-        )

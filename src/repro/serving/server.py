@@ -28,13 +28,15 @@ columns (largest-remainder split, so per-tenant integer counters sum
 *exactly* to the fleet's merged counters).  ``tenant_stats`` hands each
 tenant a stats dict that
 :meth:`~repro.energy.CrossbarCostModel.energy_from_stats` prices
-directly, and :meth:`record_billing` writes one ``kind="billing"`` run
-row per tenant through the experiment store — invoices share the query
-path of every other result in the repo.  A fleet with an attached
+directly.  A fleet with an attached
 :class:`~repro.crossbar.FleetMaintenance` policy is refused: its
 reactive sweeps would run inside dispatch and be billed to tenants, so
 maintenance is served through a
 :class:`~repro.serving.windows.MaintenanceWindow` instead.
+
+Every submitted request is queued, served and counted one way: the
+queue is unbounded, and a request leaves it only in a dispatched
+block.
 
 An idle server is free: constructing one touches nothing but the
 fleet's shape, so a fleet with a server attached but no traffic stays
@@ -50,25 +52,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro._util import check_elapsed, check_finite, check_in
+from repro.energy.crossbar_cost import REQUIRED_STATS_KEYS
 from repro.serving.clock import VirtualClock
-from repro.serving.queue import (
-    REQUEST_KINDS,
-    AdmissionController,
-    Request,
-    RequestQueue,
-    RequestResult,
-)
+from repro.serving.queue import REQUEST_KINDS, Request, RequestQueue, RequestResult
 
 __all__ = ["BlockDispatch", "FleetServer"]
 
-# Keys energy_from_stats requires; tenant ledgers always carry them so a
-# tenant's bill is priceable before (and without) any live traffic.
-_REQUIRED_STAT_KEYS = (
-    "n_matvec",
-    "n_rmatvec",
-    "dac_conversions",
-    "adc_conversions",
-)
+# A tenant's request counts before its first submission.
+_NO_REQUESTS = {"submitted": 0, "served": 0, "slo_violations": 0}
 
 # Counter keys that tally *logical* per-column reads (dead columns
 # included); everything else in a dispatch delta scales with the live
@@ -83,8 +74,8 @@ class BlockDispatch:
     The sequence of these — ids, directions, request membership and
     column order — is the serving layer's scheduling trace: identical
     arrival traces must produce identical block logs (the determinism
-    contract), and each served :class:`RequestResult` points back to
-    its block via ``block_id``.
+    contract), and each :class:`RequestResult` points back to its block
+    via ``block_id``.
     """
 
     block_id: int
@@ -146,9 +137,6 @@ class FleetServer:
         tenant; must be finite and non-negative.  Purely observational:
         requests are never dropped for missing it, but
         :meth:`latency_summary` reports the violations.
-    admission:
-        Optional :class:`AdmissionController`; ``None`` serves an
-        unbounded queue.
     maintenance:
         Optional :class:`~repro.serving.windows.MaintenanceWindow`;
         when set, every :meth:`step` offers it the server first, so
@@ -164,7 +152,6 @@ class FleetServer:
         coalesce_budget_s: float = 1.0,
         window_service_s: float = 1.0,
         slo_s: float | None = None,
-        admission: AdmissionController | None = None,
         maintenance=None,
     ) -> None:
         self.fleet = fleet
@@ -175,7 +162,6 @@ class FleetServer:
         if slo_s is not None:
             slo_s = check_elapsed("slo_s", slo_s)
         self.slo_s = slo_s
-        self.admission = admission
         self.maintenance = maintenance
         if maintenance is not None:
             maintenance.bind(self)
@@ -203,31 +189,16 @@ class FleetServer:
             )
 
     # -- submission ------------------------------------------------------------
-    def _tenant_entry(self, tenant: str) -> dict[str, int]:
-        if tenant not in self._tenant_requests:
-            self._tenant_requests[tenant] = {
-                "submitted": 0,
-                "served": 0,
-                "shed": 0,
-                "rejected": 0,
-                "slo_violations": 0,
-            }
-        return self._tenant_requests[tenant]
-
     def submit(
         self, vector: np.ndarray, tenant: str = "default", kind: str = "matvec"
-    ) -> Request | None:
-        """Queue one vector for coalesced dispatch.
+    ) -> Request:
+        """Queue one vector for coalesced dispatch; returns its
+        :class:`Request`.
 
-        Returns the queued :class:`Request`, or ``None`` when admission
-        control rejected it (the rejection is counted per tenant).  A
-        ``"shed_oldest"`` controller instead evicts the most stale
-        queued request — its :class:`RequestResult` (status
-        ``"shed"``, no value) completes immediately.  A tenant that is
-        not a ``str`` raises ``TypeError``, and a vector of the wrong
-        shape or holding NaN or inf raises ``ValueError``, before
-        anything is counted or queued, so one bad request can never
-        fail a coalesced block.
+        A tenant that is not a ``str`` raises ``TypeError``, and a
+        vector of the wrong shape or holding NaN or inf raises
+        ``ValueError``, before anything is counted or queued, so one bad
+        request can never fail a coalesced block.
         """
         check_in("kind", kind, REQUEST_KINDS)
         if not isinstance(tenant, str):
@@ -241,40 +212,19 @@ class FleetServer:
                 f"got {vector.shape}"
             )
         check_finite(f"{kind} request", vector)
-        now = self.clock.now()
-        entry = self._tenant_entry(tenant)
-        entry["submitted"] += 1
-        if self.admission is not None:
-            decision = self.admission.decide(self.queue)
-            if decision == "reject":
-                entry["rejected"] += 1
-                return None
-            if decision == "shed":
-                victim = self.queue.shed_oldest()
-                if victim is not None:
-                    self._complete_shed(victim, now)
+        if tenant not in self._tenant_requests:
+            self._tenant_requests[tenant] = dict(_NO_REQUESTS)
+        self._tenant_requests[tenant]["submitted"] += 1
         request = Request(
             id=self._next_id,
             tenant=tenant,
             kind=kind,
             vector=vector,
-            arrival_s=now,
+            arrival_s=self.clock.now(),
         )
         self._next_id += 1
         self.queue.push(request)
         return request
-
-    def _complete_shed(self, request: Request, now_s: float) -> None:
-        result = RequestResult(
-            request=request,
-            status="shed",
-            value=None,
-            dispatched_at_s=math.nan,
-            completed_at_s=now_s,
-            slo_s=self.slo_s,
-        )
-        self._tenant_entry(request.tenant)["shed"] += 1
-        self.completed.append(result)
 
     # -- dispatch --------------------------------------------------------------
     def next_deadline_s(self) -> float | None:
@@ -362,14 +312,13 @@ class FleetServer:
         for column, request in enumerate(requests):
             result = RequestResult(
                 request=request,
-                status="served",
                 value=out[:, column].copy(),
                 dispatched_at_s=start,
                 completed_at_s=completed_at,
                 block_id=block_id,
                 slo_s=self.slo_s,
             )
-            entry = self._tenant_entry(request.tenant)
+            entry = self._tenant_requests[request.tenant]
             entry["served"] += 1
             if not result.slo_ok:
                 entry["slo_violations"] += 1
@@ -416,7 +365,7 @@ class FleetServer:
             self.fleet.advance_time(seconds)
         return self.clock.advance(seconds)
 
-    def replay(self, events, *, drain: bool = True) -> list[RequestResult]:
+    def replay(self, events) -> list[RequestResult]:
         """Drive a whole arrival trace deterministically.
 
         ``events`` is an iterable of ``(at_s, tenant, kind, vector)``
@@ -424,8 +373,9 @@ class FleetServer:
         every coalesce deadline on the way to each arrival (so partial
         blocks dispatch exactly when their budget expires, not when the
         next request happens to show up), each arrival submits and
-        steps, and ``drain=True`` flushes the tail.  Same trace, same
-        clock start ⇒ same block log, bit for bit.
+        steps, and the tail drains through its deadlines and a final
+        flush.  Same trace, same clock start ⇒ same block log, bit for
+        bit.
         """
         for at_s, tenant, kind, vector in events:
             at_s = float(at_s)
@@ -443,14 +393,13 @@ class FleetServer:
             self.advance(at_s - self.clock.now())
             self.submit(vector, tenant=tenant, kind=kind)
             self.step()
-        if drain:
-            while True:
-                deadline = self.next_deadline_s()
-                if deadline is None:
-                    break
-                self.advance(deadline - self.clock.now())
-                self.step()
-            self.flush()
+        while True:
+            deadline = self.next_deadline_s()
+            if deadline is None:
+                break
+            self.advance(deadline - self.clock.now())
+            self.step()
+        self.flush()
         return list(self.completed)
 
     # -- accounting ------------------------------------------------------------
@@ -466,13 +415,14 @@ class FleetServer:
         before traffic), so a tenant's bill prices like any operator
         run:  ``model.energy_from_stats(server.tenant_stats("amp"))``.
         """
-        ledger = {key: 0 for key in _REQUIRED_STAT_KEYS}
+        ledger = {key: 0 for key in REQUIRED_STATS_KEYS}
         ledger.update(self._tenant_counters.get(tenant, {}))
         return ledger
 
     def tenant_requests(self, tenant: str) -> dict[str, int]:
-        """Submission/served/shed/rejected/SLO counts for one tenant."""
-        return dict(self._tenant_entry(tenant))
+        """Submitted/served/SLO-violation counts for one tenant (zeros
+        for a tenant that never submitted)."""
+        return dict(self._tenant_requests.get(tenant, _NO_REQUESTS))
 
     @property
     def served_counters(self) -> dict[str, int]:
@@ -487,87 +437,34 @@ class FleetServer:
     def latency_summary(self, tenant: str | None = None) -> dict[str, float]:
         """Latency and conformance metrics over completed requests.
 
-        ``tenant=None`` aggregates every tenant.  Percentiles are over
-        served requests only; shed/rejected counts come along so a
-        saturated server cannot look healthy by shedding its tail.
+        ``tenant=None`` aggregates every tenant; a tenant that never
+        submitted reports zero served requests.
         """
         rows = [
             result
             for result in self.completed
             if tenant is None or result.request.tenant == tenant
         ]
-        served = [row for row in rows if row.status == "served"]
-        latencies = np.array([row.latency_s for row in served], dtype=float)
-        queue_lat = np.array([row.queue_latency_s for row in served], dtype=float)
-        shed = sum(1 for row in rows if row.status == "shed")
-        if tenant is None:
-            rejected = sum(
-                entry["rejected"] for entry in self._tenant_requests.values()
-            )
-            violations = sum(
-                entry["slo_violations"] for entry in self._tenant_requests.values()
-            )
-        else:
-            entry = self._tenant_entry(tenant)
-            rejected = entry["rejected"]
-            violations = entry["slo_violations"]
         out = {
-            "n_served": float(len(served)),
-            "n_shed": float(shed),
-            "n_rejected": float(rejected),
-            "slo_violations": float(violations),
+            "n_served": float(len(rows)),
+            "slo_violations": float(sum(not row.slo_ok for row in rows)),
         }
-        if served:
+        if rows:
+            latencies = np.array([row.latency_s for row in rows], dtype=float)
             out.update(
                 {
                     "latency_p50_s": float(np.percentile(latencies, 50)),
                     "latency_p99_s": float(np.percentile(latencies, 99)),
                     "latency_max_s": float(latencies.max()),
-                    "queue_latency_mean_s": float(queue_lat.mean()),
+                    "queue_latency_mean_s": float(
+                        np.mean([row.queue_latency_s for row in rows])
+                    ),
                     "service_latency_mean_s": float(
-                        np.mean([row.service_latency_s for row in served])
+                        np.mean([row.service_latency_s for row in rows])
                     ),
                 }
             )
         return out
-
-    def record_billing(self, store, cost_model, *, config=None) -> list[int]:
-        """Write one ``kind="billing"`` run row per tenant to ``store``.
-
-        Each row carries the tenant's counter ledger, its
-        ``energy_from_stats`` bill and its latency summary — the same
-        store every bench and report writes, so invoices trend across
-        PRs like any other metric.  Returns the run ids.
-        """
-        run_ids = []
-        base_config = dict(config or {})
-        base_config.setdefault("block_columns", self.queue.block_columns)
-        base_config.setdefault("coalesce_budget_s", self.queue.coalesce_budget_s)
-        for tenant in self.tenants:
-            stats = self.tenant_stats(tenant)
-            bill = cost_model.energy_from_stats(stats)
-            metrics: dict[str, float] = {
-                f"counter_{key}": float(value) for key, value in stats.items()
-            }
-            metrics.update(
-                {key: float(value) for key, value in bill.items()}
-            )
-            metrics.update(
-                {
-                    f"requests_{key}": float(value)
-                    for key, value in self.tenant_requests(tenant).items()
-                }
-            )
-            metrics.update(self.latency_summary(tenant))
-            run_ids.append(
-                store.record_run(
-                    f"billing_{tenant}",
-                    "billing",
-                    config={**base_config, "tenant": tenant},
-                    metrics=metrics,
-                )
-            )
-        return run_ids
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -340,15 +340,13 @@ class TestRetirement:
         fleet = self.exact_fleet(small_matrix)
         assert fleet.retired_shards == (False, False, False)
         assert fleet.n_active_shards == 3
-        assert fleet.retirement_log == []
 
-    def test_retire_is_idempotent_and_logged(self, small_matrix):
+    def test_retire_is_idempotent(self, small_matrix):
         fleet = self.exact_fleet(small_matrix)
         assert fleet.retire_shard(1) is True
         assert fleet.retire_shard(1) is False
         assert fleet.retired_shards == (False, True, False)
         assert fleet.n_active_shards == 2
-        assert fleet.retirement_log == [1]
 
     @pytest.mark.parametrize("bad", [-1, 3, 1.5, float("inf"), float("nan")])
     def test_retire_validates_the_index(self, bad, small_matrix):

@@ -55,28 +55,12 @@ class TestConstruction:
         assert device.drift_nu == 0.0
 
 
-class TestClipAndProgram:
+class TestClip:
     def test_clip_bounds(self):
         device = PcmDevice()
         clipped = device.clip(np.array([-1.0, 1.0]))
         assert clipped[0] == device.g_min
         assert clipped[1] == device.g_max
-
-    def test_ideal_program_hits_target(self):
-        device = PcmDevice.ideal()
-        target = np.linspace(device.g_min, device.g_max, 7)
-        assert np.allclose(device.program(target), target)
-
-    def test_program_noise_shrinks_with_iterations(self):
-        device = PcmDevice(prog_noise_sigma=0.05)
-        target = np.full(4000, 10e-6)
-        err1 = np.std(device.program(target, seed=0, iterations=1) - target)
-        err4 = np.std(device.program(target, seed=0, iterations=4) - target)
-        assert err4 < err1 / 4
-
-    def test_program_rejects_zero_iterations(self):
-        with pytest.raises(ValueError):
-            PcmDevice().program(np.array([1e-6]), iterations=0)
 
 
 class TestDrift:

@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.crossbar import CrossbarOperator
+from repro.crossbar import CrossbarOperator, FleetMaintenance, ShardedOperator
 from repro.energy import AdcModel, CrossbarCostModel, FpgaMvmDesign
+from repro.energy.crossbar_cost import REQUIRED_STATS_KEYS
+from repro.serving import FleetServer, VirtualClock
 
 
 class TestPaperAnchors:
@@ -207,6 +209,25 @@ class TestCounterDrivenEnergy:
         assert report["device_energy_j"] == pytest.approx(
             5 * model.device_read_energy_j
         )
+
+    @pytest.mark.parametrize("missing", REQUIRED_STATS_KEYS)
+    def test_energy_from_stats_requires_each_key(self, missing):
+        stats = {key: 0 for key in REQUIRED_STATS_KEYS if key != missing}
+        with pytest.raises(KeyError, match=missing):
+            CrossbarCostModel().energy_from_stats(stats)
+
+    def test_fresh_ledgers_carry_exactly_the_required_keys(self, small_matrix):
+        fleet = ShardedOperator.from_matrix(
+            small_matrix, n_shards=2, batch_window=4, seed=1
+        )
+        policy = FleetMaintenance(
+            fleet, recalibrate_after_s=1.0, attach=False, seed=2
+        )
+        server = FleetServer(fleet, VirtualClock())
+        zero = {key: 0 for key in REQUIRED_STATS_KEYS}
+        assert policy.stats == zero
+        assert server.tenant_stats("anyone") == zero
+        assert CrossbarCostModel().energy_from_stats(zero)["total_energy_j"] == 0.0
 
     def test_energy_from_stats_validates(self):
         model = CrossbarCostModel()

@@ -136,6 +136,34 @@ class TestDriftPredictor:
             full = float(drifted @ diff) / float(diff @ diff)
             assert predictor.drift_scale(age) == pytest.approx(full, rel=0.02)
 
+    @pytest.mark.parametrize(
+        "device",
+        [PcmDevice(), QUIET, PcmDevice(drift_nu=0.0)],
+        ids=["default", "quiet", "driftless"],
+    )
+    def test_forecast_is_the_drift_factors_law_bit_for_bit(self, device, rng):
+        g_pos = rng.uniform(device.g_min, device.g_max, 48)
+        g_neg = rng.uniform(device.g_min, device.g_max, 48)
+        predictor = DriftPredictor(device, g_pos, g_neg)
+        diff = g_pos - g_neg
+        for age in (0.0, 0.5, 1.0, 1e3, 1e5, 1e7, 1e9, 3.2e9):
+            drifted = g_pos * device.drift_factors(
+                g_pos, age
+            ) - g_neg * device.drift_factors(g_neg, age)
+            law = float(drifted @ diff) / float(diff @ diff)
+            assert predictor.drift_scale(age) == law
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("half", ["g_pos", "g_neg"])
+    def test_rejects_non_finite_targets(self, half, bad):
+        targets = {
+            "g_pos": np.array([5e-6, 4e-6, 1e-6]),
+            "g_neg": np.array([1e-6, 2e-6, 3e-6]),
+        }
+        targets[half][1] = bad
+        with pytest.raises(ValueError, match=f"{half} must be finite"):
+            DriftPredictor(PcmDevice(), targets["g_pos"], targets["g_neg"])
+
     def test_rejects_empty_targets(self):
         with pytest.raises(ValueError, match="at least one device pair"):
             DriftPredictor(QUIET, np.ones(0), np.ones(0))
@@ -340,14 +368,15 @@ class TestFaultInjector:
         injector = FaultInjector(
             fleet, rate_per_s=0.05, fraction_per_event=0.05, seed=4
         )
+        events = []
         for _ in range(3):
-            injector.advance(50.0)
-        fractions = [event.stuck_fraction for event in injector.events]
+            events.extend(injector.advance(50.0))
+        fractions = [event.stuck_fraction for event in events]
         assert len(fractions) >= 2
         assert all(a <= b for a, b in zip(fractions, fractions[1:]))
         assert fractions[-1] == shard.stuck_fraction > 0.0
         # repeat draws may land on stuck devices: the union is no larger
-        drawn = sum(event.n_faults for event in injector.events)
+        drawn = sum(event.n_faults for event in events)
         assert drawn >= round(shard.stuck_fraction * shard.n_devices)
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0])
@@ -373,8 +402,7 @@ class TestFaultInjector:
             injector = FaultInjector(fleet, rate_per_s=0.05, seed=8)
             if with_pause:
                 assert injector.advance(0.0) == []
-            injector.advance(100.0)
-            return injector.events
+            return injector.advance(100.0)
 
         paused = history(True)
         assert paused and paused == history(False)
@@ -430,6 +458,26 @@ class TestLifetimeSimulator:
         assert result.active_shards[-1] == 0
         # unserved steps record NaN, never a crash
         assert any(math.isnan(value) for value in result.nmse)
+
+    def test_a_step_lists_its_retirements_in_shard_order(self, rng):
+        fleet = ShardedOperator.from_matrix(
+            rng.standard_normal((8, 12)), n_shards=3, batch_window=4, seed=1,
+            stream="per_shard",
+        )
+        # every reprogram misses an unreachable verify budget: the first
+        # step's one sweep retires the whole fleet
+        policy = FleetMaintenance(
+            fleet, reprogram_after_s=1.0, verify_error_budget=1e-12,
+            n_probes=4, seed=2,
+        )
+        result = LifetimeSimulator(
+            fleet, step_seconds=10.0, batch=8, seed=3
+        ).run(2)
+        assert result.retirements == [(0, 0), (0, 1), (0, 2)]
+        assert [
+            action.shard for action in policy.actions if action.action == "retire"
+        ] == [0, 1, 2]
+        assert result.served == [False, False]
 
     def test_zero_rate_injector_is_bitwise_neutral(self, rng):
         matrix = rng.standard_normal((8, 12))
@@ -508,7 +556,6 @@ class TestLifetimeSimulator:
         with pytest.raises(RuntimeError, match="fault draw failed"):
             injector.advance(100.0)
         assert injector.time_s == 0.0
-        assert injector.events == []
 
     def test_fault_events_carry_the_interval_end_time(self, rng):
         fleet = ShardedOperator.from_matrix(

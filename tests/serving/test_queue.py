@@ -1,4 +1,4 @@
-"""Unit tests for request coalescing and admission control.
+"""Unit tests for request coalescing.
 
 The queue's release rule (full block OR oldest request past its
 coalesce budget) is the latency contract of the whole serving layer —
@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.serving import AdmissionController, Request, RequestQueue
+from repro.serving import Request, RequestQueue
 from repro.serving.queue import RequestResult
 
 
@@ -103,54 +103,15 @@ class TestDeadlines:
         queue.push(make_request(1, kind="matvec", arrival_s=4.0))
         assert queue.next_deadline_s() == pytest.approx(5.0)
 
-    def test_shed_oldest_picks_globally_stalest(self):
-        queue = RequestQueue(4, coalesce_budget_s=1.0)
-        queue.push(make_request(0, kind="matvec", arrival_s=1.0))
-        queue.push(make_request(1, kind="rmatvec", arrival_s=0.5))
-        victim = queue.shed_oldest()
-        assert victim.id == 1
-        assert queue.depth == 1
-        assert queue.shed_oldest().id == 0
-        assert queue.shed_oldest() is None
-
-
-class TestAdmissionController:
-    def test_validation(self):
-        with pytest.raises(ValueError, match="max_depth"):
-            AdmissionController(0)
-        with pytest.raises(ValueError, match="policy"):
-            AdmissionController(4, policy="drop_newest")
-
-    @pytest.mark.parametrize("bad", [2.5, math.inf, math.nan])
-    def test_rejects_fractional_depth(self, bad):
-        with pytest.raises(ValueError, match="max_depth must be an integer"):
-            AdmissionController(bad)
-
-    def test_reject_policy_counts(self):
-        queue = RequestQueue(8, 1.0)
-        controller = AdmissionController(1, policy="reject")
-        assert controller.decide(queue) == "admit"
-        queue.push(make_request(0))
-        assert controller.decide(queue) == "reject"
-        assert (controller.n_admitted, controller.n_rejected) == (1, 1)
-
-    def test_shed_policy_admits_after_eviction(self):
-        queue = RequestQueue(8, 1.0)
-        controller = AdmissionController(1, policy="shed_oldest")
-        queue.push(make_request(0))
-        assert controller.decide(queue) == "shed"
-        assert controller.n_shed == 1
-        assert controller.n_admitted == 1
-
 
 class TestRequestResult:
     def test_served_latencies_decompose(self):
         result = RequestResult(
             request=make_request(0, arrival_s=1.0),
-            status="served",
             value=np.zeros(3),
             dispatched_at_s=2.0,
             completed_at_s=2.5,
+            block_id=0,
             slo_s=2.0,
         )
         assert result.queue_latency_s == pytest.approx(1.0)
@@ -158,26 +119,24 @@ class TestRequestResult:
         assert result.latency_s == pytest.approx(1.5)
         assert result.slo_ok
 
-    def test_shed_result_has_no_service_latency_and_fails_slo(self):
-        result = RequestResult(
-            request=make_request(0, arrival_s=1.0),
-            status="shed",
-            value=None,
-            dispatched_at_s=math.nan,
-            completed_at_s=1.2,
-            slo_s=10.0,
-        )
-        assert math.isnan(result.queue_latency_s)
-        assert math.isnan(result.service_latency_s)
-        assert result.latency_s == pytest.approx(0.2)
-        assert not result.slo_ok
-
     def test_no_slo_is_vacuously_met(self):
         result = RequestResult(
             request=make_request(0),
-            status="served",
             value=np.zeros(3),
             dispatched_at_s=1e6,
             completed_at_s=2e6,
+            block_id=0,
         )
         assert result.slo_ok
+
+    def test_late_result_misses_its_slo(self):
+        result = RequestResult(
+            request=make_request(0, arrival_s=1.0),
+            value=np.zeros(3),
+            dispatched_at_s=1.0,
+            completed_at_s=3.0,
+            block_id=0,
+            slo_s=1.5,
+        )
+        assert result.status == "served"
+        assert not result.slo_ok

@@ -1,10 +1,10 @@
 """Unit tests for the synchronous FleetServer core.
 
 Everything here runs on a :class:`VirtualClock`: coalescing, the
-busy-line service model, SLO bookkeeping, admission overload behaviour
-and the largest-remainder tenant attribution are all pure functions of
-the submitted trace.  The cross-layer bitwise/counter invariants live
-in ``tests/integration/test_serving.py``.
+busy-line service model, SLO bookkeeping and the largest-remainder
+tenant attribution are all pure functions of the submitted trace.  The
+cross-layer bitwise/counter invariants live in
+``tests/integration/test_serving.py``.
 """
 
 import math
@@ -13,11 +13,7 @@ import numpy as np
 import pytest
 
 from repro.crossbar import ShardedOperator
-from repro.serving import (
-    AdmissionController,
-    FleetServer,
-    VirtualClock,
-)
+from repro.serving import FleetServer, VirtualClock
 from repro.serving.server import _largest_remainder
 
 
@@ -35,23 +31,16 @@ def make_server(fleet, **kwargs):
 
 
 class TestVirtualClock:
-    def test_starts_where_told_and_advances(self):
-        clock = VirtualClock(3.0)
-        assert clock.now() == 3.0
-        assert clock.advance(2.5) == 5.5
+    def test_starts_at_zero_and_advances(self):
+        clock = VirtualClock()
+        assert clock.now() == 0.0
+        assert clock.advance(2.5) == 2.5
+        assert clock.advance(3.0) == 5.5
 
     @pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf])
     def test_rejects_bad_advance(self, bad):
         with pytest.raises(ValueError):
             VirtualClock().advance(bad)
-
-    def test_rejects_negative_start(self):
-        with pytest.raises(ValueError, match="start_s"):
-            VirtualClock(-1.0)
-
-    def test_rejects_infinite_start(self):
-        with pytest.raises(ValueError, match="start_s"):
-            VirtualClock(math.inf)
 
 
 class TestSubmitValidation:
@@ -268,6 +257,37 @@ class TestSloTracking:
         with pytest.raises(ValueError, match="slo_s"):
             make_server(fleet, slo_s=bad)
 
+    def test_summary_violations_match_tenant_counts(self, fleet, rng):
+        server = make_server(fleet, slo_s=0.6, coalesce_budget_s=0.0)
+        n = fleet.shape[1]
+        for tenant in ("a", "b", "a", "b", "a", "c"):
+            server.submit(rng.standard_normal(n), tenant=tenant)
+        server.step()  # the second block waits for the line: late
+        counts = {
+            tenant: server.tenant_requests(tenant)["slo_violations"]
+            for tenant in server.tenants
+        }
+        assert counts == {"a": 1, "b": 0, "c": 1}
+        for tenant, count in counts.items():
+            assert server.latency_summary(tenant)["slo_violations"] == count
+        assert server.latency_summary()["slo_violations"] == 2.0
+
+    def test_summary_counts_served_requests_only(self, fleet, rng):
+        server = make_server(fleet, coalesce_budget_s=0.0)
+        n = fleet.shape[1]
+        for _ in range(3):
+            server.submit(rng.standard_normal(n))
+        server.step()
+        assert set(server.latency_summary()) == {
+            "n_served",
+            "slo_violations",
+            "latency_p50_s",
+            "latency_p99_s",
+            "latency_max_s",
+            "queue_latency_mean_s",
+            "service_latency_mean_s",
+        }
+
     def test_summary_reports_percentiles(self, fleet, rng):
         server = make_server(fleet, coalesce_budget_s=0.0)
         n = fleet.shape[1]
@@ -280,30 +300,37 @@ class TestSloTracking:
         assert summary["latency_p99_s"] <= summary["latency_max_s"]
 
 
-class TestAdmission:
-    def test_reject_returns_none_and_counts(self, fleet, rng):
-        server = make_server(fleet, admission=AdmissionController(2))
-        n = fleet.shape[1]
-        assert server.submit(rng.standard_normal(n)) is not None
-        assert server.submit(rng.standard_normal(n)) is not None
-        assert server.submit(rng.standard_normal(n)) is None
-        assert server.queue.depth == 2
-        assert server.latency_summary()["n_rejected"] == 1.0
+class TestReadsDoNotRegisterTenants:
+    """Reading a tenant's numbers must not mutate the server: a typo or
+    a probe for a tenant that never submitted leaves ``tenants`` alone."""
 
-    def test_shed_oldest_completes_victim_without_value(self, fleet, rng):
-        server = make_server(
-            fleet, admission=AdmissionController(2, policy="shed_oldest")
-        )
-        n = fleet.shape[1]
-        first = server.submit(rng.standard_normal(n))
-        server.submit(rng.standard_normal(n))
-        third = server.submit(rng.standard_normal(n))
-        assert third is not None
-        assert server.queue.depth == 2
-        (victim,) = server.completed
-        assert victim.request is first
-        assert victim.status == "shed" and victim.value is None
-        assert server.tenant_requests("default")["shed"] == 1
+    @pytest.mark.parametrize(
+        "read",
+        [
+            lambda server, name: server.latency_summary(name),
+            lambda server, name: server.tenant_requests(name),
+            lambda server, name: server.tenant_stats(name),
+        ],
+        ids=["latency_summary", "tenant_requests", "tenant_stats"],
+    )
+    def test_unknown_tenant_reads_zero_and_is_not_registered(
+        self, fleet, rng, read
+    ):
+        server = make_server(fleet)
+        server.submit(rng.standard_normal(fleet.shape[1]), tenant="alice")
+        server.flush()
+        read(server, "ghost")
+        assert server.tenants == ("alice",)
+        assert server.tenant_requests("ghost") == {
+            "submitted": 0,
+            "served": 0,
+            "slo_violations": 0,
+        }
+        assert server.latency_summary("ghost") == {
+            "n_served": 0.0,
+            "slo_violations": 0.0,
+        }
+        assert server.tenants == ("alice",)
 
 
 class TestLargestRemainder:
