@@ -3,7 +3,7 @@
 Each layer is timed on fixed inputs, and the run is recorded as a
 ``kind="profile"`` row (inputs, core count and BLAS env in the config,
 one metric per layer and shape) so ``python -m repro.results`` trends
-layer times across changes.  The ledger holds three layers:
+layer times across changes.  The ledger starts with three layers:
 
 * **tile read** — one forward plus one transpose read of the single
   differential tile pair of a :class:`CrossbarOperator` built with
@@ -42,8 +42,21 @@ per-step code it replaced, kept here as the reference:
   multiply per device.  The reference rebuilds it through
   ``PcmDevice.drifted``, which recomputes every exponent.
 
-Both sides of each pair must give identical output bit for bit, and
-each time is the median of ``STATE_REPEATS`` interleaved calls.
+The last layer is the batched solver's sweep loop, timed against the
+same loop written with a gather and a scatter per sweep:
+
+* **solver_sweep** — one ``amp_recover_batch`` at the perfbench
+  ``cs_fleet`` shape (A 512x1024, B=256 Rademacher signals with k=24,
+  ``iterations=25``, ``stagnation_window=3``) on a ``DenseOperator``;
+  every column stays active for all 25 sweeps.  The solver keeps the
+  active columns of ``y``, ``z`` and ``x`` in contiguous working
+  blocks; the reference gathers the active columns of ``z``, ``x`` and
+  ``y`` out of full ``(., B)`` arrays and scatters ``z`` and ``x`` back
+  on every sweep.
+
+Both sides of each device-state and solver pair must give identical
+output bit for bit, and each time is the median of ``STATE_REPEATS``
+interleaved calls.
 
 The HD pairs are timed first, before any tile read.  The hd_ngram
 reference makes 8 MB ``np.roll`` copies, and whether they page-fault
@@ -67,7 +80,8 @@ unpinned run is recorded but its gate is skipped with the reason.  The
 HD and device-state ratios run no BLAS and are gated on every run: at
 least 10x for workload_gen, 3x for hd_ngram, 1.1x for program_verify
 and 1.2x for drift_rebuild (about 52x, 3.5x, 1.2-1.3x and 1.5-1.6x on
-the same host).
+the same host).  The solver sweep runs two GEMMs per sweep, so like the
+tile read its gate (at least 1.15x) applies only with BLAS pinned.
 
 Run (one BLAS thread, as CI does)::
 
@@ -84,10 +98,20 @@ import pytest
 
 from _harness import available_cores
 
-from repro.crossbar import CrossbarOperator, DifferentialCoding, program_and_verify
+from repro.crossbar import (
+    CrossbarOperator,
+    DenseOperator,
+    DifferentialCoding,
+    program_and_verify,
+)
 from repro.devices import PcmDevice
 from repro.ml.hd import ItemMemory, TextNgramEncoder
-from repro.workloads import LanguageCorpus
+from repro.signal import AmpBatchResult, amp_recover_batch, soft_threshold
+from repro.workloads import (
+    LanguageCorpus,
+    gaussian_measurement_matrix,
+    sparse_signal_batch,
+)
 from repro.workloads.languages import ALPHABET
 
 SHAPES = ((512, 1024, 1), (256, 512, 64), (1024, 1024, 256), (2048, 2048, 512))
@@ -101,13 +125,19 @@ HD_REPEATS = 3
 # and serve_drift's 256x256 shard.
 PROGRAM_SHAPE = (1024, 512)
 DRIFT_SHAPE = (256, 256)
-STATE_REPEATS = {"program_verify": 5, "drift_rebuild": 25}
+# cs_fleet's recovery: (m, n, B), sparsity, iterations, stagnation window.
+SWEEP_SHAPE = (512, 1024, 256)
+SWEEP_K, SWEEP_ITERATIONS, SWEEP_STAGNATION = 24, 25, 3
+STATE_REPEATS = {"program_verify": 5, "drift_rebuild": 25, "solver_sweep": 5}
 MIN_RATIOS = {
     "workload_gen": 10.0,
     "hd_ngram": 3.0,
     "program_verify": 1.1,
     "drift_rebuild": 1.2,
+    "solver_sweep": 1.15,
 }
+# Layers that run BLAS: gated only with BLAS pinned to one thread.
+BLAS_LAYERS = ("solver_sweep",)
 BLAS_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
@@ -263,6 +293,91 @@ def time_state_layers():
     }
 
 
+def gather_scatter_amp(measurements, operator, n, iterations, stagnation_window):
+    """``amp_recover_batch`` on a serial operator, without ground truth,
+    with a gather of the active columns of ``z``, ``x`` and ``y`` and a
+    scatter of ``z`` and ``x`` on every sweep."""
+    threshold_factor, tolerance, stagnation_tolerance = 1.3, 1e-8, 0.05
+    y = measurements
+    m, batch = y.shape
+    x = np.zeros((n, batch))
+    z = y.copy()
+    iteration_counts = np.zeros(batch, dtype=int)
+    converged = np.zeros(batch, dtype=bool)
+    residual_norms = [[] for _ in range(batch)]
+    thresholds = [[] for _ in range(batch)]
+    active_counts = []
+    active = np.arange(batch)
+    for _ in range(iterations):
+        active_counts.append(int(active.size))
+        z_active = z[:, active]
+        x_active = x[:, active]
+        sigma = np.linalg.norm(z_active, axis=0) / np.sqrt(m)
+        tau = threshold_factor * sigma
+        x_new = soft_threshold(operator.rmatmat(z_active) + x_active, tau)
+        forward = operator.matmat(x_new)
+        onsager = z_active * (np.count_nonzero(x_new, axis=0) / m)
+        z[:, active] = y[:, active] - forward + onsager
+        for position, column in enumerate(active):
+            residual_norms[column].append(float(sigma[position]))
+            thresholds[column].append(float(tau[position]))
+        delta = np.linalg.norm(x_new - x_active, axis=0)
+        scale = np.linalg.norm(x_new, axis=0)
+        x[:, active] = x_new
+        iteration_counts[active] += 1
+        with np.errstate(divide="ignore", invalid="ignore"):
+            relative = np.where(scale > 0, delta / np.where(scale > 0, scale, 1.0),
+                                np.inf)
+        stalled = np.zeros(active.size, dtype=bool)
+        for position, column in enumerate(active):
+            history = residual_norms[column]
+            if len(history) > stagnation_window:
+                past = history[-1 - stagnation_window]
+                stalled[position] = past - history[-1] <= stagnation_tolerance * past
+        done = (delta == 0.0) | (relative < tolerance) | stalled
+        if done.any():
+            converged[active[done]] = True
+            active = active[~done]
+            if active.size == 0:
+                break
+    return AmpBatchResult(
+        estimates=x,
+        iterations=iteration_counts,
+        converged=converged,
+        residual_norms=residual_norms,
+        nmse_histories=[[] for _ in range(batch)],
+        thresholds=thresholds,
+        active_counts=active_counts,
+    )
+
+
+def time_solver_sweep():
+    """(fast s, reference s) of solver_sweep at cs_fleet's shape."""
+    m, n, batch = SWEEP_SHAPE
+    matrix = gaussian_measurement_matrix(m, n, seed=0)
+    signals = sparse_signal_batch(n, SWEEP_K, batch, amplitude="rademacher", seed=1)
+    measurements = matrix @ signals
+    operator = DenseOperator(matrix)
+    sweep_s, gather_s, (result, reference) = interleaved_medians(
+        lambda: amp_recover_batch(
+            measurements, operator, n, iterations=SWEEP_ITERATIONS,
+            stagnation_window=SWEEP_STAGNATION,
+        ),
+        lambda: gather_scatter_amp(
+            measurements, operator, n, SWEEP_ITERATIONS, SWEEP_STAGNATION
+        ),
+        STATE_REPEATS["solver_sweep"],
+    )
+    assert np.array_equal(result.estimates, reference.estimates)
+    assert np.array_equal(result.iterations, reference.iterations)
+    assert np.array_equal(result.converged, reference.converged)
+    assert result.residual_norms == reference.residual_norms
+    assert result.thresholds == reference.thresholds
+    assert result.active_counts == reference.active_counts, "solver sweep diverged"
+    assert result.active_counts == [batch] * SWEEP_ITERATIONS  # full-width sweeps
+    return {"solver_sweep": (sweep_s, gather_s)}
+
+
 def ratio_lines(layers, metrics):
     """Record each layer's times and ratio; one ledger line per layer."""
     lines = ["  layer              measured    reference   ratio   gate"]
@@ -285,6 +400,7 @@ def test_layer_ledger(write_result):
     # Before any tile read: see the module docstring.
     hd_layers = time_hd_layers()
     state_layers = time_state_layers()
+    solver_layers = time_solver_sweep()
 
     metrics = {}
     lines = [
@@ -320,6 +436,13 @@ def test_layer_ledger(write_result):
         "{}x{}, drift_rebuild {}x{})".format(*PROGRAM_SHAPE, *DRIFT_SHAPE)
     )
     lines += ratio_lines(state_layers, metrics)
+    lines.append(
+        "Per-layer ledger - solver sweep (amp_recover_batch {}x{}/B={}, "
+        "{} sweeps, DenseOperator)".format(*SWEEP_SHAPE, SWEEP_ITERATIONS)
+    )
+    lines += ratio_lines(solver_layers, metrics)
+    if not pinned:
+        lines.append("  gate: skipped (BLAS not pinned to one thread)")
 
     write_result(
         "layers",
@@ -332,6 +455,10 @@ def test_layer_ledger(write_result):
             "program_shape": list(PROGRAM_SHAPE),
             "drift_shape": list(DRIFT_SHAPE),
             "state_repeats": STATE_REPEATS,
+            "sweep_shape": list(SWEEP_SHAPE),
+            "sweep_k": SWEEP_K,
+            "sweep_iterations": SWEEP_ITERATIONS,
+            "sweep_stagnation_window": SWEEP_STAGNATION,
             "nproc": nproc,
             "blas_env": blas_env,
             "blas_pinned": pinned,
@@ -341,11 +468,15 @@ def test_layer_ledger(write_result):
     )
 
     for layer, floor in MIN_RATIOS.items():
-        assert metrics[f"{layer}_ratio"] >= floor, f"{layer} ratio below {floor}x"
+        if layer not in BLAS_LAYERS:
+            assert metrics[f"{layer}_ratio"] >= floor, f"{layer} ratio below {floor}x"
     if not pinned:
         pytest.skip(
             "BLAS threads not pinned to one "
             f"({', '.join(f'{key}={value}' for key, value in blas_env.items())}): "
-            "the tile-read ratio depends on the BLAS thread pool"
+            "the tile-read and solver-sweep ratios depend on the BLAS thread pool"
         )
     assert gate_ratio >= MIN_TILE_READ_RATIO
+    for layer in BLAS_LAYERS:
+        floor = MIN_RATIOS[layer]
+        assert metrics[f"{layer}_ratio"] >= floor, f"{layer} ratio below {floor}x"

@@ -39,7 +39,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro._util import check_in, check_int, check_nonnegative, check_positive, nmse
+from repro._util import (
+    check_finite, check_in, check_int, check_nonnegative, check_positive, nmse,
+)
 
 __all__ = ["AmpBatchResult", "AmpResult", "amp_recover", "amp_recover_batch",
            "soft_threshold"]
@@ -51,10 +53,11 @@ def soft_threshold(values: np.ndarray, tau: float | np.ndarray) -> np.ndarray:
     ``tau`` may be a scalar, or — for a 2-D ``values`` block of shape
     ``(n, B)`` — a length-B vector applying one threshold per column
     (the batched AMP iteration thresholds each problem at its own
-    residual level).  Every threshold must be non-negative.
+    residual level).  Every threshold must be non-negative (NaN is
+    rejected too).
     """
     tau = np.asarray(tau, dtype=float)
-    if np.any(tau < 0):
+    if not np.all(tau >= 0):
         raise ValueError("tau must be non-negative")
     values = np.asarray(values, dtype=float)
     return np.sign(values) * np.maximum(np.abs(values) - tau, 0.0)
@@ -210,7 +213,10 @@ def amp_recover(
     Parameters
     ----------
     measurements:
-        Observed vector ``y`` of length M.
+        Observed vector ``y`` of length M (use :func:`amp_recover_batch`
+        for a ``(m, B)`` block).  Bad measurements or a ground truth
+        that is not a finite ``(n,)`` vector raise ``ValueError`` before
+        the operator is read.
     operator:
         Object with ``matvec`` (length-n -> length-M) and ``rmatvec``
         (length-M -> length-n); see module docstring.
@@ -222,7 +228,7 @@ def amp_recover(
         The alpha in ``tau_t = alpha * ||z_t|| / sqrt(M)``; 1.1-1.5
         works across the undersampling range used here.
     ground_truth:
-        Optional ``x0`` for NMSE tracking.
+        Optional ``x0`` of shape ``(n,)`` for NMSE tracking.
     tolerance:
         Stop when the estimate changes (in relative L2) by less than
         this between iterations.  An exactly unchanged estimate
@@ -237,11 +243,26 @@ def amp_recover(
         over the last ``stagnation_window`` iterations.
     """
     y = np.asarray(measurements, dtype=float)
+    if y.ndim != 1:
+        raise ValueError(
+            "measurements must be a 1-D vector; use amp_recover_batch for a "
+            "(m, B) block"
+        )
     m = y.shape[0]
     n, iterations, stagnation_window = _check_amp_parameters(
         n, m, iterations, threshold_factor, tolerance,
         stagnation_window, stagnation_tolerance,
     )
+    check_finite("measurements", y)
+    if ground_truth is not None:
+        ground_truth = np.asarray(ground_truth, dtype=float)
+        if ground_truth.shape != (n,):
+            raise ValueError(
+                f"ground_truth must have shape ({n},), got {ground_truth.shape}"
+            )
+        check_finite("ground_truth", ground_truth)
+        if np.sum(ground_truth**2) == 0.0:
+            raise ValueError("reference signal has zero energy")
 
     x = np.zeros(n)
     z = y.copy()
@@ -306,6 +327,13 @@ def amp_recover_batch(
     no longer a whole-fleet barrier — same results, counters, and
     schedule as the unfused sweep (bitwise on exact-device backends).
 
+    Working set: the active columns of the measurements, the residual
+    (column-major) and the estimates live in contiguous blocks that each
+    sweep reads and updates directly.  The sweep in which columns retire
+    compacts the blocks once and writes the retired estimates out, so no
+    sweep gathers or scatters the full ``(n, B)`` arrays.  The caller's
+    ``measurements`` are never written.
+
     Parameters
     ----------
     measurements:
@@ -325,7 +353,8 @@ def amp_recover_batch(
         all columns (each column still gets its own ``tau_t`` from its
         own residual).
     ground_truth:
-        Optional ``(n, B)`` block of true signals for NMSE tracking.
+        Optional ``(n, B)`` block of finite true signals for NMSE
+        tracking; every column must have non-zero energy.
     tolerance:
         Per-column stopping rule, as in :func:`amp_recover`.
     stagnation_window / stagnation_tolerance:
@@ -349,18 +378,21 @@ def amp_recover_batch(
         n, m, iterations, threshold_factor, tolerance,
         stagnation_window, stagnation_tolerance,
     )
-    truth = None
+    truth = truth_energy = None
     if ground_truth is not None:
-        truth = np.asarray(ground_truth, dtype=float)
+        # Column-major like the residual, so each column's energy is a
+        # pairwise sum down the column, computed once.
+        truth = np.array(ground_truth, dtype=float, order="F")
         if truth.shape != (n, batch):
             raise ValueError(
                 f"ground_truth must have shape ({n}, {batch}), got {truth.shape}"
             )
-        if np.any(np.sum(truth**2, axis=0) == 0.0):
+        check_finite("ground_truth", truth)
+        truth_energy = np.sum(truth**2, axis=0)
+        if np.any(truth_energy == 0.0):
             raise ValueError("reference signal has zero energy")
 
     x = np.zeros((n, batch))
-    z = y.copy()
     iteration_counts = np.zeros(batch, dtype=int)
     converged = np.zeros(batch, dtype=bool)
     residual_norms: list[list[float]] = [[] for _ in range(batch)]
@@ -368,6 +400,19 @@ def amp_recover_batch(
     nmse_histories: list[list[float]] = [[] for _ in range(batch)]
     active_counts: list[int] = []
     active = np.arange(batch)
+    # The working set: column ``position`` of each ``*_active`` block is
+    # column ``active[position]`` of the fleet.  Sweeps replace
+    # ``x_active`` and update ``z_active`` in place; retirement compacts
+    # the blocks once.  ``z_active`` and the zero start of ``x_active``
+    # are column-major, the layout a column gather (``[:, keep]``)
+    # returns: the operator reads ``z_active`` in it, and
+    # ``norm(axis=0)`` sums each contiguous column pairwise, where a
+    # row-major block would sum row by row and move the last bit of
+    # ``sigma``.
+    y_active = y
+    z_active = np.array(y, order="F")
+    x_active = np.zeros((n, batch), order="F")
+    truth_active, energy_active = truth, truth_energy
 
     # On a threaded sharded fleet, run each sweep through the fleet's
     # pipelined fused_sweep: the rmatmat -> threshold -> matmat round
@@ -381,8 +426,6 @@ def amp_recover_batch(
 
     for _ in range(iterations):
         active_counts.append(int(active.size))
-        z_active = z[:, active]
-        x_active = x[:, active]
         sigma = np.linalg.norm(z_active, axis=0) / np.sqrt(m)
         tau = threshold_factor * sigma
         if pipelined:
@@ -395,22 +438,20 @@ def amp_recover_batch(
             x_new = soft_threshold(pseudo_data, tau)
             forward = operator.matmat(x_new)
         onsager = z_active * (np.count_nonzero(x_new, axis=0) / m)
-        z[:, active] = y[:, active] - forward + onsager
+        np.subtract(y_active, forward, out=z_active)
+        z_active += onsager
 
         for position, column in enumerate(active):
             residual_norms[column].append(float(sigma[position]))
             thresholds[column].append(float(tau[position]))
         if truth is not None:
-            truth_active = truth[:, active]
-            errors = np.sum((x_new - truth_active) ** 2, axis=0) / np.sum(
-                truth_active**2, axis=0
-            )
+            errors = np.sum((x_new - truth_active) ** 2, axis=0) / energy_active
             for position, column in enumerate(active):
                 nmse_histories[column].append(float(errors[position]))
 
         delta = np.linalg.norm(x_new - x_active, axis=0)
         scale = np.linalg.norm(x_new, axis=0)
-        x[:, active] = x_new
+        x_active = x_new
         iteration_counts[active] += 1
         with np.errstate(divide="ignore", invalid="ignore"):
             relative = np.where(scale > 0, delta / np.where(scale > 0, scale, 1.0),
@@ -424,9 +465,17 @@ def amp_recover_batch(
         done = (delta == 0.0) | (relative < tolerance) | stalled
         if done.any():
             converged[active[done]] = True
-            active = active[~done]
+            x[:, active[done]] = x_active[:, done]
+            keep = ~done
+            active = active[keep]
+            y_active, z_active, x_active = (
+                y_active[:, keep], z_active[:, keep], x_active[:, keep]
+            )
+            if truth is not None:
+                truth_active, energy_active = truth_active[:, keep], energy_active[keep]
             if active.size == 0:
                 break
+    x[:, active] = x_active
 
     return AmpBatchResult(
         estimates=x,

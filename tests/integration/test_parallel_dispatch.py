@@ -161,6 +161,32 @@ class TestConsumers:
         assert_fleets_identical(serial, threaded)
         threaded.shutdown()
 
+    @pytest.mark.parametrize("device", ["ideal", "noisy"])
+    @pytest.mark.parametrize("with_truth", [False, True])
+    def test_amp_working_set_matches_gather_scatter(
+        self, gather_scatter_amp, device, with_truth
+    ):
+        """Through fused_sweep, AMP's contiguous working set reproduces a
+        gather/scatter sweep loop bit for bit, retirements included.  The
+        ideal fleet gives a shard several forward windows per sweep; the
+        noisy fleet gives each shard at most one, so its per-shard draw
+        order does not depend on thread timing."""
+        problem = CsProblem.generate_batch(n=96, m=48, k=4, batch=7, seed=12)
+        if device == "ideal":
+            kwargs = dict(n_shards=2, device=PcmDevice.ideal(), seed=0)
+        else:
+            kwargs = dict(n_shards=4, stream="per_shard", seed=3)
+        truth = {"ground_truth": problem.signals} if with_truth else {}
+        result = gather_scatter_amp(
+            lambda: ShardedOperator.from_matrix(
+                problem.matrix, batch_window=2, parallelism="threads",
+                n_workers=2, **kwargs,
+            ),
+            problem.measurements, problem.n, iterations=30, stagnation_window=3,
+            **truth,
+        )
+        assert 1 < len(set(result.active_counts))
+
 
 class TestLifecycleIdentity:
     @pytest.mark.parametrize("schedule", SHARD_SCHEDULES)

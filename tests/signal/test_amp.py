@@ -49,6 +49,16 @@ class TestSoftThreshold:
         with pytest.raises(ValueError):
             soft_threshold(np.zeros((3, 2)), np.array([0.5, -0.1]))
 
+    @pytest.mark.parametrize(
+        "values, tau",
+        [(np.ones(3), float("nan")), (np.ones((3, 2)), np.array([0.5, np.nan]))],
+    )
+    def test_rejects_a_nan_threshold(self, values, tau):
+        """NaN compares false against zero, so a ``tau < 0`` test lets it
+        through and every output turns NaN."""
+        with pytest.raises(ValueError, match="tau"):
+            soft_threshold(values, tau)
+
 
 class TestExactRecovery:
     def test_noiseless_recovery_to_machine_precision(self):
@@ -192,6 +202,76 @@ class TestExactRecovery:
         problem = CsProblem.generate(n=64, m=32, k=4, seed=6)
         with pytest.raises(ValueError, match="dimensions"):
             amp_recover(problem.measurements, DenseOperator(problem.matrix), 0)
+
+
+class TestBoundaryChecks:
+    """Bad measurements or ground truth raise before the operator is
+    read: no read counter or conversion counter moves."""
+
+    @pytest.fixture
+    def problem(self):
+        return CsProblem.generate(n=64, m=32, k=4, seed=5)
+
+    def assert_rejected_unread(self, problem, match, measurements=None, **kwargs):
+        operator = CrossbarOperator(problem.matrix, seed=1)
+        before = operator.stats
+        if measurements is None:
+            measurements = problem.measurements
+        with pytest.raises(ValueError, match=match):
+            amp_recover(measurements, operator, problem.n, **kwargs)
+        assert operator.stats == before
+
+    @pytest.mark.parametrize(
+        "truth",
+        [
+            lambda x0: x0[:, None],  # broadcast to (64, 64) against (64,)
+            lambda x0: x0[:10],
+            lambda x0: x0[None, :],
+            lambda x0: np.stack([x0, x0], axis=1),
+        ],
+        ids=["column", "short", "row", "block"],
+    )
+    def test_rejects_a_mis_shaped_ground_truth(self, problem, truth):
+        self.assert_rejected_unread(
+            problem, r"ground_truth must have shape \(64,\)",
+            ground_truth=truth(problem.signal),
+        )
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_a_non_finite_ground_truth(self, problem, bad):
+        truth = problem.signal.copy()
+        truth[7] = bad
+        self.assert_rejected_unread(
+            problem, "ground_truth must be finite", ground_truth=truth
+        )
+
+    def test_rejects_a_zero_energy_ground_truth(self, problem):
+        self.assert_rejected_unread(
+            problem, "zero energy", ground_truth=np.zeros(problem.n)
+        )
+
+    @pytest.mark.parametrize("columns", [1, 3])
+    def test_points_a_measurement_block_to_the_batch_solver(self, problem, columns):
+        block = np.repeat(problem.measurements[:, None], columns, axis=1)
+        self.assert_rejected_unread(problem, "amp_recover_batch", measurements=block)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_measurements(self, problem, bad):
+        measurements = problem.measurements.copy()
+        measurements[3] = bad
+        self.assert_rejected_unread(
+            problem, "measurements must be finite", measurements=measurements
+        )
+
+    def test_a_well_shaped_ground_truth_tracks_the_true_nmse(self, problem):
+        result = amp_recover(
+            problem.measurements, CrossbarOperator(problem.matrix, seed=1),
+            problem.n, ground_truth=problem.signal,
+        )
+        assert result.final_nmse == pytest.approx(
+            problem.recovery_nmse(result.estimate), rel=1e-12
+        )
+        assert result.final_nmse < 0.05
 
 
 class TestCrossbarRecovery:

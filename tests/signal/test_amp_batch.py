@@ -6,13 +6,14 @@ the same iteration (active-set masking), and the operator counters
 total exactly the looped run's.  On a deterministic crossbar the two
 paths agree to rounding; on a noisy crossbar they are two read-noise
 realizations of the same computation.  Fixed-seed goldens pin the
-estimates on both backends against silent drift.
+estimates on both backends against silent drift, and the contiguous
+working set is pinned bit for bit against a gather/scatter sweep loop.
 """
 
 import numpy as np
 import pytest
 
-from repro.crossbar import CrossbarOperator, DenseOperator
+from repro.crossbar import CrossbarOperator, DenseOperator, ShardedOperator
 from repro.devices import PcmDevice
 from repro.signal import CsProblem, CsProblemBatch, amp_recover, amp_recover_batch
 
@@ -216,6 +217,17 @@ class TestValidation:
         truth[:, 1] = 0.0
         operator = DenseOperator(fleet.matrix)
         with pytest.raises(ValueError, match="zero energy"):
+            amp_recover_batch(fleet.measurements, operator, 64, ground_truth=truth)
+        assert operator.n_matvec == operator.n_rmatvec == 0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_a_non_finite_ground_truth(self, bad):
+        """A NaN column would otherwise yield a NaN NMSE history."""
+        fleet = CsProblem.generate_batch(n=64, m=32, k=4, batch=2, seed=6)
+        truth = fleet.signals.copy()
+        truth[3, 1] = bad
+        operator = DenseOperator(fleet.matrix)
+        with pytest.raises(ValueError, match="ground_truth must be finite"):
             amp_recover_batch(fleet.measurements, operator, 64, ground_truth=truth)
         assert operator.n_matvec == operator.n_rmatvec == 0
 
@@ -427,3 +439,66 @@ class TestDegenerateFleets:
         assert shared.stats["dac_conversions"] == twin.stats["dac_conversions"]
         assert shared.stats["adc_conversions"] == twin.stats["adc_conversions"]
         assert shared.stats["n_live_matvec"] == twin.stats["n_live_matvec"]
+
+
+WORKING_SET_BACKENDS = {
+    "dense": lambda matrix: DenseOperator(matrix),
+    "crossbar": lambda matrix: CrossbarOperator(matrix, seed=3),
+    "sharded": lambda matrix: ShardedOperator.from_matrix(
+        matrix, n_shards=3, batch_window=2, stream="per_shard", seed=4
+    ),
+}
+WORKING_SET_RULES = {
+    "tolerance": {"iterations": 60},
+    "stagnation": {"iterations": 30, "stagnation_window": 3},
+}
+
+
+class TestContiguousWorkingSet:
+    """The working set (active columns of y, z and x in contiguous
+    blocks, compacted when columns retire) reproduces a gather/scatter
+    sweep loop bit for bit: estimates, histories, counters and RNG."""
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("with_truth", [False, True])
+    @pytest.mark.parametrize("rule", sorted(WORKING_SET_RULES))
+    @pytest.mark.parametrize("backend", sorted(WORKING_SET_BACKENDS))
+    def test_matches_gather_scatter_loop(
+        self, gather_scatter_amp, backend, rule, with_truth, order
+    ):
+        fleet = CsProblem.generate_batch(n=128, m=64, k=6, batch=7, seed=0)
+        kwargs = dict(WORKING_SET_RULES[rule])
+        if with_truth:
+            kwargs["ground_truth"] = fleet.signals
+        result = gather_scatter_amp(
+            lambda: WORKING_SET_BACKENDS[backend](fleet.matrix),
+            np.array(fleet.measurements, order=order),
+            fleet.n,
+            **kwargs,
+        )
+        # Exact columns retire by the tolerance rule, noisy ones only by
+        # the stagnation rule; noisy columns under the tolerance rule are
+        # all still active when the loop ends.
+        retires = backend == "dense" or rule == "stagnation"
+        assert result.converged.any() == retires
+        assert (len(set(result.active_counts)) > 1) == retires
+
+    def test_single_column(self, gather_scatter_amp):
+        fleet = CsProblem.generate_batch(n=128, m=64, k=6, batch=1, seed=1)
+        result = gather_scatter_amp(
+            lambda: CrossbarOperator(fleet.matrix, seed=3),
+            fleet.measurements, fleet.n, iterations=30, stagnation_window=3,
+            ground_truth=fleet.signals,
+        )
+        assert result.converged[0] and result.iterations[0] < 30
+
+    def test_zero_column_retires_on_the_first_sweep(self, gather_scatter_amp):
+        fleet = CsProblem.generate_batch(n=128, m=64, k=6, batch=5, seed=2)
+        measurements = fleet.measurements.copy()
+        measurements[:, 1] = 0.0
+        result = gather_scatter_amp(
+            lambda: CrossbarOperator(fleet.matrix, seed=3),
+            measurements, fleet.n, iterations=20, stagnation_window=3,
+        )
+        assert result.iterations[1] == 1
+        assert result.active_counts[:2] == [5, 4]
