@@ -13,8 +13,10 @@ layer times across changes.  The ledger starts with three layers:
   and one normal per output line and column.  The reference composes
   the same two reads from the public member reads
   ``positive.mvm(v) - negative.mvm(v)``: four GEMMs and two draws per
-  direction.  Both sides run warm (read caches built) and interleaved,
-  and each time is the median of ``REPEATS`` calls.
+  direction.  Both sides read by the one noisy-read law, float32
+  matrices and voltages with float64 currents, so the ratio measures
+  the pairing alone.  Both sides run warm (read caches built) and
+  interleaved, and each time is the median of ``REPEATS`` calls.
 * **workload_gen** — the Fig. 8 training corpus,
   ``LanguageCorpus(21, seed=1).dataset(3, 2000, seed=2)`` (63 texts of
   2000 characters), against a reference that draws every character
@@ -36,11 +38,12 @@ per-step code it replaced, kept here as the reference:
   the perfbench ``cs_single`` and ``cs_fleet`` fleets), run in place,
   against a session that allocates a new array for every step of every
   round.
-* **drift_rebuild** — the ``(G+ - G-, G+**2 + G-**2)`` read entry of a
-  256x256 tile pair (the perfbench ``serve_drift`` shard) rebuilt at a
-  fresh age from the pair's cached drift exponents: one ``pow`` and one
-  multiply per device.  The reference rebuilds it through
-  ``PcmDevice.drifted``, which recomputes every exponent.
+* **drift_rebuild** — the float32 ``(G+ - G-, G+**2 + G-**2)`` read
+  entry of a noisy 256x256 tile pair (the perfbench ``serve_drift``
+  shard) rebuilt at a fresh age from the pair's cached drift exponents:
+  one ``pow`` and one multiply per device.  The reference rebuilds it
+  through ``PcmDevice.drifted``, which recomputes every exponent, and
+  rounds it to float32 the way the pair does.
 
 The last layer is the batched solver's sweep loop, timed against the
 same loop written with a gather and a scatter per sweep:
@@ -57,6 +60,16 @@ same loop written with a gather and a scatter per sweep:
 Both sides of each device-state and solver pair must give identical
 output bit for bit, and each time is the median of ``STATE_REPEATS``
 interleaved calls.
+
+One row is recorded only, with no gate and no reference:
+
+* **read_breakdown** — one B=1 ``CrossbarOperator.matvec`` at the
+  perfbench ``cs_single`` shape (A 512x1024, one 1024x512 tile pair)
+  and three of its steps, each timed on its own inputs: the DAC
+  (``Dac.to_voltages``), the pair's forward read (``column_currents``)
+  and the ADC (``Adc.quantize``).  The remainder of the matvec is input
+  validation, per-column normalize and the digital accumulate.  Each
+  time is the median of ``BREAKDOWN_REPEATS`` round-robin calls.
 
 The HD pairs are timed first, before any tile read.  The hd_ngram
 reference makes 8 MB ``np.roll`` copies, and whether they page-fault
@@ -129,6 +142,9 @@ DRIFT_SHAPE = (256, 256)
 SWEEP_SHAPE = (512, 1024, 256)
 SWEEP_K, SWEEP_ITERATIONS, SWEEP_STAGNATION = 24, 25, 3
 STATE_REPEATS = {"program_verify": 5, "drift_rebuild": 25, "solver_sweep": 5}
+# cs_single's A (m, n); its reads are one column each.
+BREAKDOWN_SHAPE = (512, 1024)
+BREAKDOWN_REPEATS = 201
 MIN_RATIOS = {
     "workload_gen": 10.0,
     "hd_ngram": 3.0,
@@ -251,14 +267,15 @@ def per_step_program_and_verify(device, target, seed):
 
 
 def drifted_entry(pair, age):
-    """A tile pair's read entry at ``age``, drifted through
-    ``PcmDevice.drifted``."""
+    """A noisy tile pair's read entry at ``age``, drifted through
+    ``PcmDevice.drifted``: the float32 mean and power of the read law."""
     device = pair.positive.device
     g_pos = device.drifted(pair.positive._g_programmed, age)
     g_neg = device.drifted(pair.negative._g_programmed, age)
+    mean = np.subtract(g_pos, g_neg, out=np.empty_like(g_pos, dtype=np.float32))
     power = np.square(g_pos, dtype=np.float32)
     power += np.square(g_neg, dtype=np.float32)
-    return g_pos - g_neg, power
+    return mean, power
 
 
 def time_state_layers():
@@ -378,6 +395,38 @@ def time_solver_sweep():
     return {"solver_sweep": (sweep_s, gather_s)}
 
 
+def time_read_breakdown():
+    """Median seconds of one B=1 ``matvec`` at cs_single's shape and of
+    three of its steps, each timed on its own inputs: the DAC, the tile
+    pair's forward read and the ADC."""
+    m, n = BREAKDOWN_SHAPE
+    operator = CrossbarOperator(gaussian_measurement_matrix(m, n, seed=0), seed=1)
+    assert operator.n_tiles == 1
+    pair = operator._tiles[(0, 0)]
+    x = np.random.default_rng(2).standard_normal(n)
+    normalized, _ = operator._normalize_block(x[:, None])
+    voltages = operator.dac.to_voltages(normalized)
+    currents = pair.column_currents(voltages, operator.age_seconds)
+    steps = {
+        "matvec": lambda: operator.matvec(x),
+        "dac": lambda: operator.dac.to_voltages(normalized),
+        "tile_read": lambda: pair.column_currents(voltages, operator.age_seconds),
+        "adc": lambda: operator.adc_columns.quantize(currents),
+    }
+    samples = {step: [] for step in steps}
+    for repeat in range(BREAKDOWN_REPEATS + 1):
+        for step, fn in steps.items():
+            t0 = time.perf_counter()
+            fn()
+            if repeat:  # the first round warms up
+                samples[step].append(time.perf_counter() - t0)
+    medians = {step: float(np.median(times)) for step, times in samples.items()}
+    medians["remainder"] = medians["matvec"] - sum(
+        medians[step] for step in ("dac", "tile_read", "adc")
+    )
+    return medians
+
+
 def ratio_lines(layers, metrics):
     """Record each layer's times and ratio; one ledger line per layer."""
     lines = ["  layer              measured    reference   ratio   gate"]
@@ -401,6 +450,7 @@ def test_layer_ledger(write_result):
     hd_layers = time_hd_layers()
     state_layers = time_state_layers()
     solver_layers = time_solver_sweep()
+    breakdown = time_read_breakdown()
 
     metrics = {}
     lines = [
@@ -441,6 +491,18 @@ def test_layer_ledger(write_result):
         "{} sweeps, DenseOperator)".format(*SWEEP_SHAPE, SWEEP_ITERATIONS)
     )
     lines += ratio_lines(solver_layers, metrics)
+    lines.append(
+        "Per-layer ledger - read breakdown (one matvec, A {}x{} / B=1, "
+        "recorded only)".format(*BREAKDOWN_SHAPE)
+    )
+    lines.append("  step                 median   share")
+    for step, seconds in breakdown.items():
+        metrics[f"read_breakdown_{step}_ms"] = seconds * 1e3
+        lines.append(
+            f"  {step:<14} {seconds * 1e3:9.3f} ms  "
+            f"{100 * seconds / breakdown['matvec']:5.1f} %"
+        )
+    lines.append("  remainder: input validation, normalize and accumulate")
     if not pinned:
         lines.append("  gate: skipped (BLAS not pinned to one thread)")
 
@@ -459,6 +521,8 @@ def test_layer_ledger(write_result):
             "sweep_k": SWEEP_K,
             "sweep_iterations": SWEEP_ITERATIONS,
             "sweep_stagnation_window": SWEEP_STAGNATION,
+            "breakdown_shape": list(BREAKDOWN_SHAPE),
+            "breakdown_repeats": BREAKDOWN_REPEATS,
             "nproc": nproc,
             "blas_env": blas_env,
             "blas_pinned": pinned,

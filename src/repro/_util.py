@@ -14,6 +14,7 @@ import numpy as np
 
 __all__ = [
     "as_rng",
+    "check_binary",
     "check_elapsed",
     "check_finite",
     "check_int",
@@ -70,6 +71,27 @@ def check_finite(name: str, array: np.ndarray) -> np.ndarray:
     if not np.isfinite(array).all():
         raise ValueError(f"{name} must be finite, got NaN or inf entries")
     return array
+
+
+def check_binary(name: str, array: np.ndarray) -> np.ndarray:
+    """Return ``array`` as ``uint8``; raise ``ValueError`` unless every
+    entry is 0 or 1.
+
+    A cast alone would serve a bad hypervector: ``uint8`` wraps -1 to
+    255, truncates 0.6 to 0 and turns NaN into an arbitrary byte.  Every
+    HD entry point that trains on or searches with a hypervector
+    validates through this helper before any count, read or counter
+    moves.  A ``uint8`` array, what the encoders emit, is checked in one
+    pass and returned as is.
+    """
+    array = np.asarray(array)
+    if array.dtype == np.uint8:
+        if array.size and array.max() > 1:
+            raise ValueError(f"{name} must hold only 0/1 entries")
+        return array
+    if not np.all((array == 0) | (array == 1)):
+        raise ValueError(f"{name} must hold only 0/1 entries")
+    return array.astype(np.uint8)
 
 
 def check_int(name: str, value: float, minimum: int = 1) -> int:

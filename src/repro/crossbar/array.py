@@ -57,21 +57,25 @@ def line_currents(
     reads, so a differential pair passes ``G+ - G-`` and
     ``G+**2 + G-**2`` and gets the law of its difference current.
 
-    Precision: the mean GEMM and the normal draws run in float64.  The
-    power matrix is cached in float32 and the voltage block is squared
-    in its dtype, so the noise-power product streams half the bytes.
-    It only sets a standard deviation: float32 moves the noise std of
-    a 1024-line read by under 1e-6 relative (well inside
-    ``lines * eps(float32)``), so a current moves by under a millionth
-    of its own read noise, far inside one ADC level.  Squared read
-    voltages and conductances sit well inside float32's normal range.
+    Precision: a noisy read caches both matrices in float32, casts the
+    voltage block to float32 once and runs both GEMMs on it, so a read
+    streams half the bytes; the currents come back in float64, the
+    float32 mean product plus a float64 noise term.  Each product errs
+    by at most ``lines * eps(float32) * |G|^T |v|``: on a 1024x512 pair
+    the mean moved a current by at most 2.3e-4 of its own read-noise
+    std and 2.2e-5 of one 8-bit ADC level, and the std moves by under
+    1e-6 relative.  Voltages, conductances and their squares sit well
+    inside float32's normal range.  A noise-free read (``sigma == 0``,
+    ``power is None``) keeps a float64 mean and returns its product
+    exactly.
     """
-    currents = (mean.T if axis == 0 else mean) @ voltages
     if sigma == 0.0:
-        return currents
-    noise_power = (power.T if axis == 0 else power) @ np.square(
-        voltages, dtype=power.dtype
-    )
+        return (mean.T if axis == 0 else mean) @ voltages
+    # Cast once: a float32 matrix times float64 voltages would upcast
+    # the whole matrix into a float64 copy on every read.
+    voltages = voltages.astype(np.float32)
+    currents = (mean.T if axis == 0 else mean) @ voltages
+    noise_power = (power.T if axis == 0 else power) @ np.square(voltages)
     return currents + sigma * np.sqrt(noise_power) * rng.standard_normal(
         currents.shape
     )
@@ -236,19 +240,23 @@ class CrossbarArray:
     def _read_entry(self) -> tuple[np.ndarray, np.ndarray | None]:
         """Cached ``(G, G**2)`` for reads in either direction.
 
-        ``G`` is the programmed matrix itself, not a copy (no reader
-        writes into it), so the mean stays float64.  The square only
-        sets the read-noise std: it is built in float32 (see
-        :func:`line_currents`), and only for a noisy device.  The entry
-        lives until :meth:`_invalidate_read_cache` (reprogramming,
-        fault injection).
+        A noisy device caches both in float32, the precision contract
+        of :func:`line_currents`: ``G`` rounded once from the float64
+        programmed state, which stays this array's state, and ``G**2``
+        squared in float32.  A noise-free device caches the programmed
+        matrix itself (no reader writes into it) and no power, so its
+        reads stay exact.  The entry lives until
+        :meth:`_invalidate_read_cache` (reprogramming, fault injection).
         """
         if self._read_cache is None:
             g = self._g_programmed
-            power = None
-            if self.device.read_noise_sigma != 0.0:
-                power = np.square(g, dtype=np.float32)
-            self._read_cache = (g, power)
+            if self.device.read_noise_sigma == 0.0:
+                self._read_cache = (g, None)
+            else:
+                self._read_cache = (
+                    g.astype(np.float32),
+                    np.square(g, dtype=np.float32),
+                )
         return self._read_cache
 
     def _count_reads(self, columns: int, axis: int) -> None:

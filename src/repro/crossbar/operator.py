@@ -130,10 +130,12 @@ class _TilePair:
     read of the cached ``G+ - G-`` and ``G+**2 + G-**2``: one mean
     GEMM, one noise-power GEMM and one normal per output line and
     column, where reading both members and subtracting takes twice
-    each.  Both members still count every read event.  The mean
-    ``G+ - G-`` is cached in float64; the power ``G+**2 + G-**2``, which
-    only sets the noise std, is built from float32 squares and cached
-    in float32, the precision contract of :func:`line_currents`.
+    each.  Both members still count every read event.  A noisy pair
+    caches both matrices in float32, the precision contract of
+    :func:`line_currents`: the mean ``G+ - G-`` is subtracted in float64
+    and rounded once, and the power ``G+**2 + G-**2`` is the sum of
+    float32 squares.  A noise-free pair caches its float64 mean and no
+    power, so its reads stay exact.
 
     The pair keeps no clock.  Every read takes the owning operator's
     ``age`` and sees the members' programmed conductances drifted to
@@ -187,11 +189,17 @@ class _TilePair:
                 time_factor = device.drift_time_factor(age)
                 g_pos = self._drifted(0, self.positive, time_factor)
                 g_neg = self._drifted(1, self.negative, time_factor)
-            power = None
-            if device.read_noise_sigma != 0.0:
+            if device.read_noise_sigma == 0.0:
+                self._read_cache = (g_pos - g_neg, None)
+            else:
+                # Subtracted in float64 and rounded once on store; the
+                # buffer is new, so no member's programmed state is hit.
+                mean = np.subtract(
+                    g_pos, g_neg, out=np.empty_like(g_pos, dtype=np.float32)
+                )
                 power = np.square(g_pos, dtype=np.float32)
                 power += np.square(g_neg, dtype=np.float32)
-            self._read_cache = (g_pos - g_neg, power)
+                self._read_cache = (mean, power)
             self._cache_key = key
         return self._read_cache
 
@@ -432,17 +440,19 @@ class CrossbarOperator:
         conversions land in the ordinary DAC/ADC counters and their
         count in ``n_calibration_probes`` (physically they are the same
         probe-vector operation), so verify work is priced by
-        ``energy_from_stats`` without any new energy key.
+        ``energy_from_stats`` without any new energy key.  A reference
+        with no signal (an all-zero matrix) raises ``RuntimeError``
+        before any probe is read or billed.
         """
         n_probes = check_int("n_probes", n_probes)
         rng = as_rng(seed)
         m, n = self.shape
         probes = rng.standard_normal((n_probes, n)).T
         reference = self.matrix @ probes
-        observed = self.matmat(probes)
         denominator = float(np.linalg.norm(reference))
         if denominator == 0.0:
             raise RuntimeError("verify probes produced no reference signal")
+        observed = self.matmat(probes)
         self.n_calibration_probes += n_probes
         return float(np.linalg.norm(observed - reference)) / denominator
 

@@ -15,7 +15,7 @@ from typing import Hashable
 
 import numpy as np
 
-from repro._util import as_rng
+from repro._util import as_rng, check_binary
 from repro.ml.hd.hypervector import hamming_similarity, majority_from_counts
 
 __all__ = ["AssociativeMemory"]
@@ -48,10 +48,15 @@ class AssociativeMemory:
 
     # -- training ------------------------------------------------------------
     def train(self, label: Hashable, hypervector: np.ndarray) -> None:
-        """Accumulate one training hypervector into a class."""
+        """Accumulate one training hypervector into a class.
+
+        A wrong shape or an entry other than 0/1 raises ``ValueError``
+        before any count moves.
+        """
         hypervector = np.asarray(hypervector)
         if hypervector.shape != (self.d,):
             raise ValueError(f"hypervector must have shape ({self.d},)")
+        hypervector = check_binary("hypervector", hypervector)
         if label not in self._counts:
             self._counts[label] = np.zeros(self.d, dtype=np.int64)
             self._totals[label] = 0
@@ -60,9 +65,19 @@ class AssociativeMemory:
         self._prototype_cache.pop(label, None)
 
     def train_many(self, labels, hypervectors: np.ndarray) -> None:
-        """Accumulate a labelled batch (one label per hypervector)."""
-        hypervectors = np.asarray(hypervectors)
-        for label, hv in zip(labels, hypervectors, strict=True):
+        """Accumulate a labelled batch (one label per hypervector).
+
+        A label-count mismatch or an entry other than 0/1 anywhere in
+        the batch raises ``ValueError`` before the first vector is
+        counted.
+        """
+        labels = list(labels)
+        hypervectors = check_binary("hypervectors", hypervectors)
+        if len(labels) != len(hypervectors):
+            raise ValueError(
+                f"got {len(hypervectors)} hypervectors but {len(labels)} labels"
+            )
+        for label, hv in zip(labels, hypervectors):
             self.train(label, hv)
 
     def train_counts(self, label: Hashable, counts: np.ndarray, total: int) -> None:
@@ -125,10 +140,14 @@ class AssociativeMemory:
 
     # -- classification -------------------------------------------------------
     def similarities(self, query: np.ndarray) -> dict[Hashable, float]:
-        """Hamming similarity of a query to every class prototype."""
+        """Hamming similarity of a query to every class prototype.
+
+        A wrong shape or an entry other than 0/1 raises ``ValueError``.
+        """
         query = np.asarray(query)
         if query.shape != (self.d,):
             raise ValueError(f"query must have shape ({self.d},)")
+        query = check_binary("query", query)
         return {
             label: hamming_similarity(query, self.prototype(label))
             for label in self._counts
@@ -145,12 +164,14 @@ class AssociativeMemory:
         """Winning label per query row.
 
         Exactly equivalent to per-query :meth:`classify`: both read the
-        cached prototypes, whose tie-bits are fixed per trained state.
+        cached prototypes, whose tie-bits are fixed per trained state,
+        and both reject an entry other than 0/1, on which a Hamming
+        distance and a 0/1 match count disagree.
         """
         queries = np.asarray(queries)
         if queries.ndim != 2 or queries.shape[1] != self.d:
             raise ValueError(f"queries must have shape (B, {self.d}), got {queries.shape}")
-        q = queries.astype(np.float64)
+        q = check_binary("queries", queries).astype(np.float64)
         labels, prototypes = self.prototype_matrix()
         # Match counts via two 0/1 matmuls keep memory at
         # O(B * classes) instead of a (B, classes, d) broadcast.

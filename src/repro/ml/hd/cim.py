@@ -23,7 +23,7 @@ from typing import Hashable
 
 import numpy as np
 
-from repro._util import as_rng
+from repro._util import as_rng, check_binary
 from repro.crossbar import Adc, CrossbarArray
 from repro.devices import BinaryMemristor, PcmDevice
 from repro.logic import ScoutingLogic, SenseAmplifier
@@ -134,7 +134,7 @@ class CimAssociativeMemory:
     def match_currents(self, query: np.ndarray) -> np.ndarray:
         """Per-class summed currents (monotone in match count): a
         one-row :meth:`match_currents_batch`."""
-        query = np.asarray(query, dtype=np.uint8)
+        query = np.asarray(query)
         if query.shape != (self.d,):
             raise ValueError(f"query must have shape ({self.d},)")
         return self.match_currents_batch(query[None, :])[0]
@@ -144,13 +144,17 @@ class CimAssociativeMemory:
 
         The queries drive both prototype arrays as one voltage block
         (one query per column), so the whole batch is a single pair of
-        batched array reads instead of ``B`` sequential searches.
+        batched array reads instead of ``B`` sequential searches.  A
+        wrong shape, an empty batch or an entry other than 0/1 raises
+        ``ValueError`` before any array read or query is counted (cast
+        to bytes, a 2 or a -1 would drive a line at 255 read voltages).
         """
-        queries = np.asarray(queries, dtype=np.uint8)
+        queries = np.asarray(queries)
         if queries.ndim != 2 or queries.shape[1] != self.d:
             raise ValueError(f"queries must have shape (B, {self.d}), got {queries.shape}")
         if queries.shape[0] == 0:
             raise ValueError("batch must contain at least one query")
+        queries = check_binary("queries", queries)
         voltages = queries.T.astype(float) * self.v_read  # (d, B)
         complement = (1 - queries.T).astype(float) * self.v_read
         currents = self.array_direct.mvm(voltages) + self.array_complement.mvm(

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro._util import as_rng, normalized_hamming
+from repro._util import as_rng, check_binary, normalized_hamming
 
 __all__ = [
     "random_hypervector",
@@ -101,21 +101,14 @@ def random_hypervector(
     return rng.integers(0, 2, size=d, dtype=np.uint8)
 
 
-def _check_binary(vector: np.ndarray) -> np.ndarray:
-    vector = np.asarray(vector)
-    if vector.dtype != np.uint8:
-        vector = vector.astype(np.uint8)
-    return vector
-
-
 def bind(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """MAP multiplication: component-wise XOR.
 
     Binding is an involution (``bind(bind(a, b), b) == a``) and maps
     inputs to a vector quasi-orthogonal to both.
     """
-    a = _check_binary(a)
-    b = _check_binary(b)
+    a = check_binary("a", a)
+    b = check_binary("b", b)
     if a.shape != b.shape:
         raise ValueError("hypervectors must share a shape")
     return np.bitwise_xor(a, b)
@@ -154,7 +147,7 @@ def bundle(
 
 def permute(vector: np.ndarray, shifts: int = 1) -> np.ndarray:
     """MAP permutation: cyclic shift by ``shifts`` positions."""
-    return np.roll(_check_binary(vector), shifts)
+    return np.roll(check_binary("vector", vector), shifts)
 
 
 def hamming_similarity(a: np.ndarray, b: np.ndarray) -> float:

@@ -11,6 +11,8 @@ variance of a per-device Monte Carlo built on ``PcmDevice.read``, for
 one array and for a differential tile pair read as one Gaussian.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,7 @@ from repro.crossbar import CrossbarArray, CrossbarOperator
 from repro.crossbar.array import line_currents
 from repro.crossbar.operator import _TilePair
 from repro.devices import PcmDevice
+from repro.workloads import gaussian_measurement_matrix
 
 
 def make_twins(matrix, **kwargs):
@@ -45,6 +48,14 @@ def looped_rmatvec(operator, z_block):
 def drifted(member, age_seconds):
     """A tile-pair member's programmed conductances drifted to an age."""
     return member.device.drifted(member._g_programmed, age_seconds)
+
+
+def noisy_pair_entry(g_pos, g_neg):
+    """A noisy pair's read entry formed as the read forms it: the mean
+    ``G+ - G-`` subtracted in float64 and rounded once to float32, the
+    power summed from float32 squares."""
+    mean = (g_pos - g_neg).astype(np.float32)
+    return mean, np.square(g_pos, dtype=np.float32) + np.square(g_neg, dtype=np.float32)
 
 
 DETERMINISTIC_DEVICES = [
@@ -266,19 +277,21 @@ class TestNoisyStatisticalEquivalence:
 
     def test_one_column_pair_read_draws_one_normal_per_line(self):
         """A pair read draws one normal per output line and column, for
-        the difference current, and none per member.  The noise power
-        is formed as the read forms it: float32 squares of both members
-        summed, against the float32 square of the one-column block."""
+        the difference current, and none per member.  The entry is
+        formed as the read forms it (the float32 mean and power), and
+        both products run on the float32 one-column block."""
         pair = self.make_pair()
         twin = np.random.default_rng()
         twin.bit_generator.state = pair._rng.bit_generator.state
         voltages = np.random.default_rng(4).uniform(-0.2, 0.2, pair.positive.rows)
-        g_pos = drifted(pair.positive, 1e6)
-        g_neg = drifted(pair.negative, 1e6)
-        power = np.square(g_pos, dtype=np.float32) + np.square(g_neg, dtype=np.float32)
-        noise_power = power.T @ np.square(voltages[:, None], dtype=np.float32)
+        mean, power = noisy_pair_entry(
+            drifted(pair.positive, 1e6), drifted(pair.negative, 1e6)
+        )
+        block = voltages[:, None].astype(np.float32)
+        mean_current = (mean.T @ block)[:, 0]
+        noise_power = power.T @ np.square(block)
         for _ in range(3):
-            expected = (g_pos - g_neg).T @ voltages + self.SIGMA * np.sqrt(
+            expected = mean_current + self.SIGMA * np.sqrt(
                 noise_power
             )[:, 0] * twin.standard_normal(pair.positive.cols)
             np.testing.assert_allclose(
@@ -303,10 +316,11 @@ class TestDriftExponentCache:
 
     @staticmethod
     def assert_entry_is_the_drifted_law(pair, age):
-        g_pos, g_neg = drifted(pair.positive, age), drifted(pair.negative, age)
-        power = np.square(g_pos, dtype=np.float32) + np.square(g_neg, dtype=np.float32)
-        mean, cached_power = pair._read_cache
-        np.testing.assert_array_equal(mean, g_pos - g_neg, strict=True)
+        mean, power = noisy_pair_entry(
+            drifted(pair.positive, age), drifted(pair.negative, age)
+        )
+        cached_mean, cached_power = pair._read_cache
+        np.testing.assert_array_equal(cached_mean, mean, strict=True)
         np.testing.assert_array_equal(cached_power, power, strict=True)
 
     def test_new_ages_reuse_the_exponents(self):
@@ -346,11 +360,14 @@ class TestDriftExponentCache:
         assert operator._tiles[(0, 0)]._exponents == [None, None]
 
 
-class _UnitNormals:
-    """A generator stand-in whose every standard normal is 1."""
+class _ConstantNormals:
+    """A generator stand-in whose every standard normal is ``value``."""
+
+    def __init__(self, value):
+        self.value = value
 
     def standard_normal(self, shape):
-        return np.ones(shape)
+        return np.full(shape, self.value)
 
 
 PAIR_AGE = 1e6
@@ -372,28 +389,42 @@ def block_read(reader, block, axis):
     return (reader.column_currents, reader.row_currents)[axis](block, PAIR_AGE)
 
 
-def float64_power(reader):
-    """The noise-power law ``G**2`` (``G+**2 + G-**2``) in float64."""
+def float64_law(reader):
+    """The read law in float64: the mean ``G`` (``G+ - G-``) and the
+    noise power ``G**2`` (``G+**2 + G-**2``)."""
     if isinstance(reader, CrossbarArray):
-        return reader._g_programmed**2
+        g = reader._g_programmed
+        return g, g**2
     g_pos, g_neg = drifted(reader.positive, PAIR_AGE), drifted(reader.negative, PAIR_AGE)
-    return g_pos**2 + g_neg**2
+    return g_pos - g_neg, g_pos**2 + g_neg**2
+
+
+def mean_currents(mean, power, block, axis):
+    """The float32 mean product of a noisy read, as the read forms it:
+    ``line_currents`` with every standard normal 0."""
+    return line_currents(mean, power, block, axis, 1.0, _ConstantNormals(0.0))
 
 
 class TestReadPrecision:
-    """The read-noise precision contract of ``line_currents``: the mean
-    GEMM runs on a float64 matrix, the noise power on a float32 one
-    (it only sets a standard deviation), and a noise-free device
-    caches no power at all."""
+    """The precision contract of ``line_currents``: a noisy read caches
+    its mean and its noise power in float32, runs both GEMMs on the
+    float32 voltage block and returns float64 currents; a noise-free
+    device caches a float64 mean and no power, and reads it exactly."""
 
     @pytest.mark.parametrize("kind", ["array", "pair"])
-    def test_noisy_read_caches_float32_power_and_float64_mean(self, kind):
+    def test_noisy_read_caches_float32_mean_and_power(self, kind):
         reader = make_reader(kind, (12, 9), sigma=0.05)
-        block_read(reader, np.full((12, 2), 0.1), axis=0)
+        currents = block_read(reader, np.full((12, 2), 0.1), axis=0)
         mean, power = reader._read_cache
-        assert mean.dtype == np.float64
+        law, _ = float64_law(reader)
+        # the float64 law rounded once, not its members rounded first
+        np.testing.assert_array_equal(mean, law.astype(np.float32), strict=True)
         assert power.dtype == np.float32
         assert power.shape == mean.shape
+        assert currents.dtype == np.float64
+        # the programmed state stays float64; only the read cache is float32
+        members = [reader] if kind == "array" else [reader.positive, reader.negative]
+        assert all(member._g_programmed.dtype == np.float64 for member in members)
 
     @pytest.mark.parametrize("kind", ["array", "pair"])
     @pytest.mark.parametrize("axis", [0, 1])
@@ -403,6 +434,7 @@ class TestReadPrecision:
         currents = block_read(reader, block, axis)
         mean, power = reader._read_cache
         assert power is None
+        assert mean.dtype == np.float64
         np.testing.assert_array_equal(currents, (mean.T if axis == 0 else mean) @ block)
 
     @pytest.mark.parametrize("kind", ["array", "pair"])
@@ -416,11 +448,80 @@ class TestReadPrecision:
         block_read(reader, block, axis)
         mean, power = reader._read_cache
         # zero mean, unit sigma and unit normals: the read returns its std
-        std = line_currents(np.zeros_like(mean), power, block, axis, 1.0, _UnitNormals())
-        law = float64_power(reader)
+        std = line_currents(
+            np.zeros_like(mean), power, block, axis, 1.0, _ConstantNormals(1.0)
+        )
+        _, law = float64_law(reader)
         reference = np.sqrt((law.T if axis == 0 else law) @ block**2)
         assert std.dtype == np.float64
         np.testing.assert_allclose(std, reference, rtol=lines * np.finfo(np.float32).eps)
+
+    @pytest.mark.parametrize("kind", ["array", "pair"])
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_float32_mean_product_of_a_1024_line_read(self, kind, axis):
+        """``|I32 - I64| <= lines * eps(float32) * |G|^T |v|`` for every
+        current: rounding ``G`` and ``v`` once and accumulating in float32
+        each stay inside the standard bound of a float32 dot product."""
+        lines = 1024
+        reader = make_reader(kind, (lines, 8) if axis == 0 else (8, lines), sigma=0.05)
+        block = np.random.default_rng(24).uniform(-0.2, 0.2, (lines, 4))
+        block_read(reader, block, axis)
+        currents = mean_currents(*reader._read_cache, block, axis)
+        law, _ = float64_law(reader)
+        law = law.T if axis == 0 else law
+        bound = lines * np.finfo(np.float32).eps * (np.abs(law) @ np.abs(block))
+        assert currents.dtype == np.float64
+        assert np.all(np.abs(currents - law @ block) <= bound)
+
+    @pytest.mark.parametrize("age", [0.0, 1e6])
+    def test_float32_mean_moves_no_adc_code_at_cs_single_shape(self, age):
+        """At the one-signal AMP operator (A 512x1024, one 1024x512 tile
+        pair, default device and 8-bit converters), fresh and drifted,
+        on 16 DAC-quantized probes per direction: the float32 mean moves
+        a current by under 1e-3 of its own read-noise std and 1e-4 of
+        one ADC step, and no noise-free conversion changes its code."""
+        matrix = gaussian_measurement_matrix(512, 1024, seed=30)
+        operator = CrossbarOperator(matrix, seed=31)
+        operator.advance_time(age)
+        pair = operator._tiles[(0, 0)]
+        entry = pair._read_entry(operator.age_seconds)
+        g_pos = drifted(pair.positive, operator.age_seconds)
+        g_neg = drifted(pair.negative, operator.age_seconds)
+        sigma = operator.device.read_noise_sigma
+        probes = np.random.default_rng(32)
+        mean, power = g_pos - g_neg, g_pos**2 + g_neg**2
+        for axis, adc in ((0, operator.adc_columns), (1, operator.adc_rows)):
+            lines = g_pos.shape[axis]
+            normalized, _ = operator._normalize_block(probes.standard_normal((lines, 16)))
+            voltages = operator.dac.to_voltages(normalized)
+            float32_currents = mean_currents(*entry, voltages, axis)
+            float64_currents = (mean.T if axis == 0 else mean) @ voltages
+            shift = np.abs(float32_currents - float64_currents)
+            std = sigma * np.sqrt((power.T if axis == 0 else power) @ voltages**2)
+            assert (shift / std).max() < 1e-3
+            assert shift.max() < 1e-4 * adc.lsb
+            np.testing.assert_array_equal(
+                adc.quantize(float32_currents), adc.quantize(float64_currents)
+            )
+
+    @pytest.mark.parametrize("kind", ["array", "pair"])
+    def test_a_warm_one_column_read_copies_no_matrix(self, kind):
+        """A warm noisy read of a ``(1024, 1)`` block at 1024x512 peaks
+        under 1 MB of traced allocation.  A float32 mean multiplied by
+        float64 voltages would be upcast into a 4.2 MB float64 copy on
+        every read, with results still inside every tolerance."""
+        reader = make_reader(kind, (1024, 512), sigma=0.05)
+        block = np.random.default_rng(26).uniform(-0.2, 0.2, (1024, 1))
+        block_read(reader, block, axis=0)  # builds the read cache
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before, _ = tracemalloc.get_traced_memory()
+            block_read(reader, block, axis=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - before < 1 << 20
 
 
 class TestTilePairReads:

@@ -252,3 +252,13 @@ class TestVerifyReads:
         # a failed fit keeps the old gain and counts no probes
         assert zero.gain == 1.0
         assert (zero.n_calibrations, zero.n_calibration_probes) == (0, 0)
+
+    def test_a_zero_reference_is_rejected_before_any_probe_read(self):
+        """The reference ``A @ probes`` is known before the read, so a
+        matrix that gives no reference signal bills nothing."""
+        zero = CrossbarOperator(np.zeros((4, 6)), seed=1)
+        before = zero.stats
+        with pytest.raises(RuntimeError, match="no reference signal"):
+            zero.read_error(n_probes=3, seed=2)
+        assert zero.stats == before
+        assert zero.n_live_matvec == 0

@@ -181,5 +181,6 @@ class TestTrainMany:
     def test_rejects_a_label_count_mismatch(self, rng):
         memory = AssociativeMemory(d=64)
         hypervectors = rng.integers(0, 2, size=(3, 64), dtype=np.uint8)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="3 hypervectors but 2 labels"):
             memory.train_many(["a", "b"], hypervectors)
+        assert memory.labels == []  # nothing counted before the check

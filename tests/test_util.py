@@ -5,6 +5,7 @@ import pytest
 
 from repro._util import (
     as_rng,
+    check_binary,
     check_elapsed,
     check_fraction,
     check_in,
@@ -91,6 +92,33 @@ class TestCheckers:
         assert check_int("index", 0, minimum=0) == 0
         with pytest.raises(ValueError, match="index must be an integer >= 0"):
             check_int("index", -1, minimum=0)
+
+    def test_check_binary_passes_a_uint8_block_as_is(self):
+        bits = np.array([[0, 1], [1, 1]], dtype=np.uint8)
+        assert check_binary("q", bits) is bits
+        assert check_binary("q", np.zeros((0, 4), dtype=np.uint8)).shape == (0, 4)
+
+    @pytest.mark.parametrize(
+        "bits", [[0, 1, 1], [0.0, 1.0, 1.0], [False, True, True]]
+    )
+    def test_check_binary_casts_0_1_entries_to_uint8(self, bits):
+        result = check_binary("q", np.array(bits))
+        assert result.dtype == np.uint8
+        assert np.array_equal(result, [0, 1, 1])
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            np.array([0, 1, 2], dtype=np.uint8),
+            np.array([0, 1, 255], dtype=np.uint8),
+            np.array([0, -1, 1]),
+            np.array([0.0, 0.6, 1.0]),
+            np.array([0.0, np.nan, 1.0]),
+        ],
+    )
+    def test_check_binary_rejects_naming_the_parameter(self, bad):
+        with pytest.raises(ValueError, match="q must hold only 0/1 entries"):
+            check_binary("q", bad)
 
     def test_check_shape(self):
         arr = np.zeros((2, 3))
