@@ -15,16 +15,19 @@ replaces all of it:
   regenerate the text and trend it across PRs;
 * ``gate_json=...`` keeps writing ``BENCH_<name>.json`` with the same
   schema and mirrors the payload's top-level scalars into the metrics
-  table (explicit ``metrics=`` entries win).
+  table (explicit ``metrics=`` entries win);
+* ``speed_gates=...`` appends a :class:`SpeedGates` record to the text,
+  the config, the metrics and the gate JSON (see below).
 
 The results directory resolves through
 :func:`repro.results.store.results_dir` — ``REPRO_RESULTS_DIR`` or the
 pytest ``--results-dir`` flag redirect everything (text, JSON and DB)
 in one move.
 
-The wall-clock benches share two timing helpers: :func:`available_cores`
-(the CPUs this process may run on, which picks each bench's speedup
-gate) and :func:`best_of` (the fastest of ``repeats`` calls).
+The wall-clock benches time with :func:`time_interleaved` and gate with
+:class:`SpeedGates`: every speed gate is recorded with its quartiles,
+floor, shape, core count and BLAS env, and skips (never fails) with its
+reason when BLAS is unpinned or the host's speed moved during the run.
 """
 
 from __future__ import annotations
@@ -32,7 +35,11 @@ from __future__ import annotations
 import json
 import os
 import time
+from dataclasses import dataclass
 from pathlib import Path
+
+import numpy as np
+import pytest
 
 from repro.core.report import ReportDocument, ReportText
 from repro.experiments import ExperimentResult
@@ -45,7 +52,13 @@ from repro.results.store import (
     set_active_store,
 )
 
-__all__ = ["BenchRecorder", "available_cores", "best_of"]
+__all__ = ["BenchRecorder", "SpeedGates", "Timing", "available_cores",
+           "reference_seconds", "time_interleaved"]
+
+BLAS_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+#: Speed gates skip when the reference kernel moved by more than this
+#: fraction between the start and the end of their bench.
+MAX_HOST_DRIFT = 0.25
 
 
 def available_cores() -> int:
@@ -56,14 +69,129 @@ def available_cores() -> int:
         return os.cpu_count() or 1
 
 
-def best_of(repeats, fn):
-    """Fastest wall-clock seconds over ``repeats`` calls of ``fn``."""
-    best = float("inf")
+@dataclass(frozen=True)
+class Timing:
+    """Seconds of one callable's timed rounds; ``a / b`` gives the
+    round-by-round ratios of two interleaved timings."""
+
+    samples: tuple[float, ...]
+
+    @property
+    def median(self) -> float:
+        return float(np.median(self.samples))
+
+    @property
+    def quartiles(self) -> tuple[float, float]:
+        return tuple(np.percentile(self.samples, (25, 75)).tolist())
+
+    def __truediv__(self, other: Timing) -> Timing:
+        return Timing(tuple(np.divide(self.samples, other.samples).tolist()))
+
+
+def time_interleaved(calls: dict, repeats: int, setup: dict | None = None):
+    """Run the named ``calls`` once untimed (a warm-up), then ``repeats``
+    timed rounds that run each in turn.  ``setup`` may map a name to a
+    callable whose result is built untimed before every call of that
+    name and passed to it.  Returns ``({name: Timing}, {name: warm-up
+    output})``, so a bench keeps its bitwise and counter checks."""
+    setup = setup or {}
+
+    def run(name):
+        args = (setup[name](),) if name in setup else ()
+        start = time.perf_counter()
+        output = calls[name](*args)
+        return time.perf_counter() - start, output
+
+    outputs = {name: run(name)[1] for name in calls}
+    samples = {name: [] for name in calls}
     for _ in range(repeats):
-        t0 = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - t0)
-    return best
+        for name in calls:
+            samples[name].append(run(name)[0])
+    return {name: Timing(tuple(times)) for name, times in samples.items()}, outputs
+
+
+def reference_seconds() -> float:
+    """Fastest of 5 runs of a fixed kernel that calls nothing in ``repro``:
+    small numpy calls from a Python loop, a normal draw and a GEMM."""
+    rng, weights = np.random.default_rng(0), np.full(27, 1 / 27)
+    block = np.ones((320, 320))
+
+    def kernel():
+        for _ in range(600):
+            rng.choice(27, p=weights)
+        block @ rng.standard_normal((320, 1280))
+
+    return min(time_interleaved({"kernel": kernel}, 5)[0]["kernel"].samples)
+
+
+class SpeedGates:
+    """The speed floors of one bench and the host they are judged on.
+
+    Made before the bench times anything, it reads the core count and
+    the BLAS env and times :func:`reference_seconds`.  :meth:`record`,
+    which :class:`BenchRecorder` writes into the report and the store
+    row, times the kernel again and skips a gate, with the reason, when
+    the gated code runs BLAS and BLAS is not pinned to one thread, or
+    when the kernel moved by more than ``MAX_HOST_DRIFT``.
+    :meth:`enforce`, the bench's last step, asserts the other gates.
+    """
+
+    def __init__(self) -> None:
+        self.nproc = available_cores()
+        self.blas_env = {key: os.environ.get(key) for key in BLAS_ENV}
+        self.kernel_s = [reference_seconds()]
+        self.gates: dict[str, dict] = {}
+
+    def core_floor(self, floors: dict) -> float:
+        """The floor for this host from ``{fewest cores: floor}``."""
+        return floors[max(cores for cores in floors if cores <= self.nproc)]
+
+    def gate(self, name, ratio: Timing, floor, shape, blas=True) -> float:
+        """Gate the median of ``ratio`` (round-by-round ``slow / fast``) at
+        ``floor`` and return it; ``blas``: the timed code runs BLAS."""
+        q1, q3 = ratio.quartiles
+        self.gates[name] = dict(value=ratio.median, q1=q1, q3=q3, floor=floor,
+                                shape=shape, rounds=len(ratio.samples), blas=blas)
+        return ratio.median
+
+    def record(self) -> tuple[list[str], dict]:
+        """Judge the gates; return the report lines and the config entry."""
+        if len(self.kernel_s) == 1:  # the kernel is timed again once
+            self.kernel_s.append(reference_seconds())
+        before, after = self.kernel_s
+        moved = after / before - 1
+        env = ", ".join(f"{key}={value}" for key, value in self.blas_env.items())
+        lines = [f"Wall-clock gates - nproc {self.nproc}, {env}, "
+                 f"reference kernel {before * 1e3:.1f} -> {after * 1e3:.1f} ms"]
+        for name, gate in self.gates.items():
+            gate["passed"] = gate["value"] >= gate["floor"]
+            gate["skipped"] = None
+            if gate["blas"] and set(self.blas_env.values()) != {"1"}:
+                gate["skipped"] = f"BLAS not pinned to one thread ({env})"
+            elif abs(moved) > MAX_HOST_DRIFT:
+                gate["skipped"] = (f"host speed moved {moved:+.0%} while the bench "
+                                   f"ran (limit {MAX_HOST_DRIFT:.0%})")
+            verdict = "pass" if gate["passed"] else "FAIL"
+            lines.append(
+                f"  {name} at {gate['shape']}: {gate['value']:.2f}x (IQR "
+                f"{gate['q1']:.2f}-{gate['q3']:.2f}, {gate['rounds']} rounds), "
+                f"floor {gate['floor']:g}x -> "
+                + (f"skipped: {gate['skipped']}" if gate["skipped"] else verdict)
+            )
+        return lines, {"nproc": self.nproc, "blas_env": self.blas_env,
+                       "reference_kernel_s": self.kernel_s, "gates": self.gates}
+
+    def enforce(self) -> None:
+        """Assert every judged gate, then skip naming any unjudged one."""
+        self.record()
+        failed = [f"{name} {gate['value']:.2f}x below its {gate['floor']:g}x floor"
+                  for name, gate in self.gates.items()
+                  if not (gate["skipped"] or gate["passed"])]
+        assert not failed, "; ".join(failed)
+        skipped = [f"{name}: {gate['skipped']}"
+                   for name, gate in self.gates.items() if gate["skipped"]]
+        if skipped:
+            pytest.skip("; ".join(skipped))
 
 
 def _as_document(payload: object) -> tuple[str, ReportDocument]:
@@ -111,11 +239,19 @@ class BenchRecorder:
         config: dict | None = None,
         gate_json: dict | None = None,
         kind: str = "bench",
+        speed_gates: SpeedGates | None = None,
     ) -> None:
-        text, document = _as_document(payload)
         run_metrics: dict = {}
         run_config: dict = {}
         run_gates: dict = {}
+        if speed_gates is not None:
+            lines, run_config["wall_clock"] = speed_gates.record()
+            payload = "\n".join([payload, *lines])
+            run_metrics.update((f"{name}_{q}", gate[q]) for name, gate
+                               in speed_gates.gates.items() for q in ("q1", "q3"))
+            if gate_json is not None:
+                gate_json = {**gate_json, **run_metrics}  # adds the quartiles
+        text, document = _as_document(payload)
         if isinstance(payload, ExperimentResult):
             run_metrics.update(payload.metrics)
             run_config.update(payload.config)

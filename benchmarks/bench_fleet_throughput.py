@@ -14,9 +14,13 @@ It emits ``benchmarks/results/BENCH_fleet_throughput.json`` with:
   path also pipelines each sweep via ``fused_sweep``;
 * **bitwise serial-equivalence gates in the same run** — the threaded
   production dispatch must equal the serial dispatch bit for bit on
-  the dense backend (same gemm widths both modes), and a quantized
-  ideal-crossbar fleet must match serially-dispatched results, merged
-  counters, and loads exactly.
+  the dense backend (same gemm widths both modes; the 8-shard fleets'
+  warm-up products), and a quantized ideal-crossbar fleet must match
+  serially-dispatched results, merged counters, and loads exactly.
+
+Each shard count times its serial and threaded fleet in ``REPEATS``
+interleaved rounds after a warm-up round; each speedup is the median
+of the round-by-round ratios.
 
 Scaling-efficiency gate — thread-level speedup is physically bounded by
 the cores the runner exposes, so the wall-clock gate adapts (the
@@ -30,18 +34,20 @@ bitwise gates never relax):
 
 The shard threads rely on NumPy's GIL-releasing BLAS kernels; for the
 speedup to be attributable to cross-shard parallelism, BLAS-internal
-threading should be pinned (CI sets ``OPENBLAS_NUM_THREADS=1`` /
-``OMP_NUM_THREADS=1`` for this step).  The JSON records the core count
-and the pinning state so trend lines across runners stay comparable.
+threading must be pinned, so the gate skips, with the reason, when it
+is not (and when the host's speed moved during the run).  The JSON
+records the core count and the pinning state so trend lines across
+runners stay comparable.
 
-Run:  PYTHONPATH=src python -m pytest -q benchmarks/bench_fleet_throughput.py
+Run (one BLAS thread, as CI does)::
+
+    OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=1 MKL_NUM_THREADS=1 \\
+        PYTHONPATH=src python -m pytest -q benchmarks/bench_fleet_throughput.py
 """
-
-import os
 
 import numpy as np
 
-from _harness import available_cores, best_of
+from _harness import SpeedGates, time_interleaved
 
 from repro.crossbar import ShardedOperator
 from repro.devices import PcmDevice
@@ -61,9 +67,9 @@ CS_BATCH = 256
 CS_SHARD_COUNTS = (1, 2, 4)
 CS_SWEEPS = 8
 
-MIN_SPEEDUP_MULTICORE = 2.0  # >= 4 cores
-MIN_SPEEDUP_FEWCORE = 1.2  # 2-3 cores
-MIN_RATIO_SINGLE_CORE = 0.25  # 1 core: overhead bound, not a speedup
+# {fewest cores: floor}; on 1 core an overhead bound, not a speedup.
+MIN_SPEEDUPS = {4: 2.0, 2: 1.2, 1: 0.25}
+MODES = ("serial", "threads")
 COUNTER_KEYS = (
     "n_matvec",
     "n_rmatvec",
@@ -74,57 +80,62 @@ COUNTER_KEYS = (
 )
 
 
-def required_gate(cores: int) -> tuple[str, float]:
-    if cores >= 4:
-        return "speedup", MIN_SPEEDUP_MULTICORE
-    if cores >= 2:
-        return "speedup", MIN_SPEEDUP_FEWCORE
-    return "overhead-bound", MIN_RATIO_SINGLE_CORE
-
-
-def dense_fleet(matrix, shards, parallelism):
-    return ShardedOperator.from_matrix(
-        matrix,
-        n_shards=shards,
-        batch_window=BATCH // shards,
-        parallelism=parallelism,
-        backend="exact",
+def mode_trend(shards, build, call, items, unit):
+    """Time ``call(fleet)`` on the serial and the threaded fleet
+    ``build(mode)``.  Returns the trend row (each mode's median seconds
+    and ``unit`` per second, and the median serial/threaded speedup),
+    the timings, the warm-up outputs and the fleets."""
+    fleets = {mode: build(mode) for mode in MODES}
+    timings, outputs = time_interleaved(
+        {mode: lambda fleet=fleet: call(fleet) for mode, fleet in fleets.items()},
+        REPEATS,
     )
+    entry = {"shards": shards, "batch_window": items // shards}
+    for mode, fleet in fleets.items():
+        fleet.shutdown()
+        entry[f"{mode}_s"] = timings[mode].median
+        entry[f"{mode}_{unit}_per_s"] = items / timings[mode].median
+    entry["speedup"] = (timings["serial"] / timings["threads"]).median
+    return entry, timings, outputs, fleets
 
 
 def test_fleet_throughput_trend_and_equivalence(write_result):
     rng = np.random.default_rng(0)
-    cores = available_cores()
-    gate_mode, gate_value = required_gate(cores)
+    speed_gates = SpeedGates()
+    cores = speed_gates.nproc
+    gate_mode = "speedup" if cores >= 2 else "overhead-bound"
+    gate_value = speed_gates.core_floor(MIN_SPEEDUPS)
 
     # -- MVMs/s vs shard count at the production shape -----------------
     matrix = rng.standard_normal((M, N))
     x_block = rng.standard_normal((N, BATCH))
     mvm_trend = []
     for shards in SHARD_COUNTS:
-        entry = {"shards": shards, "batch_window": BATCH // shards}
-        for mode in ("serial", "threads"):
-            fleet = dense_fleet(matrix, shards, mode)
-            seconds = best_of(REPEATS, lambda: fleet.matmat(x_block))
-            fleet.shutdown()
-            entry[f"{mode}_s"] = seconds
-            entry[f"{mode}_mvms_per_s"] = BATCH / seconds
-        entry["speedup"] = entry["serial_s"] / entry["threads_s"]
+        entry, timings, products, fleets = mode_trend(
+            shards,
+            lambda mode: ShardedOperator.from_matrix(
+                matrix, n_shards=shards, batch_window=BATCH // shards,
+                parallelism=mode, backend="exact",
+            ),
+            lambda fleet: fleet.matmat(x_block), BATCH, "mvms",
+        )
         entry["scaling_efficiency"] = entry["speedup"] / min(shards, cores)
         mvm_trend.append(entry)
-    gate_entry = next(e for e in mvm_trend if e["shards"] == GATE_SHARDS)
-
-    # -- bitwise serial-equivalence gates (same run, same shapes) ------
-    serial_fleet = dense_fleet(matrix, GATE_SHARDS, "serial")
-    threaded_fleet = dense_fleet(matrix, GATE_SHARDS, "threads")
-    dense_bitwise = bool(
-        np.array_equal(serial_fleet.matmat(x_block), threaded_fleet.matmat(x_block))
-    )
-    dense_state_equal = (
-        serial_fleet.stats == threaded_fleet.stats
-        and serial_fleet.loads == threaded_fleet.loads
-    )
-    threaded_fleet.shutdown()
+        if shards == GATE_SHARDS:
+            # -- bitwise serial-equivalence gates (same run, same shapes)
+            gate_entry = entry
+            speed_gates.gate(
+                "gate_speedup", timings["serial"] / timings["threads"], gate_value,
+                shape=f"A {M}x{N}, B={BATCH}, {shards} shards",
+            )
+            dense_bitwise = bool(
+                np.array_equal(products["serial"], products["threads"])
+            )
+            dense_state_equal = (
+                fleets["serial"].stats == fleets["threads"].stats
+                and fleets["serial"].loads == fleets["threads"].loads
+            )
+        del products
 
     small = rng.standard_normal((48, 96))
     small_block = rng.standard_normal((96, 24))
@@ -136,6 +147,7 @@ def test_fleet_throughput_trend_and_equivalence(write_result):
             batch_window=5,
             parallelism=parallelism,
             device=PcmDevice.ideal(),
+            stream="per_shard",
             seed=1,
         )
 
@@ -154,31 +166,19 @@ def test_fleet_throughput_trend_and_equivalence(write_result):
     problem = CsProblem.generate_batch(n=CS_N, m=CS_M, k=CS_K, batch=CS_BATCH, seed=2)
     recovery_trend = []
     for shards in CS_SHARD_COUNTS:
-        entry = {"shards": shards, "batch_window": CS_BATCH // shards}
-        for mode in ("serial", "threads"):
-            fleet = ShardedOperator.from_matrix(
-                problem.matrix,
-                n_shards=shards,
-                batch_window=CS_BATCH // shards,
-                parallelism=mode,
-                device=PcmDevice.ideal(),
+        recovery_trend.append(mode_trend(
+            shards,
+            lambda mode: ShardedOperator.from_matrix(
+                problem.matrix, n_shards=shards, batch_window=CS_BATCH // shards,
+                parallelism=mode, device=PcmDevice.ideal(), stream="per_shard",
                 seed=3,
-            )
-            seconds = best_of(
-                1,
-                lambda: amp_recover_batch(
-                    problem.measurements,
-                    fleet,
-                    problem.n,
-                    iterations=CS_SWEEPS,
-                    tolerance=0.0,  # fixed sweep count: pure throughput
-                ),
-            )
-            fleet.shutdown()
-            entry[f"{mode}_s"] = seconds
-            entry[f"{mode}_recoveries_per_s"] = CS_BATCH / seconds
-        entry["speedup"] = entry["serial_s"] / entry["threads_s"]
-        recovery_trend.append(entry)
+            ),
+            lambda fleet: amp_recover_batch(
+                problem.measurements, fleet, problem.n, iterations=CS_SWEEPS,
+                tolerance=0.0,  # fixed sweep count: pure throughput
+            ),
+            CS_BATCH, "recoveries",
+        )[0])
 
     gate_ratio = gate_entry["speedup"]
     gate_passed = gate_ratio >= gate_value
@@ -187,7 +187,7 @@ def test_fleet_throughput_trend_and_equivalence(write_result):
         "shape": {"m": M, "n": N, "batch": BATCH},
         "cores": cores,
         "blas_pinned": {
-            key: os.environ.get(key)
+            key: speed_gates.blas_env[key]
             for key in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
         },
         "gate": {
@@ -207,8 +207,6 @@ def test_fleet_throughput_trend_and_equivalence(write_result):
     lines = [
         "Fleet throughput trend - parallel vs serial cross-shard dispatch",
         f"  problem               : A {M}x{N}, B={BATCH} (dense exact backend)",
-        f"  cores                 : {cores}  (gate: {gate_mode} >= {gate_value}x "
-        f"at {GATE_SHARDS} shards)",
     ]
     for entry in mvm_trend:
         lines.append(
@@ -232,8 +230,6 @@ def test_fleet_throughput_trend_and_equivalence(write_result):
         f"  dense bitwise         : {dense_bitwise} (state {dense_state_equal})",
         f"  crossbar bitwise      : {crossbar_bitwise} "
         f"(counters {crossbar_counters_equal})",
-        f"  gate                  : measured {gate_ratio:.2f}x vs required "
-        f"{gate_value}x -> {'PASS' if gate_passed else 'FAIL'}",
     ]
     write_result(
         "fleet_throughput",
@@ -259,9 +255,10 @@ def test_fleet_throughput_trend_and_equivalence(write_result):
             "ideal_crossbar_bitwise_equal": ("equal", 0.5),
         },
         gate_json=payload,
+        speed_gates=speed_gates,
     )
 
     # The bitwise gates never relax, whatever the runner's core count.
     assert dense_bitwise and dense_state_equal
     assert crossbar_bitwise and crossbar_counters_equal
-    assert gate_passed
+    speed_gates.enforce()

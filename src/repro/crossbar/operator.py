@@ -504,19 +504,27 @@ class CrossbarOperator:
         the noise floor, while non-scalar degradation (stuck faults,
         state-dependent drift dispersion) keeps it high no matter the
         gain, which is the signal an escalation policy uses to order a
-        full rewrite.
+        full rewrite.  A reference with no signal (an all-zero matrix)
+        raises ``RuntimeError`` before any probe is read or billed, as
+        in :meth:`read_error`; an all-zero observation raises after the
+        read, with the gain unchanged.
         """
         n_probes = check_int("n_probes", n_probes)
         rng = as_rng(seed)
         m, n = self.shape
+        # One batched read of all probes; drawing (n_probes, n) and
+        # transposing keeps probe i identical to what the former
+        # per-probe loop would have drawn from the same seed.
+        probes = rng.standard_normal((n_probes, n)).T
+        reference = self.matrix @ probes
+        reference_norm = float(np.linalg.norm(reference))
+        if reference_norm == 0.0:
+            raise RuntimeError(
+                "calibration reference has no signal (an all-zero matrix)"
+            )
         previous_gain = self._gain
         self._gain = 1.0  # probe the raw (uncorrected) output
         try:
-            # One batched read of all probes; drawing (n_probes, n) and
-            # transposing keeps probe i identical to what the former
-            # per-probe loop would have drawn from the same seed.
-            probes = rng.standard_normal((n_probes, n)).T
-            reference = self.matrix @ probes
             observed = self.matmat(probes)
             numerator = float(np.sum(observed * reference))
             denominator = float(np.sum(observed * observed))
@@ -525,13 +533,9 @@ class CrossbarOperator:
         if denominator == 0.0:
             raise RuntimeError("calibration probes produced no signal")
         self._gain = numerator / denominator
-        reference_norm = float(np.linalg.norm(reference))
-        if reference_norm > 0.0:
-            self.last_calibration_error = float(
-                np.linalg.norm(self._gain * observed - reference)
-            ) / reference_norm
-        else:
-            self.last_calibration_error = 0.0
+        self.last_calibration_error = float(
+            np.linalg.norm(self._gain * observed - reference)
+        ) / reference_norm
         self.n_calibrations += 1
         self.n_calibration_probes += n_probes
         self._maintained_at_age = self.age_seconds

@@ -32,21 +32,21 @@ another (``parallelism="serial"``, the default) or concurrently on a
 thread pool (``parallelism="threads"``).  Shards are independent by
 construction and NumPy releases the GIL inside its BLAS and ufunc
 kernels, so threaded dispatch scales with cores while window results
-are reassembled in submission order: outputs, per-shard counters,
-:attr:`loads` and drift clocks are identical to serial dispatch on
-deterministic backends (bit-for-bit through the quantizing ideal-device
-crossbar — pinned by ``tests/integration/test_parallel_dispatch.py``).
-On *noisy* backends the two modes are distribution-equivalent read-noise
-realizations; build the fleet with ``stream="per_shard"`` so concurrent
-shards never contend for one RNG stream.
+are reassembled in submission order.  Every shard of a threaded
+crossbar fleet draws read noise from its own generator
+(``stream="per_shard"``, which :meth:`ShardedOperator.from_matrix`
+requires for threads) and reads its calls in the order a serial fleet
+does, so outputs, per-shard counters, generator states, :attr:`loads`
+and drift clocks are bit for bit those of serial dispatch, on noisy
+backends too (pinned by ``tests/integration/test_parallel_dispatch.py``).
 
 :meth:`fused_sweep` goes one step further for iterative solvers: one
 ``rmatmat`` → per-column transform → ``matmat`` round trip in which a
-shard's forward windows are committed the moment *that shard's*
-transpose read finishes, instead of after the whole fleet's — so a
-solver sweep (e.g. one :func:`~repro.signal.amp_recover_batch`
-iteration) stops being a whole-fleet barrier while reproducing the
-unfused scheduling trace decision-for-decision.
+forward window is committed the moment the shard owning its transpose
+read finishes, instead of after the whole fleet's — so a solver sweep
+(e.g. one :func:`~repro.signal.amp_recover_batch` iteration) stops
+being a whole-fleet barrier while reproducing the unfused scheduling
+trace decision-for-decision.
 
 Fleets age: :meth:`ShardedOperator.advance_time` adds the same elapsed
 time to every replica's one drift clock (its ``age_seconds``), so all
@@ -200,15 +200,21 @@ class ShardedOperator:
         target conductances, independent programming/read noise);
         ``backend="exact"`` builds :class:`DenseOperator` baselines.
         ``stream="per_shard"`` instead gives every replica its own
-        child RNG stream (spawned from ``seed``), so threaded dispatch
-        on a *noisy* fleet never has two shards contending for one
-        generator and a single caller's per-shard noise sequence stays
-        reproducible.  Extra keyword arguments go to the crossbar
+        child RNG stream (spawned from ``seed``), so each shard's noise
+        sequence depends only on the calls that shard reads.  A threaded
+        crossbar fleet must use it (``ValueError`` otherwise): shards
+        sharing one generator would draw in the order their reads
+        complete.  Extra keyword arguments go to the crossbar
         constructor.
         """
         check_in("backend", backend, ("crossbar", "exact"))
         check_in("stream", stream, ("shared", "per_shard"))
         n_shards = check_int("n_shards", n_shards)
+        if backend == "crossbar" and parallelism == "threads" and stream == "shared":
+            raise ValueError(
+                'a threaded crossbar fleet needs stream="per_shard": shards '
+                "sharing one generator draw read noise in completion order"
+            )
         if backend == "exact":
             if operator_kwargs or seed is not None or stream != "shared":
                 raise ValueError(
@@ -484,8 +490,11 @@ class ShardedOperator:
         if self.maintenance is not None:
             self.maintenance.sweep()
 
-    def _shard_call(self, index: int, method: str, sub_block: np.ndarray):
-        """One shard's whole-dispatch product, under its lock."""
+    def _shard_call(self, index: int, method: str, sub_block: np.ndarray, after=None):
+        """One shard's whole-dispatch product, under its lock, once the
+        future ``after`` (an earlier task of the same shard) is done."""
+        if after is not None:
+            after.result()
         with self._shard_locks[index]:
             return getattr(self.shards[index], method)(sub_block)
 
@@ -556,8 +565,21 @@ class ShardedOperator:
         whole-fleet barrier.  Forward windows dispatch per window
         rather than per shard; conversion counters are per live column,
         so totals are unchanged, and the quantizing converters make the
-        results bitwise equal on exact-device backends (pinned by
-        ``tests/integration/test_parallel_dispatch.py``).
+        results bitwise equal on exact-device backends.
+
+        Under threads, each forward task first waits, before it takes
+        the shard lock, for the task submitted before it to the same
+        shard in this sweep.  Every shard therefore reads its transpose
+        block and then its forward windows in window order, as under
+        serial dispatch, and on per-shard noise streams the two modes
+        agree bit for bit: outputs, counters and generator states
+        (pinned by ``tests/integration/test_parallel_dispatch.py``).
+        The pool dequeues in submission order, so the awaited task has
+        always started, and no worker count (1 included) can deadlock.
+        A shard that owns two forward windows reads them one at a time,
+        where ``matmat`` reads a shard's windows as one block, so on a
+        noisy fleet the fused and unfused sweeps draw alike only when
+        no shard gets two windows of one product.
 
         One quiesced maintenance slot runs per fused sweep (the unfused
         pair enters dispatch twice, but staleness cannot change between
@@ -617,8 +639,10 @@ class ShardedOperator:
         # Commit forward windows strictly in window order, each as soon
         # as its owner's transpose read (hence its x_out columns) is
         # ready; _pick_shard therefore sees the same state sequence the
-        # unfused matmat(X) dispatch would.
+        # unfused matmat(X) dispatch would.  ``latest`` holds each
+        # shard's last task of this sweep, which its next one awaits.
         forward: list[tuple[int, int]] = []
+        latest = list(reverse_done)
         for start, stop, owner in reverse_plan:
             if reverse_done[owner] is not None:
                 reverse_done[owner].result()
@@ -629,9 +653,10 @@ class ShardedOperator:
             if serial:
                 q_out[:, start:stop] = self._shard_call(index, "matmat", window)
             else:
-                forward.append(
-                    (start, pool.submit(self._shard_call, index, "matmat", window))
+                latest[index] = pool.submit(
+                    self._shard_call, index, "matmat", window, after=latest[index]
                 )
+                forward.append((start, latest[index]))
         for start, future in forward:
             result = future.result()
             q_out[:, start : start + result.shape[1]] = result

@@ -324,8 +324,13 @@ def amp_recover_batch(
     Sharded fleets built with ``parallelism="threads"`` additionally run
     each sweep through :meth:`~repro.crossbar.ShardedOperator.fused_sweep`,
     pipelining the ``rmatmat``/``matmat`` pair per shard so a sweep is
-    no longer a whole-fleet barrier — same results, counters, and
-    schedule as the unfused sweep (bitwise on exact-device backends).
+    no longer a whole-fleet barrier — same counters and schedule as the
+    unfused sweep, and the same results bit for bit on exact-device
+    backends.  On a noisy per-shard fleet the threaded recovery equals
+    the serial one bit for bit where no shard reads two windows of one
+    product in a sweep (as in perfbench ``cs_fleet``): the fused sweep
+    reads forward windows one at a time, a serial fleet reads a shard's
+    windows as one block, and the two draw read noise differently.
 
     Working set: the active columns of the measurements, the residual
     (column-major) and the estimates live in contiguous blocks that each

@@ -67,13 +67,17 @@ class TestCalibration:
                 operator.calibrate(n_probes=bad)
         assert operator.n_calibrations == 0
 
-    def test_zero_matrix_fits_a_zero_gain(self):
-        """A zero target gives the probes no reference signal: the fit
-        maps the read noise to zero and reports no residual error."""
+    def test_zero_matrix_is_rejected_before_the_probe_read(self):
+        """A zero target gives the probes no reference signal: there is
+        no gain to fit, so nothing is read, counted or changed (the fit
+        used to map the read noise to a zero gain)."""
         operator = CrossbarOperator(np.zeros((4, 6)), seed=0)
-        assert operator.calibrate(n_probes=4, seed=1) == 0.0
-        assert operator.last_calibration_error == 0.0
-        assert np.array_equal(operator.matvec(np.ones(6)), np.zeros(4))
+        before = operator.stats
+        with pytest.raises(RuntimeError, match="reference has no signal"):
+            operator.calibrate(n_probes=4, seed=1)
+        assert operator.stats == before
+        assert operator.gain == 1.0
+        assert operator.last_calibration_error is None
 
 
 class TestFaultInjection:

@@ -253,6 +253,33 @@ class TestVerifyReads:
         assert zero.gain == 1.0
         assert (zero.n_calibrations, zero.n_calibration_probes) == (0, 0)
 
+    @pytest.mark.parametrize(
+        "device", [PcmDevice(), PcmDevice.ideal()], ids=["noisy", "ideal"]
+    )
+    def test_calibrating_a_zero_reference_reads_and_bills_nothing(self, device):
+        """Regression: on the noisy device the fit returned gain 0.0,
+        error 0.0 and counted a calibration; on the ideal one it billed
+        3 matvecs and 18 DAC and 12 ADC conversions before it raised."""
+        zero = CrossbarOperator(np.zeros((4, 6)), device=device, seed=1)
+        before = zero.stats
+        with pytest.raises(RuntimeError, match="reference has no signal"):
+            zero.calibrate(n_probes=3, seed=2)
+        assert zero.stats == before
+        assert zero.gain == 1.0
+        assert zero.last_calibration_error is None
+
+    def test_an_all_zero_observation_fails_the_fit_after_the_read(
+        self, small_matrix, monkeypatch
+    ):
+        op = CrossbarOperator(small_matrix, device=PcmDevice.ideal(), seed=0)
+        m = small_matrix.shape[0]
+        monkeypatch.setattr(op, "matmat", lambda block: np.zeros((m, block.shape[1])))
+        with pytest.raises(RuntimeError, match="probes produced no signal"):
+            op.calibrate(n_probes=3, seed=2)
+        assert op.gain == 1.0
+        assert (op.n_calibrations, op.n_calibration_probes) == (0, 0)
+        assert op.last_calibration_error is None
+
     def test_a_zero_reference_is_rejected_before_any_probe_read(self):
         """The reference ``A @ probes`` is known before the read, so a
         matrix that gives no reference signal bills nothing."""

@@ -1,14 +1,18 @@
 """Concurrency-determinism suite for parallel cross-shard dispatch.
 
 PRs 1-5 pinned every fleet invariant under serial execution; this suite
-pins that ``parallelism="threads"`` changes *nothing observable* on
-exact (noise-free, deterministic) backends.  Across a seeded
-``(shards, batch_window, B, workers)`` grid:
+pins that ``parallelism="threads"`` changes *nothing observable*.
+Across a seeded ``(shards, batch_window, B, workers)`` grid:
 
 * raw products — threaded ``matmat``/``rmatmat`` are bitwise identical
-  to serial dispatch on both the quantizing ideal-device crossbar and
-  the float-exact dense backend, with equal per-shard counters, merged
+  to serial dispatch on the quantizing ideal-device crossbar and the
+  float-exact dense backend, with equal per-shard counters, merged
   counters and :attr:`loads`;
+* noisy replay — on per-shard noise streams, threaded ``matmat``,
+  ``rmatmat`` and ``fused_sweep`` equal serial dispatch bit for bit,
+  generator states included, with both schedules, shards that read two
+  or more forward windows per sweep and one worker; each shard reads its
+  calls in serial order, and a threaded recovery replays exactly;
 * consumers — AMP (through the pipelined ``fused_sweep`` path)
   produces identical outputs and iteration histories through a
   threaded fleet;
@@ -26,6 +30,7 @@ exact (noise-free, deterministic) backends.  Across a seeded
 """
 
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -33,11 +38,12 @@ import pytest
 from repro.crossbar import (
     PARALLELISM_MODES,
     SHARD_SCHEDULES,
+    DenseOperator,
     ShardedOperator,
 )
 from repro.crossbar.maintenance import FleetMaintenance
 from repro.devices import PcmDevice
-from repro.signal import CsProblem, amp_recover_batch
+from repro.signal import CsProblem, amp_recover_batch, soft_threshold
 
 COUNTER_KEYS = (
     "n_matvec",
@@ -66,10 +72,13 @@ def counters(operator):
 
 
 def make_mode_pair(
-    matrix, shards, window, schedule="round_robin", workers=None, backend="crossbar"
+    matrix, shards, window, schedule="round_robin", workers=None,
+    backend="crossbar", device=None,
 ):
     """Twin fleets differing only in execution mode.
 
+    Crossbar twins draw from per-shard streams (a threaded crossbar
+    fleet must), on ideal devices unless ``device`` says otherwise.
     Ideal-device replicas are deterministic, so any observable
     divergence between the twins is attributable to threading alone.
     """
@@ -80,7 +89,7 @@ def make_mode_pair(
         backend=backend,
     )
     if backend == "crossbar":
-        kwargs.update(device=PcmDevice.ideal(), seed=0)
+        kwargs.update(device=device or PcmDevice.ideal(), stream="per_shard", seed=0)
     serial = ShardedOperator.from_matrix(matrix, parallelism="serial", **kwargs)
     threaded = ShardedOperator.from_matrix(
         matrix, parallelism="threads", n_workers=workers, **kwargs
@@ -140,6 +149,189 @@ class TestRawProductEquivalence:
         assert_fleets_identical(serial, threaded)
 
 
+# (shards, batch_window, B, workers) where some shard reads two or more
+# forward windows in every fused sweep, with one worker and with more
+# workers than shards.
+MULTI_WINDOW_GRID = [(2, 1, 6, 1), (3, 2, 12, 1), (2, 1, 6, 6), (3, 2, 13, 8)]
+
+
+def generator_states(fleet):
+    """Each shard's noise-stream state (every tile of a shard draws from
+    the shard's one generator)."""
+    return [shard._tiles[(0, 0)]._rng.bit_generator.state for shard in fleet.shards]
+
+
+def thresholded(tau):
+    """A per-column soft threshold, the transform AMP's fused sweep runs."""
+    return lambda u, cols: soft_threshold(u, tau[cols])
+
+
+def assert_noisy_replay(serial, threaded, rng, sweeps=3):
+    """``matmat``, ``rmatmat`` and ``sweeps`` fused sweeps on both twins
+    equal bit for bit, as do their counters, loads and noise streams."""
+    m, n = serial.shape
+    for sweep in range(sweeps):
+        batch = 6 + 3 * sweep
+        x_block = rng.standard_normal((n, batch))
+        x_block[:, batch // 2] = 0.0  # a dead column in some window
+        z_block = rng.standard_normal((m, batch))
+        transform = thresholded(np.abs(rng.standard_normal(batch)))
+        assert np.array_equal(serial.matmat(x_block), threaded.matmat(x_block))
+        assert np.array_equal(serial.rmatmat(z_block), threaded.rmatmat(z_block))
+        for a, b in zip(
+            serial.fused_sweep(z_block, transform),
+            threaded.fused_sweep(z_block, transform),
+        ):
+            assert np.array_equal(a, b)
+    assert serial.shard_stats == threaded.shard_stats
+    assert serial.loads == threaded.loads
+    assert generator_states(serial) == generator_states(threaded)
+
+
+class _RecordingShard(DenseOperator):
+    """A dense replica that logs the columns of every product it reads.
+
+    Inputs carry their column index in row 0 (see
+    ``test_each_shard_reads_in_serial_order``).  Every read takes a
+    millisecond, so a shard's later windows queue on its lock while an
+    earlier read runs.
+    """
+
+    def __init__(self, matrix):
+        super().__init__(matrix)
+        self.calls = []
+
+    def _log(self, method, block):
+        self.calls.append((method, tuple(block[0].astype(int))))
+        time.sleep(1e-3)
+
+    def rmatmat(self, z_block):
+        self._log("rmatmat", z_block)
+        return super().rmatmat(z_block)
+
+    def matmat(self, x_block):
+        self._log("matmat", x_block)
+        return super().matmat(x_block)
+
+
+class TestNoisyReplay:
+    """Threaded dispatch replays serial dispatch bit for bit on noisy
+    per-shard fleets: each shard draws from its own generator and reads
+    its transpose block, then its forward windows in window order."""
+
+    @pytest.mark.parametrize("schedule", SHARD_SCHEDULES)
+    @pytest.mark.parametrize("shards,window,batch,workers", GRID)
+    def test_products_and_sweeps_bitwise(
+        self, shards, window, batch, workers, schedule, rng
+    ):
+        matrix = rng.standard_normal((18, 30))
+        serial, threaded = make_mode_pair(
+            matrix, shards, window, schedule, workers, device=PcmDevice()
+        )
+        assert_noisy_replay(serial, threaded, rng)
+        threaded.shutdown()
+
+    @pytest.mark.parametrize("schedule", SHARD_SCHEDULES)
+    @pytest.mark.parametrize("shards,window,batch,workers", MULTI_WINDOW_GRID)
+    def test_shards_with_several_forward_windows(
+        self, shards, window, batch, workers, schedule, rng
+    ):
+        matrix = rng.standard_normal((18, 30))
+        serial, threaded = make_mode_pair(
+            matrix, shards, window, schedule, workers, device=PcmDevice()
+        )
+        z_block = rng.standard_normal((18, batch))
+        transform = thresholded(np.full(batch, 0.1))
+        for _ in range(5):
+            for a, b in zip(
+                serial.fused_sweep(z_block, transform),
+                threaded.fused_sweep(z_block, transform),
+            ):
+                assert np.array_equal(a, b)
+        assert serial.shard_stats == threaded.shard_stats
+        assert serial.loads == threaded.loads
+        assert generator_states(serial) == generator_states(threaded)
+        threaded.shutdown()
+
+    @pytest.mark.parametrize("shards,window,batch,workers", MULTI_WINDOW_GRID)
+    def test_each_shard_reads_in_serial_order(self, shards, window, batch, workers):
+        """Per shard: the transpose block first, then every forward
+        window in window order, the calls a serial fleet makes."""
+        n, sweeps = 5, 10
+        z_block = np.tile(np.arange(1.0, batch + 1), (3, 1))
+
+        def tag_columns(u, cols):
+            return np.tile(cols + 1.0, (n, 1))
+
+        logs = {}
+        for parallelism in PARALLELISM_MODES:
+            fleet = ShardedOperator(
+                [_RecordingShard(np.ones((3, n))) for _ in range(shards)],
+                batch_window=window,
+                parallelism=parallelism,
+                n_workers=workers,
+            )
+            for _ in range(sweeps):
+                fleet.fused_sweep(z_block, tag_columns)
+            fleet.shutdown()
+            logs[parallelism] = [shard.calls for shard in fleet.shards]
+        assert logs["threads"] == logs["serial"]
+        first_sweep = [calls[: len(calls) // sweeps] for calls in logs["serial"]]
+        assert max(
+            sum(method == "matmat" for method, _ in calls) for calls in first_sweep
+        ) >= 2
+
+    def test_threaded_recovery_replays(self):
+        """Six builds of one threaded noisy recovery, where a shard reads
+        two forward windows in some sweeps (3 shards, window 2, B=7),
+        give the same estimates, histories, counters, loads and noise
+        streams; the first build runs on one worker."""
+        problem = CsProblem.generate_batch(n=128, m=64, k=6, batch=7, seed=0)
+        runs = []
+        for workers in (1, None, None, None, None, None):
+            fleet = ShardedOperator.from_matrix(
+                problem.matrix, n_shards=3, batch_window=2, stream="per_shard",
+                parallelism="threads", n_workers=workers, seed=4,
+            )
+            result = amp_recover_batch(
+                problem.measurements, fleet, problem.n, iterations=10,
+                ground_truth=problem.signals,
+            )
+            fleet.shutdown()
+            runs.append(
+                (result, fleet.shard_stats, fleet.loads, generator_states(fleet))
+            )
+        first, *rebuilds = runs
+        for result, shard_stats, loads, states in rebuilds:
+            assert np.array_equal(result.estimates, first[0].estimates)
+            assert np.array_equal(result.iterations, first[0].iterations)
+            assert result.residual_norms == first[0].residual_norms
+            assert result.thresholds == first[0].thresholds
+            assert result.nmse_histories == first[0].nmse_histories
+            assert result.active_counts == first[0].active_counts
+            assert (shard_stats, loads, states) == first[1:]
+
+    def test_recovery_matches_serial_when_each_shard_reads_one_window(self):
+        """With one window per shard and product (cs_fleet's layout),
+        the pipelined threaded recovery equals the serial one bit for
+        bit.  Where a shard reads two windows of one product, serial
+        ``matmat`` reads them as one block and the draws differ."""
+        problem = CsProblem.generate_batch(n=96, m=48, k=4, batch=8, seed=13)
+        serial, threaded = make_mode_pair(
+            problem.matrix, 4, 2, workers=2, device=PcmDevice()
+        )
+        kwargs = dict(iterations=12, ground_truth=problem.signals)
+        a = amp_recover_batch(problem.measurements, serial, problem.n, **kwargs)
+        b = amp_recover_batch(problem.measurements, threaded, problem.n, **kwargs)
+        assert np.array_equal(a.estimates, b.estimates)
+        assert a.residual_norms == b.residual_norms
+        assert a.nmse_histories == b.nmse_histories
+        assert serial.shard_stats == threaded.shard_stats
+        assert serial.loads == threaded.loads
+        assert generator_states(serial) == generator_states(threaded)
+        threaded.shutdown()
+
+
 class TestConsumers:
     @pytest.mark.parametrize("shards,window,batch,workers", GRID)
     def test_amp_recovery_identical(self, shards, window, batch, workers):
@@ -173,7 +365,9 @@ class TestConsumers:
         order does not depend on thread timing."""
         problem = CsProblem.generate_batch(n=96, m=48, k=4, batch=7, seed=12)
         if device == "ideal":
-            kwargs = dict(n_shards=2, device=PcmDevice.ideal(), seed=0)
+            kwargs = dict(
+                n_shards=2, device=PcmDevice.ideal(), stream="per_shard", seed=0
+            )
         else:
             kwargs = dict(n_shards=4, stream="per_shard", seed=3)
         truth = {"ground_truth": problem.signals} if with_truth else {}
@@ -606,6 +800,25 @@ class TestValidationAndDegenerates:
                 matrix, n_shards=2, batch_window=2, backend="exact",
                 stream="per_shard",
             )
+
+    @pytest.mark.parametrize(
+        "device", [PcmDevice(), PcmDevice.ideal()], ids=["noisy", "ideal"]
+    )
+    def test_threaded_crossbar_fleet_needs_per_shard_streams(self, device, rng):
+        """Shards sharing one generator would draw read noise in the
+        order their reads complete."""
+        matrix = rng.standard_normal((6, 8))
+        with pytest.raises(ValueError, match='stream="per_shard"'):
+            ShardedOperator.from_matrix(
+                matrix, n_shards=2, batch_window=2, parallelism="threads",
+                device=device,
+            )
+        # serial crossbar fleets may share one stream; exact ones draw none
+        ShardedOperator.from_matrix(matrix, n_shards=2, batch_window=2, device=device)
+        ShardedOperator.from_matrix(
+            matrix, n_shards=2, batch_window=2, parallelism="threads",
+            backend="exact",
+        ).shutdown()
 
     def test_empty_batch_under_threads(self, rng):
         matrix = rng.standard_normal((18, 30))
