@@ -3,7 +3,7 @@
 Each layer is timed on fixed inputs, and the run is recorded as a
 ``kind="profile"`` row (inputs, core count and BLAS env in the config,
 one metric per layer and shape) so ``python -m repro.results`` trends
-layer times across changes.  The ledger starts with three layers:
+layer times across changes.  The ledger starts with four layers:
 
 * **tile read** — one forward plus one transpose read of the single
   differential tile pair of a :class:`CrossbarOperator` built with
@@ -24,8 +24,18 @@ layer times across changes.  The ledger starts with three layers:
   trigrams) over those 63 texts, against a reference that gathers the
   whole text and binds it with one ``np.roll`` copy per offset and an
   int64 column sum.
+* **hd_majority** — ``majority_from_counts`` on the channel counts of
+  five Fig. 8 EMG windows, one per gesture: ``(64, 4096)`` uint8 blocks
+  of 4 channels with ties at 2 (about 37.5 % of the components),
+  compared in uint8 with the draws written through flat indices.  The
+  reference compares in float64 and assigns the draws through a
+  boolean mask.  The rest gesture's few amplitude levels repeat one tie
+  pattern down its rows, which the mask assignment runs through about
+  1.5x faster, so that window alone reads about 2.1x against 2.9-3.2x
+  for the others.
 
-Both sides of each HD pair must give identical output.
+Both sides of each HD pair must give identical output, and the
+majority pair leaves its generators in the same state.
 
 Two more layers rebuild device state, and each is timed against the
 per-step code it replaced, kept here as the reference:
@@ -80,23 +90,24 @@ One row is recorded only, with no gate and no reference:
   and the ADC (``Adc.quantize``).  The remainder of the matvec is input
   validation, per-column normalize and the digital accumulate.
 
-The HD pairs are timed first, before any tile read.  The hd_ngram
-reference makes 8 MB ``np.roll`` copies, and whether they page-fault
-depends on what the process freed before them: glibc raises its mmap
-threshold to the size of the largest mmapped block freed so far, after
-which such copies reuse heap pages.  On a 2-vCPU host the ratio read
-3.7-3.8x in a fresh process, 2.6-2.8x after one 8-16 MB array was
-freed first and 3.9-4.1x after a 4 MB or a 40 MB one.  Timed after the
-tile reads, it moved with whatever the process had freed: 2.5-3.0x,
-under its floor, in three runs and 4.8x in a fourth with float64
-noise-power caches, and 2.6-2.7x with float32 ones (another host read
-4.6-4.9x and 2.6-2.9x).  Timed first, it read 3.5-4.4x with either.
+The HD pairs are timed first, from a fixed allocator state.  The
+hd_ngram reference makes 8 MB ``np.roll`` copies, and whether they
+page-fault depends on what the process freed before them: glibc raises
+its mmap threshold to the size of the largest mmapped block freed so
+far (up to 32 MB), after which such copies reuse heap pages.  With the
+encoders' reusable blocks, on a 2-vCPU host, the ratio read 6.3-7.6x in
+a fresh process and 5.2-5.9x after one 16 MB array was freed first.
+``settle_allocator`` therefore frees one untouched block just under
+32 MB before the HD pairs: the threshold then sits at its ceiling
+whatever ran before in the process, and the ratio read 4.4-6.8x from
+either history, the spread of the host's own noise.
 
 Every layer is timed with ``_harness.time_interleaved``: a warm-up
 round, whose outputs the equality checks read, then interleaved rounds
-(``REPEATS`` for the tile reads, ``HD_REPEATS``, ``STATE_REPEATS``,
-``FLEET_REPEATS`` and ``BREAKDOWN_REPEATS``); each time is a median and
-each ratio (reference / measured) the median of the round-by-round
+(``REPEATS`` for the tile reads, ``HD_REPEATS``, ``MAJORITY_REPEATS``,
+``STATE_REPEATS``, ``FLEET_REPEATS`` and ``BREAKDOWN_REPEATS``), with
+the harness's reference kernel run between them; each time is a median
+and each ratio (reference / measured) the median of the round-by-round
 ratios.
 
 Shapes are ``A`` as ``(m, n)`` with batch ``B``: 512x1024/B=1 (the
@@ -104,14 +115,15 @@ one-signal read of the perfbench ``cs_single`` workload, recorded
 only), 256x512/B=64, 1024x1024/B=256 and 2048x2048/B=512.  Gates: the
 tile-read ratio at 1024x1024/B=256 must be at least 1.6x; it measured
 1.9-2.5x across the grid on a 2-vCPU host with one BLAS thread.  At
-least 10x for workload_gen, 3x for hd_ngram, 1.1x for program_verify,
-1.2x for drift_rebuild (about 52x, 3.5x, 1.2-1.3x and 1.5-1.6x on the
-same host) and 1.15x for solver_sweep.  ``_harness.SpeedGates`` records
-every gate with its quartiles and skips its assertion, with the reason,
-when the host's speed moved during the run, and for the tile read and
-the solver sweep, which run BLAS, when BLAS is not pinned to one
-thread: a threaded BLAS moves both sides by its pool.  The HD and
-device-state layers run no BLAS, so they are gated unpinned too.
+least 10x for workload_gen, 3x for hd_ngram, 2x for hd_majority, 1.1x
+for program_verify, 1.2x for drift_rebuild (about 50x, 5.5x, 2.6-2.7x,
+1.2-1.3x and 1.4-1.5x on the same host) and 1.15x for solver_sweep.
+``_harness.SpeedGates`` records every gate with its quartiles and skips
+its assertion, with the reason, when another job held the CPU during
+its rounds, and for the tile read and the solver sweep, which run BLAS,
+when BLAS is not pinned to one thread: a threaded BLAS moves both sides
+by its pool.  The HD and device-state layers run no BLAS, so they are
+gated unpinned too.
 
 Run (one BLAS thread, as CI does)::
 
@@ -133,9 +145,11 @@ from repro.crossbar import (
     program_and_verify,
 )
 from repro.devices import PcmDevice
-from repro.ml.hd import ItemMemory, TextNgramEncoder
+from repro.ml.hd import BiosignalEncoder, ItemMemory, TextNgramEncoder
+from repro.ml.hd.hypervector import majority_from_counts
 from repro.signal import AmpBatchResult, amp_recover_batch, soft_threshold
 from repro.workloads import (
+    EmgGestureGenerator,
     LanguageCorpus,
     gaussian_measurement_matrix,
     sparse_signal_batch,
@@ -149,6 +163,13 @@ REPEATS = 5
 # Fig. 8's training corpus: (languages, texts per language, characters).
 CORPUS = (21, 3, 2000)
 HD_REPEATS = 3
+# Fig. 8's EMG windows: channels, time steps and d; the channel counts
+# of one window are a (steps, d) uint8 block with ties at 2.  One window
+# per gesture.
+EMG_SHAPE = (4, 64, 4096)
+MAJORITY_REPEATS = 51
+# glibc's ceiling for its dynamic mmap threshold on 64-bit hosts.
+MMAP_THRESHOLD_MAX = 32 << 20
 # The stored (member) shape of cs_single's and cs_fleet's 512x1024 A,
 # and serve_drift's 256x256 shard.
 PROGRAM_SHAPE = (1024, 512)
@@ -166,6 +187,7 @@ BREAKDOWN_REPEATS = 201
 MIN_RATIOS = {
     "workload_gen": 10.0,
     "hd_ngram": 3.0,
+    "hd_majority": 2.0,
     "program_verify": 1.1,
     "drift_rebuild": 1.2,
     "solver_sweep": 1.15,
@@ -228,8 +250,46 @@ def rolled_ngram_counts(encoder, text):
     return bound.sum(axis=0, dtype=np.int64)
 
 
+def settle_allocator():
+    """Raise glibc's dynamic mmap threshold to its ceiling by freeing one
+    untouched block just under it.  The threshold only ever rises, so
+    every later block up to ~32 MB comes from the heap whatever the
+    process freed before; elsewhere this is one short-lived allocation."""
+    np.empty(MMAP_THRESHOLD_MAX - (1 << 20), dtype=np.uint8)
+
+
+def float_mask_majority(counts, half, rng):
+    """The majority rule ``majority_from_counts`` replaced: a float64
+    compare, then the tie draws assigned through a boolean mask."""
+    result = (counts > half).astype(np.uint8)
+    ties = counts == half
+    if np.any(ties):
+        result[ties] = rng.integers(0, 2, size=int(ties.sum()), dtype=np.uint8)
+    return result
+
+
+def emg_channel_counts():
+    """The channel counts of Fig. 8 EMG windows, one per gesture, as the
+    biosignal encoder sums them: ``(steps, d)`` uint8 blocks, ties at
+    ``n_channels / 2``."""
+    n_channels, steps, d = EMG_SHAPE
+    encoder = BiosignalEncoder(n_channels=n_channels, d=d, n_levels=16, seed=1)
+    generator = EmgGestureGenerator(n_channels=n_channels, window_length=steps, seed=9)
+    channel_hvs = encoder.channel_memory.rows(range(n_channels))
+    return [
+        np.bitwise_xor(
+            encoder.level_memory.for_values(window.ravel()).reshape(
+                steps, n_channels, d
+            ),
+            channel_hvs[None, :, :],
+        ).sum(axis=1, dtype=np.uint8)
+        for window in generator.dataset(1, seed=4)[0]
+    ]
+
+
 def time_hd_layers():
-    """Timings of workload_gen and hd_ngram on the corpus."""
+    """Timings of workload_gen and hd_ngram, from a fixed allocator state."""
+    settle_allocator()
     n_languages, per_language, length = CORPUS
     corpus = LanguageCorpus(n_languages, seed=1)
     sampling, texts = time_interleaved({
@@ -246,6 +306,25 @@ def time_hd_layers():
     }, HD_REPEATS)
     assert all(map(np.array_equal, *counts.values())), "n-gram counts diverged"
     return {"workload_gen": sampling, "hd_ngram": counting}
+
+
+def time_hd_majority():
+    """Timings of hd_majority on the EMG channel counts."""
+    windows, half = emg_channel_counts(), EMG_SHAPE[0] / 2
+    majority, drawn = time_interleaved({
+        "fast": lambda rng: (
+            [majority_from_counts(counts, half, rng) for counts in windows], rng
+        ),
+        "reference": lambda rng: (
+            [float_mask_majority(counts, half, rng) for counts in windows], rng
+        ),
+    }, MAJORITY_REPEATS, setup=dict.fromkeys(
+        ("fast", "reference"), lambda: np.random.default_rng(3)
+    ))
+    (bits, rng), (reference_bits, reference_rng) = drawn.values()
+    assert all(map(np.array_equal, bits, reference_bits)), "majority diverged"
+    assert rng.bit_generator.state == reference_rng.bit_generator.state, "draws diverged"
+    return {"hd_majority": majority}
 
 
 def per_step_program_and_verify(device, target, seed):
@@ -476,6 +555,7 @@ def test_layer_ledger(write_result):
     speed_gates = SpeedGates()
     # Before any tile read: see the module docstring.
     hd_layers = time_hd_layers()
+    majority_layer = time_hd_majority()
     state_layers = time_state_layers()
     solver_layers = time_solver_sweep()
     fleet_layers = time_fleet_sweep(speed_gates.nproc)
@@ -503,6 +583,8 @@ def test_layer_ledger(write_result):
     sections = (
         ("HD workload", "{} languages x {} texts x {} characters".format(*CORPUS),
          hd_layers),
+        ("HD majority", "{1}x{2} uint8 EMG channel counts of {0} channels, "
+         "5 gestures".format(*EMG_SHAPE), majority_layer),
         ("device-state rebuilds", "program_verify {}x{}, drift_rebuild {}x{}".format(
             *PROGRAM_SHAPE, *DRIFT_SHAPE), state_layers),
         ("solver sweep", "amp_recover_batch {}x{}/B={}, {} sweeps, DenseOperator"
@@ -539,6 +621,8 @@ def test_layer_ledger(write_result):
             "repeats": REPEATS,
             "corpus": list(CORPUS),
             "hd_repeats": HD_REPEATS,
+            "emg_shape": list(EMG_SHAPE),
+            "majority_repeats": MAJORITY_REPEATS,
             "program_shape": list(PROGRAM_SHAPE),
             "drift_shape": list(DRIFT_SHAPE),
             "state_repeats": STATE_REPEATS,

@@ -14,7 +14,11 @@ from __future__ import annotations
 import numpy as np
 
 from repro._util import as_rng
-from repro.ml.hd.hypervector import majority_from_counts, ngram_counts_from_rows
+from repro.ml.hd.hypervector import (
+    NGRAM_CHUNK,
+    majority_from_counts,
+    ngram_counts_from_rows,
+)
 from repro.ml.hd.item_memory import ItemMemory, LevelItemMemory
 
 __all__ = ["BiosignalEncoder"]
@@ -35,6 +39,11 @@ class BiosignalEncoder:
         Temporal n-gram order.
     seed:
         RNG seed; fixes both item memories and tie-breaking.
+
+    Amplitudes must be finite: NaN or +-inf raises ``ValueError``
+    before any gather or tie draw.  The encoder keeps one
+    ``(NGRAM_CHUNK, d)`` n-gram block that every window reuses, so one
+    encoder must not encode from two threads at once.
     """
 
     def __init__(
@@ -56,6 +65,19 @@ class BiosignalEncoder:
         self.channel_memory = ItemMemory(range(n_channels), d, seed=rng)
         self.level_memory = LevelItemMemory(n_levels, d, seed=rng)
         self._rng = rng
+        self._block = np.empty((NGRAM_CHUNK, d), dtype=np.uint8)
+
+    def _checked(self, window: np.ndarray) -> np.ndarray:
+        """``window`` as a float ``(time, n_channels)`` array of finite
+        amplitudes."""
+        window = np.asarray(window, dtype=float)
+        if window.ndim != 2 or window.shape[1] != self.n_channels:
+            raise ValueError(
+                f"window must be (time, {self.n_channels}); got {window.shape}"
+            )
+        if not np.isfinite(window).all():
+            raise ValueError("window amplitudes must be finite")
+        return window
 
     def spatial_hypervector(self, sample: np.ndarray) -> np.ndarray:
         """Record hypervector of one time step (one value per channel)."""
@@ -73,11 +95,7 @@ class BiosignalEncoder:
         as the paper specifies) is taken per time step on the block
         summed in the narrowest integer type that holds ``n_channels``.
         """
-        window = np.asarray(window, dtype=float)
-        if window.ndim != 2 or window.shape[1] != self.n_channels:
-            raise ValueError(
-                f"window must be (time, {self.n_channels}); got {window.shape}"
-            )
+        window = self._checked(window)
         level_hvs = self.level_memory.for_values(window.ravel()).reshape(
             window.shape[0], self.n_channels, self.d
         )
@@ -94,16 +112,14 @@ class BiosignalEncoder:
         :meth:`TextNgramEncoder.ngram_counts`: the component-wise sum of
         all permuted-bound temporal n-gram hypervectors, computed by
         :func:`ngram_counts_from_rows` over the ``(T, d)`` spatial block
-        (the same n-gram path as text).
+        (the same n-gram path as text), in the encoder's block.
         """
-        window = np.asarray(window, dtype=float)
-        if window.ndim != 2 or window.shape[1] != self.n_channels:
-            raise ValueError(
-                f"window must be (time, {self.n_channels}); got {window.shape}"
-            )
+        window = self._checked(window)
         if window.shape[0] < self.ngram:
             raise ValueError("window shorter than the temporal n-gram order")
-        return ngram_counts_from_rows(self.spatial_hypervectors(window), self.ngram)
+        return ngram_counts_from_rows(
+            self.spatial_hypervectors(window), self.ngram, self._block
+        )
 
     def encode(self, window: np.ndarray) -> np.ndarray:
         """Window hypervector for a ``(time, channels)`` array."""

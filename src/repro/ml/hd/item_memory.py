@@ -12,6 +12,7 @@ memristive arrays (Sec. IV.B.2).
 
 from __future__ import annotations
 
+import math
 from typing import Hashable, Iterable, Sequence
 
 import numpy as np
@@ -133,8 +134,14 @@ class LevelItemMemory:
         return self._matrix[index]
 
     def quantize(self, value: float) -> int:
-        """Map a value in [0, 1] to its level index (clipped)."""
-        clipped = min(max(float(value), 0.0), 1.0)
+        """Map a value in [0, 1] to its level index (clipped).
+
+        NaN or +-inf raises ``ValueError``: neither has a level.
+        """
+        value = float(value)
+        if not math.isfinite(value):
+            raise ValueError(f"value must be finite; got {value}")
+        clipped = min(max(value, 0.0), 1.0)
         return min(int(clipped * self.n_levels), self.n_levels - 1)
 
     def for_value(self, value: float) -> np.ndarray:
@@ -143,7 +150,10 @@ class LevelItemMemory:
 
     def quantize_values(self, values: Sequence[float]) -> np.ndarray:
         """Vectorized :meth:`quantize` over an array of values."""
-        clipped = np.clip(np.asarray(values, dtype=float), 0.0, 1.0)
+        values = np.asarray(values, dtype=float)
+        if not np.isfinite(values).all():
+            raise ValueError("values must be finite")
+        clipped = np.clip(values, 0.0, 1.0)
         return np.minimum(
             (clipped * self.n_levels).astype(np.intp), self.n_levels - 1
         )

@@ -39,6 +39,10 @@ class TextNgramEncoder:
         n-gram order (the paper's language task uses 3-4).
     seed:
         RNG seed or generator for majority tie-breaking.
+
+    The encoder keeps one ``(NGRAM_CHUNK, d)`` n-gram block that every
+    count reuses, so one encoder must not count from two threads at
+    once.
     """
 
     def __init__(
@@ -52,6 +56,7 @@ class TextNgramEncoder:
         self.item_memory = item_memory
         self.ngram = ngram
         self._rng = as_rng(seed)
+        self._block = np.empty((NGRAM_CHUNK, item_memory.d), dtype=np.uint8)
 
     @property
     def d(self) -> int:
@@ -77,10 +82,11 @@ class TextNgramEncoder:
         prototypes are trained on a whole corpus stream.
 
         The accumulation is vectorized over text positions (one item
-        gather per block of ``NGRAM_CHUNK`` positions, rotated XORs in
-        place, exact ``uint16`` block sums) and bit-identical to
-        summing :meth:`ngram_hypervector` per position; memory stays
-        O(NGRAM_CHUNK * d) however long the corpus stream is.
+        gather per block of ``NGRAM_CHUNK`` positions, rotated XORs into
+        the encoder's block, exact ``uint8`` block sums) and
+        bit-identical to summing :meth:`ngram_hypervector` per position;
+        memory stays O(NGRAM_CHUNK * d) however long the corpus stream
+        is.
         """
         if len(text) < self.ngram:
             raise ValueError("text shorter than the n-gram order")
@@ -90,7 +96,7 @@ class TextNgramEncoder:
             stop = min(start + NGRAM_CHUNK, n_grams)
             piece = text[start : stop + self.ngram - 1]
             counts += ngram_counts_from_rows(
-                self.item_memory.rows(piece), self.ngram
+                self.item_memory.rows(piece), self.ngram, self._block
             )[0]
         return counts, n_grams
 

@@ -23,6 +23,16 @@ def random_text(length):
     return "".join(np.random.default_rng(length).choice(list(ALPHABET), length))
 
 
+def rolled_counts(rows, ngram):
+    """n-gram counts of a whole ``(L, d)`` stack: one ``np.roll`` per
+    offset, summed in int64."""
+    n_grams = len(rows) - ngram + 1
+    bound = np.zeros((n_grams, rows.shape[1]), dtype=np.uint8)
+    for offset in range(ngram):
+        bound ^= np.roll(rows[offset : offset + n_grams], ngram - 1 - offset, axis=1)
+    return bound.sum(axis=0, dtype=np.int64)
+
+
 @pytest.fixture
 def text_encoder():
     memory = ItemMemory("abcdefghijklmnopqrstuvwxyz ", d=2048, seed=0)
@@ -87,6 +97,17 @@ class TestTextEncoder:
             )
         assert n_grams == len(text) - text_encoder.ngram + 1
         assert np.array_equal(counts, reference)
+
+    def test_a_reused_block_matches_fresh_encoders(self, text_encoder):
+        """The encoder's block, filled by a 2000-character text, gives a
+        300-character text the counts a fresh encoder gives it."""
+        for text in (random_text(2000), random_text(300)):
+            fresh = TextNgramEncoder(text_encoder.item_memory, ngram=3)
+            counts, n_grams = text_encoder.ngram_counts(text)
+            assert n_grams == len(text) - 2
+            assert np.array_equal(counts, fresh.ngram_counts(text)[0])
+            rows = text_encoder.item_memory.rows(text)
+            assert np.array_equal(counts, rolled_counts(rows, 3))
 
     def test_unknown_symbol_rejected(self, text_encoder):
         with pytest.raises(KeyError, match="unknown symbol"):
@@ -156,6 +177,37 @@ class TestBiosignalEncoder:
             reference += gram
         assert n_grams == steps - 2
         assert np.array_equal(counts, reference)
+
+    def test_a_reused_block_matches_a_fresh_encoder(self):
+        """An EMG window counted after a longer one (a full block) gets
+        the counts a fresh encoder at the same generator state gives."""
+        settings = dict(n_channels=4, d=1024, n_levels=16, ngram=3, seed=5)
+        reused = BiosignalEncoder(**settings)
+        windows = np.random.default_rng(6).random((2, 2 * NGRAM_CHUNK, 4))
+        reused.window_counts(windows[0])
+        window = windows[1, :64]
+        fresh, twin = BiosignalEncoder(**settings), BiosignalEncoder(**settings)
+        for encoder in (fresh, twin):
+            encoder._rng.bit_generator.state = reused._rng.bit_generator.state
+        counts, n_grams = reused.window_counts(window)
+        assert n_grams == 62
+        assert np.array_equal(counts, fresh.window_counts(window)[0])
+        spatial = twin.spatial_hypervectors(window)
+        assert np.array_equal(counts, rolled_counts(spatial, 3))
+        assert reused._rng.bit_generator.state == fresh._rng.bit_generator.state
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=str)
+    @pytest.mark.parametrize(
+        "method", ["encode", "window_counts", "spatial_hypervectors"]
+    )
+    def test_non_finite_amplitudes_are_rejected_before_any_draw(self, method, bad):
+        encoder = BiosignalEncoder(n_channels=4, d=256, n_levels=8, ngram=3, seed=0)
+        window = np.random.default_rng(1).random((16, 4))
+        window[5, 2] = bad
+        state = encoder._rng.bit_generator.state
+        with pytest.raises(ValueError, match="finite"):
+            getattr(encoder, method)(window)
+        assert encoder._rng.bit_generator.state == state
 
     def test_spatial_hypervectors_match_single_steps(self):
         encoder = BiosignalEncoder(n_channels=5, d=512, n_levels=8, seed=7)

@@ -12,7 +12,11 @@ from repro.ml.hd import (
     permute,
     random_hypervector,
 )
-from repro.ml.hd.hypervector import NGRAM_CHUNK, ngram_counts_from_rows
+from repro.ml.hd.hypervector import (
+    NGRAM_CHUNK,
+    majority_from_counts,
+    ngram_counts_from_rows,
+)
 
 
 def hv_strategy(d=64):
@@ -130,8 +134,9 @@ class TestNgramCounts:
     @pytest.mark.parametrize("ngram", [1, 3, 5])
     def test_all_ones_counts_are_exact_over_full_blocks(self, ngram):
         """An odd number of bound all-ones rows is all ones, so every
-        column counts every n-gram; a full block of NGRAM_CHUNK ones
-        already overflows a uint8 accumulator."""
+        column counts every n-gram: each full block sums to NGRAM_CHUNK
+        per column, which an accumulator that cannot hold NGRAM_CHUNK
+        (int8, or uint8 beside 256-row blocks) wraps."""
         rows = np.ones((2 * NGRAM_CHUNK + 10 + ngram - 1, 16), dtype=np.uint8)
         counts, n_grams = ngram_counts_from_rows(rows, ngram)
         assert n_grams == 2 * NGRAM_CHUNK + 10
@@ -149,6 +154,77 @@ class TestNgramCounts:
                 gram ^= np.roll(rows[start + offset], ngram - 1 - offset)
             reference += gram
         assert np.array_equal(ngram_counts_from_rows(rows, ngram)[0], reference)
+
+
+    @pytest.mark.parametrize("ngram", [1, 2, 3])
+    def test_a_reused_block_matches_a_fresh_one(self, ngram):
+        """A caller's block is overwritten: what a longer stream left in
+        it does not reach a shorter stream's counts."""
+        rng = np.random.default_rng(ngram)
+        block = np.empty((NGRAM_CHUNK, 32), dtype=np.uint8)
+        for length in (3 * NGRAM_CHUNK + 40, 70):
+            rows = rng.integers(0, 2, (length, 32), np.uint8)
+            reused = ngram_counts_from_rows(rows, ngram, block)
+            fresh = ngram_counts_from_rows(rows, ngram)
+            assert np.array_equal(reused[0], fresh[0]) and reused[1] == fresh[1]
+
+    @pytest.mark.parametrize(
+        "block",
+        [np.empty((NGRAM_CHUNK, 16), np.uint8), np.empty((NGRAM_CHUNK, 8), np.int64)],
+        ids=["wrong_width", "wrong_dtype"],
+    )
+    def test_rejects_a_mis_shaped_block(self, block):
+        with pytest.raises(ValueError, match="block must be"):
+            ngram_counts_from_rows(np.zeros((10, 8), dtype=np.uint8), 3, block)
+
+
+def float_mask_majority(counts, half, rng):
+    """The rule majority_from_counts replaced: a float compare, then the
+    tie draws assigned through a boolean mask."""
+    result = (counts > float(half)).astype(np.uint8)
+    ties = counts == float(half)
+    if np.any(ties):
+        result[ties] = rng.integers(0, 2, size=int(ties.sum()), dtype=np.uint8)
+    return result
+
+
+class TestMajorityFromCounts:
+    @pytest.mark.parametrize("layout", ["C", "F", "transposed"])
+    @pytest.mark.parametrize("half", [2.0, 2.5, 0.5])
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int64, np.float64])
+    def test_matches_the_float_mask_rule(self, dtype, half, layout):
+        """Same bits and the same generator state after the call: ties
+        drawn in the same row-major order, also when the counts are not
+        C-ordered (an F-ordered compare result would take the draws in
+        a reshaped copy and drop them)."""
+        counts = np.random.default_rng(0).binomial(4, 0.5, (48, 96)).astype(dtype)
+        counts = {"C": counts, "F": np.asfortranarray(counts),
+                  "transposed": counts.T}[layout]
+        rng, reference_rng = np.random.default_rng(1), np.random.default_rng(1)
+        result = majority_from_counts(counts, half, rng)
+        expected = float_mask_majority(counts, half, reference_rng)
+        assert result.dtype == np.uint8 and result.flags.c_contiguous
+        assert np.array_equal(result, expected)
+        assert rng.bit_generator.state == reference_rng.bit_generator.state
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int64])
+    def test_whole_number_halves_draw_one_bit_per_tie(self, dtype):
+        counts = np.array([[0, 2, 4], [2, 3, 2]], dtype=dtype)
+        rng, twin = np.random.default_rng(2), np.random.default_rng(2)
+        result = majority_from_counts(counts, 2.0, rng)
+        draws = twin.integers(0, 2, size=3, dtype=np.uint8)
+        assert result.tolist() == [[0, draws[0], 1], [draws[1], 1, draws[2]]]
+        assert rng.bit_generator.state == twin.bit_generator.state
+
+    @pytest.mark.parametrize("half", [1.5, 2.5, 9.0, -1.0])
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int64])
+    def test_counts_without_ties_draw_nothing(self, dtype, half):
+        counts = np.array([[0, 1, 2], [3, 4, 2]], dtype=dtype)
+        rng = np.random.default_rng(3)
+        state = rng.bit_generator.state
+        result = majority_from_counts(counts, half, rng)
+        assert np.array_equal(result, (counts > half).astype(np.uint8))
+        assert rng.bit_generator.state == state
 
 
 class TestPermute:

@@ -81,6 +81,16 @@ class TestLevelItemMemory:
         assert memory.quantize(1.0) == 7
         assert memory.quantize(2.0) == 7
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=str)
+    def test_non_finite_values_have_no_level(self, bad):
+        memory = LevelItemMemory(n_levels=8, d=256, seed=3)
+        with pytest.raises(ValueError, match="finite"):
+            memory.quantize(bad)
+        with pytest.raises(ValueError, match="finite"):
+            memory.quantize_values([0.2, bad, 0.7])
+        with pytest.raises(ValueError, match="finite"):
+            memory.for_values(np.full((2, 3), bad))
+
     def test_for_value_matches_level(self):
         memory = LevelItemMemory(n_levels=4, d=256, seed=4)
         assert np.array_equal(memory.for_value(0.9), memory.level(3))

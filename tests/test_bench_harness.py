@@ -24,17 +24,19 @@ def harness():
     del sys.modules[spec.name]
 
 
-def make_gates(harness, monkeypatch, kernel_ms=(20.0, 20.0), pinned=True):
-    """SpeedGates on a host whose reference kernel reads ``kernel_ms``
-    at the start and at the end of the bench (each is timed once)."""
-    readings = iter(kernel_ms)
-    monkeypatch.setattr(harness, "reference_seconds", lambda: next(readings) / 1e3)
+def make_gates(harness, monkeypatch, pinned=True):
+    """SpeedGates with BLAS pinned to one thread or unpinned."""
     for key in harness.BLAS_ENV:
         if pinned:
             monkeypatch.setenv(key, "1")
         else:
             monkeypatch.delenv(key, raising=False)
     return harness.SpeedGates()
+
+
+def kernel_runs(wall_ms, cpu_ms, runs=9):
+    """``runs`` identical reference-kernel runs, as ``(wall, CPU)`` seconds."""
+    return ((wall_ms / 1e3, cpu_ms / 1e3),) * runs
 
 
 class TestTiming:
@@ -54,11 +56,17 @@ class TestTiming:
         assert ratio.median == 2.0
         assert ratio.quartiles == (1.5, 2.5)
 
+    def test_division_keeps_the_kernel_runs(self, harness):
+        runs = kernel_runs(20.0, 19.0, runs=2)
+        ratio = harness.Timing((2.0,), runs) / harness.Timing((1.0,), runs)
+        assert ratio.kernel == runs
+
 
 class TestTimeInterleaved:
     def test_warm_up_then_interleaved_rounds(self, harness, monkeypatch):
         """The warm-up round is untimed and its outputs are returned;
-        set-ups run untimed before every call and feed it."""
+        set-ups run untimed before every call and feed it; the kernel
+        runs are spread over the gaps after the rounds, untimed."""
         now = [0.0]
         monkeypatch.setattr(harness.time, "perf_counter", lambda: now[0])
         calls = []
@@ -78,15 +86,39 @@ class TestTimeInterleaved:
             now[0] += 50.0  # set-up time is never counted
             return next(built)
 
+        runs = iter(kernel_runs(20.0, 20.0, runs=4))
+
+        def kernel():
+            calls.append(("kernel", ()))
+            now[0] += 70.0  # kernel time is never counted
+            return next(runs)
+
+        monkeypatch.setattr(harness, "kernel_run", kernel)
+        monkeypatch.setattr(harness, "KERNEL_RUNS", 4)
         timings, outputs = harness.time_interleaved(
             {"a": timed("a"), "b": timed("b")}, 3, setup={"a": setup}
         )
-        assert [name for name, _ in calls] == ["a", "b"] * 4
+        assert [name for name, _ in calls] == [
+            "a", "b", "a", "b", "kernel", "a", "b", "kernel", "a", "b", "kernel",
+            "kernel",
+        ]
         assert [args for name, args in calls if name == "a"] == [(0,), (1,), (2,), (3,)]
         assert [args for name, args in calls if name == "b"] == [()] * 4
         assert timings["a"].samples == (1.0, 3.0, 2.0)
         assert timings["b"].samples == (6.0, 4.0, 5.0)
+        assert timings["a"].kernel == timings["b"].kernel == kernel_runs(20.0, 20.0, 4)
         assert outputs == {"a": "a warm", "b": "b warm"}
+
+    @pytest.mark.parametrize("repeats", [2, 3, 25])
+    def test_every_kernel_run_is_taken(self, harness, monkeypatch, repeats):
+        taken = []
+        monkeypatch.setattr(harness, "kernel_run", lambda: taken.append(1) or (1.0, 1.0))
+        timings, _ = harness.time_interleaved({"a": lambda: None}, repeats)
+        assert len(taken) == len(timings["a"].kernel) == harness.KERNEL_RUNS
+
+    def test_the_kernel_reads_wall_and_cpu_time(self, harness):
+        wall, cpu = harness.kernel_run()
+        assert 0 < cpu <= wall * 1.05
 
 
 class TestSpeedGates:
@@ -94,28 +126,31 @@ class TestSpeedGates:
         self, harness, monkeypatch
     ):
         gates = make_gates(harness, monkeypatch)
-        value = gates.gate("speedup", harness.Timing((2.0, 2.5, 1.5)), 3.0, shape="s")
+        ratio = harness.Timing((2.0, 2.5, 1.5), kernel_runs(20.0, 20.0))
+        value = gates.gate("speedup", ratio, 3.0, shape="s")
         assert value == 2.0
         with pytest.raises(AssertionError, match="speedup 2.00x below its 3x floor"):
             gates.enforce()
 
     def test_a_passing_gate_is_enforced_and_recorded(self, harness, monkeypatch):
-        gates = make_gates(harness, monkeypatch, kernel_ms=(20.0, 22.0))
-        gates.gate("speedup", harness.Timing((4.0, 5.0, 6.0)), 3.0, shape="B=64")
+        gates = make_gates(harness, monkeypatch)
+        ratio = harness.Timing((4.0, 5.0, 6.0), kernel_runs(20.0, 19.0))
+        gates.gate("speedup", ratio, 3.0, shape="B=64")
         lines, config = gates.record()
         gates.enforce()  # judged and passing: no assertion, no skip
-        assert lines[0].startswith(f"Wall-clock gates - nproc {gates.nproc}, ")
-        assert "OPENBLAS_NUM_THREADS=1" in lines[0]
-        assert "reference kernel 20.0 -> 22.0 ms" in lines[0]
+        assert lines[0] == (
+            f"Wall-clock gates - nproc {gates.nproc}, OPENBLAS_NUM_THREADS=1, "
+            "OMP_NUM_THREADS=1, MKL_NUM_THREADS=1"
+        )
         assert lines[1] == (
-            "  speedup at B=64: 5.00x (IQR 4.50-5.50, 3 rounds), floor 3x -> pass"
+            "  speedup at B=64: 5.00x (IQR 4.50-5.50, 3 rounds), floor 3x, "
+            "kernel 20.0 ms, 5% off CPU -> pass"
         )
         assert config["nproc"] == gates.nproc
         assert config["blas_env"] == dict.fromkeys(harness.BLAS_ENV, "1")
-        assert config["reference_kernel_s"] == [0.02, 0.022]
         assert config["gates"]["speedup"] == dict(
             value=5.0, q1=4.5, q3=5.5, floor=3.0, shape="B=64", rounds=3, blas=True,
-            passed=True, skipped=None,
+            kernel_s=0.02, off_cpu=pytest.approx(0.05), passed=True, skipped=None,
         )
 
     def test_core_floors_follow_the_host(self, harness, monkeypatch):
@@ -127,8 +162,10 @@ class TestSpeedGates:
 
     def test_unpinned_blas_skips_only_the_blas_gates(self, harness, monkeypatch):
         gates = make_gates(harness, monkeypatch, pinned=False)
-        gates.gate("gemm", harness.Timing((1.0,)), 3.0, shape="s")
-        gates.gate("hd", harness.Timing((4.0,)), 3.0, shape="s", blas=False)
+        gates.gate("gemm", harness.Timing((1.0,), kernel_runs(20.0, 20.0)), 3.0,
+                   shape="s")
+        gates.gate("hd", harness.Timing((4.0,), kernel_runs(20.0, 20.0)), 3.0,
+                   shape="s", blas=False)
         lines, _ = gates.record()
         assert "skipped: BLAS not pinned to one thread (OPENBLAS_NUM_THREADS=None" in (
             lines[1]
@@ -144,24 +181,75 @@ class TestSpeedGates:
         with pytest.raises(AssertionError, match="hd 2.00x below"):
             gates.enforce()
 
-    @pytest.mark.parametrize("after_ms", [26.0, 14.0])
-    def test_a_host_that_moved_skips_every_gate(self, harness, monkeypatch, after_ms):
-        gates = make_gates(harness, monkeypatch, kernel_ms=(20.0, after_ms))
-        gates.gate("gemm", harness.Timing((1.0,)), 3.0, shape="s")
-        gates.gate("hd", harness.Timing((1.0,)), 3.0, shape="s", blas=False)
+    @pytest.mark.parametrize("cpu_ms", [10.0, 17.0])
+    def test_a_cpu_held_by_another_job_skips_the_gate(self, harness, monkeypatch, cpu_ms):
+        """Runs off the CPU for more than the limit: the gate is skipped,
+        never failed, whatever its value."""
+        gates = make_gates(harness, monkeypatch)
+        gates.gate("hd", harness.Timing((1.0,), kernel_runs(20.0, cpu_ms)), 3.0,
+                   shape="s", blas=False)
         lines, config = gates.record()
-        moved = f"{after_ms / 20.0 - 1:+.0%}"
-        for line in lines[1:]:
-            assert f"skipped: host speed moved {moved} while the bench ran" in line
-        assert config["gates"]["hd"]["skipped"].startswith("host speed moved")
-        with pytest.raises(pytest.skip.Exception, match="gemm: host speed moved"):
+        share = f"{1 - cpu_ms / 20.0:.0%}"
+        assert lines[1].endswith(
+            f"skipped: another job held the CPU for {share} of the reference "
+            "kernel's time during its rounds (limit 10%)"
+        )
+        assert config["gates"]["hd"]["skipped"].startswith("another job held the CPU")
+        with pytest.raises(pytest.skip.Exception, match="hd: another job held"):
             gates.enforce()
 
-    def test_a_drift_within_the_limit_is_judged(self, harness, monkeypatch):
-        limit = harness.MAX_HOST_DRIFT
-        gates = make_gates(harness, monkeypatch, kernel_ms=(20.0, 20.0 * (1 + limit)))
-        gates.gate("hd", harness.Timing((1.0,)), 3.0, shape="s", blas=False)
+    def test_a_share_within_the_limit_is_judged(self, harness, monkeypatch):
+        gates = make_gates(harness, monkeypatch)
+        cpu_ms = 20.0 * (1 - harness.MAX_OFF_CPU) + 1e-6
+        gates.gate("hd", harness.Timing((1.0,), kernel_runs(20.0, cpu_ms)), 3.0,
+                   shape="s", blas=False)
         with pytest.raises(AssertionError):
+            gates.enforce()
+
+    def test_a_slower_host_alone_is_judged(self, harness, monkeypatch):
+        """A kernel whose wall time grew on the CPU (the host ran slower,
+        no job took the CPU) does not skip the gate."""
+        gates = make_gates(harness, monkeypatch)
+        gates.gate("hd", harness.Timing((1.0,), kernel_runs(35.0, 35.0)), 3.0,
+                   shape="s", blas=False)
+        with pytest.raises(AssertionError, match="hd 1.00x below"):
+            gates.enforce()
+
+    def test_contention_from_mid_bench_skips_only_the_gates_it_reached(
+        self, harness, monkeypatch
+    ):
+        """A scripted host: the reference kernel runs alone through the
+        first timing, then shares its CPU with another job from the
+        middle of the second timing's rounds on.  The first gate is
+        judged; the second and third, whose ratios the contention bent
+        below their floor, are skipped with the reason."""
+        now = [0.0]
+        monkeypatch.setattr(harness.time, "perf_counter", lambda: now[0])
+        quiet, shared = (0.020, 0.020), (0.040, 0.020)
+        runs = iter([quiet] * 9 + [quiet] * 4 + [shared] * 5 + [shared] * 9)
+        monkeypatch.setattr(harness, "kernel_run", lambda: next(runs))
+
+        def takes(seconds):
+            return lambda: now.__setitem__(0, now[0] + seconds)
+
+        gates = make_gates(harness, monkeypatch)
+        for name, reference_s in (("first", 2.0), ("second", 1.0), ("third", 1.0)):
+            timings, _ = harness.time_interleaved(
+                {"fast": takes(1.0), "reference": takes(reference_s)}, 5
+            )
+            gates.gate(name, timings["reference"] / timings["fast"], 1.5,
+                       shape="s", blas=False)
+        lines, config = gates.record()
+        judged = config["gates"]
+        assert lines[1].endswith("kernel 20.0 ms, 0% off CPU -> pass")
+        assert judged["first"]["skipped"] is None
+        # 4 runs alone and 5 sharing: 180 ms on the CPU of 280 ms
+        assert judged["second"]["off_cpu"] == pytest.approx(1 - 180 / 280)
+        assert judged["third"]["off_cpu"] == pytest.approx(0.5)
+        for line in lines[2:]:
+            assert "1.00x" in line
+            assert "skipped: another job held the CPU for" in line
+        with pytest.raises(pytest.skip.Exception, match="second: another job"):
             gates.enforce()
 
 
@@ -169,7 +257,8 @@ def test_recorder_writes_the_gate_record(harness, monkeypatch, tmp_path):
     """The report, the store row and the gate JSON carry the record."""
     monkeypatch.delenv(RESULTS_DB_ENV, raising=False)
     gates = make_gates(harness, monkeypatch)
-    gates.gate("speedup", harness.Timing((4.0, 5.0, 6.0)), 3.0, shape="B=64")
+    ratio = harness.Timing((4.0, 5.0, 6.0), kernel_runs(20.0, 20.0))
+    gates.gate("speedup", ratio, 3.0, shape="B=64")
     recorder = harness.BenchRecorder(tmp_path)
     recorder(
         "timed",
@@ -182,7 +271,7 @@ def test_recorder_writes_the_gate_record(harness, monkeypatch, tmp_path):
     text = (tmp_path / "timed.txt").read_text().splitlines()
     assert text[:2] == ["Timed bench", "  speedup : 5.0x"]
     assert text[2].startswith("Wall-clock gates - nproc")
-    assert text[3].endswith("floor 3x -> pass")
+    assert text[3].endswith("floor 3x, kernel 20.0 ms, 0% off CPU -> pass")
     assert json.loads((tmp_path / "BENCH_timed.json").read_text()) == {
         "speedup": 5.0, "speedup_q1": 4.5, "speedup_q3": 5.5,
     }
