@@ -369,16 +369,19 @@ class FleetServer:
         """Drive a whole arrival trace deterministically.
 
         ``events`` is an iterable of ``(at_s, tenant, kind, vector)``
-        with non-decreasing arrival times.  The clock advances through
-        every coalesce deadline on the way to each arrival (so partial
-        blocks dispatch exactly when their budget expires, not when the
-        next request happens to show up), each arrival submits and
-        steps, and the tail drains through its deadlines and a final
+        with finite, non-decreasing arrival times.  The clock advances
+        through every coalesce deadline on the way to each arrival (so
+        partial blocks dispatch exactly when their budget expires, not
+        when the next request happens to show up), each arrival submits
+        and steps, and the tail drains through its deadlines and a final
         flush.  Same trace, same clock start ⇒ same block log, bit for
-        bit.
+        bit.  A NaN, infinite or earlier arrival time raises
+        ``ValueError`` before the clock moves towards it.
         """
         for at_s, tenant, kind, vector in events:
             at_s = float(at_s)
+            if not math.isfinite(at_s):
+                raise ValueError(f"event arrival times must be finite, got {at_s!r}")
             if at_s < self.clock.now():
                 raise ValueError(
                     "events must arrive in non-decreasing time order; got "

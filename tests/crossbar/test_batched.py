@@ -11,6 +11,7 @@ variance of a per-device Monte Carlo built on ``PcmDevice.read``, for
 one array and for a differential tile pair read as one Gaussian.
 """
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -51,11 +52,37 @@ def drifted(member, age_seconds):
 
 
 def noisy_pair_entry(g_pos, g_neg):
-    """A noisy pair's read entry formed as the read forms it: the mean
-    ``G+ - G-`` subtracted in float64 and rounded once to float32, the
-    power summed from float32 squares."""
+    """A fresh noisy pair's read entry formed as the read forms it: the
+    mean ``G+ - G-`` subtracted in float64 and rounded once to float32,
+    the power summed from float32 squares."""
     mean = (g_pos - g_neg).astype(np.float32)
     return mean, np.square(g_pos, dtype=np.float32) + np.square(g_neg, dtype=np.float32)
+
+
+EPS32 = float(np.finfo(np.float32).eps)
+# An aged noisy pair drifts in float32: bounds against the float64 law of
+# ``PcmDevice.drifted``, in eps(float32).  Measured on 256x256 pairs from
+# 0.05 s to 1e8 s: at most 2.3 per drifted conductance (relative), 2.6
+# per mean element (of G+ + G-) and 5.1 for the power (relative) with
+# numpy's AVX2 and AVX-512 float32 exp, and 1.7, 1.7 and 3.3 on its
+# baseline path.  The exact bits of float32 exp differ between CPUs; an
+# exp within 4 ulps keeps the three under about 6, 7 and 13.
+DRIFT_EPS, MEAN_EPS, POWER_EPS = 8, 8, 16
+
+
+def assert_aged_entry_within_the_drifted_law(entry, pair, age):
+    """An aged noisy pair's read entry against the float64 law: a float32
+    mean and power of the members' shape, each mean element within
+    ``MEAN_EPS * eps32 * (G+ + G-)`` of ``G+ - G-`` and the power within
+    ``POWER_EPS * eps32`` of ``G+**2 + G-**2`` relative, both members
+    drifted through ``PcmDevice.drifted``."""
+    mean, power = entry
+    g_pos, g_neg = drifted(pair.positive, age), drifted(pair.negative, age)
+    assert mean.dtype == power.dtype == np.float32
+    assert mean.shape == power.shape == g_pos.shape
+    assert np.all(np.abs(mean - (g_pos - g_neg)) <= MEAN_EPS * EPS32 * (g_pos + g_neg))
+    law_power = g_pos**2 + g_neg**2
+    assert np.all(np.abs(power - law_power) <= POWER_EPS * EPS32 * law_power)
 
 
 DETERMINISTIC_DEVICES = [
@@ -277,34 +304,39 @@ class TestNoisyStatisticalEquivalence:
 
     def test_one_column_pair_read_draws_one_normal_per_line(self):
         """A pair read draws one normal per output line and column, for
-        the difference current, and none per member.  The entry is
-        formed as the read forms it (the float32 mean and power), and
-        both products run on the float32 one-column block."""
+        the difference current, and none per member.  The expected
+        currents follow the float64 law, both members drifted through
+        ``PcmDevice.drifted``.  The read drifts, subtracts and squares in
+        float32 and runs both products on the float32 block, so each
+        current may move by ``(lines + POWER_EPS) * eps(float32)`` times
+        its mean scale ``(G+ + G-)^T |v|`` plus its noise term
+        ``sigma * sqrt((G+**2 + G-**2)^T v**2) * |z|``: about 3e-6 of
+        them, where a misplaced draw moves it by the noise term itself."""
         pair = self.make_pair()
         twin = np.random.default_rng()
         twin.bit_generator.state = pair._rng.bit_generator.state
         voltages = np.random.default_rng(4).uniform(-0.2, 0.2, pair.positive.rows)
-        mean, power = noisy_pair_entry(
-            drifted(pair.positive, 1e6), drifted(pair.negative, 1e6)
-        )
-        block = voltages[:, None].astype(np.float32)
-        mean_current = (mean.T @ block)[:, 0]
-        noise_power = power.T @ np.square(block)
+        g_pos, g_neg = drifted(pair.positive, 1e6), drifted(pair.negative, 1e6)
+        mean_current = (g_pos - g_neg).T @ voltages
+        noise_std = self.SIGMA * np.sqrt((g_pos**2 + g_neg**2).T @ voltages**2)
+        scale = (g_pos + g_neg).T @ np.abs(voltages)
+        tolerance = (pair.positive.rows + POWER_EPS) * EPS32
         for _ in range(3):
-            expected = mean_current + self.SIGMA * np.sqrt(
-                noise_power
-            )[:, 0] * twin.standard_normal(pair.positive.cols)
-            np.testing.assert_allclose(
-                pair.column_currents(voltages[:, None], 1e6)[:, 0], expected, rtol=1e-12
-            )
+            normals = twin.standard_normal(pair.positive.cols)
+            currents = pair.column_currents(voltages[:, None], 1e6)[:, 0]
+            expected = mean_current + noise_std * normals
+            bound = tolerance * (scale + noise_std * np.abs(normals))
+            assert np.all(np.abs(currents - expected) <= bound)
         assert pair._rng.standard_normal() == twin.standard_normal()
 
 
 class TestDriftExponentCache:
-    """Each member's drift exponent ``-nu(G)`` is cached per read epoch.
-    An aged entry equals the rebuild through ``PcmDevice.drifted`` bit
-    for bit, a new age reuses the exponents, a member state change
-    rebuilds that member's, and a pair that never ages holds none."""
+    """Each member of a noisy pair caches its drift exponents ``-nu(G)``
+    and its programmed conductances in float32, per read epoch.  An aged
+    entry stays within the float32 bounds of the float64 law of
+    ``PcmDevice.drifted``, a new age reuses the cached arrays, a member
+    state change rebuilds that member's, and a pair that never ages
+    holds none."""
 
     def make_operator(self, **device_kwargs):
         matrix = np.random.default_rng(40).standard_normal((6, 10))
@@ -314,24 +346,17 @@ class TestDriftExponentCache:
     def block():
         return np.random.default_rng(42).uniform(-0.2, 0.2, (10, 3))
 
-    @staticmethod
-    def assert_entry_is_the_drifted_law(pair, age):
-        mean, power = noisy_pair_entry(
-            drifted(pair.positive, age), drifted(pair.negative, age)
-        )
-        cached_mean, cached_power = pair._read_cache
-        np.testing.assert_array_equal(cached_mean, mean, strict=True)
-        np.testing.assert_array_equal(cached_power, power, strict=True)
-
     def test_new_ages_reuse_the_exponents(self):
         pair = self.make_operator()._tiles[(0, 0)]
-        exponents = None
+        cached = None
         for age in (1e3, 1e6, 2.5e7):
             pair.column_currents(self.block(), age)
-            self.assert_entry_is_the_drifted_law(pair, age)
-            current = [entry[1] for entry in pair._exponents]
-            exponents = exponents or current
-            assert all(a is b for a, b in zip(current, exponents))
+            assert_aged_entry_within_the_drifted_law(pair._read_cache, pair, age)
+            # (read epoch, float32 -nu(G), float32 G) per member
+            current = [array for entry in pair._drift_cache for array in entry[1:]]
+            assert all(array.dtype == np.float32 for array in current)
+            cached = cached or current
+            assert all(a is b for a, b in zip(current, cached))
 
     MEMBER_CHANGES = {
         "reprogram": lambda member: member.reprogram(),
@@ -344,12 +369,32 @@ class TestDriftExponentCache:
         operator.advance_time(1e4)
         pair = operator._tiles[(0, 0)]
         pair.column_currents(self.block(), operator.age_seconds)
-        positive, negative = (entry[1] for entry in pair._exponents)
+        positive, negative = pair._drift_cache
         self.MEMBER_CHANGES[change](pair.positive)
         pair.column_currents(self.block(), operator.age_seconds)
-        self.assert_entry_is_the_drifted_law(pair, operator.age_seconds)
-        assert pair._exponents[0][1] is not positive
-        assert pair._exponents[1][1] is negative
+        assert_aged_entry_within_the_drifted_law(
+            pair._read_cache, pair, operator.age_seconds
+        )
+        assert pair._drift_cache[0] is not positive
+        assert pair._drift_cache[0][0] == pair.positive._read_epoch
+        assert pair._drift_cache[1] is negative
+
+    @pytest.mark.parametrize("age", [0.05, 1.46, 3.3, 1e6])
+    def test_each_drifted_conductance_within_a_few_eps_of_the_device_law(self, age):
+        """On the serve_drift shard (A 256x256, default device), each
+        member's float32 ``G * exp(-nu(G) * log((t0 + t) / t0))`` lies
+        within ``DRIFT_EPS * eps(float32)`` of ``PcmDevice.drifted``,
+        relative, and the entry built from them within its bounds."""
+        matrix = gaussian_measurement_matrix(256, 256, seed=44)
+        pair = CrossbarOperator(matrix, seed=45)._tiles[(0, 0)]
+        entry = pair._read_entry(age)
+        assert_aged_entry_within_the_drifted_law(entry, pair, age)
+        log_time = np.float32(math.log(pair.positive.device.drift_time_factor(age)))
+        for index, member in enumerate((pair.positive, pair.negative)):
+            law = drifted(member, age)
+            drifted32 = pair._drifted32(index, member, log_time)
+            assert drifted32.dtype == np.float32
+            assert np.all(np.abs(drifted32 - law) <= DRIFT_EPS * EPS32 * law)
 
     @pytest.mark.parametrize("drift_nu, age", [(0.031, 0.0), (0.0, 1e6)])
     def test_a_pair_that_never_drifts_holds_no_exponents(self, drift_nu, age):
@@ -357,7 +402,7 @@ class TestDriftExponentCache:
         operator.advance_time(age)
         operator.matmat(self.block())
         operator.rmatmat(np.ones((6, 2)))
-        assert operator._tiles[(0, 0)]._exponents == [None, None]
+        assert operator._tiles[(0, 0)]._drift_cache == [None, None]
 
 
 class _ConstantNormals:
@@ -413,12 +458,17 @@ class TestReadPrecision:
 
     @pytest.mark.parametrize("kind", ["array", "pair"])
     def test_noisy_read_caches_float32_mean_and_power(self, kind):
+        """An array rounds its float64 mean once; a pair read at
+        ``PAIR_AGE`` drifts in float32, within the bounds of
+        ``assert_aged_entry_within_the_drifted_law``."""
         reader = make_reader(kind, (12, 9), sigma=0.05)
         currents = block_read(reader, np.full((12, 2), 0.1), axis=0)
         mean, power = reader._read_cache
-        law, _ = float64_law(reader)
-        # the float64 law rounded once, not its members rounded first
-        np.testing.assert_array_equal(mean, law.astype(np.float32), strict=True)
+        if kind == "array":
+            law, _ = float64_law(reader)
+            np.testing.assert_array_equal(mean, law.astype(np.float32), strict=True)
+        else:
+            assert_aged_entry_within_the_drifted_law((mean, power), reader, PAIR_AGE)
         assert power.dtype == np.float32
         assert power.shape == mean.shape
         assert currents.dtype == np.float64
@@ -473,22 +523,21 @@ class TestReadPrecision:
         assert currents.dtype == np.float64
         assert np.all(np.abs(currents - law @ block) <= bound)
 
-    @pytest.mark.parametrize("age", [0.0, 1e6])
-    def test_float32_mean_moves_no_adc_code_at_cs_single_shape(self, age):
-        """At the one-signal AMP operator (A 512x1024, one 1024x512 tile
-        pair, default device and 8-bit converters), fresh and drifted,
-        on 16 DAC-quantized probes per direction: the float32 mean moves
-        a current by under 1e-3 of its own read-noise std and 1e-4 of
-        one ADC step, and no noise-free conversion changes its code."""
-        matrix = gaussian_measurement_matrix(512, 1024, seed=30)
-        operator = CrossbarOperator(matrix, seed=31)
+    @staticmethod
+    def assert_no_adc_code_moves(matrix, seed, age):
+        """On a single-tile operator of ``matrix`` at ``age``, on 16
+        DAC-quantized probes per direction: the float32 read moves each
+        noise-free current by under 1e-3 of its own read-noise std and
+        1e-4 of one ADC step against the float64 law, and changes no
+        code."""
+        operator = CrossbarOperator(matrix, seed=seed)
         operator.advance_time(age)
         pair = operator._tiles[(0, 0)]
         entry = pair._read_entry(operator.age_seconds)
         g_pos = drifted(pair.positive, operator.age_seconds)
         g_neg = drifted(pair.negative, operator.age_seconds)
         sigma = operator.device.read_noise_sigma
-        probes = np.random.default_rng(32)
+        probes = np.random.default_rng(seed + 1)
         mean, power = g_pos - g_neg, g_pos**2 + g_neg**2
         for axis, adc in ((0, operator.adc_columns), (1, operator.adc_rows)):
             lines = g_pos.shape[axis]
@@ -503,6 +552,24 @@ class TestReadPrecision:
             np.testing.assert_array_equal(
                 adc.quantize(float32_currents), adc.quantize(float64_currents)
             )
+
+    @pytest.mark.parametrize("age", [0.0, 1e6])
+    def test_float32_mean_moves_no_adc_code_at_cs_single_shape(self, age):
+        """The one-signal AMP operator (A 512x1024, one 1024x512 tile
+        pair, default device and 8-bit converters), fresh and drifted."""
+        matrix = gaussian_measurement_matrix(512, 1024, seed=30)
+        self.assert_no_adc_code_moves(matrix, 31, age)
+
+    @pytest.mark.parametrize("age", [0.05, 1.46, 3.3])
+    def test_float32_drift_moves_no_adc_code_at_serve_drift_shape(self, age):
+        """The serve_drift shard (A 256x256, one 256x256 tile pair), at
+        ages its fleet reads at, where the entry drifts in float32.  The
+        shifts measured 3.7e-5 of an ADC step at most.  Over 1024 probes
+        per direction the float32 read flipped 3 codes in 1.6 million
+        conversions against the float64 law, and the float64 re-drift
+        rounded once to float32 flipped 1; these 16 probes flip none."""
+        matrix = gaussian_measurement_matrix(256, 256, seed=30)
+        self.assert_no_adc_code_moves(matrix, 31, age)
 
     @pytest.mark.parametrize("kind", ["array", "pair"])
     def test_a_warm_one_column_read_copies_no_matrix(self, kind):
@@ -522,6 +589,36 @@ class TestReadPrecision:
         finally:
             tracemalloc.stop()
         assert peak - before < 1 << 20
+
+    def test_an_aged_rebuild_makes_no_float64_member_array(self):
+        """Rebuilding a warm 256x256 noisy pair's entry at a new age
+        peaks under 1 MB of traced allocation: the two float32 drifted
+        members and the float32 mean (768 KB).  The float64 re-drift
+        peaked at 1.8 MB, and a float64 member array (512 KB) on the
+        way to a float32 drift lifts the peak past 1 MB."""
+        reader = make_reader("pair", (256, 256), sigma=0.01)
+        reader._read_entry(1.0)  # builds the members' float32 drift cache
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before, _ = tracemalloc.get_traced_memory()
+            reader._read_entry(2.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - before < 1 << 20
+
+    def test_a_fresh_pair_rounds_the_float64_difference_once(self):
+        """Age 0 keeps the float64 mean rounded once, bit for bit, and
+        the power summed from float32 squares."""
+        reader = make_reader("pair", (12, 9), sigma=0.05)
+        reader.column_currents(np.full((12, 2), 0.1), 0.0)
+        expected = noisy_pair_entry(
+            reader.positive._g_programmed, reader.negative._g_programmed
+        )
+        for cached, fresh in zip(reader._read_cache, expected):
+            np.testing.assert_array_equal(cached, fresh, strict=True)
+        assert reader._drift_cache == [None, None]
 
 
 class TestTilePairReads:
@@ -601,6 +698,19 @@ class TestTilePairReads:
         assert entries[0] is not entries[1] and entries[1] is not entries[2]
         assert not np.allclose(entries[0][0], entries[1][0], rtol=1e-6)
         np.testing.assert_array_equal(entries[0][0], entries[2][0])
+
+    def test_a_noise_free_pair_drifts_by_the_device_law_bit_for_bit(self):
+        """A noise-free pair drifts each member through
+        ``PcmDevice.drifted`` in float64 and caches nothing else."""
+        operator = self.make_operator()
+        operator.advance_time(1e6)
+        operator.matmat(np.random.default_rng(15).uniform(-1.0, 1.0, (10, 2)))
+        pair = operator._tiles[(0, 0)]
+        mean, power = pair._read_cache
+        law = drifted(pair.positive, 1e6) - drifted(pair.negative, 1e6)
+        np.testing.assert_array_equal(mean, law, strict=True)
+        assert power is None
+        assert pair._drift_cache == [None, None]
 
     def test_ageing_leaves_the_member_arrays_alone(self):
         """The operator's age is the only clock: ageing it moves no

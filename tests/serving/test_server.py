@@ -362,6 +362,24 @@ class TestReplay:
         with pytest.raises(ValueError, match="non-decreasing"):
             server.replay(events)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_a_non_finite_arrival_before_moving_time(self, bad, rng):
+        """A NaN or infinite arrival raises before any coalesce deadline
+        on the way to it runs: the clock and every shard's drift clock
+        stay at the last arrival, and its requests stay queued."""
+        matrix = rng.standard_normal((8, 8))
+        fleet = ShardedOperator.from_matrix(matrix, n_shards=2, batch_window=4, seed=3)
+        server = FleetServer(fleet, VirtualClock(), coalesce_budget_s=0.1)
+        events = [
+            (at_s, "t", "matvec", rng.standard_normal(8)) for at_s in (0.0, 0.01, bad)
+        ]
+        with pytest.raises(ValueError, match="finite"):
+            server.replay(events)
+        assert server.clock.now() == 0.01
+        assert [shard.age_seconds for shard in fleet.shards] == [0.01, 0.01]
+        assert server.queue.depth == 2
+        assert server.completed == [] and server.block_log == []
+
     def test_drain_serves_everything(self, fleet, rng):
         server = make_server(fleet)
         n = fleet.shape[1]
