@@ -26,9 +26,10 @@ in one move.
 
 The wall-clock benches time with :func:`time_interleaved` and gate with
 :class:`SpeedGates`: every speed gate is recorded with its quartiles,
-floor, shape, core count, BLAS env and the reference kernel's reading
-during its rounds, and skips (never fails) with its reason when BLAS is
-unpinned or another job held the CPU during those rounds.
+floor, shape, core count, BLAS env, the reference kernel's reading
+during its rounds and the share of the CPUs other processes used during
+them, and skips (never fails) with its reason when BLAS is unpinned or
+another job held the CPU during those rounds.
 """
 
 from __future__ import annotations
@@ -54,7 +55,8 @@ from repro.results.store import (
 )
 
 __all__ = ["BenchRecorder", "SpeedGates", "Timing", "available_cores",
-           "kernel_run", "time_interleaved"]
+           "describe_other_cpu", "host_cpu_reading", "kernel_run",
+           "time_interleaved"]
 
 BLAS_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 #: Single reference-kernel runs :func:`time_interleaved` spreads over
@@ -63,6 +65,13 @@ KERNEL_RUNS = 9
 #: A speed gate skips when those runs spent more than this share of
 #: their wall time off the CPU (see :class:`SpeedGates`).
 MAX_OFF_CPU = 0.10
+#: A threaded speed gate skips when other processes used more than this
+#: share of the CPUs this process may run on during its rounds.
+MAX_OTHER_CPU = 0.10
+#: The per-CPU counters of /proc/stat that are not idle time, by column:
+#: user, nice, system, irq, softirq and steal (idle and iowait are 3
+#: and 4; guest time is already inside user and nice).
+BUSY_COLUMNS = (0, 1, 2, 5, 6, 7)
 
 
 def available_cores() -> int:
@@ -73,15 +82,53 @@ def available_cores() -> int:
         return os.cpu_count() or 1
 
 
+def host_cpu_reading(path="/proc/stat") -> tuple[float, float, float] | None:
+    """``(busy, total, own)`` CPU seconds: the busy and total time of the
+    CPUs this process may run on, summed from the per-CPU lines of
+    ``path``, and this process's own CPU time, all threads.  ``None``
+    where ``path`` cannot be read (no procfs, or no line for those CPUs)."""
+    own = time.process_time()
+    try:
+        with open(path) as stat:
+            lines = stat.read().splitlines()
+    except OSError:
+        return None
+    cpus = {f"cpu{index}" for index in os.sched_getaffinity(0)}
+    busy = total = 0
+    for line in lines:
+        name, *fields = line.split()
+        if name in cpus:
+            ticks = [int(field) for field in fields[:8]]
+            busy += sum(ticks[column] for column in BUSY_COLUMNS)
+            total += sum(ticks)
+    if not total:
+        return None
+    hertz = os.sysconf("SC_CLK_TCK")
+    return busy / hertz, total / hertz, own
+
+
+def other_cpu_share(start, end) -> float | None:
+    """The share of the CPUs' time between two :func:`host_cpu_reading`
+    results that was busy but not spent by this process: what other
+    processes used.  ``None`` if either reading is missing."""
+    if start is None or end is None or end[1] <= start[1]:
+        return None
+    others = (end[0] - start[0]) - (end[2] - start[2])
+    return max(0.0, others / (end[1] - start[1]))
+
+
 @dataclass(frozen=True)
 class Timing:
     """Seconds of one callable's timed rounds; ``a / b`` gives the
     round-by-round ratios of two interleaved timings.  ``kernel`` holds
     the ``(wall, CPU)`` seconds of the reference-kernel runs taken
-    between those rounds."""
+    between those rounds, and ``other_cpu`` the share of the CPUs that
+    other processes used from the first round to the last (``None``
+    where it could not be read)."""
 
     samples: tuple[float, ...]
     kernel: tuple[tuple[float, float], ...] = ()
+    other_cpu: float | None = None
 
     @property
     def median(self) -> float:
@@ -93,7 +140,7 @@ class Timing:
 
     def __truediv__(self, other: Timing) -> Timing:
         return Timing(tuple(np.divide(self.samples, other.samples).tolist()),
-                      self.kernel)
+                      self.kernel, self.other_cpu)
 
 
 def time_interleaved(calls: dict, repeats: int, setup: dict | None = None):
@@ -104,7 +151,9 @@ def time_interleaved(calls: dict, repeats: int, setup: dict | None = None):
     are spread over the gaps after the rounds, outside the rounds'
     times.  Returns ``({name: Timing}, {name: warm-up output})``, so a
     bench keeps its bitwise and counter checks; every ``Timing`` carries
-    the kernel runs."""
+    the kernel runs and the share of the CPUs other processes used
+    during the rounds (:func:`host_cpu_reading` before the first and
+    after the last)."""
     setup = setup or {}
 
     def run(name):
@@ -116,12 +165,14 @@ def time_interleaved(calls: dict, repeats: int, setup: dict | None = None):
     outputs = {name: run(name)[1] for name in calls}
     samples = {name: [] for name in calls}
     kernel = []
+    start = host_cpu_reading()
     for done in range(repeats):
         for name in calls:
             samples[name].append(run(name)[0])
         due = (done + 1) * KERNEL_RUNS // repeats - done * KERNEL_RUNS // repeats
         kernel += [kernel_run() for _ in range(due)]
-    return {name: Timing(tuple(times), tuple(kernel))
+    other_cpu = other_cpu_share(start, host_cpu_reading())
+    return {name: Timing(tuple(times), tuple(kernel), other_cpu)
             for name, times in samples.items()}, outputs
 
 
@@ -154,6 +205,13 @@ class SpeedGates:
     wall time moves by half with the host, and about 50 % in every run
     that shares a CPU with a busy process; a best-of wall time finds a
     quiet slice between such a process's time slices.
+
+    The kernel runs on one thread, so it cannot see a job that takes a
+    CPU the kernel is not on, and code on several threads slows by the
+    CPU it lost.  A threaded gate (``threads=True``) is therefore also
+    judged on the share of the CPUs that other processes used during its
+    rounds (``Timing.other_cpu``): it skips above ``MAX_OTHER_CPU``,
+    and records "not measured" where /proc/stat cannot be read.
     :meth:`enforce`, the bench's last step, asserts the other gates.
     """
 
@@ -166,9 +224,11 @@ class SpeedGates:
         """The floor for this host from ``{fewest cores: floor}``."""
         return floors[max(cores for cores in floors if cores <= self.nproc)]
 
-    def gate(self, name, ratio: Timing, floor, shape, blas=True) -> float:
+    def gate(self, name, ratio: Timing, floor, shape, blas=True,
+             threads=False) -> float:
         """Gate the median of ``ratio`` (round-by-round ``slow / fast``) at
-        ``floor`` and return it; ``blas``: the timed code runs BLAS."""
+        ``floor`` and return it; ``blas``: the timed code runs BLAS;
+        ``threads``: it runs on several threads."""
         q1, q3 = ratio.quartiles
         kernel_s = off_cpu = None
         if ratio.kernel:
@@ -177,7 +237,8 @@ class SpeedGates:
             off_cpu = max(0.0, float(1 - cpu.sum() / wall.sum()))
         self.gates[name] = dict(value=ratio.median, q1=q1, q3=q3, floor=floor,
                                 shape=shape, rounds=len(ratio.samples), blas=blas,
-                                kernel_s=kernel_s, off_cpu=off_cpu)
+                                kernel_s=kernel_s, off_cpu=off_cpu, threads=threads,
+                                other_cpu=ratio.other_cpu)
         return ratio.median
 
     def record(self) -> tuple[list[str], dict]:
@@ -194,8 +255,14 @@ class SpeedGates:
                 gate["skipped"] = (f"another job held the CPU for {off_cpu:.0%} of "
                                    f"the reference kernel's time during its rounds "
                                    f"(limit {MAX_OFF_CPU:.0%})")
+            elif gate["threads"] and (gate["other_cpu"] or 0.0) > MAX_OTHER_CPU:
+                gate["skipped"] = (f"other processes used {gate['other_cpu']:.0%} of "
+                                   f"the CPUs during its rounds "
+                                   f"(limit {MAX_OTHER_CPU:.0%})")
             kernel = ("kernel not run" if off_cpu is None else
                       f"kernel {gate['kernel_s'] * 1e3:.1f} ms, {off_cpu:.0%} off CPU")
+            if gate["threads"]:
+                kernel += ", " + describe_other_cpu(gate["other_cpu"])
             verdict = "pass" if gate["passed"] else "FAIL"
             lines.append(
                 f"  {name} at {gate['shape']}: {gate['value']:.2f}x (IQR "
@@ -217,6 +284,13 @@ class SpeedGates:
                    for name, gate in self.gates.items() if gate["skipped"]]
         if skipped:
             pytest.skip("; ".join(skipped))
+
+
+def describe_other_cpu(share: float | None) -> str:
+    """The report's words for :attr:`Timing.other_cpu`."""
+    if share is None:
+        return "other processes' CPU share not measured"
+    return f"other processes {share:.0%} of the CPUs"
 
 
 def _as_document(payload: object) -> tuple[str, ReportDocument]:

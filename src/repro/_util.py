@@ -98,13 +98,14 @@ def check_int(name: str, value: float, minimum: int = 1) -> int:
     """Return ``value`` as an ``int``; raise ``ValueError`` unless it is
     an integer no smaller than ``minimum``.
 
-    Integral floats such as ``8.0`` pass.  NaN, inf, fractional and
-    non-numeric values raise a ``ValueError`` that names the parameter
-    (``int(inf)`` alone would raise ``OverflowError``, and ``int(nan)``
-    a message without the name).
+    Integral floats such as ``8.0`` pass.  NaN, inf, fractional,
+    boolean and non-numeric values raise a ``ValueError`` that names the
+    parameter (``int(inf)`` alone would raise ``OverflowError``, and
+    ``int(nan)`` a message without the name; ``int(True)`` is 1, so a
+    flag passed by mistake would run one round or build one shard).
     """
     try:
-        integer = int(value)
+        integer = None if isinstance(value, (bool, np.bool_)) else int(value)
     except (TypeError, ValueError, OverflowError):
         integer = None
     if integer is None or integer != value or integer < minimum:

@@ -94,7 +94,8 @@ class CrossbarArray:
     target_conductance:
         Desired conductance matrix in siemens, shape ``(rows, cols)``.
         Values are clipped to the device window during programming;
-        NaN or inf raises ``ValueError`` before any programming draw.
+        an empty matrix, NaN or inf raises ``ValueError`` before any
+        programming draw.
     device:
         PCM device model; defaults to the library's standard device.
     seed:
@@ -110,6 +111,11 @@ class CrossbarArray:
         target_conductance = np.asarray(target_conductance, dtype=float)
         if target_conductance.ndim != 2:
             raise ValueError("target_conductance must be a 2-D matrix")
+        if target_conductance.size == 0:
+            raise ValueError(
+                "target_conductance must hold at least one device, got shape "
+                f"{target_conductance.shape}"
+            )
         if np.any(target_conductance < 0):
             raise ValueError("conductances must be non-negative")
         self.device = device if device is not None else PcmDevice()

@@ -284,7 +284,9 @@ class CrossbarOperator:
     Parameters
     ----------
     matrix:
-        The real matrix ``A`` of shape ``(m, n)``.
+        The real matrix ``A`` of shape ``(m, n)``, at least one
+        coefficient; an empty matrix raises ``ValueError`` before any
+        draw.
     device:
         PCM device model (defaults to the library standard device).
     dac_bits / adc_bits:
@@ -312,6 +314,10 @@ class CrossbarOperator:
         matrix = np.asarray(matrix, dtype=float)
         if matrix.ndim != 2:
             raise ValueError("matrix must be 2-D")
+        if matrix.size == 0:
+            raise ValueError(
+                f"matrix must hold at least one coefficient, got shape {matrix.shape}"
+            )
         self.matrix = matrix
         self.device = device if device is not None else PcmDevice()
         rng = as_rng(seed)
@@ -342,8 +348,8 @@ class CrossbarOperator:
 
         self.dac = Dac(bits=dac_bits, v_max=v_read)
         scaled = stored * self._scale * v_read
-        col_fs = float(np.sqrt((scaled**2).sum(axis=0)).max()) if stored.size else 0.0
-        row_fs = float(np.sqrt((scaled**2).sum(axis=1)).max()) if stored.size else 0.0
+        col_fs = float(np.sqrt((scaled**2).sum(axis=0)).max())
+        row_fs = float(np.sqrt((scaled**2).sum(axis=1)).max())
         self.adc_columns = Adc(
             bits=adc_bits, full_scale=max(col_fs * _FULL_SCALE_SIGMAS, 1e-12)
         )

@@ -60,6 +60,12 @@ class ProgrammingReport:
         return self.rms_error_history[-1]
 
 
+#: Devices per block of a verify round.  One block's verify read and
+#: pulse noise (128 KB of float64 each) stay in cache while the round
+#: updates that block, where whole-array steps re-stream every buffer.
+BLOCK_DEVICES = 1 << 14
+
+
 def program_and_verify(
     device: PcmDevice,
     target: np.ndarray,
@@ -69,13 +75,25 @@ def program_and_verify(
 ) -> ProgrammingReport:
     """Program ``target`` conductances with an iterative verify loop.
 
+    Each round runs in two passes over blocks of ``BLOCK_DEVICES``
+    devices in C order.  The first takes every block's verify read
+    through :meth:`PcmDevice.read`; the second draws every block's pulse
+    noise into one block-sized buffer and applies the correction, the
+    clip and the squared residual in place.  The generator thus draws
+    every read and then every pulse of a round in C order, as one
+    whole-array read and one whole-array pulse draw would, and the RMS
+    error is one mean over the whole residual: conductances (C-order,
+    whatever the target's layout), the error history and the generator
+    state are those of whole-array rounds, bit for bit.
+
     Parameters
     ----------
     device:
         The PCM device model supplying noise characteristics.
     target:
-        Desired conductances in siemens; values are clipped to the
-        device's programmable window.  NaN or inf raises ``ValueError``.
+        Desired conductances in siemens, at least one device; values
+        are clipped to the device's programmable window.  An empty
+        target, NaN or inf raises ``ValueError`` before any draw.
     iterations:
         Number of program/verify rounds, an integer >= 1.
     gain:
@@ -87,29 +105,44 @@ def program_and_verify(
     iterations = check_int("iterations", iterations)
     if not 0.0 < gain <= 1.0:
         raise ValueError("gain must lie in (0, 1]")
-    target = device.clip(check_finite("target", np.asarray(target, dtype=float)))
+    target = check_finite("target", np.asarray(target, dtype=float))
+    if target.size == 0:
+        raise ValueError(
+            f"target must hold at least one device, got shape {target.shape}"
+        )
     rng = as_rng(seed)
     pulse_sigma = device.prog_noise_sigma * device.g_max
 
-    # Devices start from an un-programmed (low-conductance) state.  Each
-    # round runs in place: the verify read's new array holds the
-    # correction and then the residual.  Every buffer is C-order, so
-    # the pulse draws fill devices in the order ``rng.normal(size=)``
-    # would, and the residual's mean sums in C order.
+    # One C-order copy of the clipped target: the blocks read it, and an
+    # F-order coded member would otherwise be read strided every round.
+    # Devices start from an un-programmed (low-conductance) state.
+    clipped = np.clip(target, device.g_min, device.g_max, out=np.empty(target.shape))
     conductance = np.full(target.shape, device.g_min)
-    pulse_noise = np.empty(target.shape) if pulse_sigma > 0.0 else None
+    residual = np.empty(target.shape)
+    flat = clipped.reshape(-1), conductance.reshape(-1), residual.reshape(-1)
+    blocks = [
+        slice(start, start + BLOCK_DEVICES)
+        for start in range(0, target.size, BLOCK_DEVICES)
+    ]
+    pulse_noise = (
+        np.empty(min(target.size, BLOCK_DEVICES)) if pulse_sigma > 0.0 else None
+    )
     history: list[float] = []
     for _ in range(iterations):
-        step = device.read(conductance, seed=rng)
-        np.subtract(target, step, out=step)
-        step *= gain
-        if pulse_noise is not None:
-            rng.standard_normal(out=pulse_noise)
-            pulse_noise *= pulse_sigma
-            step += pulse_noise
-        conductance += step
-        np.clip(conductance, device.g_min, device.g_max, out=conductance)
-        np.subtract(conductance, target, out=step)
-        np.square(step, out=step)
-        history.append(float(np.sqrt(np.mean(step))) / device.g_max)
+        for block in blocks:
+            wanted, achieved, step = (array[block] for array in flat)
+            np.subtract(wanted, device.read(achieved, seed=rng), out=step)
+        for block in blocks:
+            wanted, achieved, step = (array[block] for array in flat)
+            step *= gain
+            if pulse_noise is not None:
+                noise = pulse_noise[: step.size]
+                rng.standard_normal(out=noise)
+                noise *= pulse_sigma
+                step += noise
+            achieved += step
+            np.clip(achieved, device.g_min, device.g_max, out=achieved)
+            np.subtract(achieved, wanted, out=step)
+            np.square(step, out=step)
+        history.append(float(np.sqrt(np.mean(residual))) / device.g_max)
     return ProgrammingReport(conductance=conductance, rms_error_history=history)

@@ -119,7 +119,8 @@ class ShardedOperator:
         modes; see the module docstring for the determinism contract.
     n_workers:
         Worker threads for ``parallelism="threads"`` (``None`` uses one
-        per shard).  Ignored under serial dispatch.
+        per shard); :meth:`from_matrix` programs a threaded crossbar
+        fleet's replicas on as many.  Ignored under serial dispatch.
     """
 
     def __init__(
@@ -206,10 +207,22 @@ class ShardedOperator:
         sharing one generator would draw in the order their reads
         complete.  Extra keyword arguments go to the crossbar
         constructor.
+
+        A threaded crossbar fleet also programs its replicas
+        concurrently, on ``n_workers`` threads of a pool that is joined
+        before this returns.  Each replica draws from its own child
+        stream only, so every replica, its programming reports and its
+        generator state equal a serial build's bit for bit; the first
+        replica whose construction raises (in shard order) re-raises
+        here, after the pool is joined.  Serial fleets build their
+        replicas one after another.
         """
         check_in("backend", backend, ("crossbar", "exact"))
         check_in("stream", stream, ("shared", "per_shard"))
+        check_in("parallelism", parallelism, PARALLELISM_MODES)
         n_shards = check_int("n_shards", n_shards)
+        if n_workers is not None:
+            n_workers = check_int("n_workers", n_workers)
         if backend == "crossbar" and parallelism == "threads" and stream == "shared":
             raise ValueError(
                 'a threaded crossbar fleet needs stream="per_shard": shards '
@@ -228,10 +241,18 @@ class ShardedOperator:
                 streams = rng.spawn(n_shards)
             else:
                 streams = [rng] * n_shards
-            shards = [
-                CrossbarOperator(matrix, seed=child, **operator_kwargs)
-                for child in streams
-            ]
+
+            def build(child):
+                return CrossbarOperator(matrix, seed=child, **operator_kwargs)
+
+            if parallelism == "threads":
+                with ThreadPoolExecutor(
+                    max_workers=min(n_workers or n_shards, n_shards),
+                    thread_name_prefix="shard-build",
+                ) as pool:
+                    shards = list(pool.map(build, streams))
+            else:
+                shards = [build(child) for child in streams]
         return cls(
             shards,
             batch_window,

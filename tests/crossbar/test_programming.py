@@ -1,9 +1,20 @@
 """Tests of iterative program-and-verify."""
 
+import re
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 
-from repro.crossbar import CrossbarArray, DifferentialCoding, program_and_verify
+from repro.crossbar import (
+    CrossbarArray,
+    CrossbarOperator,
+    DifferentialCoding,
+    ShardedOperator,
+    program_and_verify,
+)
+from repro.crossbar.programming import BLOCK_DEVICES
 from repro.devices import PcmDevice
 
 
@@ -36,10 +47,10 @@ def reference_program_and_verify(device, target, iterations, gain, rng):
     return conductance, history
 
 
-def coded_member():
-    """The G+ targets of a 12x20 matrix coded as a crossbar stores it
-    (``A.T``): an F-order array."""
-    matrix = np.random.default_rng(30).standard_normal((12, 20))
+def coded_member(rows=20, cols=12):
+    """The G+ targets of a ``cols x rows`` matrix coded as a crossbar
+    stores it (``A.T``): an F-order ``(rows, cols)`` array."""
+    matrix = np.random.default_rng(30).standard_normal((cols, rows))
     g_pos, _ = DifferentialCoding(PcmDevice()).encode(matrix.T)
     assert g_pos.flags.f_contiguous and not g_pos.flags.c_contiguous
     return g_pos
@@ -159,6 +170,61 @@ class TestInPlaceRounds:
         assert array._g_programmed.flags.c_contiguous
 
 
+# Device counts against the session's block size: under one block,
+# exactly one block, and three blocks and a ragged tail of 640 devices.
+BLOCK_SIZES = {
+    "under_one_block": (20, 12),
+    "one_block": (128, BLOCK_DEVICES // 128),
+    "ragged_blocks": (128, 3 * BLOCK_DEVICES // 128 + 5),
+}
+LAYOUTS = {
+    "f_order": lambda rows, cols: coded_member(rows, cols),
+    # every second row of a coded member twice as tall: no axis contiguous
+    "strided": lambda rows, cols: coded_member(2 * rows, cols)[::2],
+}
+
+
+class TestBlockRounds:
+    """Rounds run block-wise over a C-order copy of the target and still
+    give the whole-array per-step reference's conductances, layout,
+    error history and generator state, bit for bit, at every block
+    count."""
+
+    @pytest.mark.parametrize("device", list(DEVICES))
+    @pytest.mark.parametrize("layout", list(LAYOUTS))
+    @pytest.mark.parametrize("size", list(BLOCK_SIZES))
+    def test_session_matches_per_step_reference(self, size, layout, device):
+        device, target = DEVICES[device], LAYOUTS[layout](*BLOCK_SIZES[size])
+        assert not target.flags.c_contiguous
+        rng, twin = np.random.default_rng(36), np.random.default_rng(36)
+        report = program_and_verify(device, target, iterations=3, gain=0.5, seed=rng)
+        conductance, history = reference_program_and_verify(
+            device, target, 3, 0.5, twin
+        )
+        assert_same_array(report.conductance, conductance)
+        assert report.rms_error_history == history
+        assert rng.bit_generator.state == twin.bit_generator.state
+
+    def test_the_block_sizes_span_the_cases(self):
+        sizes = {name: rows * cols for name, (rows, cols) in BLOCK_SIZES.items()}
+        assert sizes["under_one_block"] < BLOCK_DEVICES == sizes["one_block"]
+        assert sizes["ragged_blocks"] % BLOCK_DEVICES
+        assert sizes["ragged_blocks"] // BLOCK_DEVICES == 3
+
+    def test_a_1024x512_session_allocates_under_13_mb(self):
+        """The C-order target copy, the conductances and the residual
+        (4 MB each) and two block buffers: 12.25 MB.  Whole-array rounds
+        on an F-order member peaked at 20 MB."""
+        target = coded_member(1024, 512)
+        tracemalloc.start()
+        try:
+            program_and_verify(PcmDevice(), target, seed=37)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 13 << 20
+
+
 class TestRejectsBadInputsBeforeAnyDraw:
     """A non-finite target or a non-integer iteration count raises
     ``ValueError`` naming it, and leaves the generator untouched."""
@@ -175,7 +241,9 @@ class TestRejectsBadInputsBeforeAnyDraw:
             CrossbarArray(target, seed=rng)
         assert rng.bit_generator.state == state
 
-    @pytest.mark.parametrize("iterations", [2.5, np.nan, np.inf, 0, -1, "3"])
+    @pytest.mark.parametrize(
+        "iterations", [2.5, np.nan, np.inf, 0, -1, "3", True, np.True_]
+    )
     def test_non_integer_iterations(self, iterations):
         rng = np.random.default_rng(35)
         state = rng.bit_generator.state
@@ -188,3 +256,39 @@ class TestRejectsBadInputsBeforeAnyDraw:
     def test_integral_float_iterations_run_that_many_rounds(self):
         report = program_and_verify(PcmDevice(), np.full(4, 5e-6), iterations=3.0, seed=0)
         assert report.iterations == 3
+
+    @pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0,)])
+    def test_empty_target(self, shape):
+        """An empty target used to run its rounds over no devices and
+        report an all-NaN error history, with a RuntimeWarning per round."""
+        rng = np.random.default_rng(38)
+        state = rng.bit_generator.state
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=re.escape(
+                f"target must hold at least one device, got shape {shape}"
+            )):
+                program_and_verify(PcmDevice(), np.zeros(shape), seed=rng)
+        assert rng.bit_generator.state == state
+
+    @pytest.mark.parametrize("shape", [(0, 3), (3, 0)])
+    def test_empty_array_and_operator(self, shape):
+        rng = np.random.default_rng(39)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match=re.escape(
+            f"target_conductance must hold at least one device, got shape {shape}"
+        )):
+            CrossbarArray(np.zeros(shape), seed=rng)
+        with pytest.raises(ValueError, match=re.escape(
+            f"matrix must hold at least one coefficient, got shape {shape}"
+        )):
+            CrossbarOperator(np.zeros(shape), seed=rng)
+        assert rng.bit_generator.state == state
+
+    @pytest.mark.parametrize("parallelism", ["serial", "threads"])
+    def test_empty_fleet_matrix(self, parallelism):
+        with pytest.raises(ValueError, match="matrix must hold at least one"):
+            ShardedOperator.from_matrix(
+                np.zeros((0, 3)), n_shards=2, batch_window=2,
+                parallelism=parallelism, stream="per_shard", seed=40,
+            )

@@ -332,6 +332,90 @@ class TestNoisyReplay:
         threaded.shutdown()
 
 
+def programmed_state(fleet):
+    """Per shard: every tile member's conductances and error history, in
+    tile order, and the shard's generator state."""
+    return [
+        (
+            [
+                (member.programming_report.conductance,
+                 member.programming_report.rms_error_history)
+                for pair in shard._tiles.values()
+                for member in (pair.positive, pair.negative)
+            ],
+            shard._tiles[(0, 0)]._rng.bit_generator.state,
+        )
+        for shard in fleet.shards
+    ]
+
+
+def build_threads():
+    """Live threads of ``from_matrix``'s build pool."""
+    return [t for t in threading.enumerate() if t.name.startswith("shard-build")]
+
+
+class TestConcurrentBuild:
+    """A threaded crossbar fleet programs its replicas concurrently, and
+    every replica equals the serial build's bit for bit."""
+
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_threaded_build_equals_serial_build(self, workers, rng):
+        # Two tiles per replica: each shard's tiles share its generator.
+        matrix = rng.standard_normal((24, 40))
+        kwargs = dict(n_shards=4, batch_window=4, stream="per_shard",
+                      tile_shape=(32, 32), seed=41)
+        serial = ShardedOperator.from_matrix(matrix, **kwargs)
+        threaded = ShardedOperator.from_matrix(
+            matrix, parallelism="threads", n_workers=workers, **kwargs
+        )
+        assert not build_threads() and threaded._executor is None
+        assert threaded.shards[0].n_tiles == 2
+        for (members, state), (twins, twin_state) in zip(
+            programmed_state(serial), programmed_state(threaded), strict=True
+        ):
+            assert state == twin_state
+            for (conductance, history), (twin, twin_history) in zip(
+                members, twins, strict=True
+            ):
+                np.testing.assert_array_equal(conductance, twin, strict=True)
+                assert conductance.strides == twin.strides
+                assert history == twin_history
+        x_block = rng.standard_normal((40, 16))
+        assert np.array_equal(serial.matmat(x_block), threaded.matmat(x_block))
+        assert generator_states(serial) == generator_states(threaded)
+        assert serial.shard_stats == threaded.shard_stats
+        threaded.shutdown()
+
+    def test_a_failing_replica_raises_and_leaves_no_worker(self, monkeypatch, rng):
+        """The third replica's construction raises: its ValueError
+        surfaces from from_matrix, and the build pool is joined."""
+        import repro.crossbar.sharding as sharding
+
+        def construct(matrix, seed, **kwargs):
+            if seed.bit_generator.seed_seq.spawn_key[-1] == 2:
+                raise ValueError("replica 2 failed to program")
+            return sharding_operator(matrix, seed=seed, **kwargs)
+
+        sharding_operator = sharding.CrossbarOperator
+        monkeypatch.setattr(sharding, "CrossbarOperator", construct)
+        with pytest.raises(ValueError, match="replica 2 failed to program"):
+            ShardedOperator.from_matrix(
+                rng.standard_normal((6, 8)), n_shards=4, batch_window=2,
+                parallelism="threads", n_workers=2, stream="per_shard", seed=42,
+            )
+        assert not build_threads()
+
+    def test_a_bad_matrix_raises_from_the_workers(self, rng):
+        matrix = rng.standard_normal((6, 8))
+        matrix[2, 3] = np.nan
+        with pytest.raises(ValueError, match="matrix must be finite"):
+            ShardedOperator.from_matrix(
+                matrix, n_shards=3, batch_window=2, parallelism="threads",
+                stream="per_shard", seed=43,
+            )
+        assert not build_threads()
+
+
 class TestConsumers:
     @pytest.mark.parametrize("shards,window,batch,workers", GRID)
     def test_amp_recovery_identical(self, shards, window, batch, workers):
@@ -780,7 +864,17 @@ class TestValidationAndDegenerates:
             )
         assert "serial" in PARALLELISM_MODES and "threads" in PARALLELISM_MODES
 
-    @pytest.mark.parametrize("bad", [0, -1, 1.5, float("inf"), float("nan")])
+    @pytest.mark.parametrize("flag", [True, np.True_])
+    def test_boolean_shard_counts_rejected(self, flag, rng):
+        """``n_shards=True`` used to build a one-shard fleet."""
+        matrix = rng.standard_normal((6, 8))
+        for backend in ("exact", "crossbar"):
+            with pytest.raises(ValueError, match="n_shards must be an integer"):
+                ShardedOperator.from_matrix(
+                    matrix, n_shards=flag, batch_window=2, backend=backend
+                )
+
+    @pytest.mark.parametrize("bad", [0, -1, 1.5, float("inf"), float("nan"), True])
     def test_bad_worker_counts_rejected(self, bad, rng):
         matrix = rng.standard_normal((6, 8))
         with pytest.raises(ValueError, match="n_workers"):

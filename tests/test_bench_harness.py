@@ -150,7 +150,8 @@ class TestSpeedGates:
         assert config["blas_env"] == dict.fromkeys(harness.BLAS_ENV, "1")
         assert config["gates"]["speedup"] == dict(
             value=5.0, q1=4.5, q3=5.5, floor=3.0, shape="B=64", rounds=3, blas=True,
-            kernel_s=0.02, off_cpu=pytest.approx(0.05), passed=True, skipped=None,
+            kernel_s=0.02, off_cpu=pytest.approx(0.05), threads=False,
+            other_cpu=None, passed=True, skipped=None,
         )
 
     def test_core_floors_follow_the_host(self, harness, monkeypatch):
@@ -251,6 +252,120 @@ class TestSpeedGates:
             assert "skipped: another job held the CPU for" in line
         with pytest.raises(pytest.skip.Exception, match="second: another job"):
             gates.enforce()
+
+
+PROC_STAT = """cpu  900 0 90 9000 10 0 9 40 0 0
+cpu0 300 0 30 3000 4 0 3 10 0 0
+cpu1 200 0 20 2000 3 0 2 20 0 0
+cpu2 400 0 40 4000 3 0 4 10 0 0
+intr 12345 0 0
+ctxt 6789
+"""
+
+
+class TestHostCpuShare:
+    """The share of the CPUs that other processes used, from /proc/stat
+    busy time minus this process's own CPU time."""
+
+    def test_a_reading_sums_the_cpus_this_process_may_run_on(
+        self, harness, monkeypatch, tmp_path
+    ):
+        stat = tmp_path / "stat"
+        stat.write_text(PROC_STAT)
+        monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(harness.os, "sysconf", lambda name: 100)
+        monkeypatch.setattr(harness.time, "process_time", lambda: 1.5)
+        busy, total, own = harness.host_cpu_reading(stat)
+        # cpu0 and cpu1: user, nice, system, irq, softirq and steal are
+        # busy; idle and iowait are not.  cpu2 and the summary line are out.
+        assert busy == pytest.approx((343 + 242) / 100)
+        assert total == pytest.approx((3347 + 2245) / 100)
+        assert own == 1.5
+
+    def test_no_reading_without_proc_stat(self, harness, tmp_path):
+        assert harness.host_cpu_reading(tmp_path / "missing") is None
+
+    def test_no_reading_without_lines_for_this_process_s_cpus(
+        self, harness, monkeypatch, tmp_path
+    ):
+        stat = tmp_path / "stat"
+        stat.write_text(PROC_STAT)
+        monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {7})
+        assert harness.host_cpu_reading(stat) is None
+
+    def test_the_share_is_busy_time_minus_own_time_over_total(self, harness):
+        # 3 s busy over 4 s of two CPUs' time, 1 s of it this process's own
+        assert harness.other_cpu_share((10.0, 100.0, 1.0), (13.0, 104.0, 2.0)) == 0.5
+        # own time read outside the busy window cannot make the share negative
+        assert harness.other_cpu_share((10.0, 100.0, 1.0), (11.0, 104.0, 3.0)) == 0.0
+        assert harness.other_cpu_share(None, (13.0, 104.0, 2.0)) is None
+        assert harness.other_cpu_share((10.0, 100.0, 1.0), None) is None
+        assert harness.other_cpu_share((10.0, 100.0, 1.0), (10.0, 100.0, 1.0)) is None
+
+    def test_time_interleaved_reads_the_host_around_the_rounds(
+        self, harness, monkeypatch
+    ):
+        """One reading after the warm-up and one after the last round; both
+        timings and their ratio carry the share."""
+        events = []
+        readings = iter([(0.0, 0.0, 0.0), (6.0, 10.0, 2.0)])
+
+        def reading():
+            events.append("reading")
+            return next(readings)
+
+        monkeypatch.setattr(harness, "host_cpu_reading", reading)
+        monkeypatch.setattr(harness, "kernel_run", lambda: (1.0, 1.0))
+        timings, _ = harness.time_interleaved(
+            {"fast": lambda: events.append("fast"),
+             "reference": lambda: events.append("reference")}, 2
+        )
+        assert events == ["fast", "reference", "reading", "fast", "reference",
+                          "fast", "reference", "reading"]
+        assert timings["fast"].other_cpu == timings["reference"].other_cpu == 0.4
+        assert (timings["reference"] / timings["fast"]).other_cpu == 0.4
+
+    @pytest.mark.parametrize("other_cpu", [0.11, 0.5])
+    def test_other_processes_on_the_cpus_skip_a_threaded_gate(
+        self, harness, monkeypatch, other_cpu
+    ):
+        """The one-thread kernel ran alone (0 % off CPU) while other
+        processes took the CPUs: the threaded gate skips with the share,
+        and a one-thread gate timed in the same rounds is judged."""
+        gates = make_gates(harness, monkeypatch)
+        ratio = harness.Timing((1.0,), kernel_runs(20.0, 20.0), other_cpu)
+        gates.gate("fleet", ratio, 1.3, shape="s", blas=False, threads=True)
+        gates.gate("one_thread", ratio, 1.3, shape="s", blas=False)
+        lines, config = gates.record()
+        assert lines[1].endswith(
+            f"kernel 20.0 ms, 0% off CPU, other processes {other_cpu:.0%} of the "
+            f"CPUs -> skipped: other processes used {other_cpu:.0%} of the CPUs "
+            "during its rounds (limit 10%)"
+        )
+        assert config["gates"]["fleet"]["other_cpu"] == other_cpu
+        assert lines[2].endswith("kernel 20.0 ms, 0% off CPU -> FAIL")
+        with pytest.raises(AssertionError, match="one_thread 1.00x below"):
+            gates.enforce()
+
+    def test_a_threaded_gate_within_the_limit_is_judged(self, harness, monkeypatch):
+        gates = make_gates(harness, monkeypatch)
+        ratio = harness.Timing((1.0,), kernel_runs(20.0, 20.0), harness.MAX_OTHER_CPU)
+        gates.gate("fleet", ratio, 1.3, shape="s", blas=False, threads=True)
+        lines, _ = gates.record()
+        assert lines[1].endswith("other processes 10% of the CPUs -> FAIL")
+        with pytest.raises(AssertionError, match="fleet 1.00x below its 1.3x floor"):
+            gates.enforce()
+
+    def test_an_unread_share_is_recorded_as_not_measured(self, harness, monkeypatch):
+        gates = make_gates(harness, monkeypatch)
+        gates.gate("fleet", harness.Timing((1.5,), kernel_runs(20.0, 20.0)), 1.3,
+                   shape="s", blas=False, threads=True)
+        lines, config = gates.record()
+        assert lines[1].endswith(
+            "other processes' CPU share not measured -> pass"
+        )
+        assert config["gates"]["fleet"]["other_cpu"] is None
+        gates.enforce()
 
 
 def test_recorder_writes_the_gate_record(harness, monkeypatch, tmp_path):

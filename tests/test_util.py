@@ -88,6 +88,13 @@ class TestCheckers:
         with pytest.raises(ValueError, match="n must be an integer >= 1"):
             check_int("n", bad)
 
+    @pytest.mark.parametrize("flag", [True, False, np.True_, np.False_])
+    def test_check_int_rejects_booleans(self, flag):
+        """``int(True)`` is 1: a flag passed by mistake would run one
+        round or build one shard."""
+        with pytest.raises(ValueError, match=f"must be an integer >= 0, got {flag!r}"):
+            check_int("n", flag, minimum=0)
+
     def test_check_int_minimum(self):
         assert check_int("index", 0, minimum=0) == 0
         with pytest.raises(ValueError, match="index must be an integer >= 0"):
