@@ -101,6 +101,22 @@ One row times fleet dispatch, recorded only, with no gate:
   median 1012 (IQR 988-1048) to 976 (IQR 859-1000), slower in 7 of 10
   pairs, and the plain pair was 3-17 % slower in 3 short runs.
 
+One row times the digital periphery of a crossbar read, at two shapes:
+
+* **read_periphery** — per-column peak normalize, ``Dac.to_voltages``
+  and ``Adc.quantize`` of one forward read of the perfbench
+  ``cs_single`` operator (A 512x1024, one 1024x512 tile pair, 8-bit
+  converters), the ADC on that read's currents: one B=1 read, as
+  ``cs_single`` reads, and one B=64 window, as each ``cs_fleet`` shard
+  reads.  Normalize divides into its own ``abs`` buffer, and each
+  converter copies its input once and clips (``np.maximum`` /
+  ``np.minimum``), divides, rounds (``np.rint``) and scales that copy
+  in place.  The reference is the periphery they replaced, kept here:
+  a new array for every step, ``np.clip`` and ``np.round``, and three
+  clips (the DAC clips to +-1 and again to +-``v_max``, and both
+  converters clip the rounded level index).  Both sides must give the
+  same bytes, signed zeros included, and the same conversion counts.
+
 One row is recorded only, with no gate and no reference:
 
 * **read_breakdown** — one B=1 ``CrossbarOperator.matvec`` at the
@@ -125,10 +141,10 @@ either history, the spread of the host's own noise.
 Every layer is timed with ``_harness.time_interleaved``: a warm-up
 round, whose outputs the equality checks read, then interleaved rounds
 (``REPEATS`` for the tile reads, ``HD_REPEATS``, ``MAJORITY_REPEATS``,
-``STATE_REPEATS``, ``FLEET_REPEATS`` and ``BREAKDOWN_REPEATS``), with
-the harness's reference kernel run between them; each time is a median
-and each ratio (reference / measured) the median of the round-by-round
-ratios.
+``STATE_REPEATS``, ``FLEET_REPEATS``, ``PERIPHERY_REPEATS`` and
+``BREAKDOWN_REPEATS``), with the harness's reference kernel run between
+them; each time is a median and each ratio (reference / measured) the
+median of the round-by-round ratios.
 
 Shapes are ``A`` as ``(m, n)`` with batch ``B``: 512x1024/B=1 (the
 one-signal read of the perfbench ``cs_single`` workload, recorded
@@ -143,16 +159,18 @@ cached exponents 1.45-1.55x) and 1.15x for solver_sweep.  fleet_program
 gates at a core-aware floor: 1.3x with two or more CPUs (1.6-1.8x on
 2 vCPUs) and 0.9x on one, where both builds run on one core and the
 floor only catches a slowdown beyond round-to-round noise.
+read_periphery gates its B=1 read at 1.5x (1.8x on a 2-vCPU host);
+its B=64 window is recorded only (1.3x).
 ``_harness.SpeedGates`` records every gate with its quartiles and skips
 its assertion, with the reason, when another job held the CPU during
 its rounds, and for the tile read and the solver sweep, which run BLAS,
 when BLAS is not pinned to one thread: a threaded BLAS moves both sides
-by its pool.  The HD, device-state and fleet-programming layers run no
-BLAS, so they are gated unpinned too.  The two threaded rows,
-fleet_program and fleet_sweep, also record the share of the CPUs that
-other processes used during their rounds (from /proc/stat), which the
-one-thread reference kernel cannot see; the fleet_program gate skips
-above 10 %.
+by its pool.  The HD, device-state, fleet-programming and
+read-periphery layers run no BLAS, so they are gated unpinned too.  The
+two threaded rows, fleet_program and fleet_sweep, also record the share
+of the CPUs that other processes used during their rounds (from
+/proc/stat), which the one-thread reference kernel cannot see; the
+fleet_program gate skips above 10 %.
 
 Run (one BLAS thread, as CI does)::
 
@@ -167,7 +185,9 @@ import numpy as np
 from _harness import SpeedGates, describe_other_cpu, time_interleaved
 
 from repro.crossbar import (
+    Adc,
     CrossbarOperator,
+    Dac,
     DenseOperator,
     DifferentialCoding,
     ShardedOperator,
@@ -220,6 +240,10 @@ FLEET_PROGRAM_REPEATS = 7
 # cs_single's A (m, n); its reads are one column each.
 BREAKDOWN_SHAPE = (512, 1024)
 BREAKDOWN_REPEATS = 201
+# read_periphery's batches at BREAKDOWN_SHAPE: cs_single's one-column
+# read and a cs_fleet shard's window.
+PERIPHERY_BATCHES = (1, 64)
+PERIPHERY_REPEATS = 201
 # A floor, or floors by the fewest CPUs they apply to (SpeedGates.core_floor).
 MIN_RATIOS = {
     "workload_gen": 10.0,
@@ -229,6 +253,7 @@ MIN_RATIOS = {
     "drift_rebuild": 4.0,
     "solver_sweep": 1.15,
     "fleet_program": {1: 0.9, 2: 1.3},
+    "read_periphery_b1": 1.5,
 }
 # Layers that run BLAS: gated only with BLAS pinned to one thread.
 BLAS_LAYERS = ("solver_sweep",)
@@ -614,6 +639,89 @@ def time_fleet_sweep(nproc):
     return {"fleet_sweep": timings}
 
 
+def clip_round_midtread(values, full_scale, bits):
+    """The reference quantizer: clip, ``np.round``, clip the level index
+    and scale, each step a new array."""
+    clipped = np.clip(values, -full_scale, full_scale)
+    if bits == 1:
+        return np.sign(clipped) * full_scale
+    top_index = 2 ** (bits - 1) - 1
+    step = full_scale / top_index
+    return np.clip(np.round(clipped / step), -top_index, top_index) * step
+
+
+class ClipRoundDac(Dac):
+    """The reference DAC: clip to +-1 and scale, then quantize with the
+    quantizer's own clip to +-``v_max``."""
+
+    def to_voltages(self, normalized):
+        normalized = np.asarray(normalized, dtype=float)
+        voltages = np.clip(normalized, -1.0, 1.0) * self.v_max
+        if self.bits is not None:
+            voltages = clip_round_midtread(voltages, self.v_max, self.bits)
+        self.n_conversions += normalized.size
+        return voltages
+
+
+class ClipRoundAdc(Adc):
+    """The reference ADC: ``clip_round_midtread``, or one clip when ideal."""
+
+    def quantize(self, currents):
+        currents = np.asarray(currents, dtype=float)
+        self.n_conversions += currents.size
+        if self.bits is None:
+            return np.clip(currents, -self.full_scale, self.full_scale)
+        return clip_round_midtread(currents, self.full_scale, self.bits)
+
+
+def normalize_copies(block):
+    """The reference per-column peak normalize: ``abs``, then a new
+    quotient array."""
+    peaks = np.max(np.abs(block), axis=0)
+    safe = np.where(peaks == 0.0, 1.0, peaks)
+    return block / safe, peaks
+
+
+def time_read_periphery():
+    """Timings of normalize -> DAC -> ADC of one forward read at
+    cs_single's shape per batch in ``PERIPHERY_BATCHES``, and of the
+    periphery with a new array for every step."""
+    m, n = BREAKDOWN_SHAPE
+    operator = CrossbarOperator(gaussian_measurement_matrix(m, n, seed=0), seed=1)
+    dac, adc = operator.dac, operator.adc_columns
+    layers = {}
+    for batch in PERIPHERY_BATCHES:
+        x_block = np.random.default_rng(batch).standard_normal((n, batch))
+        voltages = dac.to_voltages(operator._normalize_block(x_block)[0])
+        currents = operator._tiles[(0, 0)].column_currents(voltages, 0.0)
+        sides = {
+            "fast": (operator._normalize_block, Dac(dac.bits, dac.v_max),
+                     Adc(adc.bits, adc.full_scale)),
+            "reference": (normalize_copies, ClipRoundDac(dac.bits, dac.v_max),
+                          ClipRoundAdc(adc.bits, adc.full_scale)),
+        }
+
+        def periphery(normalize, side_dac, side_adc):
+            normalized, peaks = normalize(x_block)
+            return (normalized, peaks, side_dac.to_voltages(normalized),
+                    side_adc.quantize(currents))
+
+        timings, outputs = time_interleaved(
+            {name: lambda side=side: periphery(*side) for name, side in sides.items()},
+            PERIPHERY_REPEATS,
+        )
+        for fast, reference in zip(*outputs.values(), strict=True):
+            assert fast.dtype == reference.dtype and fast.shape == reference.shape
+            assert fast.tobytes() == reference.tobytes(), "read periphery diverged"
+        reads = PERIPHERY_REPEATS + 1  # the warm-up and every round, on both sides
+        expected = reads * batch * n, reads * batch * m
+        for _, side_dac, side_adc in sides.values():
+            assert (side_dac.n_conversions, side_adc.n_conversions) == expected, (
+                "conversion counts diverged")
+        layers[f"read_periphery_b{batch}"] = timings
+    return layers
+
+
 def time_read_breakdown():
     """Timings of one B=1 ``matvec`` at cs_single's shape and of three of
     its steps, each on its own inputs: the DAC, the tile pair's forward
@@ -644,7 +752,7 @@ def ledger_section(title, shape, layers, metrics, speed_gates):
     (reference / fast), and a gate at ``shape`` for each layer that has
     a floor."""
     lines = [f"Per-layer ledger - {title} ({shape})",
-             "  layer              measured    reference   ratio"]
+             "  layer                  measured     reference   ratio"]
     for layer, timings in layers.items():
         fast, reference = timings["fast"].median, timings["reference"].median
         ratio = timings["reference"] / timings["fast"]
@@ -658,7 +766,7 @@ def ledger_section(title, shape, layers, metrics, speed_gates):
         metrics[f"{layer}_ms"] = fast * 1e3
         metrics[f"{layer}_reference_ms"] = reference * 1e3
         metrics[f"{layer}_ratio"] = ratio.median
-        line = (f"  {layer:<14} {fast * 1e3:9.2f} ms {reference * 1e3:9.2f} ms"
+        line = (f"  {layer:<18} {fast * 1e3:9.3f} ms {reference * 1e3:10.3f} ms"
                 f"  {ratio.median:5.2f}x")
         if threads:
             line += f"  ({describe_other_cpu(ratio.other_cpu)})"
@@ -677,6 +785,7 @@ def test_layer_ledger(write_result):
     solver_layers = time_solver_sweep()
     program_layers = time_fleet_program(speed_gates.nproc)
     fleet_layers = time_fleet_sweep(speed_gates.nproc)
+    periphery_layers = time_read_periphery()
     breakdown = time_read_breakdown()
 
     metrics = {}
@@ -722,6 +831,13 @@ def test_layer_ledger(write_result):
         "  the pipeline stays: a barrier between its phases cut cs_fleet's "
         "items/s (median 1012 -> 976, 7 of 10 pairs)",
     ]
+    lines += ledger_section(
+        "read periphery", "normalize -> DAC -> ADC of one forward read, A {}x{}, "
+        "B=1 gated, B=64 recorded only".format(*BREAKDOWN_SHAPE),
+        periphery_layers, metrics, speed_gates,
+    )
+    lines.append("  reference: np.clip/np.round converters with three clips, "
+                 "a new array for every step")
     lines.append(
         "Per-layer ledger - read breakdown (one matvec, A {}x{} / B=1, "
         "recorded only)".format(*BREAKDOWN_SHAPE)
@@ -758,6 +874,8 @@ def test_layer_ledger(write_result):
             "fleet_program_repeats": FLEET_PROGRAM_REPEATS,
             "breakdown_shape": list(BREAKDOWN_SHAPE),
             "breakdown_repeats": BREAKDOWN_REPEATS,
+            "periphery_batches": list(PERIPHERY_BATCHES),
+            "periphery_repeats": PERIPHERY_REPEATS,
         },
         metrics=metrics,
         kind="profile",

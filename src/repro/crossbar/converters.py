@@ -8,7 +8,9 @@ to ``2**bits`` uniform levels and count conversions so energy models can
 charge per conversion.  Both accept arrays of any shape — in particular
 the 2-D ``(lines, batch)`` voltage/current blocks of the batched MVM
 pipeline — and always count one conversion per element, so a batch of
-``B`` vectors is charged exactly like ``B`` per-vector calls.
+``B`` vectors is charged exactly like ``B`` per-vector calls.  A
+conversion copies its input once and clips, scales and rounds that copy
+in place; the input is never written.
 """
 
 from __future__ import annotations
@@ -20,21 +22,44 @@ from repro._util import check_int, check_positive
 __all__ = ["Dac", "Adc"]
 
 
+# The widest converter modelled.  Up to it the top level index
+# ``top = 2**(bits - 1) - 1`` stays below 2**31, so the rounded index of
+# a clipped value never leaves ``[-top, top]`` and needs no clip:
+# ``|x / step| <= top * (1 + 3 * 2**-53) < top + 1/2``.
+MAX_BITS = 32
+
+
+def _check_bits(bits: int | None) -> int | None:
+    """``bits`` unchanged; ``ValueError`` unless ``None`` or 1..MAX_BITS."""
+    if bits is not None and check_int("bits", bits) > MAX_BITS:
+        raise ValueError(f"bits must be <= {MAX_BITS}, got {bits!r}")
+    return bits
+
+
+def _clip(values: np.ndarray, limit: float) -> np.ndarray:
+    """Clip ``values`` to ``[-limit, limit]`` in place."""
+    np.maximum(values, -limit, out=values)
+    return np.minimum(values, limit, out=values)
+
+
 def _quantize_midtread(values: np.ndarray, full_scale: float, bits: int) -> np.ndarray:
-    """Uniform symmetric quantizer over ``[-full_scale, +full_scale]``.
+    """Uniform symmetric quantizer over ``[-full_scale, +full_scale]``,
+    in place on ``values``, which the caller has clipped to that range.
 
     Uses ``2**bits - 1`` signed levels including zero, placed so the
     extreme levels sit exactly at +-full_scale; the symmetric level set
     keeps the quantizer odd (``q(-x) == -q(x)``).  One bit degenerates
     to a sign comparator.
     """
-    clipped = np.clip(values, -full_scale, full_scale)
     if bits == 1:
-        return np.sign(clipped) * full_scale
-    top_index = 2 ** (bits - 1) - 1
-    step = full_scale / top_index
-    indices = np.clip(np.round(clipped / step), -top_index, top_index)
-    return indices * step
+        np.sign(values, out=values)
+        values *= full_scale
+        return values
+    step = full_scale / (2 ** (bits - 1) - 1)
+    values /= step
+    np.rint(values, out=values)
+    values *= step
+    return values
 
 
 class Dac:
@@ -43,7 +68,8 @@ class Dac:
     Parameters
     ----------
     bits:
-        Resolution; ``None`` models an ideal (continuous) driver.
+        Resolution, 1 to ``MAX_BITS``; ``None`` models an ideal
+        (continuous) driver.
     v_max:
         Maximum output magnitude in volts.  Inputs are expected in the
         normalized range ``[-1, 1]`` and map linearly to
@@ -51,11 +77,8 @@ class Dac:
     """
 
     def __init__(self, bits: int | None = 8, v_max: float = 0.2) -> None:
-        if bits is not None:
-            check_int("bits", bits)
-        check_positive("v_max", v_max)
-        self.bits = bits
-        self.v_max = v_max
+        self.bits = _check_bits(bits)
+        self.v_max = check_positive("v_max", v_max)
         self.n_conversions = 0
 
     def to_voltages(self, normalized: np.ndarray) -> np.ndarray:
@@ -64,11 +87,11 @@ class Dac:
         Works element-wise on any shape (vector or ``(lines, batch)``
         block) and counts one conversion per element.
         """
-        normalized = np.asarray(normalized, dtype=float)
-        voltages = np.clip(normalized, -1.0, 1.0) * self.v_max
+        voltages = _clip(np.array(normalized, dtype=float), 1.0)
+        voltages *= self.v_max
         if self.bits is not None:
-            voltages = _quantize_midtread(voltages, self.v_max, self.bits)
-        self.n_conversions += normalized.size
+            _quantize_midtread(voltages, self.v_max, self.bits)
+        self.n_conversions += voltages.size
         return voltages
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -81,18 +104,15 @@ class Adc:
     Parameters
     ----------
     bits:
-        Resolution; ``None`` models an ideal readout.
+        Resolution, 1 to ``MAX_BITS``; ``None`` models an ideal readout.
     full_scale:
         Magnitude (in amperes) of the largest representable current.
         Larger currents saturate, exactly as a real converter clips.
     """
 
     def __init__(self, bits: int | None = 8, full_scale: float = 1e-3) -> None:
-        if bits is not None:
-            check_int("bits", bits)
-        check_positive("full_scale", full_scale)
-        self.bits = bits
-        self.full_scale = full_scale
+        self.bits = _check_bits(bits)
+        self.full_scale = check_positive("full_scale", full_scale)
         self.n_conversions = 0
 
     def quantize(self, currents: np.ndarray) -> np.ndarray:
@@ -101,11 +121,11 @@ class Adc:
         Works element-wise on any shape (vector or ``(lines, batch)``
         block) and counts one conversion per element.
         """
-        currents = np.asarray(currents, dtype=float)
-        self.n_conversions += currents.size
+        codes = _clip(np.array(currents, dtype=float), self.full_scale)
+        self.n_conversions += codes.size
         if self.bits is None:
-            return np.clip(currents, -self.full_scale, self.full_scale)
-        return _quantize_midtread(currents, self.full_scale, self.bits)
+            return codes
+        return _quantize_midtread(codes, self.full_scale, self.bits)
 
     @property
     def lsb(self) -> float:

@@ -336,6 +336,18 @@ class CrossbarOperator:
         coding = DifferentialCoding(self.device)
         g_pos_full, g_neg_full = coding.encode(stored)
         self._scale = coding.scale
+        # The converters come first: a bad width raises before any draw.
+        self.dac = Dac(bits=dac_bits, v_max=v_read)
+        squares = (stored * self._scale * v_read) ** 2
+        col_fs = float(np.sqrt(squares.sum(axis=0)).max())
+        row_fs = float(np.sqrt(squares.sum(axis=1)).max())
+        del squares  # not held through programming
+        self.adc_columns = Adc(
+            bits=adc_bits, full_scale=max(col_fs * _FULL_SCALE_SIGMAS, 1e-12)
+        )
+        self.adc_rows = Adc(
+            bits=adc_bits, full_scale=max(row_fs * _FULL_SCALE_SIGMAS, 1e-12)
+        )
         self._tiles: dict[tuple[int, int], _TilePair] = {}
         for ri, (r0, r1) in enumerate(self._row_spans):
             for ci, (c0, c1) in enumerate(self._col_spans):
@@ -345,17 +357,6 @@ class CrossbarOperator:
                     device=self.device,
                     rng=rng,
                 )
-
-        self.dac = Dac(bits=dac_bits, v_max=v_read)
-        scaled = stored * self._scale * v_read
-        col_fs = float(np.sqrt((scaled**2).sum(axis=0)).max())
-        row_fs = float(np.sqrt((scaled**2).sum(axis=1)).max())
-        self.adc_columns = Adc(
-            bits=adc_bits, full_scale=max(col_fs * _FULL_SCALE_SIGMAS, 1e-12)
-        )
-        self.adc_rows = Adc(
-            bits=adc_bits, full_scale=max(row_fs * _FULL_SCALE_SIGMAS, 1e-12)
-        )
         self.v_read = v_read
         self.n_matvec = 0
         self.n_rmatvec = 0
@@ -579,21 +580,18 @@ class CrossbarOperator:
 
     def _normalize_block(self, block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Per-column peak normalization; zero columns normalize to zero."""
-        peaks = (
-            np.max(np.abs(block), axis=0) if block.size else np.zeros(block.shape[1])
-        )
+        normalized = np.abs(block)
+        peaks = normalized.max(axis=0) if block.size else np.zeros(block.shape[1])
         safe = np.where(peaks == 0.0, 1.0, peaks)
-        return block / safe, peaks
+        return np.divide(block, safe, out=normalized), peaks
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """Analog evaluation of ``A @ x``: a one-column :meth:`matmat`."""
-        x = _input_vector(x, self.shape[1], "x")
-        return self.matmat(x[:, None])[:, 0]
+        return self._forward(_input_vector(x, self.shape[1], "x")[:, None])[:, 0]
 
     def rmatvec(self, z: np.ndarray) -> np.ndarray:
         """Analog evaluation of ``A.T @ z``: a one-column :meth:`rmatmat`."""
-        z = _input_vector(z, self.shape[0], "z")
-        return self.rmatmat(z[:, None])[:, 0]
+        return self._transpose(_input_vector(z, self.shape[0], "z")[:, None])[:, 0]
 
     def matmat(self, x_block: np.ndarray) -> np.ndarray:
         """Analog evaluation of ``A @ X`` for a block of input vectors.
@@ -608,8 +606,19 @@ class CrossbarOperator:
         and bills nothing.  A block holding NaN or inf raises
         ``ValueError`` before any counter moves.
         """
-        m, n = self.shape
-        x_block = _input_block(x_block, n, "X")
+        return self._forward(_input_block(x_block, self.shape[1], "X"))
+
+    def rmatmat(self, z_block: np.ndarray) -> np.ndarray:
+        """Analog evaluation of ``A.T @ Z`` (batched transpose reads).
+
+        ``z_block`` has shape ``(m, B)``; the result has shape
+        ``(n, B)``.  Semantics and accounting mirror :meth:`matmat`.
+        """
+        return self._transpose(_input_block(z_block, self.shape[0], "Z"))
+
+    def _forward(self, x_block: np.ndarray) -> np.ndarray:
+        """:meth:`matmat` of a validated ``(n, B)`` block."""
+        m = self.shape[0]
         self.n_matvec += x_block.shape[1]
 
         def tile_currents(voltages):
@@ -624,14 +633,9 @@ class CrossbarOperator:
         self.n_live_matvec += live
         return result
 
-    def rmatmat(self, z_block: np.ndarray) -> np.ndarray:
-        """Analog evaluation of ``A.T @ Z`` (batched transpose reads).
-
-        ``z_block`` has shape ``(m, B)``; the result has shape
-        ``(n, B)``.  Semantics and accounting mirror :meth:`matmat`.
-        """
-        m, n = self.shape
-        z_block = _input_block(z_block, m, "Z")
+    def _transpose(self, z_block: np.ndarray) -> np.ndarray:
+        """:meth:`rmatmat` of a validated ``(m, B)`` block."""
+        n = self.shape[1]
         self.n_rmatvec += z_block.shape[1]
 
         def tile_currents(voltages):
@@ -659,25 +663,32 @@ class CrossbarOperator:
         """
         normalized, peaks = self._normalize_block(block)
         batch = block.shape[1]
-        live = np.flatnonzero(peaks)
-        if live.size == 0:
-            return np.zeros((out_dim, batch)), 0
         # All-live fast path (the common case for solver traffic): run
         # the converters on the normalized block itself and scale the
         # accumulator in place — no live-column gather, no second
         # (out_dim, B) buffer, no multiply temporary.  Same values as
         # the gather path bit for bit.
-        all_live = live.size == batch
-        voltages = self.dac.to_voltages(normalized if all_live else normalized[:, live])
-        result = np.zeros((out_dim, live.size))
+        all_live = bool(peaks.all())
+        live = slice(None) if all_live else np.flatnonzero(peaks)
+        n_live = batch if all_live else live.size
+        if n_live == 0:
+            return np.zeros((out_dim, batch)), 0
+        voltages = self.dac.to_voltages(normalized[:, live])
+        # One tile accumulates into its own ADC codes: ``0.0 + code`` in
+        # place, as into a zero accumulator, so a -0.0 code reads +0.0.
+        result = np.zeros((out_dim, n_live)) if self.n_tiles > 1 else None
         for (o0, o1), currents in tile_currents(voltages):
-            result[o0:o1] += adc.quantize(currents)
+            codes = adc.quantize(currents)
+            if result is None:
+                result = np.add(codes, 0.0, out=codes)
+            else:
+                result[o0:o1] += codes
         if all_live:
             result *= self._gain * peaks / (self._scale * self.v_read)
             return result, batch
         out = np.zeros((out_dim, batch))
         out[:, live] = result * (self._gain * peaks[live] / (self._scale * self.v_read))
-        return out, int(live.size)
+        return out, n_live
 
     @property
     def stats(self) -> dict[str, int]:

@@ -427,6 +427,20 @@ def make_reader(kind, shape, sigma):
     return _TilePair(g[0], g[1], device=device, rng=np.random.default_rng(21))
 
 
+def traced_peak(call):
+    """Peak traced allocation of ``call()`` in bytes, above what was
+    allocated before it."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before, _ = tracemalloc.get_traced_memory()
+        call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak - before
+
+
 def block_read(reader, block, axis):
     """One block read along ``axis``; a pair reads at ``PAIR_AGE``."""
     if isinstance(reader, CrossbarArray):
@@ -580,15 +594,19 @@ class TestReadPrecision:
         reader = make_reader(kind, (1024, 512), sigma=0.05)
         block = np.random.default_rng(26).uniform(-0.2, 0.2, (1024, 1))
         block_read(reader, block, axis=0)  # builds the read cache
-        tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
-            before, _ = tracemalloc.get_traced_memory()
-            block_read(reader, block, axis=0)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak - before < 1 << 20
+        assert traced_peak(lambda: block_read(reader, block, axis=0)) < 1 << 20
+
+    def test_a_warm_block_read_converts_in_place(self):
+        """A warm noisy ``matmat`` of a ``(1024, 64)`` block at 1024x512
+        peaks under 2.2 MiB of traced allocation: normalize, the DAC and
+        the ADC each allocate one block and work in place on it (1.94 MiB
+        measured).  With a new array for every clip, round and scale the
+        same read peaked at 2.50 MiB."""
+        matrix = gaussian_measurement_matrix(512, 1024, seed=30)
+        operator = CrossbarOperator(matrix, seed=31)
+        block = np.random.default_rng(27).standard_normal((1024, 64))
+        operator.matmat(block)  # builds the read cache
+        assert traced_peak(lambda: operator.matmat(block)) < 2.2 * (1 << 20)
 
     def test_an_aged_rebuild_makes_no_float64_member_array(self):
         """Rebuilding a warm 256x256 noisy pair's entry at a new age
@@ -598,15 +616,7 @@ class TestReadPrecision:
         way to a float32 drift lifts the peak past 1 MB."""
         reader = make_reader("pair", (256, 256), sigma=0.01)
         reader._read_entry(1.0)  # builds the members' float32 drift cache
-        tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
-            before, _ = tracemalloc.get_traced_memory()
-            reader._read_entry(2.0)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak - before < 1 << 20
+        assert traced_peak(lambda: reader._read_entry(2.0)) < 1 << 20
 
     def test_a_fresh_pair_rounds_the_float64_difference_once(self):
         """Age 0 keeps the float64 mean rounded once, bit for bit, and

@@ -183,6 +183,19 @@ class TestRealisticCrossbar:
         assert rng.bit_generator.state == state
 
     @pytest.mark.parametrize(
+        "widths", [{"adc_bits": 1100}, {"dac_bits": 33}, {"adc_bits": 33}]
+    )
+    def test_rejects_too_wide_converters_before_programming(self, widths):
+        """Regression: ``adc_bits=1100`` constructed, then the first read
+        raised ``OverflowError`` after counting one read and four DAC and
+        four ADC conversions."""
+        rng = np.random.default_rng(7)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="bits must be <= 32"):
+            CrossbarOperator(np.ones((4, 4)), seed=rng, **widths)
+        assert rng.bit_generator.state == state
+
+    @pytest.mark.parametrize(
         "tile_shape", [(2.5, 4), (4,), (4, 4, 4), (0, 4), (4, float("nan"))]
     )
     def test_rejects_bad_tile_shape(self, small_matrix, tile_shape):
@@ -213,6 +226,43 @@ class TestRealisticCrossbar:
             matrix, device=PcmDevice.ideal(), adc_bits=12, seed=0
         )
         assert operator.matvec(x)[line] < 0.5 * exact  # clipped
+
+
+class TestReadPeriphery:
+    """The digital steps around the analog read: one finiteness check
+    per product, and the accumulator's ``0.0 + code`` on every operator."""
+
+    @pytest.mark.parametrize("product", ["matvec", "rmatvec", "matmat", "rmatmat"])
+    def test_each_product_checks_its_input_once(self, monkeypatch, product):
+        checks = []
+
+        def counting_check(name, array):
+            checks.append(name)
+            return array
+
+        monkeypatch.setattr("repro.crossbar.operator.check_finite", counting_check)
+        operator = CrossbarOperator(np.ones((3, 5)), seed=0)
+        lines = 5 if product in ("matvec", "matmat") else 3
+        shape = (lines,) if product.endswith("vec") else (lines, 2)
+        getattr(operator, product)(np.ones(shape))
+        assert len(checks) == 1
+
+    @pytest.mark.parametrize("tile_shape", [(2, 2), (1, 2)], ids=["one", "two"])
+    def test_a_negative_zero_code_reads_positive_zero(self, tile_shape):
+        # Output line 1 carries a current far under half an LSB below
+        # zero, which the ADC codes as -0.0.
+        matrix = np.array([[1.0, 0.5], [-1e-4, 0.0]])
+        operator = CrossbarOperator(
+            matrix, device=PcmDevice.ideal(), tile_shape=tile_shape, seed=0
+        )
+        x = np.array([1.0, 0.0])
+        pair = operator._tiles[(0, 0)]
+        voltages = operator.dac.to_voltages(operator._normalize_block(x[:, None])[0])
+        rows = voltages[: pair.positive.rows]
+        codes = operator.adc_columns.quantize(pair.column_currents(rows, 0.0))
+        assert np.signbit(codes[1, 0]) and codes[1, 0] == 0.0
+        for out in (operator.matvec(x), operator.matmat(np.stack([x, 2 * x], 1))):
+            assert out[0].all() and not np.signbit(out[1]).any() and not out[1].any()
 
 
 class TestVerifyReads:
