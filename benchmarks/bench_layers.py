@@ -160,7 +160,7 @@ gates at a core-aware floor: 1.3x with two or more CPUs (1.6-1.8x on
 2 vCPUs) and 0.9x on one, where both builds run on one core and the
 floor only catches a slowdown beyond round-to-round noise.
 read_periphery gates its B=1 read at 1.5x (1.8x on a 2-vCPU host);
-its B=64 window is recorded only (1.3x).
+its B=64 window is recorded only (1.1-1.3x).
 ``_harness.SpeedGates`` records every gate with its quartiles and skips
 its assertion, with the reason, when another job held the CPU during
 its rounds, and for the tile read and the solver sweep, which run BLAS,
